@@ -8,8 +8,6 @@ Entry points: the `verify` CLI (see `tutteval.cli`) and the per-topic
 modules `tutte`, `template`, `holonomic`, `verifier`.
 """
 
-from .kernels import BACKEND as KERNEL_BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["KERNEL_BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -1,21 +1,12 @@
 """Arbitrary-precision rational arithmetic and the combinatorial scalars.
 
-`Rat(num, den)` builds an exact rational.  The backend is gmpy2.mpq when
-installed (much faster on the big verification runs) and fractions.Fraction
-otherwise; both normalize to gcd(|num|, den) = 1 with den >= 1, both render
-as "num/den" (den omitted when 1), and both are immutable and hashable.
+`Rat(num, den)` builds an exact rational, a `fractions.Fraction`: normalized
+to gcd(|num|, den) = 1 with den >= 1, rendered as "num/den" (den omitted
+when 1), immutable and hashable.
 """
 
 import math
-
-try:
-    from gmpy2 import mpq as Rat
-
-    RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - depends on environment
-    from fractions import Fraction as Rat
-
-    RAT_BACKEND = "fractions"
+from fractions import Fraction as Rat
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -37,11 +28,8 @@ def rat_gcd(a, b):
     This is the content notion for polynomials over the rationals: dividing a
     coefficient list by its rat_gcd leaves coprime integers.
     """
-    an, ad = a.numerator, a.denominator
-    bn, bd = b.numerator, b.denominator
-    num = math.gcd(int(an), int(bn))
-    den = (int(ad) * int(bd)) // math.gcd(int(ad), int(bd))
-    return Rat(num, den)
+    return Rat(math.gcd(a.numerator, b.numerator),
+               math.lcm(a.denominator, b.denominator))
 
 
 def binomial(n: int, k: int):

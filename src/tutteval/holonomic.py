@@ -361,19 +361,21 @@ def q1_phi() -> PhiQuot:
 
 
 @lru_cache(maxsize=None)
-def q_tower(kmax: int) -> list:
-    """[Q_0, ..., Q_kmax] with d^iF/dlambda^i = Q_i F, phi-degree <= 3."""
+def q_tower(kmax: int) -> tuple:
+    """(Q_0, ..., Q_kmax) with d^iF/dlambda^i = Q_i F, phi-degree <= 3.
+
+    Each tower extends the cached q_tower(kmax - 1) by one step.  Towers
+    are tuples, so neither that step nor a caller can change a cached one."""
     if not 1 <= kmax <= TOWER_MAX:
         raise ValueError(f"q_tower supports 1 <= kmax <= {TOWER_MAX}")
-    p0 = p0_quot()
     q1 = q1_phi()
-    tower = [_PQ_ONE, q1]
-    while len(tower) <= kmax:
-        qi = tower[-1]
-        qnext = _pq_add(_pq_add(_pq_dlam(qi), _pq_mul(_pq_dphi(qi), p0)),
-                        _pq_mul(qi, q1))
-        tower.append(qnext)
-    return tower
+    if kmax == 1:
+        return (_PQ_ONE, q1)
+    tower = q_tower(kmax - 1)
+    qi = tower[-1]
+    qnext = _pq_add(_pq_add(_pq_dlam(qi), _pq_mul(_pq_dphi(qi), p0_quot())),
+                    _pq_mul(qi, q1))
+    return tower + (qnext,)
 
 
 # -- series oracles --------------------------------------------------------
@@ -680,6 +682,10 @@ def dependency_report(kind: str) -> Report:
     t0 = time.perf_counter()
     params = {"kind": kind}
     cases = 0
+    if kind not in ("R", "Rhat"):
+        return failed("dependency", params,
+                      f"unknown kind {kind!r}: expected 'R' or 'Rhat'",
+                      cases, t0)
     try:
         dv = find_R() if kind == "R" else find_Rhat()
     except ArithmeticError as exc:

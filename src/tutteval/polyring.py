@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import heapq
 import re
+from math import gcd, lcm, prod
 
+from ._kernels_py import field_struct, mul_poly
 from .exactnum import ONE, Rat, ZERO, rat_gcd, rat_str
-from .kernels import mul_poly
 
 VARS = ("t", "s", "l", "f", "x", "y")
 NVARS = len(VARS)
@@ -34,15 +35,23 @@ def _grlex_key(mono):
     return (sum(mono), mono)
 
 
-def int_coeffs(terms: dict):
-    """The same {mono: coeff} map with integer coefficients, or None if
-    some coefficient is not an integer."""
-    out = {}
-    for m, c in terms.items():
-        if c.denominator != 1:
-            return None
-        out[m] = c.numerator
-    return out
+def _int_terms(terms: dict) -> tuple:
+    """(d, {mono: int}) with terms = {mono: int} / d, d > 0 the least common
+    denominator of the coefficients."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    if d == 1:
+        return 1, {m: c.numerator for m, c in terms.items()}
+    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+
+
+def _primitive_ints(terms: dict) -> tuple:
+    """(c, {mono: int}) with terms = c * {mono: int}, c > 0 rational and the
+    integers coprime."""
+    d, ints = _int_terms(terms)
+    g = gcd(*ints.values())
+    if g != 1:
+        ints = {m: v // g for m, v in ints.items()}
+    return Rat(g, d), ints
 
 
 class Poly:
@@ -168,14 +177,16 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
+        # multiply on ints, which run several times faster than rationals,
+        # and divide by both common denominators at the end
+        da, a = _int_terms(self.terms)
+        db, b = _int_terms(other.terms)
+        d = da * db
         p = Poly.__new__(Poly)
-        # integer products run several times faster than rational ones
-        a = int_coeffs(self.terms)
-        b = int_coeffs(other.terms) if a is not None else None
-        if b is None:
-            p.terms = mul_poly(self.terms, other.terms)
-        else:
+        if d == 1:
             p.terms = {m: Rat(c) for m, c in mul_poly(a, b).items()}
+        else:
+            p.terms = {m: Rat(c, d) for m, c in mul_poly(a, b).items()}
         return p
 
     __rmul__ = __mul__
@@ -259,46 +270,78 @@ def partial_derivative(A, v):
 
 
 def poly_div_exact(A: Poly, B: Poly) -> Poly:
-    """Exact quotient A/B; raises ArithmeticError if B does not divide A."""
+    """Exact quotient A/B; raises ArithmeticError if B does not divide A.
+
+    With A = a A' and B = b B', A' and B' primitive integer polynomials, B'
+    divides A' over Q exactly when it divides it over Z (Gauss's lemma), so
+    A'/B' is computed on ints and a leading coefficient that lc(B') does not
+    divide proves the division inexact.  The quotient is (a/b) A'/B'.
+
+    Monomials are packed into ints whose order is the graded lex order: the
+    top field holds the total degree, the next ones variables 0, 1, ...
+    The top bit of every field is a guard bit above its value, so
+    subtracting a packed monomial never borrows across fields, and a cleared
+    guard bit shows that one monomial does not divide the other."""
     if B.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if A.is_zero():
         return Poly()
     if B.is_const():
         return A.scale(ONE / B.const_value())
-    lmB = B.leading_monomial()
-    lcB = B.leading_coeff()
-    bterms = list(B.terms.items())
-    rem = dict(A.terms)
-    # monomials in descending graded-lex order via a min-heap of negated keys
-    heap = [(-sum(m), tuple(-e for e in m), m) for m in rem]
+    # fields sized for A's total degree also hold every monomial of B, of
+    # the quotient and of the remainders, unless B's degree is higher,
+    # and then B cannot divide A
+    deg = max(map(sum, A.terms))
+    if max(map(sum, B.terms)) > deg:
+        raise ArithmeticError("inexact polynomial division")
+    a, ia = _primitive_ints(A.terms)
+    b, ib = _primitive_ints(B.terms)
+    layout = field_struct(NVARS + 1, deg.bit_length() + 1)
+    top = 1 << (8 * layout.size // (NVARS + 1) - 1)
+    guard = int.from_bytes(layout.pack(*[top] * (NVARS + 1)), "big")
+
+    def pack(m):
+        return int.from_bytes(layout.pack(sum(m), *m), "big")
+
+    bterms = sorted((pack(m), c) for m, c in ib.items())
+    lmB, lcB = bterms.pop()
+    rem = {pack(m): c for m, c in ia.items()}
+    # monomials in descending order via a min-heap of negated keys
+    heap = [-k for k in rem]
     heapq.heapify(heap)
     quo = {}
     while heap:
-        lm = heapq.heappop(heap)[2]
-        c = rem.pop(lm, None)
+        k = -heapq.heappop(heap)
+        c = rem.pop(k, None)
         if c is None:
             continue
-        d = tuple(a - b for a, b in zip(lm, lmB))
-        if any(e < 0 for e in d):
+        d = (k | guard) - lmB
+        if d & guard != guard:
             raise ArithmeticError("inexact polynomial division")
-        q = c / lcB
-        quo[d] = quo.get(d, ZERO) + q
+        q, r = divmod(c, lcB)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        d ^= guard
+        quo[d] = q
         for mB, cB in bterms:
-            if mB == lmB:
-                continue
-            m = tuple(a + b for a, b in zip(d, mB))
+            m = d + mB
             prev = rem.get(m)
             if prev is None:
                 rem[m] = -q * cB
-                heapq.heappush(heap, (-sum(m), tuple(-e for e in m), m))
+                heapq.heappush(heap, -m)
             else:
                 new = prev - q * cB
                 if new:
                     rem[m] = new
                 else:
                     del rem[m]
-    return Poly(quo)
+    r = a / b
+    rn, rd = r.numerator, r.denominator
+    unpack, size = layout.unpack, layout.size
+    p = Poly.__new__(Poly)
+    p.terms = {unpack(d.to_bytes(size, "big"))[1:]: Rat(q * rn, rd)
+               for d, q in quo.items()}
+    return p
 
 
 def rat_content(A: Poly):
@@ -348,31 +391,54 @@ def _uv_content(coeffs: list):
     return g
 
 
-def _euclid_lists(a: list, b: list) -> list:
-    """Monic gcd of univariate rational coefficient lists (Euclid)."""
-    a = a[:]
-    b = b[:]
-    while a and a[-1] == ZERO:
+def _primitive_list(a: list) -> list:
+    """A rational (or integer) coefficient list as coprime integers, trailing
+    zeros dropped: the same polynomial up to a nonzero rational factor."""
+    d = lcm(*[x.denominator for x in a])
+    a = [x.numerator * (d // x.denominator) for x in a]
+    while a and not a[-1]:
         a.pop()
-    while b and b[-1] == ZERO:
-        b.pop()
-    while b:
-        lcb = b[-1]
-        if lcb != ONE:
-            b = [x / lcb for x in b]
-        while len(a) >= len(b):
-            lca = a.pop()
-            if lca:
-                shift = len(a) - (len(b) - 1)
-                for j in range(len(b) - 1):
-                    a[shift + j] = a[shift + j] - lca * b[j]
-            while a and a[-1] == ZERO:
-                a.pop()
+    g = gcd(*a)
+    return [x // g for x in a] if g > 1 else a
+
+
+def _pprem(a: list, b: list) -> list:
+    """Primitive part of the pseudo-remainder of a by b, integer coefficient
+    lists with len(a) >= len(b).  Each step scales a by lc(b)/g only, with
+    g = gcd(lc(a), lc(b))."""
+    a = a[:]
+    db = len(b) - 1
+    lcb = b[-1]
+    while len(a) > db:
+        lca = a.pop()
+        if lca:
+            g = gcd(lca, lcb)
+            sa, sb = lcb // g, lca // g
+            if sa != 1:
+                a = [sa * x for x in a]
+            shift = len(a) - db
+            for j in range(db):
+                a[shift + j] -= sb * b[j]
+    return _primitive_list(a)
+
+
+def _euclid_lists(a: list, b: list) -> list:
+    """Monic gcd of univariate rational coefficient lists.
+
+    Denominators are cleared and a primitive remainder sequence runs on
+    ints; its last nonzero remainder, made monic, is the monic gcd that
+    Euclid's algorithm over Q gives."""
+    a, b = _primitive_list(a), _primitive_list(b)
+    if len(a) < len(b):
         a, b = b, a
-    if a and a[-1] != ONE:
-        lc = a[-1]
-        a = [x / lc for x in a]
-    return a
+    if not a:
+        return []
+    while b:
+        if len(b) == 1:
+            return [ONE]
+        a, b = b, _pprem(a, b)
+    lc = a[-1]
+    return [Rat(x, lc) for x in a]
 
 
 def _univar_coeffs(A: Poly, v) -> list:
@@ -407,26 +473,59 @@ def _eval_var(A: Poly, v, a) -> Poly:
     return Poly(out)
 
 
-def _interp_newton(xs: list, ys: list) -> list:
-    """Coefficient list of the polynomial through (xs[i], ys[i])."""
+def _interpolate(xs: list, columns: list) -> list:
+    """Coefficient lists of the polynomials through the points (xs[i], ys[i]),
+    one for each value list ys in columns; xs are distinct integers.
+
+    Lagrange's formula on ints, shared by every column: with
+    N_j = prod_{i != j} (x - xs[i]), w_j = N_j(xs[j]) and L = lcm(w_j), the
+    polynomial through integer values Y is sum_j Y_j (L / w_j) N_j / L.  A
+    column of rationals is first written as integers Y over a denominator D.
+    """
     n = len(xs)
-    dd = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / Rat(xs[i] - xs[i - j])
-    coeffs = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        # coeffs <- coeffs * (x - xs[i]) + dd[i]
-        new = [ZERO] * n
-        for k in range(n - 1):
-            if coeffs[k]:
-                new[k + 1] = new[k + 1] + coeffs[k]
-                new[k] = new[k] - coeffs[k] * xs[i]
-        new[0] = new[0] + dd[i]
-        coeffs = new
-    while coeffs and coeffs[-1] == ZERO:
-        coeffs.pop()
-    return coeffs
+    master = [1]  # prod (x - xs[i]), ascending coefficients
+    for x in xs:
+        master = [0] + master
+        for k in range(len(master) - 1):
+            master[k] -= x * master[k + 1]
+    ws = [prod(xj - xi for xi in xs if xi != xj) for xj in xs]
+    L = lcm(*ws)
+    basis = []
+    for xj, w in zip(xs, ws):
+        N = [0] * n  # master / (x - xj) by synthetic division
+        N[-1] = master[n]
+        for k in range(n - 1, 0, -1):
+            N[k - 1] = master[k] + xj * N[k]
+        basis.append([(L // w) * c for c in N])
+    out = []
+    for ys in columns:
+        D = lcm(*[y.denominator for y in ys])
+        acc = [0] * n
+        for y, row in zip(ys, basis):
+            yj = y.numerator * (D // y.denominator)
+            if yj:
+                acc = [a + yj * c for a, c in zip(acc, row)]
+        while acc and not acc[-1]:
+            acc.pop()
+        out.append([Rat(c, L * D) for c in acc])
+    return out
+
+
+def _int_rows(A: Poly, vm, ve) -> list:
+    """A polynomial in vm and ve times a positive integer, as the list over
+    the vm-degree of its integer coefficient lists in ve."""
+    ivm, ive = _vi(vm), _vi(ve)
+    rows = [[0] * (A.degree(ive) + 1) for _ in range(A.degree(ivm) + 1)]
+    for m, c in _int_terms(A.terms)[1].items():
+        rows[m[ivm]][m[ive]] = c
+    return rows
+
+
+def _horner(coeffs: list, a):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * a + c
+    return acc
 
 
 def _poly_gcd_bivar(A: Poly, B: Poly, vm: int, ve: int) -> Poly:
@@ -444,18 +543,11 @@ def _poly_gcd_bivar(A: Poly, B: Poly, vm: int, ve: int) -> Poly:
     cont = _gcd_univar(ca, cb, ve)
     pa = poly_div_exact(A, ca) if ca != Poly.one() else A
     pb = poly_div_exact(B, cb) if cb != Poly.one() else B
-    lca = pa.as_univar(vm)[-1]
-    lcb = pb.as_univar(vm)[-1]
-    gamma = _gcd_univar(lca, lcb, ve)
+    gamma = _gcd_univar(pa.as_univar(vm)[-1], pb.as_univar(vm)[-1], ve)
     gamma_c = _univar_coeffs(gamma, ve)
-    lca_c = _univar_coeffs(lca, ve)
-    lcb_c = _univar_coeffs(lcb, ve)
-
-    def ev(coeffs, a):
-        acc = ZERO
-        for c in reversed(coeffs):
-            acc = acc * a + c
-        return acc
+    # the images are taken of integer multiples of pa and pb, which have the
+    # same monic gcd at every point
+    rows_a, rows_b = _int_rows(pa, vm, ve), _int_rows(pb, vm, ve)
 
     target = gamma.degree(ve) + min(pa.degree(ve), pb.degree(ve)) + 1
     while True:
@@ -464,11 +556,11 @@ def _poly_gcd_bivar(A: Poly, B: Poly, vm: int, ve: int) -> Poly:
         dmin = None
         a = 0
         while len(xs) < target:
-            if ev(lca_c, a) == ZERO or ev(lcb_c, a) == ZERO:
+            if not _horner(rows_a[-1], a) or not _horner(rows_b[-1], a):
                 a += 1
                 continue
-            g = _euclid_lists(_univar_coeffs(_eval_var(pa, ve, a), vm),
-                              _univar_coeffs(_eval_var(pb, ve, a), vm))
+            g = _euclid_lists([_horner(r, a) for r in rows_a],
+                              [_horner(r, a) for r in rows_b])
             d = len(g) - 1
             if d == 0:
                 return primitive_rat(cont)[1]
@@ -476,15 +568,16 @@ def _poly_gcd_bivar(A: Poly, B: Poly, vm: int, ve: int) -> Poly:
                 dmin = d
                 xs, images = [], []
             if d == dmin:
-                ga = ev(gamma_c, a)
+                ga = _horner(gamma_c, a)
                 xs.append(a)
                 images.append([c * ga for c in g])
             a += 1
         ivm, ive = _vi(vm), _vi(ve)
         terms = {}
         col_polys = []
-        for k in range(dmin + 1):
-            coeffs = _interp_newton(xs, [img[k] for img in images])
+        columns = _interpolate(xs, [[img[k] for img in images]
+                                    for k in range(dmin + 1)])
+        for k, coeffs in enumerate(columns):
             col = {}
             for e, c in enumerate(coeffs):
                 if c:

@@ -18,7 +18,7 @@ an element is q(x) + p(x)*log2 with finitely many negative exponents.
 from __future__ import annotations
 
 from .exactnum import ONE, Rat, ZERO
-from .kernels import mul_trunc2, mul_trunc3
+from ._kernels_py import mul_trunc2, mul_trunc3
 from .polyring import Poly
 from .report import Report, failed, passed
 import time

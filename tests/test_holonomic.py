@@ -115,6 +115,32 @@ def test_dependency_precondition_failure_is_a_report(monkeypatch):
     assert rep.witness == "R_0 = 0: F cannot be eliminated from R"
 
 
+def test_dependency_report_unknown_kind(monkeypatch):
+    # an unknown kind is a fail report, decided before anything is built
+    def build(*args):
+        raise AssertionError("nothing may be built for an unknown kind")
+
+    for name in ("find_R", "find_Rhat", "q_tower"):
+        monkeypatch.setattr(holonomic, name, build)
+    for kind in ("r", "Rhat2", ""):
+        rep = dependency_report(kind)
+        assert rep.status == "fail" and rep.n_cases == 0
+        assert rep.params == {"kind": kind}
+        assert repr(kind) in rep.witness
+
+
+def test_q_tower_extends_without_mutation():
+    q_tower.cache_clear()
+    t3 = q_tower(3)
+    t4 = q_tower(4)
+    # one build per order, each extending the cached shorter tower, whose
+    # elements it shares; a tower is a tuple, which no caller can change
+    assert q_tower.cache_info().misses == 4
+    assert len(t4) == 5 and q_tower(3) is t3
+    assert all(a is b for a, b in zip(t3, t4))
+    assert isinstance(t4, tuple)
+
+
 def test_coprimality():
     assert coprimality_report().ok
 

@@ -2,14 +2,16 @@
 (both strategies), normalization, nullspace, and the text format."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tutteval.exactnum import ONE, Rat
-from tutteval.kernels import mul_poly
-from tutteval.polyring import (Poly, RatFun, _poly_gcd_bivar, nullspace,
-                               clear_and_normalize, partial_derivative,
+from tutteval._kernels_py import mul_poly
+from tutteval.polyring import (Poly, RatFun, _euclid_lists, _interpolate,
+                               _poly_gcd_bivar, nullspace, clear_and_normalize,
+                               partial_derivative,
                                poly_div_exact, poly_gcd, poly_lcm,
                                poly_parse, poly_to_str, primitive_rat,
                                rat_content)
@@ -96,6 +98,169 @@ def test_div_inexact_raises():
         poly_div_exact(t ** 2 + 1, t + 1)
     with pytest.raises(ZeroDivisionError):
         poly_div_exact(t, Poly.zero())
+    # every monomial divides, but lc(B) = 2 does not divide 5: the
+    # remainder 6 - 2*3 vanishes only if that step is taken as 5 // 2
+    with pytest.raises(ArithmeticError):
+        poly_div_exact(5 * t ** 2 + 6, 2 * t ** 2 + 3)
+    with pytest.raises(ArithmeticError):
+        poly_div_exact(2 * t ** 2 + 2 * t + 1, 2 * t + 2)
+    with pytest.raises(ArithmeticError):
+        poly_div_exact(t, t ** 2)
+
+
+def naive_div_exact(A: dict, B: dict):
+    """Reference: grlex long division over Q on tuple keys with Fraction
+    coefficients; the quotient if B divides A exactly, else None."""
+    def key(m):
+        return (sum(m), m)
+
+    rem = {m: Fraction(c) for m, c in A.items()}
+    lmB = max(B, key=key)
+    lcB = Fraction(B[lmB])
+    quo = {}
+    while rem:
+        lm = max(rem, key=key)
+        d = tuple(a - b for a, b in zip(lm, lmB))
+        if min(d) < 0:
+            return None
+        q = rem[lm] / lcB
+        quo[d] = q
+        for mB, cB in B.items():
+            m = tuple(x + y for x, y in zip(d, mB))
+            v = rem.get(m, Fraction(0)) - q * cB
+            if v:
+                rem[m] = v
+            else:
+                rem.pop(m, None)
+    return quo
+
+
+def _agrees_with_naive(A: Poly, B: Poly):
+    expected = naive_div_exact(A.terms, B.terms)
+    if expected is None:
+        with pytest.raises(ArithmeticError):
+            poly_div_exact(A, B)
+    else:
+        assert poly_div_exact(A, B).terms == expected
+    return expected
+
+
+def _int_poly(rng, nvars=3, deg=5, nterms=5, bits=40):
+    terms = {}
+    for _ in range(nterms):
+        m = [0] * 6
+        for i in rng.sample(range(6), nvars):
+            m[i] = rng.randrange(deg + 1)
+        terms[tuple(m)] = Rat(rng.randrange(-2 ** bits, 2 ** bits) or 1)
+    return Poly(terms)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_div_exact_integral_matches_naive(seed):
+    rng = random.Random(seed)
+    B = _int_poly(rng, nterms=rng.randrange(1, 5))
+    Q = _int_poly(rng, nterms=rng.randrange(1, 6))
+    assert _agrees_with_naive(B * Q, B) == Q.terms
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_div_exact_rational_and_non_primitive(seed):
+    # rational coefficients, and divisors with a nontrivial content (an
+    # integer factor or a fraction) in front of a primitive polynomial
+    rng = random.Random(seed)
+    B = _random_poly(rng, nterms=rng.randrange(1, 5))
+    Q = _random_poly(rng, nterms=rng.randrange(1, 6))
+    if B.is_zero() or Q.is_zero():
+        return
+    for c in (Rat(1), Rat(6), Rat(-4, 9), Rat(12, 5)):
+        assert _agrees_with_naive(B * Q, B.scale(c)) == Q.scale(1 / c).terms
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_div_exact_decides_like_naive(seed):
+    # arbitrary pairs, mostly inexact: poly_div_exact raises exactly when
+    # long division over Q leaves a remainder
+    rng = random.Random(seed)
+    B = _random_poly(rng, nvars=2, deg=3, nterms=rng.randrange(1, 4))
+    A = B * _random_poly(rng, nvars=2, deg=3, nterms=rng.randrange(1, 4))
+    if rng.random() < 0.8:
+        A = A + _random_poly(rng, nvars=2, deg=4, nterms=1)
+    if B.is_zero() or A.is_zero() or B.is_const():
+        return
+    _agrees_with_naive(A, B)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
+def test_div_exact_at_field_width_boundary(k):
+    # dividend of total degree 2^k - 1 (and 2^k): the widest value a packed
+    # field holds, next to its guard bit
+    for top in (2 ** k - 1, 2 ** k):
+        B = 3 * s ** (top // 2) - 2 * lam + 1
+        Q = t ** (top - top // 2) + 5 * lam - 7
+        A = B * Q
+        assert A.degree() == top
+        assert _agrees_with_naive(A, B) == Q.terms
+        _agrees_with_naive(A + t, B)
+        _agrees_with_naive(A, B * t)
+        # one variable filling its whole field
+        assert _agrees_with_naive(t ** top - 1, t - 1) is not None
+        assert _agrees_with_naive(lam ** top - 1, 3 * lam + 2) is None
+
+
+# -- univariate gcd images ---------------------------------------------------
+
+
+def naive_euclid(a: list, b: list) -> list:
+    """Reference: Euclid's algorithm over Q on Fraction coefficient lists,
+    returning the monic gcd ([] if both are zero)."""
+    def trim(v):
+        v = [Fraction(x) for x in v]
+        while v and not v[-1]:
+            v.pop()
+        return v
+
+    a, b = trim(a), trim(b)
+    while b:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for j, y in enumerate(b):
+                a[shift + j] -= q * y
+            a = trim(a)
+        a, b = b, a
+    return [x / a[-1] for x in a] if a else []
+
+
+def _rat_list(rng, deg):
+    return [Rat(rng.randrange(-30, 31), rng.choice((1, 1, 2, 3, 7)))
+            for _ in range(deg + 1)]
+
+
+def _list_mul(a, b):
+    out = [Rat(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_euclid_lists_matches_naive(seed):
+    rng = random.Random(seed)
+    G = _rat_list(rng, rng.randrange(0, 4))
+    a = _list_mul(G, _rat_list(rng, rng.randrange(0, 6)))
+    b = _list_mul(G, _rat_list(rng, rng.randrange(0, 6)))
+    if rng.random() < 0.2:
+        b = b + [Rat(0)] * 2  # trailing zeros are not part of the degree
+    g = _euclid_lists(a, b)
+    assert g == naive_euclid(a, b)
+    assert all(isinstance(c, type(ONE)) for c in g)
+    assert _euclid_lists(a, []) == naive_euclid(a, [])
+    assert _euclid_lists([], []) == []
 
 
 # -- content and normalization --------------------------------------------
@@ -156,6 +321,36 @@ def test_bivar_gcd_matches_prs(seed):
     prs = poly_gcd(A, B)
     assert _poly_gcd_bivar(A, B, v1, v2) == prs
     assert _poly_gcd_bivar(A, B, v2, v1) == prs
+
+
+def naive_interpolate(xs: list, ys: list) -> list:
+    """Reference: Newton divided differences over Q, then expansion of the
+    Newton form; the coefficient list of the polynomial through the points."""
+    n = len(xs)
+    dd = [Fraction(y) for y in ys]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        coeffs = [(coeffs[k - 1] if k else 0) - xs[i] * coeffs[k]
+                  for k in range(n)]
+        coeffs[0] += dd[i]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_interpolate_matches_newton(seed):
+    rng = random.Random(seed)
+    xs = sorted(rng.sample(range(-5, 40), rng.randrange(1, 12)))
+    columns = [[Rat(rng.randrange(-99, 100), rng.choice((1, 1, 4, 9)))
+                for _ in xs] for _ in range(3)]
+    columns.append([Rat(0)] * len(xs))
+    assert _interpolate(xs, columns) == [naive_interpolate(xs, ys)
+                                         for ys in columns]
 
 
 def test_gcd_large_dispatch():

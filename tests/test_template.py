@@ -87,6 +87,21 @@ def test_series_identity_and_kappa():
     assert kappa_constant(8) == (Rat(-533, 12), Rat(70))
 
 
+def test_series_identity_empty_window_is_inconclusive():
+    # order N < m + 2 leaves no coefficient to compare: (8, 4) used to pass
+    # with a kappa read off a truncated coefficient, (10, 0) on 0 cases
+    for m, N in ((8, 4), (10, 0)):
+        rep = verify_series_identity(m, N)
+        assert rep.status == "inconclusive" and rep.n_cases == 0, rep.line()
+    # from N = m + 2 on, every pass reports the true kappa_m
+    for m in range(9):
+        kq, kp = kappa_constant(m)
+        for N in range(m + 2, m + 6):
+            rep = verify_series_identity(m, N)
+            assert rep.ok and rep.n_cases > 0, rep.line()
+            assert rep.witness == f"kappa = {kq} + {kp}*log2"
+
+
 def test_kappa_log2_part_is_central_binomial():
     # the log2 coefficient of kappa_m is C(m, m/2) for even m
     for m in range(0, 10, 2):
