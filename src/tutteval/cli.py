@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import holonomic, template, tutte, verifier
 from .polyring import poly_to_str
@@ -20,9 +21,10 @@ from .report import Report, reports_to_json
 
 
 def _fixture_report(directory: str, name: str, payload) -> Report:
-    """Pin payload under DIR/name.json on first run; compare afterwards."""
-    import time
+    """Pin payload under DIR/name.json on first run; compare afterwards.
 
+    A pin is written to DIR/name.json.tmp and renamed into place, so an
+    interrupted run leaves either no fixture or a complete one."""
     t0 = time.perf_counter()
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, name + ".json")
@@ -30,12 +32,21 @@ def _fixture_report(directory: str, name: str, payload) -> Report:
     rep = Report(check="fixture", params={"name": name}, status="pass",
                  witness=None, n_cases=1, millis=0)
     if not os.path.exists(path):
-        with open(path, "w") as fh:
-            fh.write(text)
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         rep.witness = f"pinned {path}"
-    elif open(path).read() != text:
-        rep.status = "fail"
-        rep.witness = f"differs from pinned {path}"
+    else:
+        with open(path) as fh:
+            pinned = fh.read()
+        if pinned != text:
+            rep.status = "fail"
+            rep.witness = f"differs from pinned {path}"
     rep.millis = int((time.perf_counter() - t0) * 1000)
     return rep
 
@@ -98,7 +109,8 @@ def _holonomic_suite(args) -> list:
 def _conjecture_suite(args) -> list:
     tab = verifier.f_table(args.n_max + 2, args.i_max)
     reports = [tab.degree_report()]
-    reports += verifier.conjecture_reports(args.n_max, args.i_max, args.jobs)
+    reports += verifier.conjecture_reports(args.n_max, args.i_max, args.jobs,
+                                           tab)
     reports.append(verifier.restriction_spot_check(min(args.n_max, 5),
                                                   min(args.i_max, 4)))
     return reports
@@ -181,38 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULTS = {
-    "max_i": 40, "tamari_max": tutte.TAMARI_MAX, "m_max": 12, "order": 30,
-    "s_cap": 12, "lambda_cap": 8, "tower": 3, "b_orders": 12,
-    "n_max": 8, "i_max": 6,
-}
-
-
-class _AllArgs:
-    """Per-suite argument views for `verify all`: suite defaults plus the
-    shared flags of the parsed namespace."""
-
-    def __init__(self, ns, **overrides):
-        self.emit_json = None
-        self.fixtures = ns.fixtures
-        self.jobs = ns.jobs
-        for k, v in _DEFAULTS.items():
-            setattr(self, k, v)
-        for k, v in overrides.items():
-            setattr(self, k, v)
-
-
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
     if ns.suite == "all":
+        # each suite at its own parser defaults, with the shared flags
+        shared = ["--jobs", str(ns.jobs)]
+        if ns.fixtures:
+            shared += ["--fixtures", ns.fixtures]
         reports = []
-        reports += _tutte_suite(_AllArgs(ns, max_i=40))
-        reports += _template_suite(_AllArgs(ns))
-        reports += _hm_suite(_AllArgs(ns, m_max=6))
-        reports += _holonomic_suite(_AllArgs(ns, s_cap=14))
-        reports += _conjecture_suite(_AllArgs(ns))
-        reports += _hilbert_suite(_AllArgs(ns, n_max=5))
-        reports += _iso_suite(_AllArgs(ns, order=10))
+        for name, suite in _SUITES.items():
+            reports += suite(parser.parse_args([name] + shared))
     else:
         reports = _SUITES[ns.suite](ns)
     for rep in reports:

@@ -12,11 +12,6 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 
-def rat(num, den=1):
-    """Exact rational num/den."""
-    return Rat(num, den)
-
-
 def rat_str(q) -> str:
     """Canonical decimal text rendering, "num/den" with den omitted when 1."""
     return str(q)

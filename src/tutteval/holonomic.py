@@ -24,10 +24,9 @@ from functools import lru_cache
 from itertools import combinations
 
 from .exactnum import ONE, Rat, ZERO, binomial, factorial, rat_gcd
-from .polyring import (Poly, RatFun, _eval_var, clear_and_normalize,
+from .polyring import (Poly, _eval_var, clear_and_normalize,
                        partial_derivative, poly_div_exact, poly_gcd,
-                       poly_parse, poly_to_str, rat_content, uv_ext_gcd,
-                       uv_from_poly, uv_mul, uv_scale, uv_divmod)
+                       poly_parse, poly_to_str, rat_content)
 from .report import Report, failed, passed
 from .series import Series2
 from .tutte import phi_series
@@ -37,39 +36,23 @@ TOWER_MAX = 6  # rational-function swell beyond this exceeds desk scale
 LAM = Poly.var("l")
 PHI = Poly.var("f")
 P_DEFINING = PHI - LAM * (1 + PHI) ** 4
-P_UV = uv_from_poly(P_DEFINING, "f")
 
+# the closed form of phi', over the denominator (256 l - 27) l: the
+# registered primes _PRIMES[0] = l and _PRIMES[1] = 256 l - 27
 P0_EXPECTED_NUM = poly_parse("12*l*f^3 + 52*l*f^2 + 4*l*f - 36*l + 9*f")
-P0_EXPECTED_DEN = poly_parse("256*l^2 - 27*l")  # (256 l - 27) l
-
-
-def _reduce_rf(A: list) -> list:
-    return uv_divmod(A, P_UV)[1]
-
-
-@lru_cache(maxsize=1)
-def compute_p0() -> list:
-    """phi'(lambda) as a phi-polynomial over the rationals in lambda.
-
-    Derived by Bezout inversion of dP/dphi modulo P: with U P + V dP/dphi = 1,
-    phi' = -(dP/dlambda)/(dP/dphi) = -V dP/dlambda mod P.
-    """
-    dP_dphi = partial_derivative(P_DEFINING, "f")
-    g, U, V = uv_ext_gcd(P_UV, uv_from_poly(dP_dphi, "f"))
-    if not (len(g) == 1 and g[0] == RatFun.one()):
-        raise ArithmeticError("P and dP/dphi are not coprime")
-    dP_dlam = uv_from_poly(partial_derivative(P_DEFINING, "l"), "f")
-    return _reduce_rf(uv_scale(uv_mul(V, dP_dlam), RatFun(-1)))
+P0_EXPECTED_DEN = {0: 1, 1: 1}
 
 
 def p0_report() -> Report:
     """P0 equals the expected rational function, exactly."""
     t0 = time.perf_counter()
-    p0 = compute_p0()
-    expected = [RatFun(P0_EXPECTED_NUM.coeff_of("f", i), P0_EXPECTED_DEN)
-                for i in range(4)]
-    if len(p0) != 4 or any(a != b for a, b in zip(p0, expected)):
-        return failed("p0", {}, f"got {[str(c) for c in p0]}", 1, t0)
+    p0 = p0_quot()
+    expected = _pq_normalize(P0_EXPECTED_NUM.as_univar("f"), P0_EXPECTED_DEN,
+                             ONE)
+    if not _pq_eq(p0, expected):
+        num = [poly_to_str(n.scale(p0.c)) for n in p0.num]
+        return failed("p0", {}, f"got {num} / ({poly_to_str(p0.den_poly())})",
+                      1, t0)
     rep = passed("p0", {}, 1, t0)
     rep.witness = "singular locus: l = 0 and l = 27/256"
     return rep
@@ -116,14 +99,6 @@ class PhiQuot:
         for i, e in self.den.items():
             d = d * _PRIMES[i] ** e
         return d
-
-    def entries_ratfun(self) -> list:
-        """The four phi-coefficients as canonical rational functions."""
-        d = self.den_poly()
-        out = [RatFun(n.scale(self.c), d) for n in self.num]
-        while len(out) < 4:
-            out.append(RatFun.zero())
-        return out
 
 
 def _pq_normalize(num: list, den: dict, c) -> PhiQuot:
@@ -343,9 +318,12 @@ def _invert_mod_p(G: PhiQuot) -> PhiQuot:
 
 @lru_cache(maxsize=1)
 def p0_quot() -> PhiQuot:
-    p0 = compute_p0()
-    num = [c.num * poly_div_exact(P0_EXPECTED_DEN, c.den) for c in p0]
-    return _pq_normalize(num, {0: 1, 1: 1}, ONE)
+    """phi' = P0(lambda, phi): differentiating P(lambda, phi) = 0 gives
+    phi' = -P_lambda / P_phi, computed as -P_lambda times the inverse of
+    P_phi modulo P."""
+    dP_dphi = pq_from_poly(partial_derivative(P_DEFINING, "f"))
+    dP_dlam = pq_from_poly(partial_derivative(P_DEFINING, "l"))
+    return _pq_mul(_pq_scale(dP_dlam, Rat(-1)), _invert_mod_p(dP_dphi))
 
 
 @lru_cache(maxsize=1)
@@ -400,19 +378,6 @@ def _lambda_shift(A: Series2, v: int) -> Series2:
                 "series not divisible by the lambda power of the denominator")
         shifted[(b, c - v)] = val
     return Series2(shifted, A.S, A.L)
-
-
-def ratfun_eval_series(rf: RatFun, phi: Series2, S: int, L: int) -> Series2:
-    """Evaluate a RatFun in (s, lambda[, phi]) along phi(lambda); the
-    denominator may vanish at lambda = 0 through a pure lambda^v factor."""
-    num = poly_eval_series(rf.num, phi, S, L)
-    den_poly = rf.den
-    v = min(m[2] for m in den_poly.terms)
-    if v:
-        den_poly = Poly({m[:2] + (m[2] - v,) + m[3:]: c
-                         for m, c in den_poly.terms.items()})
-    den = poly_eval_series(den_poly, phi, S, L)
-    return _lambda_shift(num * den.inverse(), v)
 
 
 def pq_eval_series(A: PhiQuot, phi: Series2, S: int, L: int) -> Series2:
@@ -573,7 +538,7 @@ def _kernel_vector(cols: list) -> list:
         for j, e in exps.items():
             if e - base.get(j, 0) > 0:
                 lift = lift * _PRIMES[j] ** (e - base.get(j, 0))
-        vec.append(RatFun(core * lift, Poly.const(cols[i].c)))
+        vec.append((core * lift).scale(ONE / cols[i].c))
     return vec
 
 
@@ -672,7 +637,7 @@ def find_Rhat() -> DependencyVector:
                 break
         if not g.is_const():
             vec = [poly_div_exact(p, g) for p in vec]
-    entries = clear_and_normalize([RatFun(p) for p in vec], sign_entry=0)
+    entries = clear_and_normalize(vec, sign_entry=0)
     entries = _anchor_sign(entries, 1, 3 * Poly.var("s") + 1)
     return DependencyVector("Rhat", 1, entries)
 

@@ -1,15 +1,15 @@
-"""Sparse multivariate polynomials over exact rationals, and linear/Euclidean
-algebra over them.
+"""Sparse multivariate polynomials over exact rationals: arithmetic, exact
+division, gcds and the normalization of polynomial vectors.
 
 The variable set is fixed and ordered: t < s < l < f < x < y (l is the
 curvature parameter, f the algebraic auxiliary variable).  Monomials are
 exponent 6-tuples; the canonical term order is graded lexicographic on that
 variable order, which also fixes the text serialization.
 
-Everything here is immutable and pure.  Division, gcd and elimination are
-exact throughout: gcds go through a primitive polynomial remainder sequence on
-recursively-univariate representations, and `nullspace` is fraction-free
-(Bareiss) to keep intermediate swell down.
+Everything here is immutable and pure.  Division and gcd are exact
+throughout: small gcds go through a primitive polynomial remainder sequence
+on recursively-univariate representations, large bivariate ones through
+Brown's evaluation and interpolation with integer images.
 """
 
 from __future__ import annotations
@@ -253,10 +253,8 @@ class Poly:
 # -- calculus ---------------------------------------------------------------
 
 
-def partial_derivative(A, v):
-    """Formal partial derivative; accepts Poly or RatFun."""
-    if isinstance(A, RatFun):
-        return A.derivative(v)
+def partial_derivative(A: Poly, v) -> Poly:
+    """Formal partial derivative."""
     i = _vi(v)
     out = {}
     for m, c in A.terms.items():
@@ -649,357 +647,15 @@ def poly_gcd(A: Poly, B: Poly) -> Poly:
     return cont * g
 
 
-def poly_lcm(A: Poly, B: Poly) -> Poly:
-    if A.is_zero() or B.is_zero():
-        return Poly()
-    g = poly_gcd(A, B)
-    return primitive_rat(poly_div_exact(A * B, g))[1]
+def clear_and_normalize(polys: list, sign_entry: int = 0) -> list:
+    """Scale a nonzero polynomial vector to coprime integer entries.
 
-
-# -- normalized rational functions -----------------------------------------
-
-
-class RatFun:
-    """Quotient of two Polys, kept in the canonical reduced form:
-    gcd(num, den) = 1 and den primitive with positive leading coefficient.
+    Divides by the common polynomial factor and the common rational content,
+    and flips the global sign so the designated entry (or, if it is zero, the
+    first nonzero one) has a positive leading coefficient.
     """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None, _reduced=False):
-        if isinstance(num, (int, type(ONE))):
-            num = Poly.const(num)
-        if den is None:
-            den = Poly.one()
-        elif isinstance(den, (int, type(ONE))):
-            den = Poly.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = Poly(), Poly.one()
-            return
-        if not _reduced:
-            g = poly_gcd(num, den)
-            if not (g.is_const() and g.const_value() == ONE):
-                num = poly_div_exact(num, g)
-                den = poly_div_exact(den, g)
-        c, den = primitive_rat(den)
-        if c != ONE:
-            num = num.scale(ONE / c)
-        self.num, self.den = num, den
-
-    @staticmethod
-    def zero() -> "RatFun":
-        return RatFun(Poly())
-
-    @staticmethod
-    def one() -> "RatFun":
-        return RatFun(Poly.one())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, RatFun):
-            return x
-        if isinstance(x, Poly):
-            return RatFun(x)
-        if isinstance(x, (int, type(ONE))):
-            return RatFun(Poly.const(x))
-        return None
-
-    def __eq__(self, other):
-        other = RatFun._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __neg__(self):
-        r = RatFun.__new__(RatFun)
-        r.num, r.den = -self.num, self.den
-        return r
-
-    def __add__(self, other):
-        other = RatFun._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = RatFun._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = RatFun._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RatFun._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFun._coerce(other) / self
-
-    def inverse(self) -> "RatFun":
-        return RatFun.one() / self
-
-    def derivative(self, v) -> "RatFun":
-        """Formal partial derivative (quotient rule, re-normalized)."""
-        dn = partial_derivative(self.num, v)
-        dd = partial_derivative(self.den, v)
-        return RatFun(dn * self.den - self.num * dd, self.den * self.den)
-
-    def is_poly(self) -> bool:
-        return self.den.is_const()
-
-    def as_poly(self) -> Poly:
-        if not self.den.is_const():
-            raise ArithmeticError(f"not a polynomial: {self}")
-        return self.num.scale(ONE / self.den.const_value())
-
-    def __repr__(self):
-        return f"RatFun({self})"
-
-    def __str__(self):
-        if self.den == Poly.one():
-            return poly_to_str(self.num)
-        return f"({poly_to_str(self.num)}) / ({poly_to_str(self.den)})"
-
-
-# -- univariate algebra over the fraction field ----------------------------
-#
-# A "uv" value is a coefficient list [c0, c1, ...] of RatFun, representing a
-# polynomial in one working variable (phi, in the holonomic application).
-# Trailing zeros are trimmed; [] is the zero polynomial.
-
-
-def uv_trim(A: list) -> list:
-    while A and A[-1].is_zero():
-        A = A[:-1]
-    return A
-
-
-def uv_deg(A: list) -> int:
-    return len(A) - 1
-
-
-def uv_from_poly(A: Poly, v) -> list:
-    return uv_trim([RatFun(c) for c in A.as_univar(v)])
-
-
-def uv_add(A: list, B: list) -> list:
-    n = max(len(A), len(B))
-    out = []
-    for i in range(n):
-        a = A[i] if i < len(A) else RatFun.zero()
-        b = B[i] if i < len(B) else RatFun.zero()
-        out.append(a + b)
-    return uv_trim(out)
-
-
-def uv_neg(A: list) -> list:
-    return [-a for a in A]
-
-
-def uv_sub(A: list, B: list) -> list:
-    return uv_add(A, uv_neg(B))
-
-
-def uv_scale(A: list, c) -> list:
-    c = RatFun._coerce(c)
-    if c.is_zero():
-        return []
-    return [a * c for a in A]
-
-
-def uv_mul(A: list, B: list) -> list:
-    if not A or not B:
-        return []
-    out = [RatFun.zero()] * (len(A) + len(B) - 1)
-    for i, a in enumerate(A):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(B):
-            if b.is_zero():
-                continue
-            out[i + j] = out[i + j] + a * b
-    return uv_trim(out)
-
-
-def uv_eq(A: list, B: list) -> bool:
-    A, B = uv_trim(list(A)), uv_trim(list(B))
-    return len(A) == len(B) and all(a == b for a, b in zip(A, B))
-
-
-def uv_divmod(A: list, B: list):
-    """Exact (quotient, remainder) with deg r < deg B, over the fraction
-    field of the remaining variables."""
-    B = uv_trim(list(B))
-    if not B:
-        raise ZeroDivisionError("univariate division by zero")
-    R = uv_trim(list(A))
-    lc = B[-1]
-    db = len(B) - 1
-    Q = [RatFun.zero()] * max(0, len(R) - db)
-    while len(R) - 1 >= db:
-        q = R[-1] / lc
-        sh = len(R) - 1 - db
-        Q[sh] = q
-        for j in range(db + 1):
-            R[sh + j] = R[sh + j] - q * B[j]
-        R.pop()  # leading term cancels exactly
-        R = uv_trim(R)
-        if len(R) <= sh:
-            R = uv_trim(R)
-    return uv_trim(Q), uv_trim(R)
-
-
-def uv_monic(A: list):
-    """(monic version, leading coefficient)."""
-    A = uv_trim(list(A))
-    if not A:
-        return [], RatFun.one()
-    lc = A[-1]
-    return [a / lc for a in A], lc
-
-
-def uv_ext_gcd(A: list, B: list):
-    """Extended Euclid: (g, U, V) with U*A + V*B = g, g monic (or 0)."""
-    r0, r1 = uv_trim(list(A)), uv_trim(list(B))
-    u0, u1 = [RatFun.one()], []
-    v0, v1 = [], [RatFun.one()]
-    while r1:
-        q, r = uv_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, uv_sub(u0, uv_mul(q, u1))
-        v0, v1 = v1, uv_sub(v0, uv_mul(q, v1))
-    if not r0:
-        return [], [], []
-    g, lc = uv_monic(r0)
-    inv = RatFun.one() / lc
-    return g, uv_scale(u0, inv), uv_scale(v0, inv)
-
-
-# -- univariate-view wrappers on Poly inputs -------------------------------
-
-
-def poly_divmod(A: Poly, B: Poly, v):
-    """Divide A by B viewed as univariate in v over the fraction field of
-    the remaining variables.  Returns coefficient lists of RatFun."""
-    return uv_divmod(uv_from_poly(A, v), uv_from_poly(B, v))
-
-
-def ext_gcd(A: Poly, B: Poly, v):
-    """Extended Euclidean algorithm on A, B viewed in v: (g, U, V) with
-    U*A + V*B = g, g monic in v."""
-    return uv_ext_gcd(uv_from_poly(A, v), uv_from_poly(B, v))
-
-
-# -- exact nullspace -------------------------------------------------------
-
-
-def nullspace(M: list) -> list:
-    """Basis of the right kernel of a matrix of RatFun entries.
-
-    Rows are cleared to polynomials, eliminated fraction-free (Bareiss), and
-    the kernel vectors are recovered by back substitution over the fraction
-    field.  Returns a list of RatFun vectors, one per free column.
-    """
-    r = len(M)
-    if r == 0:
-        return []
-    c = len(M[0])
-    rows = []
-    for row in M:
-        lcd = Poly.one()
-        for e in row:
-            lcd = poly_lcm(lcd, e.den)
-        rows.append([e.num * poly_div_exact(lcd, e.den) for e in row])
-
-    prev = Poly.one()
-    pivots = []  # (row, col)
-    pr = 0
-    for pc in range(c):
-        if pr >= r:
-            break
-        sel = None
-        for i in range(pr, r):
-            if not rows[i][pc].is_zero():
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != pr:
-            rows[pr], rows[sel] = rows[sel], rows[pr]
-        piv = rows[pr][pc]
-        for i in range(pr + 1, r):
-            ri = rows[i]
-            if ri[pc].is_zero():
-                for j in range(pc + 1, c):
-                    ri[j] = poly_div_exact(piv * ri[j], prev)
-            else:
-                head = ri[pc]
-                for j in range(pc + 1, c):
-                    ri[j] = poly_div_exact(piv * ri[j] - head * rows[pr][j],
-                                           prev)
-                ri[pc] = Poly()
-        prev = piv
-        pivots.append((pr, pc))
-        pr += 1
-
-    pivot_cols = {pc for _, pc in pivots}
-    basis = []
-    for fc in range(c):
-        if fc in pivot_cols:
-            continue
-        vec = [RatFun.zero()] * c
-        vec[fc] = RatFun.one()
-        for prow, pcol in reversed(pivots):
-            acc = RatFun.zero()
-            for j in range(pcol + 1, c):
-                if not rows[prow][j].is_zero() and not vec[j].is_zero():
-                    acc = acc + RatFun(rows[prow][j]) * vec[j]
-            vec[pcol] = -acc / RatFun(rows[prow][pcol])
-        basis.append(vec)
-    return basis
-
-
-def clear_and_normalize(v: list, sign_entry: int = 0) -> list:
-    """Scale a nonzero RatFun vector to coprime polynomial entries.
-
-    Multiplies by the least common denominator, divides by the common content
-    (polynomial and rational), and flips the global sign so the designated
-    entry has a positive leading coefficient.
-    """
-    if all(e.is_zero() for e in v):
+    if all(p.is_zero() for p in polys):
         raise ValueError("cannot normalize the zero vector")
-    lcd = Poly.one()
-    for e in v:
-        lcd = poly_lcm(lcd, e.den)
-    polys = [e.num * poly_div_exact(lcd, e.den) for e in v]
     g = Poly()
     for p in polys:
         g = poly_gcd(g, p)

@@ -162,15 +162,6 @@ class Series3:
     def from_series2(A: "Series2", D: int, L: int) -> "Series3":
         return Series3({(0, b, c): v for (b, c), v in A.coeffs.items()}, D, L)
 
-    @staticmethod
-    def from_poly(p: Poly, D: int, L: int) -> "Series3":
-        out = {}
-        for m, v in p.terms.items():
-            if any(m[i] for i in range(3, 6)):
-                raise ValueError("polynomial uses variables outside t,s,l")
-            out[(m[0], m[1], m[2])] = v
-        return Series3(out, D, L)
-
     # -- inverse / sqrt / log ----------------------------------------------
 
     def inverse(self) -> "Series3":
@@ -205,42 +196,11 @@ class Series3:
             raise ValueError("Series3 log needs constant term 1")
         if any(k[0] for k in self.coeffs):
             t_part = (self.deriv_t() * self.inverse()).integrate_t()
-            base, l2 = self.t_zero().log()
-            assert l2 == ZERO
+            # the constant term is 1, so the log 2 part is zero
+            base, _ = self.t_zero().log()
             return t_part + Series3.from_series2(base, self.D, self.L)
-        base, l2 = self.t_zero().log()
-        assert l2 == ZERO
+        base, _ = self.t_zero().log()
         return Series3.from_series2(base, self.D, self.L)
-
-    def exp(self) -> "Series3":
-        """exp of a series with zero constant term (test oracle)."""
-        if self.coeff(0, 0, 0):
-            raise ValueError("Series3 exp needs zero constant term")
-        nmax = self.D + self.L
-        acc = Series3.const(1, self.D, self.L)
-        for n in range(nmax, 0, -1):
-            acc = (acc * self).scale(Rat(1, n)) + 1
-        return acc
-
-    # -- composition -------------------------------------------------------
-
-    def substitute(self, name: str, B: "Series3") -> "Series3":
-        """Formal composition: replace the named variable by the series B."""
-        idx = {"t": 0, "s": 1, "l": 2}[name]
-        slices: dict[int, dict] = {}
-        for k, v in self.coeffs.items():
-            e = k[idx]
-            rest = list(k)
-            rest[idx] = 0
-            slices.setdefault(e, {})[tuple(rest)] = v
-        if not slices:
-            return Series3.zero(self.D, self.L)
-        emax = max(slices)
-        D, L = min(self.D, B.D), min(self.L, B.L)
-        acc = Series3(slices.get(emax, {}), D, L)
-        for e in range(emax - 1, -1, -1):
-            acc = acc * B + Series3(slices.get(e, {}), D, L)
-        return acc
 
     def __repr__(self):
         return f"Series3(D={self.D}, L={self.L}, terms={len(self.coeffs)})"
@@ -389,15 +349,6 @@ class Series2:
             acc = acc * u + Rat(1 if n % 2 else -1, n)
         return acc * u, l2
 
-    def exp(self) -> "Series2":
-        if self.coeff(0, 0):
-            raise ValueError("Series2 exp needs zero constant term")
-        nmax = self.S + self.L
-        acc = Series2.const(1, self.S, self.L)
-        for n in range(nmax, 0, -1):
-            acc = (acc * self).scale(Rat(1, n)) + 1
-        return acc
-
     def __repr__(self):
         return f"Series2(S={self.S}, L={self.L}, terms={len(self.coeffs)})"
 
@@ -528,29 +479,6 @@ class LaurentX:
     def min_exponent(self):
         keys = list(self.q) + list(self.p)
         return min(keys) if keys else None
-
-    def inverse(self) -> "LaurentX":
-        """Multiplicative inverse of a log2-free series."""
-        if self.p:
-            raise ArithmeticError("inverse of a log2-carrying series")
-        e0 = self.min_exponent()
-        if e0 is None:
-            raise ZeroDivisionError("inverse of the zero series")
-        c0 = self.q[e0]
-        # self = c0 x^e0 (1 + u) with ord(u) >= 1
-        u = {k - e0: v / c0 for k, v in self.q.items() if k != e0}
-        a1 = dict(u)
-        a1[0] = ONE
-        span = max(self.N + e0, 0)
-        inv = {0: ONE}
-        for _ in range(_niter(span)):
-            # inv <- inv*(2 - (1+u)*inv)
-            prod = _dmul(a1, inv, span)
-            total = {k: 2 * v for k, v in inv.items()}
-            for k, v in _dmul(inv, prod, span).items():
-                total[k] = total.get(k, ZERO) - v
-            inv = {k: v for k, v in total.items() if v}
-        return LaurentX({k - e0: v / c0 for k, v in inv.items()}, {}, self.N)
 
     def log(self) -> "LaurentX":
         """log of a log2-free series with constant term 1 or 2, ord >= 0."""

@@ -49,21 +49,6 @@ def integrate(p: Poly, n: int):
     return total
 
 
-def reduce_templates(p: Poly) -> Poly:
-    """Replace t^a by C(a, a/2) s^(a/2) (even a) or 0 (odd a).
-
-    The result is equivalent under every dimension-n integral.
-    """
-    out = Poly()
-    for m, c in p.terms.items():
-        a, b = m[0], m[1]
-        if a % 2:
-            continue
-        w = binomial(a, a // 2) * c
-        out = out + Poly({(0, b + a // 2) + m[2:]: w})
-    return out
-
-
 def reduce_templates_series(A: Series3) -> Series2:
     """Termwise t-reduction of a (t,s,lambda) series into an (s,lambda) one."""
     out: dict = {}
@@ -293,8 +278,7 @@ def h_m_series(m: int, S: int, L: int, kappa=None):
         cm = binomial(m, m // 2)
         big = 1 + (one_ls * tau) + (env["lam"] * s) + b
         lg_big, l2_big = big.log()
-        lg_small, l2_small = one_ls.log()
-        assert l2_small == ZERO
+        lg_small, _ = one_ls.log()  # constant term 1: no log 2 part
         main = main + (s_pow(m // 2) * (lg_big - lg_small)).scale(cm)
         l2 = l2 + s_pow(m // 2).scale(cm * l2_big)
     return main, l2

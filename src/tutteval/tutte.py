@@ -166,29 +166,3 @@ def lagrange_report(n_max: int = 40) -> Report:
         cases += 1
     return passed("phi_lagrange", params, cases, t0)
 
-
-def tamari_poset_facts(i: int) -> dict:
-    """Structural sanity data: reflexive/antisymmetric/transitive flags and
-    the number of maximal/minimal elements."""
-    trees, reach = _tamari_closure(i)
-    n = len(trees)
-    reflexive = all(reach[j] >> j & 1 for j in range(n))
-    antisym = all(not (reach[j] >> k & 1 and reach[k] >> j & 1)
-                  for j in range(n) for k in range(j + 1, n))
-    # transitivity is built into the closure; re-check explicitly
-    transitive = True
-    for j in range(n):
-        for k in range(n):
-            if reach[j] >> k & 1 and reach[j] | reach[k] != reach[j]:
-                transitive = False
-    maxima = sum(1 for j in range(n) if reach[j] == 1 << j)
-    minima = sum(1 for j in range(n)
-                 if sum(reach[k] >> j & 1 for k in range(n)) == 1)
-    return {
-        "elements": n,
-        "reflexive": reflexive,
-        "antisymmetric": antisym,
-        "transitive": transitive,
-        "maxima": maxima,
-        "minima": minima,
-    }

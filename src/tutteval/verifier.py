@@ -115,13 +115,6 @@ def verify_vanishing(n: int, I_max: int, tab: FTable | None = None,
     return passed("vanishing", params, cases, t0)
 
 
-def verify_flat(n: int, tab: FTable | None = None) -> Report:
-    """The lambda = 0 column: templates annihilate f_{n+1,0} and f_{n+2,0}."""
-    rep = verify_vanishing(n, 0, tab)
-    rep.check = "vanishing_flat"
-    return rep
-
-
 _WORKER_TABLE = None
 
 
@@ -135,12 +128,14 @@ def _vanishing_task(args):
     return verify_vanishing(n, i_max, _WORKER_TABLE)
 
 
-def conjecture_reports(n_max: int, i_max: int, jobs: int = 1) -> list:
+def conjecture_reports(n_max: int, i_max: int, jobs: int = 1,
+                       tab: FTable | None = None) -> list:
     """One vanishing report per dimension 1..n_max, computed from a single
-    shared f-table; `jobs` > 1 farms dimensions out to worker processes and
-    merges in dimension order, so the output is independent of the level of
-    parallelism."""
-    tab = f_table(n_max + 2, i_max)
+    shared f-table (built here unless given); `jobs` > 1 farms dimensions
+    out to worker processes and merges in dimension order, so the output is
+    independent of the level of parallelism."""
+    if tab is None:
+        tab = f_table(n_max + 2, i_max)
     work = [(n, i_max) for n in range(1, n_max + 1)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs,

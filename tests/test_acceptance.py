@@ -51,10 +51,11 @@ def test_criterion_3_first_derivative_closed_form():
         rep = holonomic.p0_report()
         assert rep.ok, rep.line()
         num = poly_parse("12*l*f^3 + 52*l*f^2 + 4*l*f - 36*l + 9*f")
-        p0 = holonomic.compute_p0()
+        p0 = holonomic.p0_quot()
+        assert len(p0.num) == 4
         for i in range(4):
-            assert p0[i].num * poly_parse("256*l^2 - 27*l") == \
-                p0[i].den * num.coeff_of("f", i)
+            assert p0.num[i].scale(p0.c) * poly_parse("256*l^2 - 27*l") == \
+                p0.den_poly() * num.coeff_of("f", i)
 
     _criterion(3, "first derivative as exact rational function", 1, check)
 
@@ -83,8 +84,8 @@ def test_criterion_5_h_m_equivalence():
 def _clear_holonomic_caches():
     """Drop every cached holonomic build, so a timed check measures a cold
     build whatever ran before it in the same process."""
-    for fn in (holonomic.compute_p0, holonomic.p0_quot, holonomic.q1_phi,
-               holonomic.q_tower, holonomic.find_R, holonomic.find_Rhat):
+    for fn in (holonomic.p0_quot, holonomic.q1_phi, holonomic.q_tower,
+               holonomic.find_R, holonomic.find_Rhat):
         fn.cache_clear()
 
 

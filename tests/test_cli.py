@@ -2,9 +2,11 @@
 fixture pin/compare round trip."""
 
 import json
+import os
 
 import pytest
 
+from tutteval import cli, verifier
 from tutteval.cli import _fixture_report, build_parser, main
 from tutteval.report import Report, reports_to_json
 
@@ -48,7 +50,9 @@ def test_hilbert_suite(capsys):
     assert out.count("[PASS]") == 2
 
 
+@pytest.mark.filterwarnings("error")
 def test_fixture_pin_then_compare(tmp_path):
+    # an unclosed file would raise here as a ResourceWarning
     d = str(tmp_path)
     first = _fixture_report(d, "demo", {"a": "1", "b": "x"})
     assert first.ok and first.status == "pass"
@@ -56,6 +60,56 @@ def test_fixture_pin_then_compare(tmp_path):
     assert again.ok
     tampered = _fixture_report(d, "demo", {"a": "2", "b": "x"})
     assert not tampered.ok
+    # the pin went through a temporary file that was renamed into place
+    assert os.listdir(d) == ["demo.json"]
+
+
+def test_fixture_pin_failure_leaves_no_file(tmp_path, monkeypatch):
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", broken_replace)
+    with pytest.raises(OSError):
+        _fixture_report(str(tmp_path), "demo", {"a": "1"})
+    assert os.listdir(tmp_path) == []
+
+
+def test_all_runs_each_suite_at_its_parser_defaults(monkeypatch, tmp_path):
+    seen = {}
+
+    def recorder(name):
+        def run(args):
+            seen[name] = vars(args)
+            return []
+        return run
+
+    monkeypatch.setattr(cli, "_SUITES",
+                        {name: recorder(name) for name in cli._SUITES})
+    assert main(["all", "--emit-json", str(tmp_path / "r.json")]) == 0
+    assert list(seen) == list(cli._SUITES)
+    for name, got in seen.items():
+        assert got == vars(build_parser().parse_args([name])), name
+    # the shared flags reach every suite
+    main(["all", "--jobs", "3", "--fixtures", str(tmp_path)])
+    for name, got in seen.items():
+        assert got == vars(build_parser().parse_args(
+            [name, "--jobs", "3", "--fixtures", str(tmp_path)])), name
+
+
+def test_conjecture_suite_builds_its_f_table_once(monkeypatch, capsys):
+    calls = []
+    f_table = verifier.f_table
+
+    def counted(K_max, I_max):
+        calls.append((K_max, I_max))
+        return f_table(K_max, I_max)
+
+    monkeypatch.setattr(verifier, "f_table", counted)
+    assert main(["conjecture", "--n-max", "3", "--i-max", "2"]) == 0
+    capsys.readouterr()
+    # one table for the degree report and the vanishing checks, one wider
+    # table for the restriction spot check
+    assert calls == [(5, 2), (7, 2)]
 
 
 def test_json_report_shape():

@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from tutteval.exactnum import (ONE, Rat, ZERO, binomial, double_factorial,
-                               factorial, rat, rat_gcd, rat_str)
+                               factorial, rat_gcd, rat_str)
 
 rationals = st.builds(Rat,
                       st.integers(min_value=-10**6, max_value=10**6),
@@ -14,7 +14,7 @@ def test_rat_basics():
     assert Rat(1, 2) + Rat(1, 3) == Rat(5, 6)
     assert Rat(2, 4) == Rat(1, 2)
     assert Rat(-1, 2) * Rat(2) == Rat(-1)
-    assert rat(7, -14) == Rat(-1, 2)
+    assert Rat(7, -14) == Rat(-1, 2)
 
 
 def test_rat_str():

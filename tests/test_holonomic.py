@@ -9,11 +9,12 @@ from tutteval.exactnum import ONE, Rat
 from tutteval.holonomic import (DependencyVector, PhiQuot, _pq_add, _pq_dlam,
                                 _pq_eq, _pq_mul, _pq_scale, _rank4_witness,
                                 b_direct, b_equality_report, b_recursion,
-                                compute_p0, coprimality_report,
-                                dependency_report, find_R, find_Rhat,
-                                p0_report, p0_series_report, pq_from_poly,
-                                q_tower, tower_oracle, weighted_degree)
-from tutteval.polyring import Poly, RatFun, poly_parse, poly_to_str
+                                coprimality_report, dependency_report,
+                                find_R, find_Rhat, p0_quot, p0_report,
+                                p0_series_report, pq_from_poly, q_tower,
+                                tower_oracle, weighted_degree)
+from tutteval.polyring import (Poly, partial_derivative, poly_parse,
+                               poly_to_str)
 
 s = Poly.var("s")
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -27,15 +28,35 @@ def test_p0_closed_form():
     #        / ((256 l - 27) l), as phi-coefficients
     num = poly_parse("12*l*f^3 + 52*l*f^2 + 4*l*f - 36*l + 9*f")
     den = poly_parse("256*l^2 - 27*l")
-    p0 = compute_p0()
-    assert len(p0) == 4
+    p0 = p0_quot()
+    assert len(p0.num) == 4
     for i in range(4):
-        assert p0[i] == RatFun(num.coeff_of("f", i), den)
+        assert p0.num[i].scale(p0.c) * den == \
+            p0.den_poly() * num.coeff_of("f", i)
+
+
+def test_p0_solves_the_implicit_derivative():
+    # P_phi phi' + P_lambda = 0 modulo P, with P0 built from P alone; the
+    # inversion of P_phi needs no prime beyond l and 256 l - 27
+    P = holonomic.P_DEFINING
+    primes = list(holonomic._PRIMES)
+    p0 = p0_quot.__wrapped__()
+    assert holonomic._PRIMES == primes
+    residue = _pq_add(_pq_mul(p0, pq_from_poly(partial_derivative(P, "f"))),
+                      pq_from_poly(partial_derivative(P, "l")))
+    assert residue.is_zero()
 
 
 def test_p0_reports():
     assert p0_report().ok
     assert p0_series_report(20).ok
+
+
+def test_p0_report_rejects_a_wrong_p0(monkeypatch):
+    wrong = _pq_add(p0_quot(), pq_from_poly(poly_parse("f")))
+    monkeypatch.setattr(holonomic, "p0_quot", lambda: wrong)
+    rep = p0_report()
+    assert rep.status == "fail" and rep.witness.startswith("got ")
 
 
 # -- the factored-quotient arithmetic ---------------------------------------

@@ -1,5 +1,5 @@
-"""Polynomial/rational-function layer: arithmetic, exact division, gcd
-(both strategies), normalization, nullspace, and the text format."""
+"""Polynomial layer: arithmetic, exact division, gcd (both strategies),
+normalization of polynomial vectors, and the text format."""
 
 import random
 from fractions import Fraction
@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from tutteval.exactnum import ONE, Rat
 from tutteval._kernels_py import mul_poly
-from tutteval.polyring import (Poly, RatFun, _euclid_lists, _interpolate,
-                               _poly_gcd_bivar, nullspace, clear_and_normalize,
-                               partial_derivative,
-                               poly_div_exact, poly_gcd, poly_lcm,
+from tutteval.polyring import (Poly, _euclid_lists, _interpolate,
+                               _poly_gcd_bivar, clear_and_normalize,
+                               partial_derivative, poly_div_exact, poly_gcd,
                                poly_parse, poly_to_str, primitive_rat,
                                rat_content)
 
@@ -363,61 +362,22 @@ def test_gcd_large_dispatch():
     poly_div_exact(g, primitive_rat(G)[1])
 
 
-def test_poly_lcm():
-    assert poly_lcm(t * s, t ** 2) == t ** 2 * s
-
-
-# -- rational functions ----------------------------------------------------
-
-
-def test_ratfun_canonical():
-    r = RatFun(t ** 2 - s ** 2, t + s)
-    assert r == RatFun(t - s, Poly.one())
-    assert (RatFun(t, s) + RatFun(s, t)) == RatFun(t ** 2 + s ** 2, t * s)
-    assert RatFun(t, s) * RatFun(s, t) == RatFun.one()
-
-
-def test_ratfun_derivative():
-    r = RatFun(Poly.one(), t)
-    assert r.derivative("t") == RatFun(Poly.const(Rat(-1)), t ** 2)
-
-
-# -- nullspace and vector normalization ------------------------------------
-
-
-def _rf(p):
-    return RatFun(p, Poly.one())
-
-
-def test_nullspace_known_kernel():
-    # rows (1, t, t^2) and (0, 1, t): kernel spanned by (t^2, -2t, 1)... no:
-    # solve directly: x0 + t x1 + t^2 x2 = 0, x1 + t x2 = 0
-    M = [[_rf(Poly.one()), _rf(t), _rf(t * t)],
-         [_rf(Poly.zero()), _rf(Poly.one()), _rf(t)]]
-    basis = nullspace(M)
-    assert len(basis) == 1
-    v = basis[0]
-    for row in M:
-        acc = RatFun.zero()
-        for a, b in zip(row, v):
-            acc = acc + a * b
-        assert acc.is_zero()
-
-
-def test_nullspace_full_rank():
-    M = [[_rf(Poly.one()), _rf(t)], [_rf(t), _rf(Poly.one())]]
-    assert nullspace(M) == []
+# -- vector normalization --------------------------------------------------
 
 
 def test_clear_and_normalize():
-    v = [RatFun(2 * t * s, lam), RatFun(4 * t * t, Poly.one())]
+    v = [Rat(2, 3) * t * s * lam, Rat(4, 5) * t * t * lam ** 2]
     out = clear_and_normalize(v)
-    assert out == [s, 2 * t * lam]
+    assert out == [5 * s, 6 * t * lam]
     # the normalized vector stays proportional to the input
-    assert RatFun(out[0], Poly.one()) * v[1] == RatFun(out[1], Poly.one()) * v[0]
+    assert out[0] * v[1] == out[1] * v[0]
+    with pytest.raises(ValueError):
+        clear_and_normalize([Poly(), Poly()])
 
 
 def test_clear_and_normalize_sign():
-    v = [_rf(-t), _rf(-s)]
-    out = clear_and_normalize(v, sign_entry=0)
+    out = clear_and_normalize([-t, -s], sign_entry=0)
     assert out[0].leading_coeff() > 0
+    # a zero designated entry hands the sign to the first nonzero one
+    assert clear_and_normalize([Poly(), -s, t], sign_entry=0) == \
+        [Poly(), s, -t]

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from tutteval.exactnum import ONE, Rat, ZERO, binomial
 from tutteval.polyring import Poly, poly_parse
+from tutteval.series import Series2, Series3
 from tutteval.template import (integrate, kappa_constant, monomial_template,
-                               q1_poly, q2_poly, reduce_templates,
+                               q1_poly, q2_poly, reduce_templates_series,
                                verify_h_m, verify_q2_ode,
                                verify_series_identity)
 
@@ -45,17 +46,19 @@ def test_integrate_hand_examples():
 
 
 def test_reduce_templates():
-    # t^2 -> 2s, odd powers die
-    assert reduce_templates(poly_parse("t^2")) == poly_parse("2*s")
-    assert reduce_templates(poly_parse("t^3")).is_zero()
-    assert reduce_templates(poly_parse("t^4*s")) == poly_parse("6*s^3")
+    # t^2 -> 2s, odd powers die, the lambda exponent rides along
+    A = Series3({(2, 0, 0): ONE, (3, 0, 0): ONE, (4, 1, 1): ONE}, 12, 2)
+    assert reduce_templates_series(A) == \
+        Series2({(1, 0): Rat(2), (3, 1): Rat(6)}, 6, 2)
 
 
 @given(st.integers(1, 8), st.integers(0, 4), st.integers(1, 10))
 @settings(max_examples=60)
 def test_reduction_preserves_integrals(a, b, n):
     p = Poly({(a, b, 0, 0, 0, 0): Rat(3, 2)})
-    assert integrate(p, n) == integrate(reduce_templates(p), n)
+    reduced = reduce_templates_series(Series3({(a, b, 0): Rat(3, 2)},
+                                              a + 2 * b, 0))
+    assert integrate(p, n) == integrate(reduced.lambda_slice(0), n)
 
 
 def test_q_polys_low_orders():

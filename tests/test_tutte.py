@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from tutteval.exactnum import Rat
 from tutteval.tutte import (TAMARI_MAX, binary_trees, lagrange_report,
                             phi_coeff_lagrange, phi_series,
-                            tamari_interval_count, tamari_poset_facts,
+                            _tamari_closure, tamari_interval_count,
                             tau_from_phi, tau_series, three_way_report,
                             tutte_coeff)
 
@@ -58,6 +58,23 @@ def test_catalan_tree_counts():
 def test_tamari_counts_match():
     for i in range(1, TAMARI_MAX + 1):
         assert Rat(tamari_interval_count(i)) == tutte_coeff(i)
+
+
+def tamari_poset_facts(i: int) -> dict:
+    """Order axioms and the numbers of maximal and minimal elements of the
+    reachability closure behind the interval counts."""
+    trees, reach = _tamari_closure(i)
+    n = len(trees)
+    reflexive = all(reach[j] >> j & 1 for j in range(n))
+    antisym = all(not (reach[j] >> k & 1 and reach[k] >> j & 1)
+                  for j in range(n) for k in range(j + 1, n))
+    transitive = all(reach[j] | reach[k] == reach[j]
+                     for j in range(n) for k in range(n) if reach[j] >> k & 1)
+    maxima = sum(1 for j in range(n) if reach[j] == 1 << j)
+    minima = sum(1 for j in range(n)
+                 if sum(reach[k] >> j & 1 for k in range(n)) == 1)
+    return {"reflexive": reflexive, "antisymmetric": antisym,
+            "transitive": transitive, "maxima": maxima, "minima": minima}
 
 
 @given(st.integers(1, 5))

@@ -8,8 +8,7 @@ from tutteval.polyring import poly_parse
 from tutteval.template import integrate
 from tutteval.verifier import (conjecture_reports, f_table, hilbert_check,
                                hilbert_coeffs, iso_check,
-                               restriction_spot_check, verify_flat,
-                               verify_vanishing)
+                               restriction_spot_check, verify_vanishing)
 
 
 def test_f_table_low_entries():
@@ -48,9 +47,10 @@ def test_vanishing_small():
 
 
 def test_flat_column():
-    assert verify_flat(2).ok
+    # the lambda = 0 column: templates annihilate f_{n+1,0} and f_{n+2,0}
+    assert verify_vanishing(2, 0).ok
     # n = 0: no degree-matched cases at all, vacuously true
-    rep = verify_flat(0)
+    rep = verify_vanishing(0, 0)
     assert rep.ok and rep.n_cases == 0
 
 
