@@ -17,7 +17,7 @@ import time
 
 from . import holonomic, template, tutte, verifier
 from .polyring import poly_to_str
-from .report import Report, reports_to_json
+from .report import Report, inconclusive, reports_to_json
 
 
 def _fixture_report(directory: str, name: str, payload) -> Report:
@@ -82,15 +82,22 @@ def _holonomic_suite(args) -> list:
         holonomic.dependency_report("R"),
         holonomic.dependency_report("Rhat"),
     ]
-    bd = holonomic.b_direct(args.s_cap, args.b_orders)
+    t0 = time.perf_counter()
+    try:
+        bd = holonomic.b_direct(args.s_cap, args.b_orders)
+    except (ValueError, ArithmeticError) as exc:
+        # caps too small for the orders, or saturated: the direct sequence
+        # and the two reports on it are missing, and the run cannot pass
+        bd = None
+        bd_rep = inconclusive("b_direct", {"s_cap": args.s_cap,
+                                           "orders": args.b_orders},
+                              str(exc), 0, t0)
     br, rec_rep = holonomic.b_recursion(args.b_orders)
-    reports += [
-        rec_rep,
-        bd.degree_report(),
-        br.degree_report(),
-        holonomic.b_equality_report(bd, br),
-        holonomic.coprimality_report(),
-    ]
+    reports += [rec_rep, bd.degree_report() if bd is not None else bd_rep,
+                br.degree_report()]
+    if bd is not None:
+        reports.append(holonomic.b_equality_report(bd, br))
+    reports.append(holonomic.coprimality_report())
     if args.fixtures:
         R = holonomic.find_R()
         Rhat = holonomic.find_Rhat()
@@ -100,9 +107,10 @@ def _holonomic_suite(args) -> list:
         reports.append(_fixture_report(
             args.fixtures, "dependency_Rhat",
             [poly_to_str(p) for p in Rhat.entries]))
-        reports.append(_fixture_report(
-            args.fixtures, "b_sequence",
-            [poly_to_str(p) for p in bd.bl]))
+        if bd is not None:
+            reports.append(_fixture_report(
+                args.fixtures, "b_sequence",
+                [poly_to_str(p) for p in bd.bl]))
     return reports
 
 

@@ -11,9 +11,10 @@ the coefficients b_l, whose s-degree bound (<= l) is the target statement.
 Generic fraction arithmetic over Q(s, lambda) swells badly (every operation
 triggers a bivariate gcd), so tower elements are held as PhiQuot values: a
 phi-polynomial numerator over a denominator kept in FACTORED form, a product
-of powers of a small registered prime set (lambda, 256 lambda - 27, and the
-core of the inversion determinant).  Cancellation then needs only trial
-exact divisions by known primes, never a general gcd.
+of powers of a few fixed primes (lambda, 256 lambda - 27, and the core of an
+inversion determinant), each the key of its exponent.  Cancellation then
+needs only trial exact divisions by the primes a value carries, never a
+general gcd.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import combinations
 from .exactnum import ONE, Rat, ZERO, binomial, factorial, rat_gcd
 from .polyring import (Poly, _eval_var, clear_and_normalize,
                        partial_derivative, poly_div_exact, poly_gcd,
-                       poly_parse, poly_to_str, rat_content)
+                       poly_parse, poly_to_str, primitive_rat, rat_content)
 from .report import Report, failed, passed
 from .series import Series2
 from .tutte import phi_series
@@ -36,11 +37,12 @@ TOWER_MAX = 6  # rational-function swell beyond this exceeds desk scale
 LAM = Poly.var("l")
 PHI = Poly.var("f")
 P_DEFINING = PHI - LAM * (1 + PHI) ** 4
+# phi is singular at lambda = 27/256
+SINGULAR = poly_parse("256*l - 27")
 
-# the closed form of phi', over the denominator (256 l - 27) l: the
-# registered primes _PRIMES[0] = l and _PRIMES[1] = 256 l - 27
+# the closed form of phi', over the denominator l (256 l - 27)
 P0_EXPECTED_NUM = poly_parse("12*l*f^3 + 52*l*f^2 + 4*l*f - 36*l + 9*f")
-P0_EXPECTED_DEN = {0: 1, 1: 1}
+P0_EXPECTED_DEN = {LAM: 1, SINGULAR: 1}
 
 
 def p0_report() -> Report:
@@ -71,24 +73,14 @@ def p0_series_report(L: int = 20) -> Report:
 
 # -- factored-denominator phi-polynomials ----------------------------------
 
-_PRIMES: list = [LAM, poly_parse("256*l - 27")]
-
-
-def _register_prime(p: Poly) -> int:
-    for i, q in enumerate(_PRIMES):
-        if q == p:
-            return i
-    _PRIMES.append(p)
-    return len(_PRIMES) - 1
-
 
 @dataclass
 class PhiQuot:
     """c * (num[0] + num[1] phi + num[2] phi^2 + num[3] phi^3) / den,
-    den the product of _PRIMES[i]^e over (i, e) in den.items()."""
+    den the product of p^e over (p, e) in den.items()."""
 
     num: list          # up to 4 Poly
-    den: dict          # prime index -> positive exponent
+    den: dict          # prime Poly -> positive exponent
     c: object = ONE    # Rat scalar
 
     def is_zero(self) -> bool:
@@ -96,8 +88,8 @@ class PhiQuot:
 
     def den_poly(self) -> Poly:
         d = Poly.one()
-        for i, e in self.den.items():
-            d = d * _PRIMES[i] ** e
+        for p, e in self.den.items():
+            d = d * p ** e
         return d
 
 
@@ -107,29 +99,28 @@ def _pq_normalize(num: list, den: dict, c) -> PhiQuot:
         num.pop()
     if not num:
         return PhiQuot([], {}, ONE)
-    den = {i: e for i, e in den.items() if e > 0}
-    # strip known prime factors shared by every numerator entry
-    for i in sorted(den):
-        p = _PRIMES[i]
-        while den.get(i, 0) > 0:
+    # strip the denominator's primes as far as they divide every numerator
+    # entry; the primes are coprime, so the order does not matter
+    out = {}
+    for p, e in den.items():
+        while e > 0:
             try:
                 quots = [poly_div_exact(n, p) if not n.is_zero() else n
                          for n in num]
             except ArithmeticError:
                 break
             num = quots
-            den[i] -= 1
-        if den.get(i, 0) == 0:
-            den.pop(i, None)
+            e -= 1
+        if e > 0:
+            out[p] = e
     # pull the rational content into the scalar
     r = ZERO
     for n in num:
-        for v in n.terms.values():
-            r = rat_gcd(r, v)
+        r = rat_gcd(r, rat_content(n))
     if r and r != ONE:
         num = [n.scale(ONE / r) for n in num]
         c = c * r
-    return PhiQuot(num, den, c)
+    return PhiQuot(num, out, c)
 
 
 _PQ_ONE = PhiQuot([Poly.one()], {}, ONE)
@@ -158,7 +149,7 @@ def _reduce_top(num: list) -> tuple:
 
 def pq_from_poly(p: Poly) -> PhiQuot:
     num, v = _reduce_top(p.as_univar("f"))
-    return _pq_normalize(num, {0: v}, ONE)
+    return _pq_normalize(num, {LAM: v}, ONE)
 
 
 def _pq_mul(A: PhiQuot, B: PhiQuot) -> PhiQuot:
@@ -173,9 +164,9 @@ def _pq_mul(A: PhiQuot, B: PhiQuot) -> PhiQuot:
                 conv[i + j] = conv[i + j] + a * b
     num, v = _reduce_top(conv)
     den = dict(A.den)
-    for i, e in B.den.items():
-        den[i] = den.get(i, 0) + e
-    den[0] = den.get(0, 0) + v
+    for p, e in B.den.items():
+        den[p] = den.get(p, 0) + e
+    den[LAM] = den.get(LAM, 0) + v
     return _pq_normalize(num, den, A.c * B.c)
 
 
@@ -184,14 +175,13 @@ def _pq_add(A: PhiQuot, B: PhiQuot) -> PhiQuot:
         return B
     if B.is_zero():
         return A
-    den = {}
-    for i in set(A.den) | set(B.den):
-        den[i] = max(A.den.get(i, 0), B.den.get(i, 0))
+    den = {p: max(A.den.get(p, 0), B.den.get(p, 0))
+           for p in {**A.den, **B.den}}
     sa = Poly.const(A.c)
     sb = Poly.const(B.c)
-    for i, e in den.items():
-        sa = sa * _PRIMES[i] ** (e - A.den.get(i, 0))
-        sb = sb * _PRIMES[i] ** (e - B.den.get(i, 0))
+    for p, e in den.items():
+        sa = sa * p ** (e - A.den.get(p, 0))
+        sb = sb * p ** (e - B.den.get(p, 0))
     num = []
     for j in range(max(len(A.num), len(B.num))):
         a = A.num[j] * sa if j < len(A.num) else Poly()
@@ -219,17 +209,17 @@ def _pq_dlam(A: PhiQuot) -> PhiQuot:
     if A.is_zero():
         return A
     R = Poly.one()
-    for i in A.den:
-        R = R * _PRIMES[i]
+    for p in A.den:
+        R = R * p
     T = Poly()
-    for i, e in A.den.items():
-        part = partial_derivative(_PRIMES[i], "l").scale(Rat(e))
-        for j in A.den:
-            if j != i:
-                part = part * _PRIMES[j]
+    for p, e in A.den.items():
+        part = partial_derivative(p, "l").scale(Rat(e))
+        for q in A.den:
+            if q != p:
+                part = part * q
         T = T + part
     num = [partial_derivative(n, "l") * R - n * T for n in A.num]
-    den = {i: e + 1 for i, e in A.den.items()}
+    den = {p: e + 1 for p, e in A.den.items()}
     return _pq_normalize(num, den, A.c)
 
 
@@ -265,45 +255,47 @@ def _det(M: list) -> Poly:
     return out
 
 
+def _strip_primes(p: Poly, primes) -> tuple:
+    """Divide every power of the given primes out of p; returns the
+    cofactor and the exponents removed, {prime: exponent}."""
+    exps = {}
+    for q in primes:
+        while True:
+            try:
+                p = poly_div_exact(p, q)
+            except ArithmeticError:
+                break
+            exps[q] = exps.get(q, 0) + 1
+    return p, exps
+
+
 def _invert_mod_p(G: PhiQuot) -> PhiQuot:
     """X with G X = 1 modulo P, by Cramer's rule on the multiplication
-    matrix; the determinant's primitive core joins the prime registry."""
+    matrix; the determinant's primitive core, if not constant, becomes a
+    prime of X's denominator next to lambda and 256 lambda - 27."""
     phi_pq = PhiQuot([Poly(), Poly.one()], {}, ONE)
     cols = []
     phi_pow = _PQ_ONE
     for _ in range(4):
         cols.append(_pq_mul(G, phi_pow))
         phi_pow = _pq_mul(phi_pow, phi_pq)
-    V = max(col.den.get(0, 0) for col in cols)
+    V = max(col.den.get(LAM, 0) for col in cols)
     M = [[Poly() for _ in range(4)] for _ in range(4)]
     for j, col in enumerate(cols):
-        if set(col.den) - {0}:
+        if set(col.den) - {LAM}:
             raise ArithmeticError(
                 "unexpected denominator in the multiplication matrix")
-        lift = LAM ** (V - col.den.get(0, 0))
+        lift = LAM ** (V - col.den.get(LAM, 0))
         for r in range(min(4, len(col.num))):
             M[r][j] = (col.num[r] * lift).scale(col.c)
     det = _det(M)
     if det.is_zero():
         raise ArithmeticError("multiplication matrix is singular")
-    # factor the determinant over the registry
-    r = rat_content(det)
-    core = det.scale(ONE / r)
-    den = {}
-    for i in (0, 1):
-        while True:
-            try:
-                core = poly_div_exact(core, _PRIMES[i])
-            except ArithmeticError:
-                break
-            den[i] = den.get(i, 0) + 1
-    if core.is_const():
-        r = r * core.const_value()
-    else:
-        if core.leading_coeff() < 0:
-            core = -core
-            r = -r
-        den[_register_prime(core)] = 1
+    # factor the determinant: lambda, 256 lambda - 27, a primitive core
+    core, den = _strip_primes(det, (LAM, SINGULAR))
+    r, core = primitive_rat(core)
+    if not core.is_const():
+        den[core] = 1
     lamV = LAM ** V
     num = []
     for j in range(4):
@@ -385,11 +377,11 @@ def pq_eval_series(A: PhiQuot, phi: Series2, S: int, L: int) -> Series2:
     for n in reversed(A.num):
         acc = acc * phi + poly_eval_series(n, phi, S, L)
     den = Series2.const(1, S, L)
-    for i, e in A.den.items():
-        if i:
-            den = den * poly_eval_series(_PRIMES[i], phi, S, L) ** e
+    for p, e in A.den.items():
+        if p != LAM:
+            den = den * poly_eval_series(p, phi, S, L) ** e
     acc = acc * den.inverse()
-    return _lambda_shift(acc, A.den.get(0, 0)).scale(A.c)
+    return _lambda_shift(acc, A.den.get(LAM, 0)).scale(A.c)
 
 
 def lambda_derivative(A: Series2) -> Series2:
@@ -411,7 +403,7 @@ def tower_oracle(i_max: int, S: int, L: int) -> Report:
     t0 = time.perf_counter()
     params = {"i_max": i_max, "s_cap": S, "lambda_cap": L}
     tower = q_tower(i_max)
-    slack = max(q.den.get(0, 0) for q in tower)
+    slack = max(q.den.get(LAM, 0) for q in tower)
     Lw = L + i_max + slack
     phi = Series2(phi_series(Lw).coeffs, S, Lw)
     F = f_series(S, Lw)
@@ -461,21 +453,6 @@ def weighted_degree(p: Poly) -> int:
     return max(2 * m[1] - 2 * m[2] for m in p.terms)
 
 
-def _strip_registered(p: Poly) -> tuple:
-    """Divide out every registered prime factor of p; returns the cofactor
-    and the exponent vector removed."""
-    exps = {}
-    for i in range(len(_PRIMES)):
-        q = _PRIMES[i]
-        while True:
-            try:
-                p = poly_div_exact(p, q)
-            except ArithmeticError:
-                break
-            exps[i] = exps.get(i, 0) + 1
-    return p, exps
-
-
 def _kernel_vector(cols: list) -> list:
     """Kernel vector of the 4x5 phi-coefficient matrix of the given PhiQuot
     columns, by the fraction-free Cramer rule: component i is the signed
@@ -492,8 +469,8 @@ def _kernel_vector(cols: list) -> list:
     come back with rational coefficients, ready for exact division.  The
     (large) common content of the minors coming from the column
     denominators is then removed in exponent space by trial division by
-    the registered primes, so the later generic gcd only sees the small
-    residue."""
+    the primes of those denominators, so the later generic gcd only sees
+    the small residue."""
     n = len(cols)
     N = [[col.num[r] if r < len(col.num) else Poly() for col in cols]
          for r in range(4)]
@@ -523,21 +500,22 @@ def _kernel_vector(cols: list) -> list:
     # undo the column scaling: the value matrix has columns c_i N_i / D_i,
     # so component i picks up D_i / c_i; track the prime powers of D_i and
     # of the minors themselves as exponent vectors and drop their common part
+    primes = dict.fromkeys(p for col in cols for p in col.den)
     stripped = []
     for i, d in enumerate(minors):
-        core, exps = (_strip_registered(d) if not d.is_zero() else (d, {}))
-        for j, e in cols[i].den.items():
-            exps[j] = exps.get(j, 0) + e
+        core, exps = (_strip_primes(d, primes) if not d.is_zero()
+                      else (d, {}))
+        for p, e in cols[i].den.items():
+            exps[p] = exps.get(p, 0) + e
         stripped.append((core, exps))
     live = [e for c, e in stripped if not c.is_zero()]
-    base = {j: min(e.get(j, 0) for e in live)
-            for j in set(k for e in live for k in e)}
+    base = {p: min(e.get(p, 0) for e in live) for p in primes}
     vec = []
     for i, (core, exps) in enumerate(stripped):
         lift = Poly.one()
-        for j, e in exps.items():
-            if e - base.get(j, 0) > 0:
-                lift = lift * _PRIMES[j] ** (e - base.get(j, 0))
+        for p, e in exps.items():
+            if e - base[p] > 0:
+                lift = lift * p ** (e - base[p])
         vec.append((core * lift).scale(ONE / cols[i].c))
     return vec
 
@@ -575,8 +553,8 @@ def _rank4_witness(cols: list):
     """A certificate that the 4 x len(cols) phi-coefficient matrix of the
     PhiQuot columns has rank 4 over Q(s, lambda), or None.
 
-    The certificate is a sample point (s, lambda) at which no registered
-    prime of any column denominator vanishes, together with 4 column
+    The certificate is a sample point (s, lambda) at which no prime of any
+    column denominator vanishes, together with 4 column
     indices whose minor of the numerator matrix is nonzero there.  At such
     a point the value matrix is the numerator matrix times the nonzero
     diagonal c_j / D_j, so its minor is nonzero as a rational function and
@@ -586,7 +564,7 @@ def _rank4_witness(cols: list):
         def at(p: Poly) -> Poly:
             return _eval_var(_eval_var(p, "s", a), "l", b)
 
-        if any(at(_PRIMES[i]).is_zero() for col in cols for i in col.den):
+        if any(at(p).is_zero() for col in cols for p in col.den):
             continue
         vals = [[at(col.num[r]) if r < len(col.num) else Poly()
                  for col in cols] for r in range(4)]

@@ -7,9 +7,9 @@ exponent 6-tuples; the canonical term order is graded lexicographic on that
 variable order, which also fixes the text serialization.
 
 Everything here is immutable and pure.  Division and gcd are exact
-throughout: small gcds go through a primitive polynomial remainder sequence
-on recursively-univariate representations, large bivariate ones through
-Brown's evaluation and interpolation with integer images.
+throughout.  A gcd involves at most two variables: univariate ones come from
+a primitive remainder sequence on integer coefficient lists, bivariate ones
+from Brown's evaluation and interpolation of such univariate images.
 """
 
 from __future__ import annotations
@@ -224,25 +224,6 @@ class Poly:
             coeffs[m[i]][rest] = c
         return [Poly(d) for d in coeffs]
 
-    @staticmethod
-    def from_univar(coeffs: list["Poly"], v) -> "Poly":
-        i = _vi(v)
-        out = {}
-        for e, p in enumerate(coeffs):
-            for m, c in p.terms.items():
-                mono = m[:i] + (e + m[i],) + m[i + 1:]
-                out[mono] = out.get(mono, ZERO) + c
-        return Poly(out)
-
-    def coeff_of(self, v, e: int) -> "Poly":
-        """Coefficient of v^e, a polynomial in the remaining variables."""
-        i = _vi(v)
-        out = {}
-        for m, c in self.terms.items():
-            if m[i] == e:
-                out[m[:i] + (0,) + m[i + 1:]] = c
-        return Poly(out)
-
     def __repr__(self):
         return f"Poly({poly_to_str(self)!r})"
 
@@ -343,13 +324,9 @@ def poly_div_exact(A: Poly, B: Poly) -> Poly:
 
 
 def rat_content(A: Poly):
-    """Positive rational c with A/c having coprime integer coefficients."""
-    c = ZERO
-    for v in A.terms.values():
-        # no early exit at c == 1: a later fractional coefficient can still
-        # lower the content (rat_gcd(1, 3/2) = 1/2)
-        c = rat_gcd(c, v)
-    return c
+    """Positive rational c with A/c having coprime integer coefficients;
+    0 for the zero polynomial."""
+    return _primitive_ints(A.terms)[0]
 
 
 def primitive_rat(A: Poly):
@@ -360,33 +337,6 @@ def primitive_rat(A: Poly):
     if A.leading_coeff() < 0:
         c = -c
     return c, A.scale(ONE / c)
-
-
-def _prem(A: list, B: list):
-    """Pseudo-remainder of univariate coefficient lists over Poly."""
-    A = list(A)
-    db = len(B) - 1
-    lcB = B[-1]
-    while len(A) - 1 >= db and A:
-        da = len(A) - 1
-        lcA = A[-1]
-        # A <- lcB*A - lcA*v^(da-db)*B
-        A = [lcB * a for a in A]
-        shift = da - db
-        for j, b in enumerate(B):
-            A[shift + j] = A[shift + j] - lcA * b
-        while A and A[-1].is_zero():
-            A.pop()
-    return A
-
-
-def _uv_content(coeffs: list):
-    g = Poly()
-    for c in coeffs:
-        g = poly_gcd(g, c)
-        if g.is_const() and not g.is_zero():
-            break
-    return g
 
 
 def _primitive_list(a: list) -> list:
@@ -448,8 +398,8 @@ def _univar_coeffs(A: Poly, v) -> list:
 
 
 def _gcd_univar(A: Poly, B: Poly, v) -> Poly:
-    """gcd of polynomials involving only variable v, keeping the rational
-    content (matching the PRS convention)."""
+    """gcd of polynomials involving only variable v, primitive with
+    positive leading coefficient."""
     if A.is_zero():
         return primitive_rat(B)[1] if not B.is_zero() else Poly()
     if B.is_zero():
@@ -529,8 +479,8 @@ def _horner(coeffs: list, a):
 def _poly_gcd_bivar(A: Poly, B: Poly, vm: int, ve: int) -> Poly:
     """gcd of polynomials in exactly the two variables vm, ve by evaluation
     at ve = 0, 1, 2, ... and interpolation of the univariate gcd images
-    (Brown's method over the rationals).  The primitive remainder sequence
-    blows up on inputs of this size; interpolation does not."""
+    (Brown's method over the rationals, W. S. Brown, J. ACM 18(4), 1971),
+    each image a univariate gcd on integer coefficient lists."""
     ua, ub = A.as_univar(vm), B.as_univar(vm)
     ca = Poly()
     for c in ua:
@@ -602,49 +552,30 @@ def _poly_gcd_bivar(A: Poly, B: Poly, vm: int, ve: int) -> Poly:
 
 
 def poly_gcd(A: Poly, B: Poly) -> Poly:
-    """Multivariate gcd, primitive with positive leading coefficient.
+    """gcd of polynomials in at most two variables together, primitive with
+    positive leading coefficient (for two constants, their rational gcd).
 
-    Small instances go through a primitive PRS on the recursively-univariate
-    representation; large two-variable instances (which arise when clearing
-    the holonomic kernel vectors) switch to evaluation/interpolation, where
-    the PRS would swell catastrophically.
+    One variable goes through `_gcd_univar`, two through `_poly_gcd_bivar`;
+    more than two raise ValueError.
     """
+    pv = A.vars_present() | B.vars_present()
+    if len(pv) > 2:
+        raise ValueError("poly_gcd supports at most two variables, got "
+                         + ", ".join(VARS[i] for i in sorted(pv)))
     if A.is_zero():
         return primitive_rat(B)[1] if not B.is_zero() else Poly()
     if B.is_zero():
         return primitive_rat(A)[1]
-    pv = A.vars_present() | B.vars_present()
     if not pv:
         return Poly.const(rat_gcd(A.const_value(), B.const_value()))
     if len(pv) == 1:
-        v = pv.pop()
-        return _gcd_univar(A, B, v)
-    if len(pv) == 2 and len(A.terms) + len(B.terms) > 80:
-        v1, v2 = sorted(pv)
-        # evaluate the variable of smaller degree: fewer sample points
-        d1 = max(A.degree(v1), B.degree(v1))
-        d2 = max(A.degree(v2), B.degree(v2))
-        vm, ve = (v2, v1) if d1 <= d2 else (v1, v2)
-        return _poly_gcd_bivar(A, B, vm, ve)
-    v = max(pv)
-    ua, ub = A.as_univar(v), B.as_univar(v)
-    ca, cb = _uv_content(ua), _uv_content(ub)
-    cont = poly_gcd(ca, cb)
-    pa = [poly_div_exact(c, ca) for c in ua]
-    pb = [poly_div_exact(c, cb) for c in ub]
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while pb:
-        r = _prem(pa, pb)
-        pa = pb
-        if not r:
-            pb = []
-            break
-        cr = _uv_content(r)
-        pb = [poly_div_exact(c, cr) for c in r]
-    g = Poly.from_univar(pa, v)
-    g = primitive_rat(g)[1]
-    return cont * g
+        return _gcd_univar(A, B, pv.pop())
+    v1, v2 = sorted(pv)
+    # evaluate the variable of smaller degree: fewer sample points
+    d1 = max(A.degree(v1), B.degree(v1))
+    d2 = max(A.degree(v2), B.degree(v2))
+    vm, ve = (v2, v1) if d1 <= d2 else (v1, v2)
+    return _poly_gcd_bivar(A, B, vm, ve)
 
 
 def clear_and_normalize(polys: list, sign_entry: int = 0) -> list:
@@ -662,7 +593,7 @@ def clear_and_normalize(polys: list, sign_entry: int = 0) -> list:
     polys = [poly_div_exact(p, g) if not p.is_zero() else p for p in polys]
     c = ZERO
     for p in polys:
-        c = rat_gcd(c, rat_content(p)) if not p.is_zero() else c
+        c = rat_gcd(c, rat_content(p))
     polys = [p.scale(ONE / c) for p in polys]
     anchor = polys[sign_entry]
     if anchor.is_zero():

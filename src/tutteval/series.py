@@ -205,9 +205,6 @@ class Series3:
     def __repr__(self):
         return f"Series3(D={self.D}, L={self.L}, terms={len(self.coeffs)})"
 
-    def __str__(self):
-        return series3_to_str(self)
-
 
 class Series2:
     """Truncated series in s, lambda: {(b,c): Rat} with b <= S, c <= L."""
@@ -352,9 +349,6 @@ class Series2:
     def __repr__(self):
         return f"Series2(S={self.S}, L={self.L}, terms={len(self.coeffs)})"
 
-    def __str__(self):
-        return series2_to_str(self)
-
 
 def assert_degree_le(A: Series2, bound: int) -> Report:
     """Check every stored monomial s^b l^c satisfies 2b - 2c <= bound."""
@@ -407,10 +401,6 @@ class LaurentX:
     @staticmethod
     def monomial(k, v, N) -> "LaurentX":
         return LaurentX({k: _q(v)}, {}, N)
-
-    @staticmethod
-    def log2(N) -> "LaurentX":
-        return LaurentX({}, {0: ONE}, N)
 
     def coeff(self, k):
         """(rational part, log2 part) of x^k."""
@@ -509,20 +499,3 @@ class LaurentX:
     def __repr__(self):
         return (f"LaurentX(N={self.N}, terms={len(self.q)}"
                 f"+{len(self.p)}*log2)")
-
-
-# -- text serialization ----------------------------------------------------
-
-
-def series3_to_str(A: Series3) -> str:
-    lines = [f"caps D={A.D}, L={A.L}"]
-    for (a, b, c) in sorted(A.coeffs, key=lambda k: (k[0] + 2 * k[1], k)):
-        lines.append(f"{A.coeffs[(a, b, c)]} * t^{a} s^{b} l^{c}")
-    return "\n".join(lines)
-
-
-def series2_to_str(A: Series2) -> str:
-    lines = [f"caps S={A.S}, L={A.L}"]
-    for (b, c) in sorted(A.coeffs):
-        lines.append(f"{A.coeffs[(b, c)]} * s^{b} l^{c}")
-    return "\n".join(lines)

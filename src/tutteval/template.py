@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exactnum import ONE, Rat, ZERO, binomial, double_factorial
 from .polyring import Poly, partial_derivative, poly_div_exact
@@ -284,17 +285,24 @@ def h_m_series(m: int, S: int, L: int, kappa=None):
     return main, l2
 
 
+@lru_cache(maxsize=1)
+def relation_series(D: int, L: int) -> Series3:
+    """log(1 + t + r) with r = s/(1+lambda s) + tau(lambda), at caps (D, L):
+    the series behind both the candidate relations (see `verifier.f_table`)
+    and the direct reduction of h_m.  The last caps are cached, since the
+    h_m checks need the same expansion for every m."""
+    t = Series3.var("t", D, L)
+    s = Series3.var("s", D, L)
+    lam = Series3.var("l", D, L)
+    tau = Series3.from_series2(tau_series(L), D, L)
+    return (1 + t + s * (1 + lam * s).inverse() + tau).log()
+
+
 def direct_reduction(m: int, S: int, L: int) -> Series2:
     """Template reduction of t^m log(1 + t + r), expanded honestly in three
     variables at caps (2S, L) and then reduced."""
-    D = 2 * S
-    t = Series3.var("t", D, L)
-    s3 = Series3.var("s", D, L)
-    lam3 = Series3.var("l", D, L)
-    tau3 = Series3.from_series2(tau_series(L), D, L)
-    r3 = s3 * (1 + lam3 * s3).inverse() + tau3
-    lg = (1 + t + r3).log()
-    return reduce_templates_series((t ** m) * lg)
+    t = Series3.var("t", 2 * S, L)
+    return reduce_templates_series((t ** m) * relation_series(2 * S, L))
 
 
 def verify_h_m(m: int, S: int, L: int) -> Report:

@@ -21,8 +21,7 @@ from .exactnum import ONE, ZERO
 from .polyring import Poly
 from .report import Report, failed, passed
 from .series import Series3
-from .template import integrate
-from .tutte import tau_series
+from .template import integrate, relation_series
 
 # -- the f-table -----------------------------------------------------------
 
@@ -58,15 +57,7 @@ def f_table(K_max: int, I_max: int) -> FTable:
     """Expand log(1 + t + s/(1+lambda s) + tau(lambda)) and regroup."""
     if K_max < 1 or I_max < 0:
         raise ValueError("caps must be positive")
-    D = K_max + 2 * I_max
-    L = I_max
-    t = Series3.var("t", D, L)
-    s = Series3.var("s", D, L)
-    lam = Series3.var("l", D, L)
-    r = s * (1 + lam * s).inverse()
-    tau = (Series3.from_series2(tau_series(L), D, L) if L
-           else Series3.zero(D, L))
-    f = (1 + t + r + tau).log()
+    f = relation_series(K_max + 2 * I_max, I_max)
     tab = FTable(K_max, I_max)
     for (a, b, c), v in f.coeffs.items():
         k = a + 2 * b - 2 * c

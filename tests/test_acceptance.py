@@ -55,7 +55,7 @@ def test_criterion_3_first_derivative_closed_form():
         assert len(p0.num) == 4
         for i in range(4):
             assert p0.num[i].scale(p0.c) * poly_parse("256*l^2 - 27*l") == \
-                p0.den_poly() * num.coeff_of("f", i)
+                p0.den_poly() * num.as_univar("f")[i]
 
     _criterion(3, "first derivative as exact rational function", 1, check)
 

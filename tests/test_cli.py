@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from tutteval import cli, verifier
+from tutteval import cli, holonomic, verifier
 from tutteval.cli import _fixture_report, build_parser, main
 from tutteval.report import Report, reports_to_json
 
@@ -134,3 +134,45 @@ def test_failure_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+
+
+def _run_holonomic(argv, capsys, tmp_path):
+    path = tmp_path / "reports.json"
+    rc = main(["holonomic"] + argv + ["--emit-json", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    return rc, lines, json.loads(path.read_text())
+
+
+def test_b_direct_cap_error_is_a_report(capsys, tmp_path):
+    # caps too small for the orders: an inconclusive report in place of a
+    # traceback, and nothing that needs the direct sequence
+    rc, lines, data = _run_holonomic(
+        ["--s-cap", "5", "--b-orders", "4"], capsys, tmp_path)
+    assert rc == 1
+    rep = next(r for r in data if r["check"] == "b_direct")
+    assert rep["status"] == "inconclusive"
+    assert rep["params"] == {"s_cap": 5, "orders": 4}
+    assert rep["witness"] == "s cap 5 too small for lambda cap 4"
+    assert not any(r["check"] == "b_equality" for r in data)
+    assert [r["params"]["source"] for r in data
+            if r["check"] == "b_degree"] == ["recursion"]
+    assert all(r["status"] == "pass" for r in data if r is not rep)
+    assert any(line.startswith("[INCONCLUSIVE] b_direct") for line in lines)
+
+
+def test_b_direct_saturation_is_a_report(monkeypatch, capsys, tmp_path):
+    def saturated(S, L):
+        raise ArithmeticError(f"b_3 saturates the s cap {S}; "
+                              "result inconclusive")
+
+    monkeypatch.setattr(holonomic, "b_direct", saturated)
+    fixdir = tmp_path / "fix"
+    rc, _, data = _run_holonomic(
+        ["--b-orders", "4", "--fixtures", str(fixdir)], capsys, tmp_path)
+    assert rc == 1
+    rep = next(r for r in data if r["check"] == "b_direct")
+    assert rep["status"] == "inconclusive"
+    assert rep["witness"] == "b_3 saturates the s cap 14; result inconclusive"
+    assert not any(r["check"] == "b_equality" for r in data)
+    # no direct sequence, so nothing is pinned for it
+    assert not (fixdir / "b_sequence.json").exists()

@@ -1,6 +1,10 @@
 """No dead code in the package: every module-level function and class of
-src/tutteval is referenced from src/ somewhere outside its own definition,
-so a function that only tests call cannot come back unnoticed."""
+src/tutteval, and every method of those classes other than the dunder
+methods, is referenced from src/ somewhere outside its own definition, so
+a function that only tests call cannot come back unnoticed.
+
+A reference is matched by name only: a method counts as used when any
+attribute of that name is read in src/."""
 
 import ast
 from pathlib import Path
@@ -8,16 +12,29 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "tutteval"
 
 
+def _is_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+
+
+def _is_dunder(node) -> bool:
+    return node.name.startswith("__") and node.name.endswith("__")
+
+
 def _scan(root):
     """(definitions, references): (path, node) of every module-level def and
-    class, and (path, line, name) of every Name and Attribute in src/."""
+    class and of every non-dunder method of those classes, and (path, line,
+    name) of every Name and Attribute in src/."""
     defs, refs = [], []
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defs.append((path, node))
+            if not _is_def(node):
+                continue
+            defs.append((path, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(path, meth) for meth in node.body
+                         if _is_def(meth) and not _is_dunder(meth)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.append((path, node.lineno, node.id))
@@ -42,8 +59,13 @@ def test_every_module_level_definition_is_used_in_src():
 
 
 def test_the_guard_sees_an_unused_definition(tmp_path):
-    # a recursive function that nothing else calls is still dead
+    # a recursive function that nothing else calls is still dead, and so is
+    # a method that only calls itself; dunder methods are exempt
     (tmp_path / "mod.py").write_text(
-        "def used():\n    return 1\n\n\n"
-        "def dead(n):\n    return dead(n - 1) if n else used()\n")
-    assert _unreferenced(tmp_path) == ["mod.py:5 dead"]
+        "def used():\n    return Box()\n\n\n"
+        "def dead(n):\n    return dead(n - 1) if n else used()\n\n\n"
+        "class Box:\n"
+        "    def __str__(self):\n        return self.live()\n\n"
+        "    def live(self):\n        return Box()\n\n"
+        "    def idle(self, n):\n        return self.idle(n - 1)\n")
+    assert _unreferenced(tmp_path) == ["mod.py:5 dead", "mod.py:16 idle"]

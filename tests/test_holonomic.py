@@ -4,6 +4,8 @@ their band structure, and the recursively generated coefficient sequence."""
 import json
 from pathlib import Path
 
+import pytest
+
 from tutteval import holonomic
 from tutteval.exactnum import ONE, Rat
 from tutteval.holonomic import (DependencyVector, PhiQuot, _pq_add, _pq_dlam,
@@ -11,8 +13,8 @@ from tutteval.holonomic import (DependencyVector, PhiQuot, _pq_add, _pq_dlam,
                                 b_direct, b_equality_report, b_recursion,
                                 coprimality_report, dependency_report,
                                 find_R, find_Rhat, p0_quot, p0_report,
-                                p0_series_report, pq_from_poly, q_tower,
-                                tower_oracle, weighted_degree)
+                                p0_series_report, pq_from_poly, q1_phi,
+                                q_tower, tower_oracle, weighted_degree)
 from tutteval.polyring import (Poly, partial_derivative, poly_parse,
                                poly_to_str)
 
@@ -32,19 +34,36 @@ def test_p0_closed_form():
     assert len(p0.num) == 4
     for i in range(4):
         assert p0.num[i].scale(p0.c) * den == \
-            p0.den_poly() * num.coeff_of("f", i)
+            p0.den_poly() * num.as_univar("f")[i]
 
 
 def test_p0_solves_the_implicit_derivative():
     # P_phi phi' + P_lambda = 0 modulo P, with P0 built from P alone; the
     # inversion of P_phi needs no prime beyond l and 256 l - 27
     P = holonomic.P_DEFINING
-    primes = list(holonomic._PRIMES)
     p0 = p0_quot.__wrapped__()
-    assert holonomic._PRIMES == primes
+    assert set(p0.den) <= {holonomic.LAM, holonomic.SINGULAR}
     residue = _pq_add(_pq_mul(p0, pq_from_poly(partial_derivative(P, "f"))),
                       pq_from_poly(partial_derivative(P, "l")))
     assert residue.is_zero()
+
+
+def test_p0_closed_form_by_sympy():
+    # an independent route to the pinned closed form: -P_lambda / P_phi
+    # minus it reduces to 0 modulo P
+    sympy = pytest.importorskip("sympy")
+    l, f = sympy.symbols("l f")
+
+    def to_sympy(p):
+        return sympy.sympify(poly_to_str(p).replace("^", "**"))
+
+    P = f - l * (1 + f) ** 4
+    num = to_sympy(holonomic.P0_EXPECTED_NUM)
+    den = sympy.Mul(*[to_sympy(p) ** e
+                      for p, e in holonomic.P0_EXPECTED_DEN.items()])
+    residue = sympy.expand(-sympy.diff(P, l) * den - num * sympy.diff(P, f))
+    assert sympy.rem(residue, P, f) == 0
+    assert sympy.rem(residue + l, P, f) != 0
 
 
 def test_p0_reports():
@@ -160,6 +179,18 @@ def test_q_tower_extends_without_mutation():
     assert len(t4) == 5 and q_tower(3) is t3
     assert all(a is b for a, b in zip(t3, t4))
     assert isinstance(t4, tuple)
+
+
+def test_q_tower_does_not_depend_on_build_order():
+    # the primes of a denominator are its keys, so which of phi' and Q1 is
+    # built first leaves no trace in the tower
+    built = []
+    for first in (q1_phi, p0_quot):
+        for fn in (p0_quot, q1_phi, q_tower):
+            fn.cache_clear()
+        first()
+        built.append([(q.num, list(q.den.items()), q.c) for q in q_tower(2)])
+    assert built[0] == built[1]
 
 
 def test_coprimality():

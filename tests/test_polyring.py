@@ -1,5 +1,6 @@
-"""Polynomial layer: arithmetic, exact division, gcd (both strategies),
-normalization of polynomial vectors, and the text format."""
+"""Polynomial layer: arithmetic, exact division, gcd (sympy as the
+independent reference), normalization of polynomial vectors, and the text
+format."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tutteval.exactnum import ONE, Rat
 from tutteval._kernels_py import mul_poly
-from tutteval.polyring import (Poly, _euclid_lists, _interpolate,
+from tutteval.polyring import (VARS, Poly, _euclid_lists, _interpolate,
                                _poly_gcd_bivar, clear_and_normalize,
                                partial_derivative, poly_div_exact, poly_gcd,
                                poly_parse, poly_to_str, primitive_rat,
@@ -279,7 +280,7 @@ def test_primitive_rat_sign():
     assert pp.leading_coeff() > 0
 
 
-# -- gcd: both strategies --------------------------------------------------
+# -- gcd --------------------------------------------------------------------
 
 
 def test_gcd_examples():
@@ -303,10 +304,32 @@ def test_gcd_divides_inputs(seed):
     poly_div_exact(B, g)
 
 
+def test_gcd_rejects_three_variables():
+    with pytest.raises(ValueError):
+        poly_gcd(t * s, s * lam)
+    with pytest.raises(ValueError):
+        poly_gcd(Poly(), t + s + lam)
+
+
+def sympy_gcd(A: Poly, B: Poly) -> Poly:
+    """Reference: sympy's gcd, normalized like poly_gcd by primitive_rat."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(VARS)
+
+    def to_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*[g ** e for g, e in zip(gens, m)])
+                    for m, c in p.terms.items()), sympy.Integer(0))
+
+    g = sympy.Poly(sympy.gcd(to_sympy(A), to_sympy(B)), *gens)
+    return primitive_rat(Poly({m: Rat(int(c.p), int(c.q))
+                               for m, c in g.terms()}))[1]
+
+
 @given(st.integers(0, 10 ** 6))
-@settings(max_examples=25, deadline=None)
-def test_bivar_gcd_matches_prs(seed):
-    # the interpolation strategy must return exactly the PRS answer
+@settings(max_examples=40, deadline=None)
+def test_bivar_gcd_matches_sympy(seed):
+    # Brown's interpolation, from either variable, against sympy
     rng = random.Random(seed)
     G = _random_poly(rng, nvars=2, deg=3, nterms=3, start=1)
     A = G * _random_poly(rng, nvars=2, deg=3, nterms=3, start=1)
@@ -317,9 +340,10 @@ def test_bivar_gcd_matches_prs(seed):
     if len(pv) != 2:
         return
     v1, v2 = sorted(pv)
-    prs = poly_gcd(A, B)
-    assert _poly_gcd_bivar(A, B, v1, v2) == prs
-    assert _poly_gcd_bivar(A, B, v2, v1) == prs
+    expected = sympy_gcd(A, B)
+    assert poly_gcd(A, B) == expected
+    assert _poly_gcd_bivar(A, B, v1, v2) == expected
+    assert _poly_gcd_bivar(A, B, v2, v1) == expected
 
 
 def naive_interpolate(xs: list, ys: list) -> list:
@@ -353,8 +377,7 @@ def test_interpolate_matches_newton(seed):
 
 
 def test_gcd_large_dispatch():
-    # over the dispatch threshold the interpolation path is used; the common
-    # factor must still come back exactly
+    # a large bivariate instance: the common factor must come back exactly
     G = (s ** 3 + lam * s - 2) * (s - lam ** 2 + 1)
     A = G * sum((i + 1) * s ** i * lam ** (i % 4) for i in range(45))
     B = G * sum((2 * i + 1) * s ** (i % 7) * lam ** i for i in range(40))
@@ -366,9 +389,9 @@ def test_gcd_large_dispatch():
 
 
 def test_clear_and_normalize():
-    v = [Rat(2, 3) * t * s * lam, Rat(4, 5) * t * t * lam ** 2]
+    v = [Rat(2, 3) * (s - 1) * s * lam, Rat(4, 5) * (s - 1) ** 2 * lam ** 2]
     out = clear_and_normalize(v)
-    assert out == [5 * s, 6 * t * lam]
+    assert out == [5 * s, 6 * (s - 1) * lam]
     # the normalized vector stays proportional to the input
     assert out[0] * v[1] == out[1] * v[0]
     with pytest.raises(ValueError):

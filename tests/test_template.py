@@ -111,6 +111,32 @@ def test_kappa_log2_part_is_central_binomial():
         assert kappa_constant(m)[1] == binomial(m, m // 2)
 
 
+def test_kappa_by_sympy():
+    # an independent expansion: kappa_m is minus the x^0 coefficient of
+    # Q1(1/x) + Q2(1/x) sqrt(1-4x^2) - C(m,m/2) log(1 + sqrt(1-4x^2))
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rt = sympy.sqrt(1 - 4 * x ** 2)
+
+    def at_inv_x(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x ** -m[5]
+                   for m, c in p.terms.items())
+
+    pinned = {0: sympy.log(2), 2: -1 + 2 * sympy.log(2),
+              4: sympy.Rational(-7, 2) + 6 * sympy.log(2)}
+    for m in range(0, 9, 2):
+        closed = (at_inv_x(q1_poly(m)) + at_inv_x(q2_poly(m)) * rt
+                  - int(binomial(m, m // 2)) * sympy.log(1 + rt))
+        c0 = sympy.series(closed, x, 0, 1).removeO().coeff(x, 0)
+        kq, kp = kappa_constant(m)
+        mine = (sympy.Rational(kq.numerator, kq.denominator)
+                + sympy.Rational(kp.numerator, kp.denominator)
+                * sympy.log(2))
+        assert sympy.expand(mine + c0) == 0, m
+        if m in pinned:
+            assert sympy.expand(mine - pinned[m]) == 0, m
+
+
 def test_h_m_small_caps():
     for m in range(4):
         rep = verify_h_m(m, 8, 5)
