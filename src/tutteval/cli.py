@@ -115,6 +115,11 @@ def _holonomic_suite(args) -> list:
 
 
 def _conjecture_suite(args) -> list:
+    if args.n_max < 1 or args.i_max < 0:
+        return [inconclusive("conjecture",
+                             {"n_max": args.n_max, "i_max": args.i_max},
+                             "no relation to check; need n_max >= 1 and "
+                             "i_max >= 0", 0, time.perf_counter())]
     tab = verifier.f_table(args.n_max + 2, args.i_max)
     reports = [tab.degree_report()]
     reports += verifier.conjecture_reports(args.n_max, args.i_max, args.jobs,
@@ -125,6 +130,10 @@ def _conjecture_suite(args) -> list:
 
 
 def _hilbert_suite(args) -> list:
+    if args.n_max < 1:
+        return [inconclusive("hilbert", {"n_max": args.n_max},
+                             "no dimension to check; need n_max >= 1", 0,
+                             time.perf_counter())]
     return [verifier.hilbert_check(n) for n in range(1, args.n_max + 1)]
 
 
@@ -209,17 +218,18 @@ def main(argv=None) -> int:
         shared = ["--jobs", str(ns.jobs)]
         if ns.fixtures:
             shared += ["--fixtures", ns.fixtures]
-        reports = []
-        for name, suite in _SUITES.items():
-            reports += suite(parser.parse_args([name] + shared))
+        runs = [suite(parser.parse_args([name] + shared))
+                for name, suite in _SUITES.items()]
     else:
-        reports = _SUITES[ns.suite](ns)
+        runs = [_SUITES[ns.suite](ns)]
+    reports = [rep for run in runs for rep in run]
     for rep in reports:
         print(rep.line())
     if ns.emit_json:
         with open(ns.emit_json, "w") as fh:
             fh.write(reports_to_json(reports))
-    return 0 if all(r.ok for r in reports) else 1
+    # a suite that checked nothing cannot pass
+    return 0 if all(runs) and all(r.ok for r in reports) else 1
 
 
 if __name__ == "__main__":

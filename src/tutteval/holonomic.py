@@ -724,8 +724,7 @@ def b_direct(S: int, L: int) -> BSeq:
 
     if S < L + 2:
         raise ValueError(f"s cap {S} too small for lambda cap {L}")
-    env = base_series(S, L)
-    b = env["b"]
+    b = base_series(S, L)[-1]
     out = []
     for l in range(L + 1):
         p = b.lambda_slice(l).scale(Rat(factorial(l)))

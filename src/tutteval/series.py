@@ -9,7 +9,10 @@ the t-free case with caps b <= S, c <= L.
 
 All arithmetic is exact and eager; results carry the componentwise minimum
 of the operand caps.  Newton iteration (doubling accuracy per step against
-the filtration by a + 2b + c resp. b + c) drives inverse and sqrt.
+the filtration by a + 2b + c resp. b + c) drives inverse and sqrt.  Only
+Series2 has a log: the one three-variable log the verifier needs,
+log(1 + t + s/(1+lambda s) + tau), is assembled from its t-slices in
+`template.relation_series`.
 
 LaurentX adjoins a formal symbol for log 2 with componentwise equality:
 an element is q(x) + p(x)*log2 with finitely many negative exponents.
@@ -126,21 +129,6 @@ class Series3:
     def truncate(self, D, L) -> "Series3":
         return Series3(self.coeffs, min(self.D, D), min(self.L, L))
 
-    # -- calculus ----------------------------------------------------------
-
-    def deriv_t(self) -> "Series3":
-        out = {}
-        for (a, b, c), v in self.coeffs.items():
-            if a:
-                out[(a - 1, b, c)] = v * a
-        return Series3(out, self.D, self.L)
-
-    def integrate_t(self) -> "Series3":
-        out = {}
-        for (a, b, c), v in self.coeffs.items():
-            out[(a + 1, b, c)] = v / (a + 1)
-        return Series3(out, self.D, self.L)
-
     # -- slices ------------------------------------------------------------
 
     def lambda_slice(self, c: int) -> Poly:
@@ -151,18 +139,7 @@ class Series3:
                 out[(a, b, 0, 0, 0, 0)] = v
         return Poly(out)
 
-    def t_zero(self) -> "Series2":
-        out = {}
-        for (a, b, c), v in self.coeffs.items():
-            if a == 0:
-                out[(b, c)] = v
-        return Series2(out, self.D // 2, self.L)
-
-    @staticmethod
-    def from_series2(A: "Series2", D: int, L: int) -> "Series3":
-        return Series3({(0, b, c): v for (b, c), v in A.coeffs.items()}, D, L)
-
-    # -- inverse / sqrt / log ----------------------------------------------
+    # -- inverse / sqrt ----------------------------------------------------
 
     def inverse(self) -> "Series3":
         c0 = self.coeff(0, 0, 0)
@@ -184,23 +161,6 @@ class Series3:
         for _ in range(_niter(self.D + self.L)):
             z = (z * (three - self * z * z)).scale(half)
         return self * z
-
-    def log(self):
-        """log of a series with constant term 1.
-
-        Computed through d/dt when t occurs (a dozen products instead of
-        one per summation order), falling back to the plain alternating sum
-        on t-free input.
-        """
-        if self.coeff(0, 0, 0) != ONE:
-            raise ValueError("Series3 log needs constant term 1")
-        if any(k[0] for k in self.coeffs):
-            t_part = (self.deriv_t() * self.inverse()).integrate_t()
-            # the constant term is 1, so the log 2 part is zero
-            base, _ = self.t_zero().log()
-            return t_part + Series3.from_series2(base, self.D, self.L)
-        base, _ = self.t_zero().log()
-        return Series3.from_series2(base, self.D, self.L)
 
     def __repr__(self):
         return f"Series3(D={self.D}, L={self.L}, terms={len(self.coeffs)})"

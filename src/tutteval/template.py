@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactnum import ONE, Rat, ZERO, binomial, double_factorial
+from ._kernels_py import mul_trunc2
 from .polyring import Poly, partial_derivative, poly_div_exact
 from .report import Report, failed, inconclusive, passed
-from .series import LaurentX, Series2, Series3, assert_degree_le
+from .series import LaurentX, Series2, Series3, _niter, assert_degree_le
 from .tutte import tau_series
 
 
@@ -224,8 +225,11 @@ def verify_series_identity(m: int, N: int) -> Report:
 # -- the reduced series h_m ------------------------------------------------
 
 
-def base_series(S: int, L: int) -> dict:
-    """Shared (s,lambda) ingredients at caps (S, L): r, b, 1+lambda*s, tau."""
+@lru_cache(maxsize=1)
+def base_series(S: int, L: int) -> tuple:
+    """Shared (s,lambda) ingredients at caps (S, L), as the tuple
+    (s, lambda, 1+lambda*s, tau, r, b).  The last caps are cached, since
+    h_m needs the same ingredients for every m."""
     s = Series2.var("s", S, L)
     lam = Series2.var("l", S, L)
     one_ls = 1 + lam * s
@@ -233,7 +237,7 @@ def base_series(S: int, L: int) -> dict:
                   S, L)
     r = s * one_ls.inverse() + tau
     b = s + one_ls * ((1 + r) ** 2 - s.scale(4)).sqrt()
-    return {"s": s, "lam": lam, "one_ls": one_ls, "tau": tau, "r": r, "b": b}
+    return s, lam, one_ls, tau, r, b
 
 
 def h_m_series(m: int, S: int, L: int, kappa=None):
@@ -246,8 +250,7 @@ def h_m_series(m: int, S: int, L: int, kappa=None):
     if kappa is None:
         kappa = kappa_constant(m)
     kq, kp = kappa
-    env = base_series(S, L)
-    s, one_ls, tau, r, b = (env[k] for k in ("s", "one_ls", "tau", "r", "b"))
+    s, lam, one_ls, tau, r, b = base_series(S, L)
     sgn = Rat(-1 if m % 2 == 0 else 1)  # (-1)^(m+1)
     main = Series2.zero(S, L)
     l2 = Series2.zero(S, L)
@@ -277,7 +280,7 @@ def h_m_series(m: int, S: int, L: int, kappa=None):
 
     if m % 2 == 0:
         cm = binomial(m, m // 2)
-        big = 1 + (one_ls * tau) + (env["lam"] * s) + b
+        big = 1 + (one_ls * tau) + (lam * s) + b
         lg_big, l2_big = big.log()
         lg_small, _ = one_ls.log()  # constant term 1: no log 2 part
         main = main + (s_pow(m // 2) * (lg_big - lg_small)).scale(cm)
@@ -290,17 +293,44 @@ def relation_series(D: int, L: int) -> Series3:
     """log(1 + t + r) with r = s/(1+lambda s) + tau(lambda), at caps (D, L):
     the series behind both the candidate relations (see `verifier.f_table`)
     and the direct reduction of h_m.  The last caps are cached, since the
-    h_m checks need the same expansion for every m."""
-    t = Series3.var("t", D, L)
-    s = Series3.var("s", D, L)
-    lam = Series3.var("l", D, L)
-    tau = Series3.from_series2(tau_series(L), D, L)
-    return (1 + t + s * (1 + lam * s).inverse() + tau).log()
+    h_m checks need the same expansion for every m.
+
+    With u = 1/(1 + r), log(1 + t + r) = log(1 + r) + log(1 + t u), so the
+    t^0 slice is log(1 + r) and the t^a slice, a >= 1, is
+    (-1)^(a+1) u^a / a.  Since 1 + r has integer coefficients and constant
+    term 1, u and its powers are integer series in (s, lambda): the powers
+    are built on ints, truncated to 2b <= D - a, and only the t^0 slice and
+    the factors 1/a are rational.
+    """
+    S = D // 2
+    one_r = {(0, 0): 1}
+    for j in range(1, min(S, L + 1) + 1):  # s/(1+lambda s)
+        one_r[(j, j - 1)] = (-1) ** (j - 1)
+    for (_, c), v in tau_series(L).coeffs.items():
+        if v.denominator != 1:
+            raise ArithmeticError(f"tau coefficient {v} of lambda^{c} "
+                                  "is not an integer")
+        one_r[(0, c)] = one_r.get((0, c), 0) + v.numerator
+    # u = 1/(1 + r) by Newton's iteration x <- x (2 - (1 + r) x)
+    u = {(0, 0): 1}
+    for _ in range(_niter(S + L)):
+        e = {k: -v for k, v in mul_trunc2(one_r, u, S, L).items()}
+        e[(0, 0)] += 2
+        u = mul_trunc2(u, e, S, L)
+    lg, _ = Series2(one_r, S, L).log()  # constant term 1: no log 2 part
+    out = {(0, b, c): v for (b, c), v in lg.coeffs.items()}
+    p = {(0, 0): 1}
+    for a in range(1, D + 1):
+        p = mul_trunc2(p, u, (D - a) // 2, L)
+        sign = 1 if a % 2 else -1
+        for (b, c), v in p.items():
+            out[(a, b, c)] = Rat(sign * v, a)
+    return Series3(out, D, L)
 
 
 def direct_reduction(m: int, S: int, L: int) -> Series2:
-    """Template reduction of t^m log(1 + t + r), expanded honestly in three
-    variables at caps (2S, L) and then reduced."""
+    """Template reduction of t^m log(1 + t + r), from the relation series at
+    caps (2S, L)."""
     t = Series3.var("t", 2 * S, L)
     return reduce_templates_series((t ** m) * relation_series(2 * S, L))
 
@@ -310,6 +340,9 @@ def verify_h_m(m: int, S: int, L: int) -> Report:
     degree <= 2m; the log2 component must cancel identically."""
     t0 = time.perf_counter()
     params = {"m": m, "s_cap": S, "lambda_cap": L}
+    if L < 0:
+        return inconclusive("h_m", params,
+                            f"lambda cap {L} is negative; need >= 0", 0, t0)
     if S < m // 2 + 1:
         # the closed form starts at s^(m/2); below that cap there is
         # nothing to compare

@@ -15,7 +15,7 @@ import time
 from functools import lru_cache
 
 from .exactnum import Rat, binomial, factorial
-from .report import Report, failed, passed
+from .report import Report, failed, inconclusive, passed
 from .series import Series2
 
 TAMARI_MAX = 6  # Catalan(6) = 132 trees; enumeration is instant up to here
@@ -31,14 +31,15 @@ def tutte_coeff(i: int):
 
 def phi_series(L: int) -> Series2:
     """The unique zero-constant series with phi = lambda (1+phi)^4, to
-    lambda-order L.  Fixed-point iteration gains one order per pass."""
+    lambda-order L.  Fixed-point iteration gains one order per pass, so
+    pass k fixes the lambda^k coefficient and runs at lambda-cap k."""
     if L < 1:
         raise ValueError(f"phi_series needs L >= 1, got {L}")
-    lam = Series2.var("l", 0, L)
-    phi = Series2.zero(0, L)
-    for _ in range(L):
-        phi = lam * (1 + phi) ** 4
-    return phi
+    coeffs = {}
+    for k in range(1, L + 1):
+        coeffs = (Series2.var("l", 0, k)
+                  * (1 + Series2(coeffs, 0, k)) ** 4).coeffs
+    return Series2(coeffs, 0, L)
 
 
 def phi_coeff_lagrange(n: int):
@@ -156,6 +157,10 @@ def lagrange_report(n_max: int = 40) -> Report:
     closed form (1/n) C(4n, n-1)."""
     t0 = time.perf_counter()
     params = {"n_max": n_max}
+    if n_max < 1:
+        return inconclusive("phi_lagrange", params,
+                            f"n_max {n_max} leaves no coefficient to compare; "
+                            "need n_max >= 1", 0, t0)
     phi = phi_series(n_max)
     cases = 0
     for n in range(1, n_max + 1):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .exactnum import ONE, ZERO
 from .polyring import Poly
-from .report import Report, failed, passed
+from .report import Report, failed, inconclusive, passed
 from .series import Series3
 from .template import integrate, relation_series
 
@@ -54,7 +54,10 @@ class FTable:
 
 
 def f_table(K_max: int, I_max: int) -> FTable:
-    """Expand log(1 + t + s/(1+lambda s) + tau(lambda)) and regroup."""
+    """Regroup the t^a s^b lambda^c coefficients of the relation series
+    log(1 + t + s/(1+lambda s) + tau(lambda)), built from the powers of one
+    integer series in `template.relation_series`, by (k, i) =
+    (a + 2b - 2c, c)."""
     if K_max < 1 or I_max < 0:
         raise ValueError("caps must be positive")
     f = relation_series(K_max + 2 * I_max, I_max)
@@ -253,6 +256,12 @@ def iso_check(D: int = 10, L: int = 8) -> Report:
     the displayed substitution is inverted by s -> s/(1+lambda s)."""
     t0 = time.perf_counter()
     params = {"order": D, "lambda_cap": L}
+    if D < 4 or L < 1:
+        # the first lambda terms, t lambda s and lambda s^2, need both
+        return inconclusive("iso", params,
+                            f"order {D} and lambda cap {L} leave no lambda "
+                            "term to compare; need order >= 4 and lambda "
+                            "cap >= 1", 0, t0)
     t = Series3.var("t", D, L)
     s = Series3.var("s", D, L)
     lam = Series3.var("l", D, L)

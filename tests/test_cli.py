@@ -80,7 +80,7 @@ def test_all_runs_each_suite_at_its_parser_defaults(monkeypatch, tmp_path):
     def recorder(name):
         def run(args):
             seen[name] = vars(args)
-            return []
+            return [Report(name, {}, "pass", None, 1, 0)]
         return run
 
     monkeypatch.setattr(cli, "_SUITES",
@@ -176,3 +176,42 @@ def test_b_direct_saturation_is_a_report(monkeypatch, capsys, tmp_path):
     assert not any(r["check"] == "b_equality" for r in data)
     # no direct sequence, so nothing is pinned for it
     assert not (fixdir / "b_sequence.json").exists()
+
+
+@pytest.mark.parametrize("argv, check, witness", [
+    (["conjecture", "--i-max", "-1"], "conjecture",
+     "no relation to check; need n_max >= 1 and i_max >= 0"),
+    (["conjecture", "--n-max", "-2"], "conjecture",
+     "no relation to check; need n_max >= 1 and i_max >= 0"),
+    (["conjecture", "--n-max", "0"], "conjecture",
+     "no relation to check; need n_max >= 1 and i_max >= 0"),
+    (["hm", "--m-max", "1", "--lambda-cap", "-1"], "h_m",
+     "lambda cap -1 is negative; need >= 0"),
+    (["tutte", "--max-i", "0"], "phi_lagrange",
+     "n_max 0 leaves no coefficient to compare; need n_max >= 1"),
+    (["hilbert", "--n-max", "0"], "hilbert",
+     "no dimension to check; need n_max >= 1"),
+    (["iso", "--order", "0"], "iso",
+     "order 0 and lambda cap 8 leave no lambda term to compare; "
+     "need order >= 4 and lambda cap >= 1"),
+    (["iso", "--order", "6", "--lambda-cap", "0"], "iso",
+     "order 6 and lambda cap 0 leave no lambda term to compare; "
+     "need order >= 4 and lambda cap >= 1"),
+    (["template", "--m-max", "-1"], None, None),
+])
+def test_bad_caps_are_reports(argv, check, witness, capsys, tmp_path):
+    # caps that leave nothing to compare give inconclusive reports and exit
+    # 1, never a traceback or a pass on zero cases; a suite with no report
+    # at all also exits 1
+    path = tmp_path / "reports.json"
+    rc = main(argv + ["--emit-json", str(path)])
+    capsys.readouterr()
+    assert rc == 1
+    data = json.loads(path.read_text())
+    bad = [r for r in data if r["status"] != "pass"]
+    if check is None:
+        assert data == []
+        return
+    assert bad and all(r["status"] == "inconclusive" for r in bad)
+    assert all(r["check"] == check and r["witness"] == witness
+               and r["n_cases"] == 0 for r in bad)

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from tutteval.exactnum import ONE, Rat, ZERO
 from tutteval.series import LaurentX, Series2, Series3, assert_degree_le
+from tutteval.template import relation_series
+
+from test_template import _relation_series_3var
 
 
 def s2(S=8, L=6):
@@ -82,17 +85,19 @@ def test_series2_truncation_consistency():
 
 
 def test_series3_log_small():
-    D, L = 6, 3
+    # at lambda cap 0 the relation series is log(1 + t + s)
+    D, L = 6, 0
     t = Series3.var("t", D, L)
     s = Series3.var("s", D, L)
-    f = (1 + t + s).log()
+    f = relation_series(D, L)
     # hand expansion: t - t^2/2 + s + t^3/3 - ts ...
     assert f.coeff(1, 0, 0) == ONE
     assert f.coeff(2, 0, 0) == Rat(-1, 2)
     assert f.coeff(0, 1, 0) == ONE
     assert f.coeff(1, 1, 0) == Rat(-1)
     assert f.coeff(3, 0, 0) == Rat(1, 3)
-    assert _exp(f, D + L) == 1 + t + s
+    assert _exp(f, D) == 1 + t + s
+    assert f == _relation_series_3var(D, L)
 
 
 def test_series3_inverse_sqrt():

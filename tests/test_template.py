@@ -1,16 +1,48 @@
 """Template integrals, the auxiliary ODE families, the Laurent identity
 with its pinned constants, and the h_m equivalence."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tutteval import template
 from tutteval.exactnum import ONE, Rat, ZERO, binomial
 from tutteval.polyring import Poly, poly_parse
 from tutteval.series import Series2, Series3
 from tutteval.template import (integrate, kappa_constant, monomial_template,
                                q1_poly, q2_poly, reduce_templates_series,
-                               verify_h_m, verify_q2_ode,
+                               relation_series, verify_h_m, verify_q2_ode,
                                verify_series_identity)
+from tutteval.tutte import tau_series
+
+
+def _relation_series_3var(D, L):
+    """The second route to log(1 + t + r), r = s/(1+lambda s) + tau, in
+    three variables on rationals: the t-part integrates d/dt log = A_t / A
+    (a Newton inverse of the whole Series3 times the t-derivative), and the
+    t^0 part is the Series2 log of A at t = 0."""
+    t = Series3.var("t", D, L)
+    s = Series3.var("s", D, L)
+    lam = Series3.var("l", D, L)
+    tau = Series3({(0, 0, c): v for (_, c), v in tau_series(L).coeffs.items()},
+                  D, L)
+    A = 1 + t + s * (1 + lam * s).inverse() + tau
+    dA = Series3({(a - 1, b, c): v * a
+                  for (a, b, c), v in A.coeffs.items() if a}, D, L)
+    out = {(a + 1, b, c): v / (a + 1)
+           for (a, b, c), v in (dA * A.inverse()).coeffs.items()}
+    base, l2 = Series2({(b, c): v for (a, b, c), v in A.coeffs.items()
+                        if a == 0}, D // 2, L).log()
+    assert l2 == ZERO
+    out.update({(0, b, c): v for (b, c), v in base.coeffs.items()})
+    return Series3(out, D, L)
+
+
+def _digest(f):
+    text = "".join(f"{a} {b} {c} {v}\n"
+                   for (a, b, c), v in sorted(f.coeffs.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_monomial_template_values():
@@ -59,6 +91,35 @@ def test_reduction_preserves_integrals(a, b, n):
     reduced = reduce_templates_series(Series3({(a, b, 0): Rat(3, 2)},
                                               a + 2 * b, 0))
     assert integrate(p, n) == integrate(reduced.lambda_slice(0), n)
+
+
+@pytest.mark.parametrize("D, L", [(6, 2), (9, 4), (12, 0), (17, 4), (24, 8)])
+def test_relation_series_matches_three_variable_route(D, L):
+    f = relation_series(D, L)
+    assert (f.D, f.L) == (D, L)
+    assert f == _relation_series_3var(D, L)
+
+
+def test_relation_series_digest():
+    # the (38, 10) expansion behind `verify conjecture --n-max 16 --i-max 10`
+    f = relation_series(38, 10)
+    assert len(f.coeffs) == 4378
+    assert _digest(f) == ("e159c9761a03123bf2719b2e0c4601d1"
+                          "2872b93309f61e0429f53d58fd6ea280")
+
+
+def test_relation_series_rejects_non_integer_tau(monkeypatch):
+    def bad_tau(L):
+        tau = tau_series(L)
+        return Series2({**tau.coeffs, (0, 2): Rat(7, 2)}, 0, L)
+
+    monkeypatch.setattr(template, "tau_series", bad_tau)
+    relation_series.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="7/2"):
+            relation_series(6, 2)
+    finally:
+        relation_series.cache_clear()
 
 
 def test_q_polys_low_orders():
