@@ -58,7 +58,15 @@ def _tutte_suite(args) -> list:
     ]
 
 
+def _no_m(suite: str, m_max: int) -> list:
+    return [inconclusive(suite, {"m_max": m_max},
+                         f"m in 0..{m_max} is empty; need m_max >= 0", 0,
+                         time.perf_counter())]
+
+
 def _template_suite(args) -> list:
+    if args.m_max < 0:
+        return _no_m("template", args.m_max)
     reports = [template.verify_q2_ode(m) for m in range(args.m_max + 1)]
     for m in range(min(args.m_max, 8) + 1):
         reports.append(template.verify_series_identity(m, args.order))
@@ -70,6 +78,8 @@ def _template_suite(args) -> list:
 
 
 def _hm_suite(args) -> list:
+    if args.m_max < 0:
+        return _no_m("hm", args.m_max)
     return [template.verify_h_m(m, args.s_cap, args.lambda_cap)
             for m in range(args.m_max + 1)]
 

@@ -453,71 +453,87 @@ def weighted_degree(p: Poly) -> int:
     return max(2 * m[1] - 2 * m[2] for m in p.terms)
 
 
-def _kernel_vector(cols: list) -> list:
-    """Kernel vector of the 4x5 phi-coefficient matrix of the given PhiQuot
-    columns, by the fraction-free Cramer rule: component i is the signed
-    maximal minor omitting column i, applied to the numerator matrix, then
-    rescaled by the column denominators.  All five minors vanishing would
-    mean rank < 4, i.e. kernel dimension > 1, and is rejected; fraction
-    arithmetic on large minors (which a Bareiss back-substitution would
-    need) is avoided entirely.
+def _prime_power(exps: dict, base: dict) -> Poly:
+    """The product of p^(e - base[p]) over the primes p with exponent
+    e > base[p] in exps."""
+    out = Poly.one()
+    for p, e in exps.items():
+        if e > base[p]:
+            out = out * p ** (e - base[p])
+    return out
 
-    The five minors are assembled from shared 2x2 and 3x3 subminors.  The
+
+def _kernel_vector(cols: list) -> list:
+    """Kernel vector of the 4x5 phi-coefficient matrix of the PhiQuot
+    columns Q_0/0!, ..., Q_4/4!, whose column 0 is a nonzero constant,
+    i.e. a multiple of e_0.
+
+    With N the numerator matrix and k its (0, 0) entry, the fraction-free
+    Cramer rule then needs only the four signed 3x3 minors y_j of rows 1..3
+    over columns 1..4 (y_j omits column j): components 1..4 of the kernel
+    of N are y_1..y_4, and row 0 gives component 0 as
+    -(N[0][1] y_1 + ... + N[0][4] y_4) / k.  All four minors vanishing
+    would mean rows 1..3 have rank < 3, i.e. kernel dimension > 1, and is
+    rejected.  The components are then rescaled by the column
+    denominators.
+
+    The minors are assembled from the 2x2 minors of rows 1 and 2.  The
     numerators that `_pq_normalize` leaves are content-free integer
     polynomials, so every product in the minors runs on integers (see
-    `Poly.__mul__`), several times faster than on rationals; the results
-    come back with rational coefficients, ready for exact division.  The
-    (large) common content of the minors coming from the column
-    denominators is then removed in exponent space by trial division by
-    the primes of those denominators, so the later generic gcd only sees
-    the small residue."""
+    `Poly.__mul__`), several times faster than on rationals.  The (large)
+    common content of the components coming from the column denominators
+    is removed in exponent space by trial division by the primes of those
+    denominators, so the later generic gcd only sees the small residue.
+    The minors are stripped of those primes first, and component 0 is
+    summed from their cores times only the prime powers above the least
+    ones: the same polynomial, divided by a known prime power, from
+    products a few times smaller."""
+    head = cols[0]
+    if head.den or len(head.num) != 1 or not head.num[0].is_const() \
+            or head.num[0].is_zero():
+        raise ArithmeticError("column 0 is not a nonzero constant")
     n = len(cols)
     N = [[col.num[r] if r < len(col.num) else Poly() for col in cols]
          for r in range(4)]
     m2 = {}
-    for j, k in combinations(range(n), 2):
-        m2[(j, k)] = N[0][j] * N[1][k] - N[0][k] * N[1][j]
-    m3 = {}
-    for a, b, c in combinations(range(n), 3):
-        m3[(a, b, c)] = (N[2][a] * m2[(b, c)] - N[2][b] * m2[(a, c)]
-                         + N[2][c] * m2[(a, b)])
-    minors = []
-    for i in range(n):
-        cs = [j for j in range(n) if j != i]
-        det = Poly()
-        for t in range(4):
-            entry = N[3][cs[t]]
-            if entry.is_zero():
-                continue
-            term = entry * m3[tuple(cs[:t] + cs[t + 1:])]
-            det = det + (term if (3 + t) % 2 == 0 else -term)
-        if i % 2:
-            det = -det
-        minors.append(det)
-    if all(d.is_zero() for d in minors):
+    for j, k in combinations(range(1, n), 2):
+        m2[(j, k)] = N[1][j] * N[2][k] - N[1][k] * N[2][j]
+    ys = [Poly()]
+    for i in range(1, n):
+        a, b, c = [j for j in range(1, n) if j != i]
+        y = (N[3][a] * m2[(b, c)] - N[3][b] * m2[(a, c)]
+             + N[3][c] * m2[(a, b)])
+        ys.append(-y if i % 2 else y)
+    if all(y.is_zero() for y in ys):
         raise ArithmeticError(
-            "all maximal minors vanish: kernel dimension exceeds 1")
+            "all 3x3 minors of rows 1..3 vanish: kernel dimension exceeds 1")
+    primes = dict.fromkeys(p for col in cols for p in col.den)
+
+    def strip(d: Poly) -> tuple:
+        return _strip_primes(d, primes) if not d.is_zero() else (d, {})
+
+    def least() -> dict:
+        return {p: min(e.get(p, 0) for core, e in stripped
+                       if not core.is_zero()) for p in primes}
+
+    stripped = [strip(y) for y in ys]
+    low = least()
+    x0 = Poly()
+    for j in range(1, n):
+        core, exps = stripped[j]
+        if not core.is_zero():
+            x0 = x0 - N[0][j] * (core * _prime_power(exps, low))
+    core, exps = strip(x0.scale(ONE / head.num[0].const_value()))
+    stripped[0] = (core, {p: exps.get(p, 0) + e for p, e in low.items()})
     # undo the column scaling: the value matrix has columns c_i N_i / D_i,
     # so component i picks up D_i / c_i; track the prime powers of D_i and
     # of the minors themselves as exponent vectors and drop their common part
-    primes = dict.fromkeys(p for col in cols for p in col.den)
-    stripped = []
-    for i, d in enumerate(minors):
-        core, exps = (_strip_primes(d, primes) if not d.is_zero()
-                      else (d, {}))
-        for p, e in cols[i].den.items():
+    for (core, exps), col in zip(stripped, cols):
+        for p, e in col.den.items():
             exps[p] = exps.get(p, 0) + e
-        stripped.append((core, exps))
-    live = [e for c, e in stripped if not c.is_zero()]
-    base = {p: min(e.get(p, 0) for e in live) for p in primes}
-    vec = []
-    for i, (core, exps) in enumerate(stripped):
-        lift = Poly.one()
-        for p, e in exps.items():
-            if e - base[p] > 0:
-                lift = lift * p ** (e - base[p])
-        vec.append((core * lift).scale(ONE / cols[i].c))
-    return vec
+    base = least()
+    return [(core * _prime_power(exps, base)).scale(ONE / col.c)
+            for (core, exps), col in zip(stripped, cols)]
 
 
 def _anchor_sign(entries: list, pos: int, factor: Poly) -> list:
@@ -537,7 +553,14 @@ def _anchor_sign(entries: list, pos: int, factor: Poly) -> list:
 
 @lru_cache(maxsize=1)
 def find_R() -> DependencyVector:
-    """Dependency among Q_0/0!, ..., Q_4/4!: the rank-4 relation."""
+    """Dependency among Q_0/0!, ..., Q_4/4!: the rank-4 relation.
+
+    Q_0 = 1 is the unit column, so `_kernel_vector` reads R_1..R_4 off the
+    3x3 minors of the phi^1..phi^3 rows of Q_1..Q_4 and R_0 off the phi^0
+    row; it raises ArithmeticError if those rows have rank below 3, i.e. if
+    the kernel is not a line.  The vector is then cleared of its common
+    factor and content, and its sign is fixed by the band R_{1,0}, a
+    positive multiple of s - 1."""
     tower = q_tower(4)
     cols = [_pq_scale(tower[i], Rat(1, factorial(i))) for i in range(5)]
     entries = clear_and_normalize(_kernel_vector(cols), sign_entry=0)

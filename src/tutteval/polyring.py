@@ -480,7 +480,13 @@ def _poly_gcd_bivar(A: Poly, B: Poly, vm: int, ve: int) -> Poly:
     """gcd of polynomials in exactly the two variables vm, ve by evaluation
     at ve = 0, 1, 2, ... and interpolation of the univariate gcd images
     (Brown's method over the rationals, W. S. Brown, J. ACM 18(4), 1971),
-    each image a univariate gcd on integer coefficient lists."""
+    each image a univariate gcd on integer coefficient lists.
+
+    The interpolant H of the images of least degree has the vm-degree of
+    those images, which no gcd of the inputs exceeds.  So once H divides
+    both primitive parts it is their gcd, however few points it came from:
+    the points start at two more than the degree of the leading-coefficient
+    gcd and double toward Brown's bound only while that trial fails."""
     ua, ub = A.as_univar(vm), B.as_univar(vm)
     ca = Poly()
     for c in ua:
@@ -497,12 +503,15 @@ def _poly_gcd_bivar(A: Poly, B: Poly, vm: int, ve: int) -> Poly:
     # same monic gcd at every point
     rows_a, rows_b = _int_rows(pa, vm, ve), _int_rows(pb, vm, ve)
 
-    target = gamma.degree(ve) + min(pa.degree(ve), pb.degree(ve)) + 1
+    # Brown's bound on the points the gcd can need; the points already
+    # taken are kept when the target grows
+    bound = gamma.degree(ve) + min(pa.degree(ve), pb.degree(ve)) + 1
+    target = min(bound, gamma.degree(ve) + 2)
+    xs = []
+    images = []
+    dmin = None
+    a = 0
     while True:
-        xs = []
-        images = []
-        dmin = None
-        a = 0
         while len(xs) < target:
             if not _horner(rows_a[-1], a) or not _horner(rows_b[-1], a):
                 a += 1
@@ -546,7 +555,7 @@ def _poly_gcd_bivar(A: Poly, B: Poly, vm: int, ve: int) -> Poly:
             poly_div_exact(pa, H)
             poly_div_exact(pb, H)
         except ArithmeticError:
-            target += 8
+            target = min(2 * target, bound) if target < bound else target + 8
             continue
         return primitive_rat(H * cont)[1]
 
@@ -581,16 +590,25 @@ def poly_gcd(A: Poly, B: Poly) -> Poly:
 def clear_and_normalize(polys: list, sign_entry: int = 0) -> list:
     """Scale a nonzero polynomial vector to coprime integer entries.
 
-    Divides by the common polynomial factor and the common rational content,
+    Divides by the common polynomial factor, the gcd of the first entries
+    as soon as it divides all of them, and by the common rational content,
     and flips the global sign so the designated entry (or, if it is zero, the
     first nonzero one) has a positive leading coefficient.
     """
     if all(p.is_zero() for p in polys):
         raise ValueError("cannot normalize the zero vector")
+    # the gcd of a prefix that divides every entry is the gcd of them all
     g = Poly()
     for p in polys:
+        if p.is_zero():
+            continue
         g = poly_gcd(g, p)
-    polys = [poly_div_exact(p, g) if not p.is_zero() else p for p in polys]
+        try:
+            polys = [poly_div_exact(q, g) if not q.is_zero() else q
+                     for q in polys]
+            break
+        except ArithmeticError:
+            continue
     c = ZERO
     for p in polys:
         c = rat_gcd(c, rat_content(p))

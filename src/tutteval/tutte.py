@@ -132,6 +132,10 @@ def three_way_report(max_i: int = 6, tamari_max: int = TAMARI_MAX) -> Report:
     interval counts."""
     t0 = time.perf_counter()
     params = {"max_i": max_i, "tamari_max": tamari_max}
+    if max_i < 1:
+        return inconclusive("tutte_three_way", params,
+                            f"max_i {max_i} leaves no coefficient to "
+                            "compare; need max_i >= 1", 0, t0)
     tau = tau_from_phi(max_i)
     cases = 0
     for i in range(1, max_i + 1):

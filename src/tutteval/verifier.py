@@ -42,6 +42,9 @@ class FTable:
         """Every f_{k,i} is weighted-homogeneous of degree exactly k + 2i."""
         t0 = time.perf_counter()
         params = {"k_max": self.K_max, "i_max": self.I_max}
+        if not self.entries:
+            return inconclusive("f_table_degrees", params,
+                                "the table has no entry to check", 0, t0)
         cases = 0
         for (k, i), p in sorted(self.entries.items()):
             for m in p.terms:
@@ -85,6 +88,11 @@ def verify_vanishing(n: int, I_max: int, tab: FTable | None = None,
     if ks is None:
         ks = (n + 1, n + 2)
     params = {"n": n, "i_max": I_max, "ks": list(ks)}
+    if not ks or 2 * n < min(ks) or I_max < 0:
+        # m + 2l + k + 2i = 2n has no solution with m, l, i >= 0
+        return inconclusive("vanishing", params,
+                            f"no template integral of degree 2n = {2 * n} "
+                            f"meets k in {list(ks)} and i <= {I_max}", 0, t0)
     if tab is None:
         tab = f_table(max(ks), I_max)
     if max(ks) > tab.K_max or I_max > tab.I_max:
@@ -147,11 +155,15 @@ def restriction_spot_check(n_max: int = 5, i_max: int = 4) -> Report:
     cases = 0
     for n in range(1, n_max + 1):
         rep = verify_vanishing(n, i_max, tab, ks=(n + 3, n + 4))
-        if not rep.ok:
+        if rep.status == "fail":
             rep.check = "vanishing_restriction"
             rep.params = params
             return rep
         cases += rep.n_cases
+    if not cases:
+        return inconclusive("vanishing_restriction", params,
+                            f"no template integral for n <= {n_max}; "
+                            "need n_max >= 3", 0, t0)
     return passed("vanishing_restriction", params, cases, t0)
 
 

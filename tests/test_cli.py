@@ -197,21 +197,20 @@ def test_b_direct_saturation_is_a_report(monkeypatch, capsys, tmp_path):
     (["iso", "--order", "6", "--lambda-cap", "0"], "iso",
      "order 6 and lambda cap 0 leave no lambda term to compare; "
      "need order >= 4 and lambda cap >= 1"),
-    (["template", "--m-max", "-1"], None, None),
+    (["template", "--m-max", "-1"], "template",
+     "m in 0..-1 is empty; need m_max >= 0"),
+    (["hm", "--m-max", "-1"], "hm", "m in 0..-1 is empty; need m_max >= 0"),
 ])
 def test_bad_caps_are_reports(argv, check, witness, capsys, tmp_path):
     # caps that leave nothing to compare give inconclusive reports and exit
-    # 1, never a traceback or a pass on zero cases; a suite with no report
-    # at all also exits 1
+    # 1, never a traceback, a pass on zero cases or a silent empty run
     path = tmp_path / "reports.json"
     rc = main(argv + ["--emit-json", str(path)])
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert rc == 1
     data = json.loads(path.read_text())
     bad = [r for r in data if r["status"] != "pass"]
-    if check is None:
-        assert data == []
-        return
+    assert f"[INCONCLUSIVE] {check}(" in out
     assert bad and all(r["status"] == "inconclusive" for r in bad)
     assert all(r["check"] == check and r["witness"] == witness
                and r["n_cases"] == 0 for r in bad)

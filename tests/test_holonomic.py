@@ -2,21 +2,25 @@
 their band structure, and the recursively generated coefficient sequence."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tutteval import holonomic
 from tutteval.exactnum import ONE, Rat
-from tutteval.holonomic import (DependencyVector, PhiQuot, _pq_add, _pq_dlam,
-                                _pq_eq, _pq_mul, _pq_scale, _rank4_witness,
-                                b_direct, b_equality_report, b_recursion,
-                                coprimality_report, dependency_report,
+from tutteval.holonomic import (_PQ_ONE, DependencyVector, PhiQuot, _det,
+                                _kernel_vector, _pq_add, _pq_dlam, _pq_eq,
+                                _pq_mul, _pq_normalize, _pq_scale,
+                                _rank4_witness, b_direct, b_equality_report,
+                                b_recursion, coprimality_report,
+                                dependency_report,
                                 find_R, find_Rhat, p0_quot, p0_report,
                                 p0_series_report, pq_from_poly, q1_phi,
                                 q_tower, tower_oracle, weighted_degree)
-from tutteval.polyring import (Poly, partial_derivative, poly_parse,
-                               poly_to_str)
+from tutteval.polyring import (Poly, partial_derivative, poly_div_exact,
+                               poly_parse, poly_to_str)
 
 s = Poly.var("s")
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -136,6 +140,87 @@ def test_dependency_vectors_match_pinned_fixtures():
         text = json.dumps([poly_to_str(p) for p in dv.entries], indent=1,
                           sort_keys=True)
         assert text == (FIXTURES / f"{name}.json").read_text(), name
+
+
+def cramer_kernel(cols: list) -> list:
+    """Reference: the generic fraction-free Cramer rule on the 4x5
+    phi-coefficient matrix, which does not use the unit column.  Component
+    i is the signed 4x4 minor of the numerator matrix omitting column i,
+    times D_i / c_i for the column denominator D_i and scalar c_i."""
+    N = [[col.num[r] if r < len(col.num) else Poly() for col in cols]
+         for r in range(4)]
+    vec = []
+    for i, col in enumerate(cols):
+        det = _det([[N[r][j] for j in range(5) if j != i] for r in range(4)])
+        if i % 2:
+            det = -det
+        vec.append((det * col.den_poly()).scale(ONE / col.c))
+    return vec
+
+
+def _random_column(rng):
+    num = [Poly({(0, rng.randrange(3), rng.randrange(3), 0, 0, 0):
+                 Rat(rng.randrange(-9, 10) or 1)
+                 for _ in range(rng.randrange(1, 4))}) for _ in range(4)]
+    den = {p: e for p, e in ((holonomic.LAM, rng.randrange(3)),
+                             (holonomic.SINGULAR, rng.randrange(2))) if e}
+    return _pq_normalize(num, den, Rat(rng.randrange(1, 9),
+                                       rng.randrange(1, 9)))
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_kernel_vector_matches_cramer(seed):
+    # the unit-column route and the generic route find the same line
+    rng = random.Random(seed)
+    cols = [_PQ_ONE] + [_random_column(rng) for _ in range(4)]
+    try:
+        vec = _kernel_vector(cols)
+    except ArithmeticError:
+        # rows 1..3 of rank < 3: the whole matrix has rank < 4
+        assert all(p.is_zero() for p in cramer_kernel(cols))
+        return
+    ref = cramer_kernel(cols)
+    assert any(not p.is_zero() for p in vec)
+    assert any(not p.is_zero() for p in ref)
+    for i in range(5):
+        for j in range(i):
+            assert vec[i] * ref[j] == vec[j] * ref[i]
+    # and a kernel vector of the value matrix, whose column j is
+    # c_j N_j / D_j: over the common denominator L, sum x_j c_j N_j L / D_j
+    L = Poly.one()
+    for p in {p for col in cols for p in col.den}:
+        L = L * p ** max(col.den.get(p, 0) for col in cols)
+    for r in range(4):
+        acc = Poly()
+        for x, col in zip(vec, cols):
+            if r < len(col.num):
+                acc = acc + (x * col.num[r] * poly_div_exact(
+                    L, col.den_poly())).scale(col.c)
+        assert acc.is_zero()
+
+
+def test_kernel_vector_rejects_rank_deficiency():
+    a = pq_from_poly(poly_parse("f + s*l"))
+    b = pq_from_poly(poly_parse("f^2 - l + 1"))
+    c = pq_from_poly(poly_parse("f^3 + 2*f + s"))
+    d = pq_from_poly(poly_parse("3*f^3 - f^2 + 7"))
+    assert len(_kernel_vector([_PQ_ONE, a, b, c, d])) == 5
+    # rows 2 and 3 equal: rows 1..3 have rank 2, every 3x3 minor vanishes
+    low = [pq_from_poly(poly_parse(text)) for text in (
+        "f + s*l", "f^3 + f^2", "3*f^3 + 3*f^2 + 2*f + s",
+        "l*f^3 + l*f^2 + 7")]
+    with pytest.raises(ArithmeticError, match="kernel dimension exceeds 1"):
+        _kernel_vector([_PQ_ONE] + low)
+    # phi-degree <= 2 everywhere leaves row 3 zero
+    with pytest.raises(ArithmeticError, match="kernel dimension exceeds 1"):
+        _kernel_vector([_PQ_ONE, a, b, a, b])
+    # column 0 must be a nonzero constant
+    with pytest.raises(ArithmeticError, match="column 0"):
+        _kernel_vector([a, _PQ_ONE, b, c, d])
+    with pytest.raises(ArithmeticError, match="column 0"):
+        _kernel_vector([PhiQuot([Poly.one()], {holonomic.LAM: 1}, ONE),
+                        a, b, c, d])
 
 
 def test_rank4_witness():

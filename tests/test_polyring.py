@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tutteval import polyring
 from tutteval.exactnum import ONE, Rat
 from tutteval._kernels_py import mul_poly
 from tutteval.polyring import (VARS, Poly, _euclid_lists, _interpolate,
@@ -346,6 +347,33 @@ def test_bivar_gcd_matches_sympy(seed):
     assert _poly_gcd_bivar(A, B, v2, v1) == expected
 
 
+def test_bivar_gcd_retries_past_a_short_first_target(monkeypatch):
+    # both inputs are monic in s, so the leading-coefficient gcd is 1 and
+    # the first target is 2 points; the gcd has lambda-degree 8 and needs 9,
+    # so the trial division fails and the points double toward the bound
+    calls = []
+    interpolate = polyring._interpolate
+
+    def counting(xs, columns):
+        calls.append(len(xs))
+        return interpolate(xs, columns)
+
+    monkeypatch.setattr(polyring, "_interpolate", counting)
+    G = s + lam ** 8 + 3 * lam ** 5 - 2
+    A = G * (s ** 2 + lam + 1)
+    B = G * (s - lam ** 3 + 2)
+    expected = sympy_gcd(A, B)
+    assert expected == G
+    assert _poly_gcd_bivar(A, B, polyring._vi("s"), polyring._vi("l")) == G
+    assert calls[0] == 2 and len(calls) > 1 and calls[-1] >= 9
+    # a gcd of lambda-degree 1 is found from the first two points
+    calls.clear()
+    H = s + 2 * lam - 1
+    assert _poly_gcd_bivar(H * (s ** 2 + lam), H * (s - lam ** 3),
+                           polyring._vi("s"), polyring._vi("l")) == H
+    assert calls == [2]
+
+
 def naive_interpolate(xs: list, ys: list) -> list:
     """Reference: Newton divided differences over Q, then expansion of the
     Newton form; the coefficient list of the polynomial through the points."""
@@ -396,6 +424,29 @@ def test_clear_and_normalize():
     assert out[0] * v[1] == out[1] * v[0]
     with pytest.raises(ValueError):
         clear_and_normalize([Poly(), Poly()])
+
+
+def test_clear_and_normalize_stops_at_the_first_dividing_gcd(monkeypatch):
+    calls = []
+    gcd = polyring.poly_gcd
+
+    def counting(A, B):
+        calls.append(1)
+        return gcd(A, B)
+
+    monkeypatch.setattr(polyring, "poly_gcd", counting)
+    # gcd(v0, v1) = (s - 1)(lambda + 2) does not divide v2, so the trial
+    # division fails and the loop goes on to gcd(., v2) = s - 1
+    v = [(s - 1) * (lam + 2) * s, (s - 1) * (lam + 2) * lam,
+         (s - 1) * (lam ** 2 + s)]
+    assert clear_and_normalize(v) == [(lam + 2) * s, (lam + 2) * lam,
+                                      lam ** 2 + s]
+    assert len(calls) == 3
+    # here gcd(v0, v1) = s - 1 divides v2, so v2 takes no gcd
+    calls.clear()
+    v = [(s - 1) * s, (s - 1) * lam, (s - 1) * (s + lam)]
+    assert clear_and_normalize(v) == [s, lam, s + lam]
+    assert len(calls) == 2
 
 
 def test_clear_and_normalize_sign():

@@ -91,6 +91,13 @@ def test_reports():
     assert lagrange_report(40).ok
 
 
+def test_three_way_empty_range_is_inconclusive():
+    rep = three_way_report(0)
+    assert rep.status == "inconclusive" and rep.n_cases == 0
+    assert rep.witness == ("max_i 0 leaves no coefficient to compare; "
+                           "need max_i >= 1")
+
+
 @given(st.integers(1, 30))
 @settings(max_examples=20)
 def test_closed_form_is_integral(i):

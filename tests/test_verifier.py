@@ -6,8 +6,8 @@ import pytest
 from tutteval.exactnum import ZERO
 from tutteval.polyring import poly_parse
 from tutteval.template import integrate
-from tutteval.verifier import (conjecture_reports, f_table, hilbert_check,
-                               hilbert_coeffs, iso_check,
+from tutteval.verifier import (FTable, conjecture_reports, f_table,
+                               hilbert_check, hilbert_coeffs, iso_check,
                                restriction_spot_check, verify_vanishing)
 
 
@@ -49,9 +49,26 @@ def test_vanishing_small():
 def test_flat_column():
     # the lambda = 0 column: templates annihilate f_{n+1,0} and f_{n+2,0}
     assert verify_vanishing(2, 0).ok
-    # n = 0: no degree-matched cases at all, vacuously true
+    # n = 0: no degree-matched cases at all, so nothing was compared
     rep = verify_vanishing(0, 0)
-    assert rep.ok and rep.n_cases == 0
+    assert rep.status == "inconclusive" and rep.n_cases == 0
+
+
+def test_empty_ranges_are_inconclusive():
+    # a direct call whose range holds no case says so instead of passing
+    rep = verify_vanishing(1, 0, ks=(5,))
+    assert rep.status == "inconclusive" and rep.n_cases == 0
+    assert rep.witness == ("no template integral of degree 2n = 2 meets k "
+                           "in [5] and i <= 0")
+    assert verify_vanishing(2, -1).status == "inconclusive"
+    rep = FTable(0, 0).degree_report()
+    assert rep.status == "inconclusive"
+    assert rep.witness == "the table has no entry to check"
+    # n = 1, 2 have no case for k = n + 3, n + 4; n = 3 has one
+    rep = restriction_spot_check(2, 4)
+    assert rep.status == "inconclusive" and rep.n_cases == 0
+    rep = restriction_spot_check(3, 0)
+    assert rep.ok and rep.n_cases == 1
 
 
 def test_cap_guard():
