@@ -1,11 +1,14 @@
 """The sparse multiplication inner loops.
 
 These three routines dominate the runtime of every large verification run.
-Coefficients are any exact numbers (`int` or `Fraction`); `mul_poly` is
-called on `int`s, which multiply several times faster.
+Coefficients are any exact numbers (`int` or `Fraction`).  `Poly` and
+`Series2` products clear denominators first, so `mul_poly` and `mul_trunc2`
+run on `int`s, which multiply several times faster.
 """
 
 import struct
+from itertools import product
+from operator import mul
 
 
 def mul_trunc3(A, B, D, L):
@@ -71,24 +74,35 @@ def field_struct(nfields: int, bits: int) -> struct.Struct:
 def mul_poly(A, B):
     """Untruncated product of two {exponent-tuple: coeff} maps.
 
-    Each exponent tuple is packed into one int, one field per variable, so
-    a product key is a single integer add.  The fields are wide enough for
-    the sum of the operands' total degrees, which bounds every exponent of
-    the product, so no field carries into the next."""
+    Each exponent tuple is read as one mixed-radix index over the product's
+    exponent box, whose extent in variable i is max_A e_i + max_B e_i + 1,
+    so a product key is a single integer add and no digit carries into the
+    next.  When the box has no more cells than there are term pairs, the
+    products accumulate into a flat list over the box, which costs no more
+    to allocate than the loop does to fill; otherwise into a dict keyed by
+    the same index."""
     if not A or not B:
         return {}
     if len(A) > len(B):
         A, B = B, A
-    layout = field_struct(len(next(iter(A))),
-                          (max(map(sum, A)) + max(map(sum, B))).bit_length())
-    pack, size = layout.pack, layout.size
+    ext = [x + y + 1 for x, y in zip(map(max, zip(*A)), map(max, zip(*B)))]
+    w = [1] * len(ext)  # w[i] = ext[i+1] * ... * ext[-1], lex order
+    for i in range(len(ext) - 1, 0, -1):
+        w[i - 1] = w[i] * ext[i]
+    aitems = [(sum(map(mul, e, w)), c) for e, c in A.items()]
+    bitems = [(sum(map(mul, e, w)), c) for e, c in B.items()]
+    if w[0] * ext[0] <= len(A) * len(B):
+        acc = [0] * (w[0] * ext[0])
+        for ka, ca in aitems:
+            for kb, cb in bitems:
+                acc[ka + kb] += ca * cb
+        # the box's cells in index order are its exponent tuples in lex order
+        return {e: v for e, v in zip(product(*map(range, ext)), acc) if v}
     out = {}
     get = out.get
-    bitems = [(int.from_bytes(pack(*eb), "big"), cb) for eb, cb in B.items()]
-    for ea, ca in A.items():
-        ka = int.from_bytes(pack(*ea), "big")
+    for ka, ca in aitems:
         for kb, cb in bitems:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    unpack = layout.unpack
-    return {unpack(k.to_bytes(size, "big")): v for k, v in out.items() if v}
+    return {tuple([k // wi % ei for wi, ei in zip(w, ext)]): v
+            for k, v in out.items() if v}

@@ -1,6 +1,13 @@
 """Sparse multivariate polynomials over exact rationals: arithmetic, exact
 division, gcds and the normalization of polynomial vectors.
 
+A coefficient is an exact rational held as an `int` when it is integral and
+as a `Fraction` otherwise.  Products, exact quotients and scalings store
+every integral coefficient they make as an `int`, since most polynomials
+here are integral and `int` arithmetic is several times faster; an integral
+`Fraction` given from outside is still the same number, with the same
+`==`, hash and text.
+
 The variable set is fixed and ordered: t < s < l < f < x < y (l is the
 curvature parameter, f the algebraic auxiliary variable).  Monomials are
 exponent 6-tuples; the canonical term order is graded lexicographic on that
@@ -37,7 +44,9 @@ def _grlex_key(mono):
 
 def _int_terms(terms: dict) -> tuple:
     """(d, {mono: int}) with terms = {mono: int} / d, d > 0 the least common
-    denominator of the coefficients."""
+    denominator of the coefficients.  A map of ints is returned itself."""
+    if set(map(type, terms.values())) <= {int}:
+        return 1, terms
     d = lcm(*[c.denominator for c in terms.values()])
     if d == 1:
         return 1, {m: c.numerator for m, c in terms.items()}
@@ -54,8 +63,21 @@ def _primitive_ints(terms: dict) -> tuple:
     return Rat(g, d), ints
 
 
+def _divide_terms(ints: dict, d: int) -> dict:
+    """{key: c / d} for a map to ints and an int d > 0, with every integral
+    quotient stored as an int."""
+    if d == 1:
+        return ints
+    out = {}
+    for k, c in ints.items():
+        q, r = divmod(c, d)
+        out[k] = Rat(c, d) if r else q
+    return out
+
+
 class Poly:
-    """Sparse polynomial: dict from exponent 6-tuple to nonzero Rat."""
+    """Sparse polynomial: dict from exponent 6-tuple to nonzero exact
+    coefficient, an int when integral and otherwise a Rat."""
 
     __slots__ = ("terms",)
 
@@ -72,14 +94,13 @@ class Poly:
 
     @staticmethod
     def const(q) -> "Poly":
-        q = q if not isinstance(q, int) else Rat(q)
         return Poly({_ZMONO: q} if q else {})
 
     @staticmethod
     def var(v, exp: int = 1) -> "Poly":
         i = _vi(v)
         mono = tuple(exp if j == i else 0 for j in range(NVARS))
-        return Poly({mono: ONE})
+        return Poly({mono: 1})
 
     @staticmethod
     def one() -> "Poly":
@@ -181,23 +202,21 @@ class Poly:
         # and divide by both common denominators at the end
         da, a = _int_terms(self.terms)
         db, b = _int_terms(other.terms)
-        d = da * db
         p = Poly.__new__(Poly)
-        if d == 1:
-            p.terms = {m: Rat(c) for m, c in mul_poly(a, b).items()}
-        else:
-            p.terms = {m: Rat(c, d) for m, c in mul_poly(a, b).items()}
+        p.terms = _divide_terms(mul_poly(a, b), da * db)
         return p
 
     __rmul__ = __mul__
 
     def scale(self, q) -> "Poly":
-        if isinstance(q, int):
-            q = Rat(q)
         if not q:
             return Poly()
+        # on ints over one common denominator, like a product
+        d, ints = _int_terms(self.terms)
+        n = q.numerator
         p = Poly.__new__(Poly)
-        p.terms = {m: c * q for m, c in self.terms.items()}
+        p.terms = _divide_terms({m: c * n for m, c in ints.items()},
+                                d * q.denominator)
         return p
 
     def __pow__(self, n: int) -> "Poly":
@@ -318,8 +337,8 @@ def poly_div_exact(A: Poly, B: Poly) -> Poly:
     rn, rd = r.numerator, r.denominator
     unpack, size = layout.unpack, layout.size
     p = Poly.__new__(Poly)
-    p.terms = {unpack(d.to_bytes(size, "big"))[1:]: Rat(q * rn, rd)
-               for d, q in quo.items()}
+    p.terms = _divide_terms({unpack(d.to_bytes(size, "big"))[1:]: q * rn
+                             for d, q in quo.items()}, rd)
     return p
 
 
@@ -391,7 +410,7 @@ def _euclid_lists(a: list, b: list) -> list:
 
 def _univar_coeffs(A: Poly, v) -> list:
     i = _vi(v)
-    out = [ZERO] * (A.degree(v) + 1)
+    out = [0] * (A.degree(v) + 1)
     for m, c in A.terms.items():
         out[m[i]] = c
     return out
@@ -417,7 +436,7 @@ def _eval_var(A: Poly, v, a) -> Poly:
     out = {}
     for m, c in A.terms.items():
         key = m[:i] + (0,) + m[i + 1:]
-        out[key] = out.get(key, ZERO) + c * a ** m[i]
+        out[key] = out.get(key, 0) + c * a ** m[i]
     return Poly(out)
 
 
@@ -671,7 +690,7 @@ def poly_parse(text: str) -> Poly:
     def flush():
         nonlocal result, term_coeff, term_mono
         if term_mono is not None:
-            c = term_coeff if term_coeff is not None else ONE
+            c = term_coeff if term_coeff is not None else 1
             result = result + Poly({tuple(term_mono): c * sign})
         term_coeff = None
         term_mono = None
@@ -695,7 +714,7 @@ def poly_parse(text: str) -> Poly:
                     a, b = tok.split("/")
                     q = Rat(int(a), int(b))
                 else:
-                    q = Rat(int(tok))
+                    q = int(tok)
                 term_coeff = q if term_coeff is None else term_coeff * q
             else:
                 if "^" in tok:

@@ -5,7 +5,9 @@ Grading: deg t = 1, deg s = 2, deg lambda = -2.  A Series3 stores
 coefficients for monomials t^a s^b l^c with a + 2b <= D and c <= L; the
 lambda order is capped separately because the weighted degree of lambda is
 negative and a single total-degree cap would be ill-founded.  A Series2 is
-the t-free case with caps b <= S, c <= L.
+the t-free case with caps b <= S, c <= L.  Coefficients are exact: an `int`
+or a `Fraction`.  A Series2 product multiplies on ints over the operands'
+common denominators and divides once, as a `Poly` product does.
 
 All arithmetic is exact and eager; results carry the componentwise minimum
 of the operand caps.  Newton iteration (doubling accuracy per step against
@@ -22,13 +24,9 @@ from __future__ import annotations
 
 from .exactnum import ONE, Rat, ZERO
 from ._kernels_py import mul_trunc2, mul_trunc3
-from .polyring import Poly
+from .polyring import Poly, _divide_terms, _int_terms
 from .report import Report, failed, passed
 import time
-
-
-def _q(x):
-    return Rat(x) if isinstance(x, int) else x
 
 
 def _niter(total: int) -> int:
@@ -41,7 +39,8 @@ def _niter(total: int) -> int:
 
 
 class Series3:
-    """Truncated series in t, s, lambda: {(a,b,c): Rat} with a+2b <= D, c <= L."""
+    """Truncated series in t, s, lambda: {(a,b,c): exact coefficient} with
+    a+2b <= D, c <= L."""
 
     __slots__ = ("coeffs", "D", "L")
 
@@ -57,7 +56,7 @@ class Series3:
 
     @staticmethod
     def const(q, D, L) -> "Series3":
-        return Series3({(0, 0, 0): _q(q)}, D, L)
+        return Series3({(0, 0, 0): q}, D, L)
 
     @staticmethod
     def var(name, D, L) -> "Series3":
@@ -84,7 +83,7 @@ class Series3:
         D, L = self._caps(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + v
+            out[k] = out.get(k, 0) + v
         return Series3(out, D, L)
 
     __radd__ = __add__
@@ -109,7 +108,6 @@ class Series3:
     __rmul__ = __mul__
 
     def scale(self, q) -> "Series3":
-        q = _q(q)
         if not q:
             return Series3.zero(self.D, self.L)
         return Series3({k: v * q for k, v in self.coeffs.items()},
@@ -167,7 +165,8 @@ class Series3:
 
 
 class Series2:
-    """Truncated series in s, lambda: {(b,c): Rat} with b <= S, c <= L."""
+    """Truncated series in s, lambda: {(b,c): exact coefficient} with
+    b <= S, c <= L."""
 
     __slots__ = ("coeffs", "S", "L")
 
@@ -183,7 +182,7 @@ class Series2:
 
     @staticmethod
     def const(q, S, L) -> "Series2":
-        return Series2({(0, 0): _q(q)}, S, L)
+        return Series2({(0, 0): q}, S, L)
 
     @staticmethod
     def var(name, S, L) -> "Series2":
@@ -210,7 +209,7 @@ class Series2:
         S, L = self._caps(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + v
+            out[k] = out.get(k, 0) + v
         return Series2(out, S, L)
 
     __radd__ = __add__
@@ -230,12 +229,13 @@ class Series2:
         if isinstance(other, (int, type(ONE))):
             return self.scale(other)
         S, L = self._caps(other)
-        return Series2(mul_trunc2(self.coeffs, other.coeffs, S, L), S, L)
+        da, a = _int_terms(self.coeffs)
+        db, b = _int_terms(other.coeffs)
+        return Series2(_divide_terms(mul_trunc2(a, b, S, L), da * db), S, L)
 
     __rmul__ = __mul__
 
     def scale(self, q) -> "Series2":
-        q = _q(q)
         if not q:
             return Series2.zero(self.S, self.L)
         return Series2({k: v * q for k, v in self.coeffs.items()},
@@ -336,7 +336,7 @@ def _dmul(a: dict, b: dict, N: int) -> dict:
             k = ka + kb
             if k > N:
                 continue
-            out[k] = out.get(k, ZERO) + va * vb
+            out[k] = out.get(k, 0) + va * vb
     return {k: v for k, v in out.items() if v}
 
 
@@ -356,11 +356,11 @@ class LaurentX:
 
     @staticmethod
     def const(v, N) -> "LaurentX":
-        return LaurentX({0: _q(v)}, {}, N)
+        return LaurentX({0: v}, {}, N)
 
     @staticmethod
     def monomial(k, v, N) -> "LaurentX":
-        return LaurentX({k: _q(v)}, {}, N)
+        return LaurentX({k: v}, {}, N)
 
     def coeff(self, k):
         """(rational part, log2 part) of x^k."""
@@ -380,10 +380,10 @@ class LaurentX:
         N = min(self.N, other.N)
         q = dict(self.q)
         for k, v in other.q.items():
-            q[k] = q.get(k, ZERO) + v
+            q[k] = q.get(k, 0) + v
         p = dict(self.p)
         for k, v in other.p.items():
-            p[k] = p.get(k, ZERO) + v
+            p[k] = p.get(k, 0) + v
         return LaurentX(q, p, N)
 
     __radd__ = __add__
@@ -409,15 +409,14 @@ class LaurentX:
         q = _dmul(self.q, other.q, N)
         p = {}
         for k, v in _dmul(self.q, other.p, N).items():
-            p[k] = p.get(k, ZERO) + v
+            p[k] = p.get(k, 0) + v
         for k, v in _dmul(self.p, other.q, N).items():
-            p[k] = p.get(k, ZERO) + v
+            p[k] = p.get(k, 0) + v
         return LaurentX(q, p, N)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentX":
-        c = _q(c)
         return LaurentX({k: v * c for k, v in self.q.items()},
                         {k: v * c for k, v in self.p.items()}, self.N)
 

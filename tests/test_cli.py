@@ -1,12 +1,13 @@
 """Command-line front end: exit codes, report lines, JSON emission, and the
 fixture pin/compare round trip."""
 
+import itertools
 import json
 import os
 
 import pytest
 
-from tutteval import cli, holonomic, verifier
+from tutteval import cli, holonomic, template, verifier
 from tutteval.cli import _fixture_report, build_parser, main
 from tutteval.report import Report, reports_to_json
 
@@ -214,3 +215,59 @@ def test_bad_caps_are_reports(argv, check, witness, capsys, tmp_path):
     assert bad and all(r["status"] == "inconclusive" for r in bad)
     assert all(r["check"] == check and r["witness"] == witness
                and r["n_cases"] == 0 for r in bad)
+
+
+# small caps for every suite whose caps reach its checks (holonomic builds
+# R and Rhat the same way at any cap, so it is left out)
+CAP_SWEEP = {
+    "tutte": {"--max-i": [0, 1, 2, 3], "--tamari-max": [0, 1, 2, 3]},
+    "template": {"--m-max": [0, 1, 3, 8], "--order": [0, 1, 2, 3, 4, 6, 10]},
+    "hm": {"--m-max": [3], "--s-cap": [0, 1, 2, 3, 4],
+           "--lambda-cap": [-1, 0, 1, 2]},
+    "conjecture": {"--n-max": [1, 2, 3, 4, 6], "--i-max": [0, 1, 2, 4]},
+    "hilbert": {"--n-max": [1, 2, 3]},
+    "iso": {"--order": [0, 1, 2, 3, 4, 6], "--lambda-cap": [0, 1, 2, 4]},
+}
+
+
+def _emitted(argv, tmp_path, capsys) -> list:
+    path = tmp_path / "sweep.json"
+    main(argv + ["--emit-json", str(path)])
+    capsys.readouterr()
+    return json.loads(path.read_text())
+
+
+def _case(rep: dict) -> tuple:
+    # a check is identified by its check name and its m or n; the other
+    # parameters are caps
+    return rep["check"], tuple((k, v) for k, v in rep["params"].items()
+                               if k in ("m", "n"))
+
+
+@pytest.mark.parametrize("suite", sorted(CAP_SWEEP))
+def test_small_caps_pass_only_on_a_real_comparison(suite, tmp_path, capsys):
+    # at every cap a pass has compared at least one case, and its witness
+    # is the one the default caps give for the same check
+    default = {_case(r): r for r in _emitted([suite], tmp_path, capsys)}
+    grid = CAP_SWEEP[suite]
+    for values in itertools.product(*grid.values()):
+        argv = [suite]
+        for flag, v in zip(grid, values):
+            argv += [flag, str(v)]
+        for rep in _emitted(argv, tmp_path, capsys):
+            if rep["status"] != "pass":
+                continue
+            assert rep["n_cases"] > 0, (argv, rep)
+            assert _case(rep) in default, (argv, rep)
+            assert rep["witness"] == default[_case(rep)]["witness"], (argv,
+                                                                      rep)
+
+
+def test_hm_with_nothing_to_compare_is_inconclusive(capsys):
+    # h_0 and its direct reduction both vanish at lambda cap 0
+    rep = template.verify_h_m(0, 3, 0)
+    assert rep.status == "inconclusive" and rep.n_cases == 0
+    assert rep.witness == ("h_0 and its direct reduction both vanish at "
+                           "s cap 3, lambda cap 0; nothing to compare")
+    assert main(["hm", "--m-max", "1", "--lambda-cap", "0"]) == 1
+    assert "[INCONCLUSIVE] h_m(m=0" in capsys.readouterr().out

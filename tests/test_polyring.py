@@ -44,12 +44,12 @@ def test_poly_basics():
 
 def test_integral_product_matches_rational_kernel():
     # integral factors are multiplied on ints; the result must equal the
-    # product on the rational coefficients and keep Rat coefficients
+    # product on the rational coefficients and keep int coefficients
     A = 3 * t ** 2 * s - 5 * lam + 7
     B = 2 * t - lam ** 3 + 11
     P = A * B
     assert P.terms == mul_poly(A.terms, B.terms)
-    assert all(isinstance(c, type(ONE)) for c in P.terms.values())
+    assert all(type(c) is int for c in P.terms.values())
     assert (A * B.scale(Rat(1, 2))).scale(Rat(2)) == P
 
 
@@ -209,6 +209,93 @@ def test_div_exact_at_field_width_boundary(k):
         # one variable filling its whole field
         assert _agrees_with_naive(t ** top - 1, t - 1) is not None
         assert _agrees_with_naive(lam ** top - 1, 3 * lam + 2) is None
+
+
+# -- the coefficient contract: int when integral, Fraction otherwise --------
+
+int_coeffs = st.integers(-10 ** 12, 10 ** 12).filter(bool)
+rat_coeffs = st.one_of(
+    int_coeffs,
+    st.builds(Rat, st.integers(-99, 99).filter(bool), st.integers(1, 12)))
+monos = st.tuples(st.just(0), st.integers(0, 4), st.integers(0, 4),
+                  st.integers(0, 2), st.just(0), st.just(0))
+
+
+def _polys(coeffs):
+    return st.dictionaries(monos, coeffs, min_size=1, max_size=7).map(Poly)
+
+
+def naive_mul(A: dict, B: dict) -> dict:
+    out = {}
+    for ma, ca in A.items():
+        for mb, cb in B.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return {m: c for m, c in out.items() if c}
+
+
+def _honours_contract(P: Poly):
+    for c in P.terms.values():
+        # an int when integral, else a Fraction, and never a float
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("coeffs", [int_coeffs, rat_coeffs],
+                         ids=["integral", "rational"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_values_and_types(coeffs, data):
+    A, B = data.draw(_polys(coeffs)), data.draw(_polys(coeffs))
+    P = A * B
+    assert P.terms == naive_mul(A.terms, B.terms)
+    _honours_contract(P)
+
+
+@pytest.mark.parametrize("coeffs", [int_coeffs, rat_coeffs],
+                         ids=["integral", "rational"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_div_exact_values_and_types(coeffs, data):
+    B, Q = data.draw(_polys(coeffs)), data.draw(_polys(coeffs))
+    A = Poly(naive_mul(B.terms, Q.terms))
+    q = poly_div_exact(A, B)
+    assert q.terms == {m: Fraction(c) for m, c in Q.terms.items()}
+    _honours_contract(q)
+
+
+@pytest.mark.parametrize("coeffs", [int_coeffs, rat_coeffs],
+                         ids=["integral", "rational"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_scale_values_and_types(coeffs, data):
+    A = data.draw(_polys(coeffs))
+    # integral factors as int and as Fraction, and non-integral ones
+    q = data.draw(st.one_of(int_coeffs, st.builds(Rat, int_coeffs),
+                            rat_coeffs))
+    P = A.scale(q)
+    assert P.terms == {m: Fraction(c) * Fraction(q)
+                       for m, c in A.terms.items()}
+    _honours_contract(P)
+    _honours_contract(A.scale(Rat(1, 7)).scale(7))
+
+
+def test_integral_quotients_of_rationals_become_ints():
+    half = Poly({(0, 1, 0, 0, 0, 0): Rat(1, 2), (0, 0, 0, 0, 0, 0): Rat(3, 2)})
+    for P in (half.scale(2), half * Poly.const(Rat(4)),
+              poly_div_exact(half, Poly.const(Rat(1, 2))),
+              poly_div_exact(half * half, half.scale(Rat(1, 2)))):
+        _honours_contract(P)
+        assert all(type(c) is int for c in P.terms.values())
+
+
+@given(monos, st.integers(-10 ** 30, 10 ** 30).filter(bool))
+@settings(max_examples=40)
+def test_int_and_integral_fraction_coefficients_agree(m, c):
+    a, b = Poly({m: c}), Poly({m: Rat(c)})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert poly_to_str(a) == poly_to_str(b)
+    assert a + t == b + t and hash(a * t) == hash(b * t)
 
 
 # -- univariate gcd images ---------------------------------------------------
