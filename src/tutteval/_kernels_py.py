@@ -104,5 +104,10 @@ def mul_poly(A, B):
         for kb, cb in bitems:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    return {tuple([k // wi % ei for wi, ei in zip(w, ext)]): v
-            for k, v in out.items() if v}
+    # decode the indices one variable at a time, and only the variables
+    # some term uses: the others are 0 in every key
+    keys = [k for k, v in out.items() if v]
+    zeros = [0] * len(keys)
+    cols = [[k // wi % ei for k in keys] if ei > 1 else zeros
+            for wi, ei in zip(w, ext)]
+    return dict(zip(zip(*cols), map(out.__getitem__, keys)))

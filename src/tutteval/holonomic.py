@@ -11,10 +11,12 @@ the coefficients b_l, whose s-degree bound (<= l) is the target statement.
 Generic fraction arithmetic over Q(s, lambda) swells badly (every operation
 triggers a bivariate gcd), so tower elements are held as PhiQuot values: a
 phi-polynomial numerator over a denominator kept in FACTORED form, a product
-of powers of a few fixed primes (lambda, 256 lambda - 27, and the core of an
-inversion determinant), each the key of its exponent.  Cancellation then
-needs only trial exact divisions by the primes a value carries, never a
-general gcd.
+of powers of a few fixed primes (lambda, 256 lambda - 27, and the square-free
+factors of the core of an inversion determinant), each the key of its
+exponent.  Cancellation then needs only trial exact divisions by the primes
+a value carries, never a general gcd.  The primes are square-free and
+pairwise coprime, so a numerator that one factor of the core divides loses
+that factor, whatever the others do.
 """
 
 from __future__ import annotations
@@ -269,10 +271,52 @@ def _strip_primes(p: Poly, primes) -> tuple:
     return p, exps
 
 
+def _squarefree(f: Poly, v="l") -> dict:
+    """Square-free decomposition {factor: multiplicity} of f, a primitive
+    polynomial in at most two variables with positive leading coefficient:
+    f is the product of factor^multiplicity, and the factors are primitive,
+    square-free and pairwise coprime.
+
+    Yun's algorithm in v (D. Y. Y. Yun, SYMSAC 1976): with a = gcd(f, f'),
+    b = f/a and d = f'/a - b', each step splits off g = gcd(b, d), the
+    product of the irreducible factors of multiplicity i, then continues
+    with b/g and d/g - (b/g)'.  A factor free of v divides f' as often as f,
+    so the steps drop it; that part, f over the product found, is
+    decomposed again in its own variable.  The product is checked against
+    f, and a mismatch raises ArithmeticError."""
+    out = {}
+    df = partial_derivative(f, v)
+    a = poly_gcd(f, df)
+    b = poly_div_exact(f, a)
+    d = poly_div_exact(df, a) - partial_derivative(b, v)
+    i = 1
+    while not b.is_const():
+        g = poly_gcd(b, d)
+        if not g.is_const():
+            out[g] = i
+        b = poly_div_exact(b, g)
+        d = poly_div_exact(d, g) - partial_derivative(b, v)
+        i += 1
+    found = Poly.one()
+    for p, e in out.items():
+        found = found * p ** e
+    rest = poly_div_exact(f, found)
+    if not rest.is_const():
+        (w,) = rest.vars_present()
+        for p, e in _squarefree(primitive_rat(rest)[1], w).items():
+            out[p] = e
+            found = found * p ** e
+    if found != f:
+        raise ArithmeticError("square-free factors do not multiply back")
+    return out
+
+
 def _invert_mod_p(G: PhiQuot) -> PhiQuot:
     """X with G X = 1 modulo P, by Cramer's rule on the multiplication
-    matrix; the determinant's primitive core, if not constant, becomes a
-    prime of X's denominator next to lambda and 256 lambda - 27."""
+    matrix.  The determinant's primitive core, if not constant, enters X's
+    denominator next to lambda and 256 lambda - 27 as its square-free
+    factors, each a prime with its multiplicity, so that a numerator can
+    cancel one factor without the others."""
     phi_pq = PhiQuot([Poly(), Poly.one()], {}, ONE)
     cols = []
     phi_pow = _PQ_ONE
@@ -295,7 +339,7 @@ def _invert_mod_p(G: PhiQuot) -> PhiQuot:
     core, den = _strip_primes(det, (LAM, SINGULAR))
     r, core = primitive_rat(core)
     if not core.is_const():
-        den[core] = 1
+        den.update(_squarefree(core))
     lamV = LAM ** V
     num = []
     for j in range(4):
@@ -483,7 +527,9 @@ def _kernel_vector(cols: list) -> list:
     `Poly.__mul__`), several times faster than on rationals.  The (large)
     common content of the components coming from the column denominators
     is removed in exponent space by trial division by the primes of those
-    denominators, so the later generic gcd only sees the small residue.
+    denominators.  Those primes are the square-free factors of the
+    inversion core, so stripping them leaves the components no common
+    factor, and the later generic gcd finds a constant.
     The minors are stripped of those primes first, and component 0 is
     summed from their cores times only the prime powers above the least
     ones: the same polynomial, divided by a known prime power, from
@@ -558,9 +604,11 @@ def find_R() -> DependencyVector:
     Q_0 = 1 is the unit column, so `_kernel_vector` reads R_1..R_4 off the
     3x3 minors of the phi^1..phi^3 rows of Q_1..Q_4 and R_0 off the phi^0
     row; it raises ArithmeticError if those rows have rank below 3, i.e. if
-    the kernel is not a line.  The vector is then cleared of its common
-    factor and content, and its sign is fixed by the band R_{1,0}, a
-    positive multiple of s - 1."""
+    the kernel is not a line.  The components come back with no common
+    factor, since the tower's denominator primes are square-free and
+    `_kernel_vector` strips them, so the gcd in `clear_and_normalize` stops
+    at a constant; the vector is cleared of its content, and its sign is
+    fixed by the band R_{1,0}, a positive multiple of s - 1."""
     tower = q_tower(4)
     cols = [_pq_scale(tower[i], Rat(1, factorial(i))) for i in range(5)]
     entries = clear_and_normalize(_kernel_vector(cols), sign_entry=0)

@@ -296,14 +296,12 @@ def poly_div_exact(A: Poly, B: Poly) -> Poly:
     b, ib = _primitive_ints(B.terms)
     layout = field_struct(NVARS + 1, deg.bit_length() + 1)
     top = 1 << (8 * layout.size // (NVARS + 1) - 1)
-    guard = int.from_bytes(layout.pack(*[top] * (NVARS + 1)), "big")
-
-    def pack(m):
-        return int.from_bytes(layout.pack(sum(m), *m), "big")
-
-    bterms = sorted((pack(m), c) for m, c in ib.items())
+    pack, from_bytes = layout.pack, int.from_bytes
+    guard = from_bytes(pack(*[top] * (NVARS + 1)), "big")
+    bterms = sorted((from_bytes(pack(sum(m), *m), "big"), c)
+                    for m, c in ib.items())
     lmB, lcB = bterms.pop()
-    rem = {pack(m): c for m, c in ia.items()}
+    rem = {from_bytes(pack(sum(m), *m), "big"): c for m, c in ia.items()}
     # monomials in descending order via a min-heap of negated keys
     heap = [-k for k in rem]
     heapq.heapify(heap)

@@ -3,24 +3,27 @@ their band structure, and the recursively generated coefficient sequence."""
 
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tutteval import holonomic
-from tutteval.exactnum import ONE, Rat
+from tutteval.exactnum import ONE, Rat, factorial
 from tutteval.holonomic import (_PQ_ONE, DependencyVector, PhiQuot, _det,
-                                _kernel_vector, _pq_add, _pq_dlam, _pq_eq,
-                                _pq_mul, _pq_normalize, _pq_scale,
-                                _rank4_witness, b_direct, b_equality_report,
+                                _invert_mod_p, _kernel_vector, _pq_add,
+                                _pq_dlam, _pq_eq, _pq_mul, _pq_normalize,
+                                _pq_scale, _rank4_witness, _squarefree,
+                                b_direct, b_equality_report,
                                 b_recursion, coprimality_report,
                                 dependency_report,
                                 find_R, find_Rhat, p0_quot, p0_report,
                                 p0_series_report, pq_from_poly, q1_phi,
                                 q_tower, tower_oracle, weighted_degree)
 from tutteval.polyring import (Poly, partial_derivative, poly_div_exact,
-                               poly_parse, poly_to_str)
+                               poly_gcd, poly_parse, poly_to_str,
+                               primitive_rat)
 
 s = Poly.var("s")
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -92,6 +95,99 @@ def test_pq_roundtrip_and_ring_ops():
         poly_parse("2*f + l") * poly_parse("f^2 - 3")))
     assert _pq_eq(_pq_add(a, _pq_scale(a, Rat(-1))), PhiQuot([], {}, ONE))
     assert _pq_dlam(pq_from_poly(Poly.one())).is_zero()
+
+
+# -- square-free denominator primes -----------------------------------------
+
+
+def _inversion_core(monkeypatch) -> Poly:
+    """The primitive core of the determinant that inverting 2 F^2 modulo P
+    hands to `_squarefree`."""
+    seen = []
+
+    def record(f, *args):
+        seen.append(f)
+        return _squarefree(f, *args)
+
+    monkeypatch.setattr(holonomic, "_squarefree", record)
+    _invert_mod_p(_pq_scale(pq_from_poly(holonomic.f_squared()), Rat(2)))
+    return seen[0]
+
+
+def _is_squarefree(p: Poly) -> bool:
+    v = "l" if p.degree("l") > 0 else "s"
+    return poly_gcd(p, partial_derivative(p, v)).is_const()
+
+
+def test_squarefree_splits_the_inversion_core_like_sympy(monkeypatch):
+    # the core is v w^2 with w = (1 + l s)^4 - s: one denominator prime for
+    # the whole core could never cancel a single w
+    sympy = pytest.importorskip("sympy")
+    core = _inversion_core(monkeypatch)
+    ours = {poly_to_str(p): e for p, e in _squarefree(core).items()}
+    _, factors = sympy.sqf_list(sympy.sympify(
+        poly_to_str(core).replace("^", "**")))
+    theirs = {poly_to_str(primitive_rat(poly_parse(
+        str(sympy.expand(f)).replace("**", "^")))[1]): e for f, e in factors}
+    assert ours == theirs
+    w = (1 + poly_parse("l*s")) ** 4 - s
+    assert ours[poly_to_str(w)] == 2 and len(ours) == 2
+
+
+def _bivariate(max_deg: int, lam: bool):
+    mono = st.tuples(st.integers(0, max_deg),
+                     st.integers(0, max_deg if lam else 0))
+    return st.dictionaries(mono, st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=4).map(
+        lambda d: Poly({(0, i, j, 0, 0, 0): c for (i, j), c in d.items()}))
+
+
+@given(_bivariate(2, True), _bivariate(2, True), _bivariate(2, False),
+       st.permutations([1, 2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_squarefree_decomposes_products_of_powers(a, b, c, exps):
+    # a^i b^j c^k with c free of lambda: the factors multiply back, are
+    # square-free and pairwise coprime
+    f = primitive_rat(a ** exps[0] * b ** exps[1] * c ** exps[2])[1]
+    sq = _squarefree(f)
+    back = Poly.one()
+    for p, e in sq.items():
+        assert not p.is_const() and e >= 1
+        assert primitive_rat(p)[1] == p
+        assert _is_squarefree(p)
+        back = back * p ** e
+    assert back == f
+    for p, q in combinations(sq, 2):
+        assert poly_gcd(p, q).is_const()
+
+
+def test_squarefree_examples():
+    assert _squarefree(Poly.one()) == {}
+    sq = _squarefree(primitive_rat((s + 1) ** 3 * (s - 2))[1])
+    assert sq == {s - 2: 1, s + 1: 3}
+    lam = Poly.var("l")
+    f = (s + 1) ** 2 * (lam + s) ** 3 * (lam * s - 1)
+    assert _squarefree(primitive_rat(f)[1]) == {
+        lam * s - 1: 1, lam + s: 3, s + 1: 2}
+
+
+def test_tower_denominator_primes_are_squarefree_and_coprime():
+    keys = {p for q in q_tower(5) for p in q.den}
+    for p in keys:
+        assert poly_gcd(p, partial_derivative(p, "l")).is_const()
+    for p, q in combinations(keys, 2):
+        assert poly_gcd(p, q).is_const()
+
+
+def test_kernel_vector_of_R_has_no_hidden_common_factor():
+    # the prime stripping leaves components whose gcd is constant, so no
+    # common factor such as ((1 + l s)^4 - s)^7 reaches the normalization
+    tower = q_tower(4)
+    cols = [_pq_scale(tower[i], Rat(1, factorial(i))) for i in range(5)]
+    g = Poly()
+    for p in _kernel_vector(cols):
+        g = poly_gcd(g, p)
+    assert g.is_const()
 
 
 def test_q_tower_oracle():
