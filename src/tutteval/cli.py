@@ -88,7 +88,7 @@ def _holonomic_suite(args) -> list:
     reports = [
         holonomic.p0_report(),
         holonomic.p0_series_report(),
-        holonomic.tower_oracle(min(args.tower, 3), 8, 6),
+        holonomic.tower_oracle(args.tower, 8, 6),
         holonomic.dependency_report("R"),
         holonomic.dependency_report("Rhat"),
     ]

@@ -16,7 +16,16 @@ factors of the core of an inversion determinant), each the key of its
 exponent.  Cancellation then needs only trial exact divisions by the primes
 a value carries, never a general gcd.  The primes are square-free and
 pairwise coprime, so a numerator that one factor of the core divides loses
-that factor, whatever the others do.
+that factor, whatever the others do.  A sum of PhiQuot values, with rational
+or (s, lambda)-polynomial multipliers, is taken by `_pq_sum` over the least
+common factored denominator and normalized once.
+
+Each dependency vector carries its band: R among Q_0..Q_4 and Rhat among
+Q_1..Q_5 have the lambda-coefficients (i, i - offset - 1) equal to positive
+multiples of s - 1 and 3s + 1, and vanish below them.  `DependencyVector`
+derives indices, shift and factor from its kind and offset, so the report,
+the sign rule of `_band_vector` and the b recursions read the band from one
+place.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from .exactnum import ONE, Rat, ZERO, binomial, factorial, rat_gcd
 from .polyring import (Poly, _eval_var, clear_and_normalize,
                        partial_derivative, poly_div_exact, poly_gcd,
                        poly_parse, poly_to_str, primitive_rat, rat_content)
-from .report import Report, failed, passed
+from .report import Report, failed, inconclusive, passed
 from .series import Series2
 from .tutte import phi_series
 
@@ -172,29 +181,30 @@ def _pq_mul(A: PhiQuot, B: PhiQuot) -> PhiQuot:
     return _pq_normalize(num, den, A.c * B.c)
 
 
-def _pq_add(A: PhiQuot, B: PhiQuot) -> PhiQuot:
-    if A.is_zero():
-        return B
-    if B.is_zero():
-        return A
-    den = {p: max(A.den.get(p, 0), B.den.get(p, 0))
-           for p in {**A.den, **B.den}}
-    sa = Poly.const(A.c)
-    sb = Poly.const(B.c)
-    for p, e in den.items():
-        sa = sa * p ** (e - A.den.get(p, 0))
-        sb = sb * p ** (e - B.den.get(p, 0))
+def _pq_sum(terms) -> PhiQuot:
+    """The sum of k A over the pairs (k, A), k a rational or a Poly in
+    (s, lambda): every numerator is lifted to the least common factored
+    denominator, so the sum is normalized once."""
+    terms = [(k if isinstance(k, Poly) else Poly.const(k), A)
+             for k, A in terms if k and not A.is_zero()]
+    den = {}
+    for _, A in terms:
+        for p, e in A.den.items():
+            den[p] = max(den.get(p, 0), e)
     num = []
-    for j in range(max(len(A.num), len(B.num))):
-        a = A.num[j] * sa if j < len(A.num) else Poly()
-        b = B.num[j] * sb if j < len(B.num) else Poly()
-        num.append(a + b)
+    for k, A in terms:
+        lift = k.scale(A.c)
+        for p, e in den.items():
+            if e > A.den.get(p, 0):
+                lift = lift * p ** (e - A.den.get(p, 0))
+        for j, n in enumerate(A.num):
+            if j == len(num):
+                num.append(Poly())
+            num[j] = num[j] + n * lift
     return _pq_normalize(num, den, ONE)
 
 
 def _pq_scale(A: PhiQuot, q) -> PhiQuot:
-    if isinstance(q, Poly):
-        return _pq_normalize([n * q for n in A.num], dict(A.den), A.c)
     if not q:
         return PhiQuot([], {}, ONE)
     return PhiQuot(list(A.num), dict(A.den), A.c * q)
@@ -226,7 +236,7 @@ def _pq_dlam(A: PhiQuot) -> PhiQuot:
 
 
 def _pq_eq(A: PhiQuot, B: PhiQuot) -> bool:
-    return _pq_add(A, _pq_scale(B, Rat(-1))).is_zero()
+    return _pq_sum([(ONE, A), (Rat(-1), B)]).is_zero()
 
 
 # -- the derivative tower --------------------------------------------------
@@ -371,7 +381,7 @@ def q1_phi() -> PhiQuot:
     inv2G = _invert_mod_p(_pq_scale(pq_from_poly(fsq), Rat(2)))
     P1 = _pq_mul(pq_from_poly(partial_derivative(fsq, "l")), inv2G)
     P2 = _pq_mul(pq_from_poly(partial_derivative(fsq, "f")), inv2G)
-    return _pq_add(P1, _pq_mul(p0_quot(), P2))
+    return _pq_sum([(ONE, P1), (ONE, _pq_mul(p0_quot(), P2))])
 
 
 @lru_cache(maxsize=None)
@@ -387,8 +397,9 @@ def q_tower(kmax: int) -> tuple:
         return (_PQ_ONE, q1)
     tower = q_tower(kmax - 1)
     qi = tower[-1]
-    qnext = _pq_add(_pq_add(_pq_dlam(qi), _pq_mul(_pq_dphi(qi), p0_quot())),
-                    _pq_mul(qi, q1))
+    qnext = _pq_sum([(ONE, _pq_dlam(qi)),
+                     (ONE, _pq_mul(_pq_dphi(qi), p0_quot())),
+                     (ONE, _pq_mul(qi, q1))])
     return tower + (qnext,)
 
 
@@ -446,6 +457,9 @@ def tower_oracle(i_max: int, S: int, L: int) -> Report:
     absorbed by a widened internal cap."""
     t0 = time.perf_counter()
     params = {"i_max": i_max, "s_cap": S, "lambda_cap": L}
+    if not 1 <= i_max <= TOWER_MAX:
+        return inconclusive("tower_oracle", params,
+                            f"i_max {i_max} is outside 1..{TOWER_MAX}", 0, t0)
     tower = q_tower(i_max)
     slack = max(q.den.get(LAM, 0) for q in tower)
     Lw = L + i_max + slack
@@ -466,13 +480,35 @@ def tower_oracle(i_max: int, S: int, L: int) -> Report:
 # -- dependency vectors ----------------------------------------------------
 
 
+# the factor of the band of each dependency vector, gcd 1 between the two
+BAND_FACTOR = {"R": Poly.var("s") - 1, "Rhat": 3 * Poly.var("s") + 1}
+
+
 @dataclass
 class DependencyVector:
-    """A cleared, content-free kernel vector among the Q_i/i!."""
+    """A cleared, content-free kernel vector among the Q_i/i!, i in
+    `indices` = offset..offset+4.
+
+    Its band is the lambda-coefficients (i, i - shift), shift = offset + 1,
+    for i above the offset: each is a positive scalar times the factor
+    BAND_FACTOR[kind], and every coefficient (i, k) with k < i - shift
+    vanishes."""
 
     kind: str                  # "R" or "Rhat"
     offset: int                # index of entries[0]
     entries: list = field(default_factory=list)  # Poly in (s, lambda)
+
+    @property
+    def indices(self) -> range:
+        return range(self.offset, self.offset + len(self.entries))
+
+    @property
+    def shift(self) -> int:
+        return self.offset + 1
+
+    @property
+    def factor(self) -> Poly:
+        return BAND_FACTOR[self.kind]
 
     def entry(self, i: int) -> Poly:
         return self.entries[i - self.offset]
@@ -582,19 +618,16 @@ def _kernel_vector(cols: list) -> list:
             for (core, exps), col in zip(stripped, cols)]
 
 
-def _anchor_sign(entries: list, pos: int, factor: Poly) -> list:
-    """Flip the global sign so the lambda^0 coefficient of entries[pos] is a
-    positive multiple of the given factor."""
-    lead = Poly({m: c for m, c in entries[pos].terms.items() if m[2] == 0})
-    if lead.is_zero():
-        return entries
-    try:
-        c = poly_div_exact(lead, factor)
-    except ArithmeticError:
-        return entries
-    if c.is_const() and c.const_value() < 0:
-        return [-p for p in entries]
-    return entries
+def _band_vector(kind: str, offset: int, vec: list) -> DependencyVector:
+    """The kernel vector vec, indexed from offset, cleared of its common
+    factor and content, with the sign that gives the lambda^0 part of entry
+    offset + 1, the first band coefficient, a positive leading
+    coefficient."""
+    entries = clear_and_normalize(vec)
+    band = Poly({m: c for m, c in entries[1].terms.items() if m[2] == 0})
+    if band.leading_coeff() < 0:
+        entries = [-p for p in entries]
+    return DependencyVector(kind, offset, entries)
 
 
 @lru_cache(maxsize=1)
@@ -607,13 +640,11 @@ def find_R() -> DependencyVector:
     the kernel is not a line.  The components come back with no common
     factor, since the tower's denominator primes are square-free and
     `_kernel_vector` strips them, so the gcd in `clear_and_normalize` stops
-    at a constant; the vector is cleared of its content, and its sign is
-    fixed by the band R_{1,0}, a positive multiple of s - 1."""
+    at a constant; `_band_vector` clears the vector of its content and fixes
+    its sign by the band R_{1,0}."""
     tower = q_tower(4)
     cols = [_pq_scale(tower[i], Rat(1, factorial(i))) for i in range(5)]
-    entries = clear_and_normalize(_kernel_vector(cols), sign_entry=0)
-    entries = _anchor_sign(entries, 1, Poly.var("s") - 1)
-    return DependencyVector("R", 0, entries)
+    return _band_vector("R", 0, _kernel_vector(cols))
 
 
 # sample points (s, lambda) for the rank witness of find_Rhat
@@ -686,9 +717,7 @@ def find_Rhat() -> DependencyVector:
                 break
         if not g.is_const():
             vec = [poly_div_exact(p, g) for p in vec]
-    entries = clear_and_normalize(vec, sign_entry=0)
-    entries = _anchor_sign(entries, 1, 3 * Poly.var("s") + 1)
-    return DependencyVector("Rhat", 1, entries)
+    return _band_vector("Rhat", 1, vec)
 
 
 def dependency_report(kind: str) -> Report:
@@ -696,7 +725,7 @@ def dependency_report(kind: str) -> Report:
     t0 = time.perf_counter()
     params = {"kind": kind}
     cases = 0
-    if kind not in ("R", "Rhat"):
+    if kind not in BAND_FACTOR:
         return failed("dependency", params,
                       f"unknown kind {kind!r}: expected 'R' or 'Rhat'",
                       cases, t0)
@@ -704,32 +733,19 @@ def dependency_report(kind: str) -> Report:
         dv = find_R() if kind == "R" else find_Rhat()
     except ArithmeticError as exc:
         return failed("dependency", params, str(exc), cases, t0)
-    if kind == "R":
-        tower = q_tower(4)
-        idxs = range(5)
-        factor = Poly.var("s") - 1
-        shift = 1
-        anchor_range = range(1, 5)
-    else:
-        tower = q_tower(5)
-        idxs = range(1, 6)
-        factor = 3 * Poly.var("s") + 1
-        shift = 2
-        anchor_range = range(2, 6)
+    tower = q_tower(dv.indices[-1])
+    shift = dv.shift
 
     # re-expansion: sum R_i Q_i / i! = 0 identically mod P
-    acc = PhiQuot([], {}, ONE)
-    for i in idxs:
-        term = _pq_scale(_pq_scale(tower[i], dv.entry(i)),
-                         Rat(1, factorial(i)))
-        acc = _pq_add(acc, term)
+    acc = _pq_sum((dv.entry(i).scale(Rat(1, factorial(i))), tower[i])
+                  for i in dv.indices)
     if not acc.is_zero():
         return failed("dependency", params, "re-expansion is nonzero",
                       cases, t0)
     cases += 1
 
     # vanishing below the band
-    for i in idxs:
+    for i in dv.indices:
         for k in range(0, i - shift):
             if not dv.coeff(i, k).is_zero():
                 return failed("dependency", params,
@@ -739,23 +755,23 @@ def dependency_report(kind: str) -> Report:
 
     # band coefficients: positive scalar multiples of the common factor
     scalars = []
-    for i in anchor_range:
+    for i in dv.indices[1:]:
         lead = dv.coeff(i, i - shift)
         try:
-            c = poly_div_exact(lead, factor)
+            c = poly_div_exact(lead, dv.factor)
         except ArithmeticError:
             return failed("dependency", params,
                           f"({i},{i - shift}) is not a multiple of "
-                          f"{poly_to_str(factor)}", cases, t0)
+                          f"{poly_to_str(dv.factor)}", cases, t0)
         if not c.is_const() or c.const_value() <= 0:
             return failed("dependency", params,
                           f"({i},{i - shift}) is not a positive scalar "
-                          f"multiple of {poly_to_str(factor)}", cases, t0)
+                          f"multiple of {poly_to_str(dv.factor)}", cases, t0)
         scalars.append(c.const_value())
         cases += 1
 
     if kind == "Rhat":
-        for i in idxs:
+        for i in dv.indices:
             wd = weighted_degree(dv.entry(i))
             if wd > 2 * (3 - i):
                 return failed("dependency", params,
@@ -781,6 +797,8 @@ class BSeq:
     def degree_report(self) -> Report:
         t0 = time.perf_counter()
         params = {"source": self.source, "orders": len(self.bl) - 1}
+        if not self.bl:
+            return inconclusive("b_degree", params, "no b_l to check", 0, t0)
         for l, p in enumerate(self.bl):
             if p.degree("s") > l:
                 return failed("b_degree", params,
@@ -790,9 +808,11 @@ class BSeq:
 
 def b_direct(S: int, L: int) -> BSeq:
     """Expand b = s + (1+lambda s) sqrt((1+r)^2 - 4s) and slice by lambda
-    order.  Needs S >= L + 2 so each b_l fits under the s cap."""
+    order.  Needs L >= 0, and S >= L + 2 so each b_l fits under the s cap."""
     from .template import base_series
 
+    if L < 0:
+        raise ValueError(f"lambda cap {L} is negative; need >= 0")
     if S < L + 2:
         raise ValueError(f"s cap {S} too small for lambda cap {L}")
     b = base_series(S, L)[-1]
@@ -809,14 +829,19 @@ def b_direct(S: int, L: int) -> BSeq:
 def b_recursion(L: int) -> tuple:
     """Rebuild b_0..b_L from the two dependency recursions.
 
-    Every step divides exactly by a scalar multiple of (s-1) (R route) or
-    (3s+1) (Rhat route); a nonzero remainder would be a counterexample and
-    is reported as such.  The two routes must agree wherever both apply.
+    At each order l, the vector with shift h determines b_{l+h} by an exact
+    division by its band, a scalar multiple of its factor: s - 1 for R,
+    3s + 1 for Rhat.  A nonzero remainder would be a counterexample and is
+    reported as such.  The two routes must agree wherever both apply.  With
+    L < 1 there is no b_l to derive, and the result is inconclusive.
     """
     t0 = time.perf_counter()
     params = {"orders": L}
-    R = find_R()
-    Rhat = find_Rhat()
+    if L < 1:
+        return BSeq("recursion", []), inconclusive(
+            "b_recursion", params,
+            f"orders {L} leave no b_l to derive; need orders >= 1", 0, t0)
+    vectors = (find_R(), find_Rhat())
     s = Poly.var("s")
     b = [Poly.one(), 3 * s + 1]
     cases = 0
@@ -826,69 +851,44 @@ def b_recursion(L: int) -> tuple:
         # vector is normalized against the columns Q_i/i!, while the
         # lambda-coefficient comparison below expands sum_i R_i d^iF/dlambda^i
         # with no factorial on the derivative
-        if k < 0 or k > dv.lambda_degree(i):
+        if i < dv.offset or k < 0 or k > dv.lambda_degree(i):
             return Poly()
         return dv.coeff(i, k).scale(Rat(1, factorial(i)))
 
     for l in range(0, L):
-        # (s-1) route: determines b_{l+1}
-        lead = Poly()
-        for i in range(1, 5):
-            lead = lead + r_coeff(R, i, i - 1).scale(binomial(l, l + 1 - i))
-        rhs = r_coeff(R, 0, l) * s
-        for m in range(0, l + 1):
-            for i in range(0, 5):
-                co = binomial(l, m - i)
-                if not co:
-                    continue
-                rk = r_coeff(R, i, l + i - m)
-                if not rk.is_zero():
-                    rhs = rhs - rk.scale(co) * b[m]
-        try:
-            b_next = poly_div_exact(rhs, lead)
-        except ArithmeticError:
-            rep = failed("b_recursion", params,
-                         f"(s-1) route: inexact division at l={l}", cases, t0)
-            return BSeq("recursion", b), rep
-        if l + 1 < len(b):
-            if b[l + 1] != b_next:
+        for dv in vectors:
+            target = l + dv.shift
+            if target > L:
+                continue
+            route = f"({poly_to_str(dv.factor)}) route"
+            lead = Poly()
+            for i in dv.indices[1:]:
+                lead = lead + r_coeff(dv, i, i - dv.shift).scale(
+                    binomial(l, target - i))
+            # b = s + F, and s is lambda-free: only an index-0 entry sees it
+            rhs = r_coeff(dv, 0, l) * s
+            for m in range(0, min(target, len(b))):
+                for i in dv.indices:
+                    co = binomial(l, m - i)
+                    if not co:
+                        continue
+                    rk = r_coeff(dv, i, l + i - m)
+                    if not rk.is_zero():
+                        rhs = rhs - rk.scale(co) * b[m]
+            try:
+                b_next = poly_div_exact(rhs, lead)
+            except ArithmeticError:
                 rep = failed("b_recursion", params,
-                             f"(s-1) route disagrees at b_{l + 1}", cases, t0)
+                             f"{route}: inexact division at l={l}", cases, t0)
                 return BSeq("recursion", b), rep
-        else:
-            b.append(b_next)
-        cases += 1
-
-        # (3s+1) route: determines b_{l+2} independently
-        if l + 2 > L:
-            continue
-        lead2 = Poly()
-        for i in range(2, 6):
-            lead2 = lead2 + r_coeff(Rhat, i, i - 2).scale(
-                binomial(l, l + 2 - i))
-        rhs2 = Poly()
-        for m in range(0, min(l + 2, len(b))):
-            for i in range(1, 6):
-                co = binomial(l, m - i)
-                if not co:
-                    continue
-                rk = r_coeff(Rhat, i, l + i - m)
-                if not rk.is_zero():
-                    rhs2 = rhs2 - rk.scale(co) * b[m]
-        try:
-            b_hat = poly_div_exact(rhs2, lead2)
-        except ArithmeticError:
-            rep = failed("b_recursion", params,
-                         f"(3s+1) route: inexact division at l={l}", cases, t0)
-            return BSeq("recursion", b), rep
-        if l + 2 < len(b):
-            if b[l + 2] != b_hat:
-                rep = failed("b_recursion", params,
-                             f"(3s+1) route disagrees at b_{l + 2}", cases, t0)
-                return BSeq("recursion", b), rep
-        else:
-            b.append(b_hat)
-        cases += 1
+            if target < len(b):
+                if b[target] != b_next:
+                    rep = failed("b_recursion", params,
+                                 f"{route} disagrees at b_{target}", cases, t0)
+                    return BSeq("recursion", b), rep
+            else:
+                b.append(b_next)
+            cases += 1
 
     rep = passed("b_recursion", params, cases, t0)
     return BSeq("recursion", b[:L + 1]), rep
@@ -899,6 +899,8 @@ def b_equality_report(x: BSeq, y: BSeq) -> Report:
     t0 = time.perf_counter()
     n = min(len(x.bl), len(y.bl))
     params = {"sources": f"{x.source}/{y.source}", "orders": n - 1}
+    if n == 0:
+        return inconclusive("b_equality", params, "no b_l to compare", 0, t0)
     for l in range(n):
         if x.bl[l] != y.bl[l]:
             return failed("b_equality", params,

@@ -604,13 +604,12 @@ def poly_gcd(A: Poly, B: Poly) -> Poly:
     return _poly_gcd_bivar(A, B, vm, ve)
 
 
-def clear_and_normalize(polys: list, sign_entry: int = 0) -> list:
+def clear_and_normalize(polys: list) -> list:
     """Scale a nonzero polynomial vector to coprime integer entries.
 
     Divides by the common polynomial factor, the gcd of the first entries
-    as soon as it divides all of them, and by the common rational content,
-    and flips the global sign so the designated entry (or, if it is zero, the
-    first nonzero one) has a positive leading coefficient.
+    as soon as it divides all of them, and by the common rational content.
+    The global sign is left to the caller.
     """
     if all(p.is_zero() for p in polys):
         raise ValueError("cannot normalize the zero vector")
@@ -629,13 +628,7 @@ def clear_and_normalize(polys: list, sign_entry: int = 0) -> list:
     c = ZERO
     for p in polys:
         c = rat_gcd(c, rat_content(p))
-    polys = [p.scale(ONE / c) for p in polys]
-    anchor = polys[sign_entry]
-    if anchor.is_zero():
-        anchor = next(p for p in polys if not p.is_zero())
-    if anchor.leading_coeff() < 0:
-        polys = [-p for p in polys]
-    return polys
+    return [p.scale(ONE / c) for p in polys]
 
 
 # -- text serialization ----------------------------------------------------

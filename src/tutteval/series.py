@@ -124,19 +124,6 @@ class Series3:
                 base = base * base
         return result
 
-    def truncate(self, D, L) -> "Series3":
-        return Series3(self.coeffs, min(self.D, D), min(self.L, L))
-
-    # -- slices ------------------------------------------------------------
-
-    def lambda_slice(self, c: int) -> Poly:
-        """Coefficient of lambda^c as a Poly in (t, s)."""
-        out = {}
-        for (a, b, cc), v in self.coeffs.items():
-            if cc == c:
-                out[(a, b, 0, 0, 0, 0)] = v
-        return Poly(out)
-
     # -- inverse / sqrt ----------------------------------------------------
 
     def inverse(self) -> "Series3":
@@ -349,10 +336,6 @@ class LaurentX:
         self.N = N
         self.q = {k: v for k, v in (q or {}).items() if v and k <= N}
         self.p = {k: v for k, v in (p or {}).items() if v and k <= N}
-
-    @staticmethod
-    def zero(N) -> "LaurentX":
-        return LaurentX({}, {}, N)
 
     @staticmethod
     def const(v, N) -> "LaurentX":

@@ -4,6 +4,7 @@ fixture pin/compare round trip."""
 import itertools
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,16 @@ def test_all_runs_each_suite_at_its_parser_defaults(monkeypatch, tmp_path):
     for name, got in seen.items():
         assert got == vars(build_parser().parse_args(
             [name, "--jobs", "3", "--fixtures", str(tmp_path)])), name
+
+
+def test_all_matches_the_pinned_report(tmp_path, capsys):
+    # `verify all --emit-json` output pinned from an earlier tree: a change
+    # to any check's verdict, witness, case count or parameters shows here
+    path = tmp_path / "all.json"
+    assert main(["all", "--emit-json", str(path)]) == 0
+    capsys.readouterr()
+    pinned = Path(__file__).parent / "fixtures" / "verify_all.json"
+    assert path.read_bytes() == pinned.read_bytes()
 
 
 def test_conjecture_suite_builds_its_f_table_once(monkeypatch, capsys):
@@ -217,8 +228,7 @@ def test_bad_caps_are_reports(argv, check, witness, capsys, tmp_path):
                and r["n_cases"] == 0 for r in bad)
 
 
-# small caps for every suite whose caps reach its checks (holonomic builds
-# R and Rhat the same way at any cap, so it is left out)
+# small caps for every suite whose caps reach its checks
 CAP_SWEEP = {
     "tutte": {"--max-i": [0, 1, 2, 3], "--tamari-max": [0, 1, 2, 3]},
     "template": {"--m-max": [0, 1, 3, 8], "--order": [0, 1, 2, 3, 4, 6, 10]},
@@ -227,6 +237,8 @@ CAP_SWEEP = {
     "conjecture": {"--n-max": [1, 2, 3, 4, 6], "--i-max": [0, 1, 2, 4]},
     "hilbert": {"--n-max": [1, 2, 3]},
     "iso": {"--order": [0, 1, 2, 3, 4, 6], "--lambda-cap": [0, 1, 2, 4]},
+    "holonomic": {"--tower": [0, 1, 7], "--b-orders": [-1, 0, 1],
+                  "--s-cap": [2]},
 }
 
 
@@ -238,10 +250,10 @@ def _emitted(argv, tmp_path, capsys) -> list:
 
 
 def _case(rep: dict) -> tuple:
-    # a check is identified by its check name and its m or n; the other
-    # parameters are caps
+    # a check is identified by its check name and its m, n, kind or source;
+    # the other parameters are caps
     return rep["check"], tuple((k, v) for k, v in rep["params"].items()
-                               if k in ("m", "n"))
+                               if k in ("m", "n", "kind", "source"))
 
 
 @pytest.mark.parametrize("suite", sorted(CAP_SWEEP))

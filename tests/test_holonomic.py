@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from tutteval import holonomic
 from tutteval.exactnum import ONE, Rat, factorial
 from tutteval.holonomic import (_PQ_ONE, DependencyVector, PhiQuot, _det,
-                                _invert_mod_p, _kernel_vector, _pq_add,
-                                _pq_dlam, _pq_eq, _pq_mul, _pq_normalize,
-                                _pq_scale, _rank4_witness, _squarefree,
+                                _invert_mod_p, _kernel_vector, _pq_dlam,
+                                _pq_eq, _pq_mul, _pq_normalize, _pq_scale,
+                                _pq_sum, _rank4_witness, _squarefree,
                                 b_direct, b_equality_report,
                                 b_recursion, coprimality_report,
                                 dependency_report,
@@ -50,8 +50,9 @@ def test_p0_solves_the_implicit_derivative():
     P = holonomic.P_DEFINING
     p0 = p0_quot.__wrapped__()
     assert set(p0.den) <= {holonomic.LAM, holonomic.SINGULAR}
-    residue = _pq_add(_pq_mul(p0, pq_from_poly(partial_derivative(P, "f"))),
-                      pq_from_poly(partial_derivative(P, "l")))
+    residue = _pq_sum([
+        (ONE, _pq_mul(p0, pq_from_poly(partial_derivative(P, "f")))),
+        (ONE, pq_from_poly(partial_derivative(P, "l")))])
     assert residue.is_zero()
 
 
@@ -79,7 +80,7 @@ def test_p0_reports():
 
 
 def test_p0_report_rejects_a_wrong_p0(monkeypatch):
-    wrong = _pq_add(p0_quot(), pq_from_poly(poly_parse("f")))
+    wrong = _pq_sum([(ONE, p0_quot()), (ONE, pq_from_poly(poly_parse("f")))])
     monkeypatch.setattr(holonomic, "p0_quot", lambda: wrong)
     rep = p0_report()
     assert rep.status == "fail" and rep.witness.startswith("got ")
@@ -93,7 +94,15 @@ def test_pq_roundtrip_and_ring_ops():
     b = pq_from_poly(poly_parse("f^2 - 3"))
     assert _pq_eq(_pq_mul(a, b), pq_from_poly(
         poly_parse("2*f + l") * poly_parse("f^2 - 3")))
-    assert _pq_eq(_pq_add(a, _pq_scale(a, Rat(-1))), PhiQuot([], {}, ONE))
+    assert _pq_eq(_pq_sum([(ONE, a), (Rat(-1), a)]), PhiQuot([], {}, ONE))
+    # a Poly multiplier in (s, lambda), and terms over different primes
+    lam = Poly.var("l")
+    assert _pq_eq(_pq_sum([(lam, a), (Rat(3), b)]), pq_from_poly(
+        lam * poly_parse("2*f + l") + 3 * poly_parse("f^2 - 3")))
+    c = _pq_normalize([s], {holonomic.LAM: 2, holonomic.SINGULAR: 1}, ONE)
+    assert _pq_eq(_pq_sum([(lam * holonomic.SINGULAR, c), (s, c)]),
+                  _pq_normalize([s * (lam * holonomic.SINGULAR + s)],
+                                dict(c.den), ONE))
     assert _pq_dlam(pq_from_poly(Poly.one())).is_zero()
 
 
@@ -403,3 +412,20 @@ def test_b_degree_bound():
     assert rep.ok
     for l, p in enumerate(rec.bl):
         assert p.degree("s") <= l
+
+
+def test_caps_that_leave_nothing_to_compare_are_inconclusive():
+    for i_max in (0, -1, holonomic.TOWER_MAX + 1):
+        rep = tower_oracle(i_max, 8, 6)
+        assert rep.status == "inconclusive" and rep.n_cases == 0
+        assert rep.witness == f"i_max {i_max} is outside 1..6"
+    for L in (0, -1):
+        rec, rep = b_recursion(L)
+        assert rep.status == "inconclusive" and rep.n_cases == 0
+        assert rep.witness == (f"orders {L} leave no b_l to derive; "
+                               "need orders >= 1")
+        assert rec.bl == []
+        assert rec.degree_report().status == "inconclusive"
+        assert b_equality_report(b_direct(4, 0), rec).status == "inconclusive"
+    with pytest.raises(ValueError, match="lambda cap -1 is negative"):
+        b_direct(4, -1)

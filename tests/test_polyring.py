@@ -534,11 +534,3 @@ def test_clear_and_normalize_stops_at_the_first_dividing_gcd(monkeypatch):
     v = [(s - 1) * s, (s - 1) * lam, (s - 1) * (s + lam)]
     assert clear_and_normalize(v) == [s, lam, s + lam]
     assert len(calls) == 2
-
-
-def test_clear_and_normalize_sign():
-    out = clear_and_normalize([-t, -s], sign_entry=0)
-    assert out[0].leading_coeff() > 0
-    # a zero designated entry hands the sign to the first nonzero one
-    assert clear_and_normalize([Poly(), -s, t], sign_entry=0) == \
-        [Poly(), s, -t]
