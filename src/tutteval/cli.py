@@ -162,12 +162,19 @@ _SUITES = {
 }
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
+    return n
+
+
 def _add_common(p):
     p.add_argument("--emit-json", metavar="PATH",
                    help="write the JSON report array to PATH")
     p.add_argument("--fixtures", metavar="DIR",
                    help="pin/compare derived values under DIR")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for the vanishing checks")
 
 

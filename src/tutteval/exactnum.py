@@ -27,6 +27,31 @@ def rat_gcd(a, b):
                math.lcm(a.denominator, b.denominator))
 
 
+def rank(rows) -> int:
+    """Exact rank of rational (int or Rat) row vectors; 0 for no rows.
+
+    Fraction-free elimination on integers (cf. E. H. Bareiss, Math. Comp.
+    22, 1968): each row is cleared of its denominators, and a pivot row p
+    with first nonzero entry p[j] turns every other row r into
+    p[j] r - r[j] p, divided by its content."""
+    work = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (den // x.denominator) for x in row])
+    out = 0
+    while work := [r for r in work if any(r)]:
+        piv = work.pop()
+        j, p = next((k, x) for k, x in enumerate(piv) if x)
+        for i, row in enumerate(work):
+            c = row[j]
+            if c:
+                row = [p * a - c * b for a, b in zip(row, piv)]
+                g = math.gcd(*row)
+                work[i] = [a // g for a in row] if g > 1 else row
+        out += 1
+    return out
+
+
 def binomial(n: int, k: int):
     """C(n, k) as a Rat; 0 outside the range 0 <= k <= n (or n < 0).
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .exactnum import ONE, Rat, ZERO, binomial, factorial, rat_gcd
+from .exactnum import ONE, Rat, ZERO, binomial, factorial, rank, rat_gcd
 from .polyring import (Poly, _eval_var, clear_and_normalize,
                        partial_derivative, poly_div_exact, poly_gcd,
                        poly_parse, poly_to_str, primitive_rat, rat_content)
@@ -250,21 +250,20 @@ def f_squared() -> Poly:
     return B * B - 4 * s * one_ls * one_ls
 
 
-def _det(M: list) -> Poly:
-    """Determinant of a small Poly matrix by cofactor expansion."""
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    out = Poly()
-    sign = 1
-    for j in range(n):
-        if not M[0][j].is_zero():
-            minor = [[M[i][k] for k in range(n) if k != j]
-                     for i in range(1, n)]
-            term = M[0][j] * _det(minor)
-            out = out + (term if sign > 0 else -term)
-        sign = -sign
-    return out
+def _row0_cofactors(M: list) -> list:
+    """The signed row-0 cofactors of a 4x4 Poly matrix M: entry j is
+    (-1)^j times the 3x3 minor of rows 1..3 omitting column j, so that
+    det M = sum_j M[0][j] cof_j and, when rows 1..3 have rank 3, the
+    cofactors span their kernel.  Each minor is expanded along row 3 over
+    the six 2x2 minors of rows 1 and 2, which the four minors share."""
+    m2 = {(j, k): M[1][j] * M[2][k] - M[1][k] * M[2][j]
+          for j, k in combinations(range(4), 2)}
+    cofs = []
+    for i in range(4):
+        a, b, c = [j for j in range(4) if j != i]
+        y = M[3][a] * m2[(b, c)] - M[3][b] * m2[(a, c)] + M[3][c] * m2[(a, b)]
+        cofs.append(-y if i % 2 else y)
+    return cofs
 
 
 def _strip_primes(p: Poly, primes) -> tuple:
@@ -323,10 +322,12 @@ def _squarefree(f: Poly, v="l") -> dict:
 
 def _invert_mod_p(G: PhiQuot) -> PhiQuot:
     """X with G X = 1 modulo P, by Cramer's rule on the multiplication
-    matrix.  The determinant's primitive core, if not constant, enters X's
-    denominator next to lambda and 256 lambda - 27 as its square-free
-    factors, each a prime with its multiplicity, so that a numerator can
-    cancel one factor without the others."""
+    matrix M: the coefficients of X are the row-0 cofactors of M over
+    det M, and the same cofactors give det M.  The determinant's primitive
+    core, if not constant, enters X's denominator next to lambda and
+    256 lambda - 27 as its square-free factors, each a prime with its
+    multiplicity, so that a numerator can cancel one factor without the
+    others."""
     phi_pq = PhiQuot([Poly(), Poly.one()], {}, ONE)
     cols = []
     phi_pow = _PQ_ONE
@@ -342,7 +343,8 @@ def _invert_mod_p(G: PhiQuot) -> PhiQuot:
         lift = LAM ** (V - col.den.get(LAM, 0))
         for r in range(min(4, len(col.num))):
             M[r][j] = (col.num[r] * lift).scale(col.c)
-    det = _det(M)
+    cofs = _row0_cofactors(M)
+    det = sum((m * cof for m, cof in zip(M[0], cofs)), Poly())
     if det.is_zero():
         raise ArithmeticError("multiplication matrix is singular")
     # factor the determinant: lambda, 256 lambda - 27, a primitive core
@@ -351,12 +353,7 @@ def _invert_mod_p(G: PhiQuot) -> PhiQuot:
     if not core.is_const():
         den.update(_squarefree(core))
     lamV = LAM ** V
-    num = []
-    for j in range(4):
-        minor = [[M[i][k] for k in range(4) if k != j] for i in range(1, 4)]
-        cof = lamV * _det(minor)
-        num.append(cof if j % 2 == 0 else -cof)
-    X = _pq_normalize(num, den, ONE / r)
+    X = _pq_normalize([lamV * cof for cof in cofs], den, ONE / r)
     if not _pq_eq(_pq_mul(G, X), _PQ_ONE):
         raise ArithmeticError("modular inverse verification failed")
     return X
@@ -550,15 +547,14 @@ def _kernel_vector(cols: list) -> list:
 
     With N the numerator matrix and k its (0, 0) entry, the fraction-free
     Cramer rule then needs only the four signed 3x3 minors y_j of rows 1..3
-    over columns 1..4 (y_j omits column j): components 1..4 of the kernel
-    of N are y_1..y_4, and row 0 gives component 0 as
-    -(N[0][1] y_1 + ... + N[0][4] y_4) / k.  All four minors vanishing
-    would mean rows 1..3 have rank < 3, i.e. kernel dimension > 1, and is
-    rejected.  The components are then rescaled by the column
-    denominators.
+    over columns 1..4, the row-0 cofactors of columns 1..4 from
+    `_row0_cofactors`: components 1..4 of the kernel of N are y_1..y_4,
+    and row 0 gives component 0 as -(N[0][1] y_1 + ... + N[0][4] y_4) / k.
+    All four minors vanishing would mean rows 1..3 have rank < 3, i.e.
+    kernel dimension > 1, and is rejected.  The components are then
+    rescaled by the column denominators.
 
-    The minors are assembled from the 2x2 minors of rows 1 and 2.  The
-    numerators that `_pq_normalize` leaves are content-free integer
+    The numerators that `_pq_normalize` leaves are content-free integer
     polynomials, so every product in the minors runs on integers (see
     `Poly.__mul__`), several times faster than on rationals.  The (large)
     common content of the components coming from the column denominators
@@ -574,18 +570,9 @@ def _kernel_vector(cols: list) -> list:
     if head.den or len(head.num) != 1 or not head.num[0].is_const() \
             or head.num[0].is_zero():
         raise ArithmeticError("column 0 is not a nonzero constant")
-    n = len(cols)
     N = [[col.num[r] if r < len(col.num) else Poly() for col in cols]
          for r in range(4)]
-    m2 = {}
-    for j, k in combinations(range(1, n), 2):
-        m2[(j, k)] = N[1][j] * N[2][k] - N[1][k] * N[2][j]
-    ys = [Poly()]
-    for i in range(1, n):
-        a, b, c = [j for j in range(1, n) if j != i]
-        y = (N[3][a] * m2[(b, c)] - N[3][b] * m2[(a, c)]
-             + N[3][c] * m2[(a, b)])
-        ys.append(-y if i % 2 else y)
+    ys = [Poly()] + _row0_cofactors([row[1:] for row in N])
     if all(y.is_zero() for y in ys):
         raise ArithmeticError(
             "all 3x3 minors of rows 1..3 vanish: kernel dimension exceeds 1")
@@ -601,10 +588,9 @@ def _kernel_vector(cols: list) -> list:
     stripped = [strip(y) for y in ys]
     low = least()
     x0 = Poly()
-    for j in range(1, n):
-        core, exps = stripped[j]
+    for m, (core, exps) in zip(N[0][1:], stripped[1:]):
         if not core.is_zero():
-            x0 = x0 - N[0][j] * (core * _prime_power(exps, low))
+            x0 = x0 - m * (core * _prime_power(exps, low))
     core, exps = strip(x0.scale(ONE / head.num[0].const_value()))
     stripped[0] = (core, {p: exps.get(p, 0) + e for p, e in low.items()})
     # undo the column scaling: the value matrix has columns c_i N_i / D_i,
@@ -652,28 +638,26 @@ _RANK_POINTS = ((2, 1), (3, 2), (5, 7), (11, 13))
 
 
 def _rank4_witness(cols: list):
-    """A certificate that the 4 x len(cols) phi-coefficient matrix of the
-    PhiQuot columns has rank 4 over Q(s, lambda), or None.
+    """A sample point (s, lambda) certifying that the 4 x len(cols)
+    phi-coefficient matrix of the PhiQuot columns has rank 4 over
+    Q(s, lambda), or None.
 
-    The certificate is a sample point (s, lambda) at which no prime of any
-    column denominator vanishes, together with 4 column
-    indices whose minor of the numerator matrix is nonzero there.  At such
-    a point the value matrix is the numerator matrix times the nonzero
-    diagonal c_j / D_j, so its minor is nonzero as a rational function and
-    the rank is 4.  None means no sample point gave a nonzero minor: the
-    rank is then taken to be below 4."""
+    At a point where no prime of any column denominator vanishes, the value
+    matrix is the numerator matrix times the nonzero diagonal c_j / D_j, so
+    both have the rank of the numerator matrix evaluated there, which
+    `rank` computes exactly.  Rank 4 at the point means some 4x4 minor is a
+    nonzero rational function.  None means no sample point gave rank 4:
+    the rank is then taken to be below 4."""
     for a, b in _RANK_POINTS:
-        def at(p: Poly) -> Poly:
-            return _eval_var(_eval_var(p, "s", a), "l", b)
+        def at(p: Poly):
+            return _eval_var(_eval_var(p, "s", a), "l", b).const_value()
 
-        if any(at(p).is_zero() for col in cols for p in col.den):
+        if any(not at(p) for col in cols for p in col.den):
             continue
-        vals = [[at(col.num[r]) if r < len(col.num) else Poly()
-                 for col in cols] for r in range(4)]
-        for cs in combinations(range(len(cols)), 4):
-            det = _det([[vals[r][j] for j in cs] for r in range(4)])
-            if not det.is_zero():
-                return (a, b), cs
+        vals = [[at(col.num[r]) if r < len(col.num) else 0 for col in cols]
+                for r in range(4)]
+        if rank(vals) == 4:
+            return a, b
     return None
 
 
@@ -789,14 +773,16 @@ def dependency_report(kind: str) -> Report:
 
 @dataclass
 class BSeq:
-    """b_0..b_L as polynomials in s, with provenance."""
+    """b_0..b_L as polynomials in s, with provenance and the orders L that
+    were asked for (bl is shorter when the build stopped early)."""
 
     source: str  # "direct" | "recursion"
+    orders: int
     bl: list = field(default_factory=list)
 
     def degree_report(self) -> Report:
         t0 = time.perf_counter()
-        params = {"source": self.source, "orders": len(self.bl) - 1}
+        params = {"source": self.source, "orders": self.orders}
         if not self.bl:
             return inconclusive("b_degree", params, "no b_l to check", 0, t0)
         for l, p in enumerate(self.bl):
@@ -823,7 +809,7 @@ def b_direct(S: int, L: int) -> BSeq:
             raise ArithmeticError(
                 f"b_{l} saturates the s cap {S}; result inconclusive")
         out.append(p)
-    return BSeq("direct", out)
+    return BSeq("direct", L, out)
 
 
 def b_recursion(L: int) -> tuple:
@@ -838,7 +824,7 @@ def b_recursion(L: int) -> tuple:
     t0 = time.perf_counter()
     params = {"orders": L}
     if L < 1:
-        return BSeq("recursion", []), inconclusive(
+        return BSeq("recursion", L), inconclusive(
             "b_recursion", params,
             f"orders {L} leave no b_l to derive; need orders >= 1", 0, t0)
     vectors = (find_R(), find_Rhat())
@@ -880,25 +866,26 @@ def b_recursion(L: int) -> tuple:
             except ArithmeticError:
                 rep = failed("b_recursion", params,
                              f"{route}: inexact division at l={l}", cases, t0)
-                return BSeq("recursion", b), rep
+                return BSeq("recursion", L, b), rep
             if target < len(b):
                 if b[target] != b_next:
                     rep = failed("b_recursion", params,
                                  f"{route} disagrees at b_{target}", cases, t0)
-                    return BSeq("recursion", b), rep
+                    return BSeq("recursion", L, b), rep
             else:
                 b.append(b_next)
             cases += 1
 
     rep = passed("b_recursion", params, cases, t0)
-    return BSeq("recursion", b[:L + 1]), rep
+    return BSeq("recursion", L, b[:L + 1]), rep
 
 
 def b_equality_report(x: BSeq, y: BSeq) -> Report:
     """The two sources must produce identical polynomials order by order."""
     t0 = time.perf_counter()
     n = min(len(x.bl), len(y.bl))
-    params = {"sources": f"{x.source}/{y.source}", "orders": n - 1}
+    params = {"sources": f"{x.source}/{y.source}",
+              "orders": min(x.orders, y.orders)}
     if n == 0:
         return inconclusive("b_equality", params, "no b_l to compare", 0, t0)
     for l in range(n):

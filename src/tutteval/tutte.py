@@ -129,13 +129,20 @@ def tamari_interval_count(i: int) -> int:
 def three_way_report(max_i: int = 6, tamari_max: int = TAMARI_MAX) -> Report:
     """Cross-check the three independent routes to the sequence: closed-form
     coefficients, lambda-coefficients of phi(1 - phi - phi^2), and Tamari
-    interval counts."""
+    interval counts.  All three must meet on at least one i, so a Tamari
+    range that is empty, or beyond what the enumeration supports, gives an
+    inconclusive report."""
     t0 = time.perf_counter()
     params = {"max_i": max_i, "tamari_max": tamari_max}
     if max_i < 1:
         return inconclusive("tutte_three_way", params,
                             f"max_i {max_i} leaves no coefficient to "
                             "compare; need max_i >= 1", 0, t0)
+    if not 1 <= tamari_max <= TAMARI_MAX:
+        return inconclusive("tutte_three_way", params,
+                            f"tamari_max {tamari_max} is outside 1..TAMARI_MAX"
+                            f" = {TAMARI_MAX}: no Tamari interval count to "
+                            "compare", 0, t0)
     tau = tau_from_phi(max_i)
     cases = 0
     for i in range(1, max_i + 1):

@@ -8,7 +8,8 @@ t^a s^b lambda^c by (k, i) = (a+2b-2c, c) yields components f_{k,i}(t,s),
 homogeneous of weighted degree k+2i (t:1, s:2).  The conjecture predicts
 that f_{n+1} and f_{n+2} die under every monomial template integral over
 dimension n, and that at lambda = 0 the two relations form a regular
-sequence with the product Hilbert series.
+sequence with the product Hilbert series.  The graded ranks behind that
+check come from `exactnum.rank`, fraction-free elimination on integers.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .exactnum import ONE, ZERO
+from .exactnum import ONE, ZERO, rank
 from .polyring import Poly
 from .report import Report, failed, inconclusive, passed
 from .series import Series3
@@ -170,31 +171,6 @@ def restriction_spot_check(n_max: int = 5, i_max: int = 4) -> Report:
 # -- Hilbert-series check --------------------------------------------------
 
 
-def _rank(rows: list) -> int:
-    """Exact rank of a list of rational row vectors (Gaussian elimination)."""
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < ncols:
-        piv = next((i for i, r in enumerate(rows) if r[col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[0], rows[piv] = rows[piv], rows[0]
-        prow = rows[0]
-        inv = ONE / prow[col]
-        for i in range(1, len(rows)):
-            f = rows[i][col]
-            if f:
-                f = f * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rows = [r for r in rows[1:] if any(r)]
-        rank += 1
-        col += 1
-    return rank
-
-
 def hilbert_coeffs(n: int, k_max: int) -> list:
     """Coefficients of (1-q^{n+1})(1-q^{n+2})/((1-q)(1-q^2)) up to q^k_max."""
     base = [k // 2 + 1 for k in range(k_max + 1)]  # 1/((1-q)(1-q^2))
@@ -212,8 +188,9 @@ def hilbert_coeffs(n: int, k_max: int) -> list:
 
 
 def hilbert_check(n: int, k_max: int | None = None) -> Report:
-    """Graded dimensions of R[t,s]/(f_{n+1,0}, f_{n+2,0}) by exact rank,
-    against the regular-sequence Hilbert series, plus palindromicity."""
+    """Graded dimensions of R[t,s]/(f_{n+1,0}, f_{n+2,0}) by exact rank
+    (`rank`) of the degree-k multiples of the two relations, against the
+    regular-sequence Hilbert series, plus palindromicity."""
     t0 = time.perf_counter()
     if k_max is None:
         k_max = 2 * n + 4
@@ -241,7 +218,7 @@ def hilbert_check(n: int, k_max: int | None = None) -> Report:
                 for m, c in shift.terms.items():
                     row[index[(m[0], m[1])]] = c
                 rows.append(row)
-        qdim = len(basis) - (_rank(rows) if rows else 0)
+        qdim = len(basis) - rank(rows)
         dims.append(qdim)
         if qdim != expected[k]:
             return failed("hilbert", params,

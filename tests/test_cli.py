@@ -21,6 +21,19 @@ def test_parser_rejects_garbage():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("suite", ["tutte", "template", "hm", "holonomic",
+                                   "conjecture", "hilbert", "iso", "all"])
+def test_parser_rejects_jobs_below_one(suite, capsys):
+    # no suite runs with zero or negative worker processes
+    for jobs in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([suite, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"--jobs: {jobs} is not a positive integer" in (
+            capsys.readouterr().err)
+    assert build_parser().parse_args([suite, "--jobs", "2"]).jobs == 2
+
+
 def test_tutte_suite_exit_and_lines(capsys):
     rc = main(["tutte", "--max-i", "10"])
     out = capsys.readouterr().out.strip().splitlines()
@@ -190,6 +203,20 @@ def test_b_direct_saturation_is_a_report(monkeypatch, capsys, tmp_path):
     assert not (fixdir / "b_sequence.json").exists()
 
 
+def test_b_reports_carry_the_orders_asked_for(capsys, tmp_path):
+    # the reports on the two b sequences carry the orders asked for, even
+    # when a sequence came out empty
+    rc, lines, data = _run_holonomic(["--b-orders", "0"], capsys, tmp_path)
+    assert rc == 1
+    b_reports = [r for r in data if r["check"].startswith("b_")]
+    assert [(r["check"], r["status"]) for r in b_reports] == [
+        ("b_recursion", "inconclusive"), ("b_degree", "pass"),
+        ("b_degree", "inconclusive"), ("b_equality", "inconclusive")]
+    assert all(r["params"]["orders"] == 0 for r in b_reports)
+    assert ("[INCONCLUSIVE] b_degree(source=recursion, orders=0) cases=0"
+            in "\n".join(lines))
+
+
 @pytest.mark.parametrize("argv, check, witness", [
     (["conjecture", "--i-max", "-1"], "conjecture",
      "no relation to check; need n_max >= 1 and i_max >= 0"),
@@ -212,6 +239,12 @@ def test_b_direct_saturation_is_a_report(monkeypatch, capsys, tmp_path):
     (["template", "--m-max", "-1"], "template",
      "m in 0..-1 is empty; need m_max >= 0"),
     (["hm", "--m-max", "-1"], "hm", "m in 0..-1 is empty; need m_max >= 0"),
+    (["tutte", "--tamari-max", "0"], "tutte_three_way",
+     "tamari_max 0 is outside 1..TAMARI_MAX = 6: no Tamari interval count "
+     "to compare"),
+    (["tutte", "--tamari-max", "20"], "tutte_three_way",
+     "tamari_max 20 is outside 1..TAMARI_MAX = 6: no Tamari interval count "
+     "to compare"),
 ])
 def test_bad_caps_are_reports(argv, check, witness, capsys, tmp_path):
     # caps that leave nothing to compare give inconclusive reports and exit
@@ -230,7 +263,7 @@ def test_bad_caps_are_reports(argv, check, witness, capsys, tmp_path):
 
 # small caps for every suite whose caps reach its checks
 CAP_SWEEP = {
-    "tutte": {"--max-i": [0, 1, 2, 3], "--tamari-max": [0, 1, 2, 3]},
+    "tutte": {"--max-i": [0, 1, 2, 3], "--tamari-max": [-1, 0, 1, 2, 3, 7]},
     "template": {"--m-max": [0, 1, 3, 8], "--order": [0, 1, 2, 3, 4, 6, 10]},
     "hm": {"--m-max": [3], "--s-cap": [0, 1, 2, 3, 4],
            "--lambda-cap": [-1, 0, 1, 2]},

@@ -1,9 +1,10 @@
 """Rational scalar layer: exactness, canonical rendering, combinatorics."""
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from tutteval.exactnum import (ONE, Rat, ZERO, binomial, double_factorial,
-                               factorial, rat_gcd, rat_str)
+                               factorial, rank, rat_gcd, rat_str)
 
 rationals = st.builds(Rat,
                       st.integers(min_value=-10**6, max_value=10**6),
@@ -81,3 +82,41 @@ def test_double_factorial_recurrence(i):
     # from i = 2 up only: the (-1)!! = 0 convention used by the template
     # sums deliberately breaks the recurrence at i = 1
     assert double_factorial(i) == i * double_factorial(i - 2)
+
+
+small_rationals = st.builds(Rat, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def matrices(draw):
+    """Rows of rationals or ints, some of them zero rows and some rational
+    combinations of the rows before them, in a shuffled order."""
+    ncols = draw(st.integers(0, 6))
+    entry = st.one_of(small_rationals, st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=5))
+    for coeffs in draw(st.lists(st.lists(small_rationals, min_size=len(rows),
+                                         max_size=len(rows)), max_size=3)):
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), ZERO)
+                     for j in range(ncols)])
+    rows += [[ZERO] * ncols] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+@given(matrices())
+@settings(max_examples=100, deadline=None)
+def test_rank_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    expected = sympy.Matrix(rows).rank() if rows and rows[0] else 0
+    assert rank(rows) == expected
+
+
+def test_rank_examples():
+    assert rank([]) == 0
+    assert rank([[], []]) == 0
+    assert rank([[0, ZERO, 0]]) == 0
+    assert rank([[Rat(1, 2), 1], [1, 2]]) == 1
+    assert rank([[Rat(1, 3), Rat(1, 6)], [Rat(2, 5), 0]]) == 2
+    # a combination of earlier rows, behind a zero row
+    assert rank([[1, 0, 2], [0, 3, 1], [0, 0, 0],
+                 [Rat(1, 2), Rat(3, 2), Rat(3, 2)]]) == 2

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from tutteval import holonomic
 from tutteval.exactnum import ONE, Rat, factorial
-from tutteval.holonomic import (_PQ_ONE, DependencyVector, PhiQuot, _det,
+from tutteval.holonomic import (_PQ_ONE, DependencyVector, PhiQuot,
                                 _invert_mod_p, _kernel_vector, _pq_dlam,
                                 _pq_eq, _pq_mul, _pq_normalize, _pq_scale,
                                 _pq_sum, _rank4_witness, _squarefree,
@@ -247,6 +247,19 @@ def test_dependency_vectors_match_pinned_fixtures():
         assert text == (FIXTURES / f"{name}.json").read_text(), name
 
 
+def _det(M: list) -> Poly:
+    """Determinant of a small Poly matrix by cofactor expansion along row
+    0, kept here so that the reference below shares no code with src/."""
+    if len(M) == 1:
+        return M[0][0]
+    out = Poly()
+    for j, m in enumerate(M[0]):
+        minor = [row[:j] + row[j + 1:] for row in M[1:]]
+        term = m * _det(minor)
+        out = out + (-term if j % 2 else term)
+    return out
+
+
 def cramer_kernel(cols: list) -> list:
     """Reference: the generic fraction-free Cramer rule on the 4x5
     phi-coefficient matrix, which does not use the unit column.  Component
@@ -329,10 +342,19 @@ def test_kernel_vector_rejects_rank_deficiency():
 
 
 def test_rank4_witness():
-    tower = q_tower(3)
-    assert _rank4_witness(tower[:4])[1] == (0, 1, 2, 3)
-    # a repeated column leaves rank 3: no point gives a nonzero minor
+    # the certificate is the first sample point at which the evaluated
+    # numerator matrix has rank 4
+    tower = q_tower(5)
+    assert _rank4_witness(tower[:4]) == (2, 1)
+    assert _rank4_witness(tower[1:6]) == (2, 1)
+    # a repeated column leaves rank 3 at every point
     assert _rank4_witness([tower[0], tower[1], tower[2], tower[2]]) is None
+    # a point where a denominator prime vanishes is skipped: s - 2 vanishes
+    # at the first point, so the second certifies
+    a, b, c, d = (pq_from_poly(poly_parse(text)) for text in (
+        "1", "f + s*l", "f^2 - l + 1", "f^3 + 2*f + s"))
+    b = PhiQuot(b.num, {poly_parse("s - 2"): 1}, b.c)
+    assert _rank4_witness([a, b, c, d]) == (3, 2)
 
 
 def test_dependency_precondition_failure_is_a_report(monkeypatch):
@@ -397,6 +419,25 @@ def test_b_direct_low_orders():
     assert bs.bl[2] == poly_parse("4*s^2 + 10*s + 6")
     assert bs.bl[3] == poly_parse("36*s^2 + 114*s + 78")
     assert bs.degree_report().ok
+
+
+def test_low_b_by_sympy():
+    # an independent expansion of b = s + (1 + l s) sqrt((1 + r)^2 - 4 s),
+    # r = s/(1 + l s) + tau, with tau = l + 3 l^2 + 13 l^3 + ... from the
+    # published start of Tutte's sequence; b_l is d^l b/dl^l at l = 0.  The
+    # root is the branch 1 - s at l = 0, written (1 - s) sqrt(1 + x) with
+    # x = ((1 + r)^2 - (1 + s)^2)/(1 - s)^2 = O(l)
+    sympy = pytest.importorskip("sympy")
+    S, L = sympy.symbols("s l")
+    r = S / (1 + L * S) + L + 3 * L ** 2 + 13 * L ** 3
+    x = ((1 + r) ** 2 - (1 + S) ** 2) / (1 - S) ** 2
+    b = S + (1 + L * S) * (1 - S) * sympy.sqrt(1 + x)
+    bl = b_direct(6, 3).bl
+    for l in range(4):
+        want = sympy.cancel(sympy.diff(b, L, l).subs(L, 0))
+        mine = sympy.sympify(poly_to_str(bl[l]).replace("^", "**"))
+        assert sympy.expand(mine - want) == 0, l
+        assert sympy.Poly(want, S).degree() <= l
 
 
 def test_b_recursion_matches_direct():

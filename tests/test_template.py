@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tutteval import template
 from tutteval.exactnum import ONE, Rat, ZERO, binomial
-from tutteval.polyring import Poly, poly_parse
+from tutteval.polyring import Poly, poly_parse, poly_to_str
 from tutteval.series import Series2, Series3
 from tutteval.template import (integrate, kappa_constant, monomial_template,
                                q1_poly, q2_poly, reduce_templates_series,
@@ -134,6 +134,26 @@ def test_q_polys_low_orders():
 def test_q2_ode_reports():
     for m in range(13):
         assert verify_q2_ode(m).ok
+
+
+def test_q2_is_the_polynomial_solution_by_sympy():
+    # an independent solve: the homogeneous solutions c y / sqrt(4 - y^2)
+    # are not polynomials, so (4 - y^2) Q' - (4/y) Q = y^(m+1) - [m even]
+    # C(m, m/2) y has one polynomial solution, which sympy finds from a
+    # general ansatz of degree m + 2
+    sympy = pytest.importorskip("sympy")
+    y = sympy.symbols("y")
+    for m in range(9):
+        a = sympy.symbols(f"a1:{m + 3}")
+        Q = sum(c * y ** (i + 1) for i, c in enumerate(a))
+        lhs = (4 - y ** 2) * sympy.diff(Q, y) - 4 * sympy.cancel(Q / y)
+        rhs = y ** (m + 1) - (sympy.binomial(m, m // 2) * y
+                              if m % 2 == 0 else 0)
+        (sol,) = sympy.solve(sympy.Poly(lhs - rhs, y).coeffs(), a,
+                             dict=True)
+        assert len(sol) == len(a), m
+        mine = sympy.sympify(poly_to_str(q2_poly(m)).replace("^", "**"))
+        assert sympy.expand(mine - Q.subs(sol)) == 0, m
 
 
 def test_series_identity_and_kappa():

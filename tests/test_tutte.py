@@ -98,6 +98,20 @@ def test_three_way_empty_range_is_inconclusive():
                            "need max_i >= 1")
 
 
+def test_three_way_needs_a_tamari_comparison():
+    # without a Tamari count only two of the three routes would meet, and
+    # above the enumeration limit the flag would silently stop at the limit
+    for tamari_max in (0, -1, TAMARI_MAX + 1):
+        rep = three_way_report(6, tamari_max)
+        assert rep.status == "inconclusive" and rep.n_cases == 0
+        assert rep.witness == (f"tamari_max {tamari_max} is outside "
+                               f"1..TAMARI_MAX = {TAMARI_MAX}: no Tamari "
+                               "interval count to compare")
+    # one Tamari count is a real comparison: 6 coefficients plus i = 1
+    rep = three_way_report(6, 1)
+    assert rep.ok and rep.n_cases == 7
+
+
 @given(st.integers(1, 30))
 @settings(max_examples=20)
 def test_closed_form_is_integral(i):

@@ -99,9 +99,12 @@ def test_hilbert_coeffs():
 
 
 def test_hilbert_check():
-    for n in (1, 2, 3):
+    # the graded ranks come from `exactnum.rank`; each degree k <= 2n + 4
+    # and each palindromic pair is one case
+    for n in range(1, 13):
         rep = hilbert_check(n)
         assert rep.ok, rep.line()
+        assert rep.n_cases == (2 * n + 5) + (2 * n + 1)
 
 
 def test_iso_check():
