@@ -63,16 +63,16 @@ def _primitive_ints(terms: dict) -> tuple:
     return Rat(g, d), ints
 
 
+def _ratio(x: int, n: int):
+    """x / n for ints, as an int when n divides x."""
+    q, r = divmod(x, n)
+    return Rat(x, n) if r else q
+
+
 def _divide_terms(ints: dict, d: int) -> dict:
     """{key: c / d} for a map to ints and an int d > 0, with every integral
     quotient stored as an int."""
-    if d == 1:
-        return ints
-    out = {}
-    for k, c in ints.items():
-        q, r = divmod(c, d)
-        out[k] = Rat(c, d) if r else q
-    return out
+    return ints if d == 1 else {k: _ratio(c, d) for k, c in ints.items()}
 
 
 class Poly:

@@ -10,32 +10,94 @@ or a `Fraction`.  A Series2 product multiplies on ints over the operands'
 common denominators and divides once, as a `Poly` product does.
 
 All arithmetic is exact and eager; results carry the componentwise minimum
-of the operand caps.  Newton iteration (doubling accuracy per step against
-the filtration by a + 2b + c resp. b + c) drives inverse and sqrt.  Only
-Series2 has a log: the one three-variable log the verifier needs,
-log(1 + t + s/(1+lambda s) + tau), is assembled from its t-slices in
-`template.relation_series`.
+of the operand caps.  One integer recurrence in order of b + c (`_recur`)
+gives the Series2 inverse, A_0 y_k = -sum_{i != 0} A_i y_(k-i), and square
+root, 2 y_k = A_k - sum_{i != 0, k} y_i y_(k-i); a substitution
+(s, lambda) -> (g s, g lambda) makes each division exact.  The log is
+theta^-1(theta A * A^-1) with theta = s d/ds + lambda d/dlambda, plus log 2
+when A_0 = 2.  Series3 has no inverse, sqrt or log: the three-variable log
+the verifier needs is assembled from t-slices in `template.relation_series`.
 
 LaurentX adjoins a formal symbol for log 2 with componentwise equality:
-an element is q(x) + p(x)*log2 with finitely many negative exponents.
+an element is q(x) + p(x)*log2 with finitely many negative exponents.  Its
+log is the one-variable case of the Series2 log.
 """
 
 from __future__ import annotations
 
-from .exactnum import ONE, Rat, ZERO
+from operator import mul
+
+from .exactnum import ONE, ZERO
 from ._kernels_py import mul_trunc2, mul_trunc3
-from .polyring import Poly, _divide_terms, _int_terms
+from .polyring import Poly, _divide_terms, _int_terms, _ratio
 from .report import Report, failed, passed
 import time
 
 
-def _niter(total: int) -> int:
-    """Newton iterations needed for accuracy beyond `total`."""
-    n, acc = 0, 1
-    while acc <= total:
-        acc *= 2
-        n += 1
-    return n
+# -- the recurrence core ---------------------------------------------------
+
+
+def _grid(terms: dict, S: int, L: int, g: int = 1, e: int = 1) -> list:
+    """An {(b, c): int} map as the (S+1) x (L+1) integer grid of
+    v g^(b+c) / e; the caller makes every division by e exact."""
+    out = [[0] * (L + 1) for _ in range(S + 1)]
+    for (b, c), v in terms.items():
+        out[b][c] = v * g ** (b + c) // e
+    return out
+
+
+def _recur(rhs: list, B, c0: int, S: int, L: int) -> list:
+    """The one coefficient recurrence behind inverse, sqrt and log (cf.
+    Brent and Kung, J. ACM 25, 1978): the (S+1) x (L+1) integer grid y with
+    y_0 = 1 and, in order of total degree k = b + c, c0 y_k = rhs_k -
+    sum_{i <= k} B_i y_(k-i), where the sum reads y_k itself as 0.  B is an
+    integer grid of the same shape, or None for y itself, which makes
+    y^2 = rhs when c0 = 2.  Every division by c0 must be exact."""
+    y = [[0] * (L + 1) for _ in range(S + 1)]
+    y[0][0] = 1
+    if B is None:
+        B = y
+    for k in range(1, S + L + 1):
+        for b in range(max(0, k - L), min(k, S) + 1):
+            c = k - b
+            acc = rhs[b][c]
+            for i in range(b + 1):
+                acc -= sum(map(mul, B[i][:c + 1], y[b - i][c::-1]))
+            q, r = divmod(acc, c0)
+            if r:
+                raise ArithmeticError("series recurrence is not integral")
+            y[b][c] = q
+    return y
+
+
+def _unscale(y: list, g: int, num: int = 1, den: int = 1) -> dict:
+    """{(b, c): num y_bc / (den g^(b+c))} over the nonzero grid entries."""
+    return {(b, c): _ratio(num * v, den * g ** (b + c))
+            for b, row in enumerate(y) for c, v in enumerate(row) if v}
+
+
+def log_from_inverse(A: "Series2", inv: "Series2") -> "Series2":
+    """log(A / A_0) from A and its inverse.  With theta = s d/ds +
+    lambda d/dlambda, theta log A = theta A * A^-1, and theta^-1 divides the
+    s^b lambda^c coefficient by b + c; the product runs on ints."""
+    S, L = A._caps(inv)
+    da, a = _int_terms({(b, c): v * (b + c)
+                        for (b, c), v in A.coeffs.items() if b + c})
+    dv, v = _int_terms(inv.coeffs)
+    return Series2({(b, c): _ratio(x, da * dv * (b + c))
+                    for (b, c), x in mul_trunc2(a, v, S, L).items()}, S, L)
+
+
+def _power(x, n: int):
+    """x^n by repeated squaring: the __pow__ of both series classes."""
+    result = x.scale(0) + 1
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 class Series3:
@@ -113,39 +175,7 @@ class Series3:
         return Series3({k: v * q for k, v in self.coeffs.items()},
                        self.D, self.L)
 
-    def __pow__(self, n: int) -> "Series3":
-        result = Series3.const(1, self.D, self.L)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    # -- inverse / sqrt ----------------------------------------------------
-
-    def inverse(self) -> "Series3":
-        c0 = self.coeff(0, 0, 0)
-        if not c0:
-            raise ZeroDivisionError("series inverse needs a nonzero constant term")
-        x = Series3.const(ONE / c0, self.D, self.L)
-        two = Series3.const(2, self.D, self.L)
-        for _ in range(_niter(self.D + self.L)):
-            x = x * (two - self * x)
-        return x
-
-    def sqrt(self) -> "Series3":
-        """Principal square root; requires constant term 1."""
-        if self.coeff(0, 0, 0) != ONE:
-            raise ValueError("series sqrt needs constant term 1")
-        z = Series3.const(1, self.D, self.L)
-        three = Series3.const(3, self.D, self.L)
-        half = Rat(1, 2)
-        for _ in range(_niter(self.D + self.L)):
-            z = (z * (three - self * z * z)).scale(half)
-        return self * z
+    __pow__ = _power
 
     def __repr__(self):
         return f"Series3(D={self.D}, L={self.L}, terms={len(self.coeffs)})"
@@ -228,16 +258,7 @@ class Series2:
         return Series2({k: v * q for k, v in self.coeffs.items()},
                        self.S, self.L)
 
-    def __pow__(self, n: int) -> "Series2":
-        result = Series2.const(1, self.S, self.L)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+    __pow__ = _power
 
     def truncate(self, S, L) -> "Series2":
         return Series2(self.coeffs, min(self.S, S), min(self.L, L))
@@ -251,47 +272,41 @@ class Series2:
         return Poly(out)
 
     def inverse(self) -> "Series2":
-        c0 = self.coeff(0, 0)
-        if not c0:
+        """1/A.  With A = a/d for an integer series a, the integer series
+        W = a_0 / a(a_0 s, a_0 lambda) solves a_0 W_k = -sum_{i != 0}
+        a_0^|i| a_i W_(k-i), |i| the total degree of i, and
+        [s^b lambda^c] 1/A = d W_bc / a_0^(b+c+1)."""
+        d, a = _int_terms(self.coeffs)
+        a0 = a.get((0, 0))
+        if not a0:
             raise ZeroDivisionError("series inverse needs a nonzero constant term")
-        x = Series2.const(ONE / c0, self.S, self.L)
-        two = Series2.const(2, self.S, self.L)
-        for _ in range(_niter(self.S + self.L)):
-            x = x * (two - self * x)
-        return x
+        S, L = self.S, self.L
+        W = _recur(_grid({}, S, L), _grid(a, S, L, a0), a0, S, L)
+        return Series2(_unscale(W, a0, d, a0), S, L)
 
     def sqrt(self) -> "Series2":
-        if self.coeff(0, 0) != ONE:
+        """Principal square root; requires constant term 1.  With A = a/d
+        for an integer series a and g = 4d, Y = sqrt(A(g s, g lambda)) is an
+        integer series with 2 Y_k = a_k g^(b+c) / d - sum_{i != 0, k} Y_i
+        Y_(k-i), and [s^b lambda^c] sqrt(A) = Y_bc / g^(b+c)."""
+        if self.coeff(0, 0) != 1:
             raise ValueError("series sqrt needs constant term 1")
-        z = Series2.const(1, self.S, self.L)
-        three = Series2.const(3, self.S, self.L)
-        half = Rat(1, 2)
-        for _ in range(_niter(self.S + self.L)):
-            z = (z * (three - self * z * z)).scale(half)
-        return self * z
+        d, a = _int_terms(self.coeffs)
+        S, L, g = self.S, self.L, 4 * d
+        Y = _recur(_grid(a, S, L, g, d), None, 2, S, L)
+        return Series2(_unscale(Y, g), S, L)
 
     def log(self):
-        """(series, log2_coeff): log(A) = log2_coeff * log2 + series.
+        """(series, log2_coeff): log(A) = log2_coeff * log2 + series, the
+        series from `log_from_inverse`.
 
         The constant term must be 1 or 2; these are the only cases the
         verification needs, and log 2 is kept as a formal symbol.
         """
         c0 = self.coeff(0, 0)
-        if c0 == ONE:
-            l2 = ZERO
-            u = self - 1
-        elif c0 == Rat(2):
-            l2 = ONE
-            u = self.scale(Rat(1, 2)) - 1
-        else:
-            raise ValueError(f"Series2 log needs constant term 1 or 2, got {c0}")
-        nmax = self.S + self.L
-        if nmax == 0:
-            return Series2.zero(self.S, self.L), l2
-        acc = Series2.const(Rat(1 if nmax % 2 else -1, nmax), self.S, self.L)
-        for n in range(nmax - 1, 0, -1):
-            acc = acc * u + Rat(1 if n % 2 else -1, n)
-        return acc * u, l2
+        if c0 != 1 and c0 != 2:
+            raise ValueError(f"log needs constant term 1 or 2, got {c0}")
+        return log_from_inverse(self, self.inverse()), ONE if c0 == 2 else ZERO
 
     def __repr__(self):
         return f"Series2(S={self.S}, L={self.L}, terms={len(self.coeffs)})"
@@ -408,35 +423,17 @@ class LaurentX:
                         {k - 1: v * k for k, v in self.p.items() if k},
                         self.N)
 
-    def min_exponent(self):
-        keys = list(self.q) + list(self.p)
-        return min(keys) if keys else None
-
     def log(self) -> "LaurentX":
-        """log of a log2-free series with constant term 1 or 2, ord >= 0."""
+        """log of a log2-free series with constant term 1 or 2, ord >= 0:
+        the one-variable case of `Series2.log`, at caps (N, 0)."""
         if self.p:
             raise ArithmeticError("log of a log2-carrying series")
-        e0 = self.min_exponent()
-        if e0 is None or e0 < 0:
+        if any(k < 0 for k in self.q):
             raise ValueError("LaurentX log needs a power series argument")
-        c0 = self.q.get(0, ZERO)
-        if c0 == ONE:
-            l2 = ZERO
-            u = {k: v for k, v in self.q.items() if k}
-        elif c0 == Rat(2):
-            l2 = ONE
-            u = {k: v / Rat(2) for k, v in self.q.items() if k}
-        else:
-            raise ValueError(f"LaurentX log needs constant 1 or 2, got {c0}")
-        ordu = min(u) if u else self.N + 1
-        nmax = self.N // ordu + 1 if u else 0
-        acc = {}
-        for n in range(nmax, 0, -1):
-            # acc <- acc*u + (-1)^(n+1)/n
-            acc = _dmul(acc, u, self.N)
-            acc[0] = acc.get(0, ZERO) + Rat(1 if n % 2 else -1, n)
-        acc = _dmul(acc, u, self.N)
-        return LaurentX(acc, {0: l2} if l2 else {}, self.N)
+        lg, l2 = Series2({(k, 0): v for k, v in self.q.items()},
+                         self.N, 0).log()
+        return LaurentX({b: v for (b, _), v in lg.coeffs.items()},
+                        {0: l2} if l2 else {}, self.N)
 
     def __repr__(self):
         return (f"LaurentX(N={self.N}, terms={len(self.q)}"

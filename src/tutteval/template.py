@@ -19,7 +19,8 @@ from .exactnum import ONE, Rat, ZERO, binomial, double_factorial
 from ._kernels_py import mul_trunc2
 from .polyring import Poly, partial_derivative, poly_div_exact
 from .report import Report, failed, inconclusive, passed
-from .series import LaurentX, Series2, Series3, _niter, assert_degree_le
+from .series import (LaurentX, Series2, Series3, assert_degree_le,
+                     log_from_inverse)
 from .tutte import tau_series
 
 
@@ -153,16 +154,11 @@ def closed_side(m: int, N: int) -> LaurentX:
     return out
 
 
-def kappa_constant(m: int, N: int | None = None):
-    """The even-m additive constant, pinned by matching the x^0 coefficient:
-    a pair (rational part, log2 part).  Zero for odd m."""
-    if m % 2:
-        return ZERO, ZERO
-    if N is None:
-        N = 2 * m + 8
-    rq, rp = closed_side(m, N).coeff(0)
-    # the summation side has no x^0 term
-    return -rq, -rp
+def kappa_constant(m: int):
+    """The even-m additive constant, pinned by matching the x^0 coefficient
+    at order 2m + 8, where the summation side has none: a pair (rational
+    part, log2 part).  Zero for odd m."""
+    return tuple(-v for v in closed_side(m, 2 * m + 8).coeff(0))
 
 
 def verify_series_identity(m: int, N: int) -> Report:
@@ -209,7 +205,7 @@ def verify_series_identity(m: int, N: int) -> Report:
         return failed("series_identity", params,
                       "derivative does not match 1/(x^(m+1) sqrt(1-4x^2)) form",
                       N, t0)
-    kq, kp = kappa_constant(m, N)
+    kq, kp = (-v for v in rhs.coeff(0))  # as in `kappa_constant`
     if m % 2 == 1 and (kq or kp):
         return failed("series_identity", params,
                       f"odd m needs no constant, got {kq}+{kp}*log2", N, t0)
@@ -305,32 +301,28 @@ def relation_series(D: int, L: int) -> Series3:
     h_m checks need the same expansion for every m.
 
     With u = 1/(1 + r), log(1 + t + r) = log(1 + r) + log(1 + t u), so the
-    t^0 slice is log(1 + r) and the t^a slice, a >= 1, is
-    (-1)^(a+1) u^a / a.  Since 1 + r has integer coefficients and constant
-    term 1, u and its powers are integer series in (s, lambda): the powers
-    are built on ints, truncated to 2b <= D - a, and only the t^0 slice and
-    the factors 1/a are rational.
+    t^0 slice is log(1 + r), read from the same u by `log_from_inverse`,
+    and the t^a slice, a >= 1, is (-1)^(a+1) u^a / a.  Since 1 + r has
+    integer coefficients and constant term 1, u and its powers are integer
+    series in (s, lambda): the powers are built on ints, truncated to
+    2b <= D - a, and only the t^0 slice and the factors 1/a are rational.
     """
     S = D // 2
-    one_r = {(0, 0): 1}
+    terms = {(0, 0): 1}
     for j in range(1, min(S, L + 1) + 1):  # s/(1+lambda s)
-        one_r[(j, j - 1)] = (-1) ** (j - 1)
+        terms[(j, j - 1)] = (-1) ** (j - 1)
     for (_, c), v in tau_series(L).coeffs.items():
         if v.denominator != 1:
             raise ArithmeticError(f"tau coefficient {v} of lambda^{c} "
                                   "is not an integer")
-        one_r[(0, c)] = one_r.get((0, c), 0) + v.numerator
-    # u = 1/(1 + r) by Newton's iteration x <- x (2 - (1 + r) x)
-    u = {(0, 0): 1}
-    for _ in range(_niter(S + L)):
-        e = {k: -v for k, v in mul_trunc2(one_r, u, S, L).items()}
-        e[(0, 0)] += 2
-        u = mul_trunc2(u, e, S, L)
-    lg, _ = Series2(one_r, S, L).log()  # constant term 1: no log 2 part
-    out = {(0, b, c): v for (b, c), v in lg.coeffs.items()}
+        terms[(0, c)] = terms.get((0, c), 0) + v.numerator
+    one_r = Series2(terms, S, L)
+    u = one_r.inverse()
+    out = {(0, b, c): v
+           for (b, c), v in log_from_inverse(one_r, u).coeffs.items()}
     p = {(0, 0): 1}
     for a in range(1, D + 1):
-        p = mul_trunc2(p, u, (D - a) // 2, L)
+        p = mul_trunc2(p, u.coeffs, (D - a) // 2, L)
         sign = 1 if a % 2 else -1
         for (b, c), v in p.items():
             out[(a, b, c)] = Rat(sign * v, a)
@@ -355,8 +347,8 @@ def verify_h_m(m: int, S: int, L: int) -> Report:
     if S < m // 2 + 1:
         # the closed form starts at s^(m/2); below that cap there is
         # nothing to compare
-        return Report("h_m", params, "inconclusive",
-                      f"s cap {S} too small for m={m}", 0, 0)
+        return inconclusive("h_m", params, f"s cap {S} too small for m={m}",
+                            0, t0)
     kappa = kappa_constant(m)
     main, l2 = h_m_series(m, S, L, kappa)
     if not l2.is_zero():

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .exactnum import ONE, ZERO, rank
 from .polyring import Poly
 from .report import Report, failed, inconclusive, passed
-from .series import Series3
+from .series import Series2
 from .template import integrate, relation_series
 
 # -- the f-table -----------------------------------------------------------
@@ -213,10 +213,11 @@ def hilbert_check(n: int, k_max: int | None = None) -> Report:
             for a in range(e + 1):
                 if (e - a) % 2:
                     continue
-                shift = Poly({(a, (e - a) // 2, 0, 0, 0, 0): ONE}) * g
+                # the row of t^a s^b g: shift the exponents of g's terms
+                b = (e - a) // 2
                 row = [ZERO] * len(basis)
-                for m, c in shift.terms.items():
-                    row[index[(m[0], m[1])]] = c
+                for m, c in g.terms.items():
+                    row[index[(m[0] + a, m[1] + b)]] = c
                 rows.append(row)
         qdim = len(basis) - rank(rows)
         dims.append(qdim)
@@ -251,20 +252,25 @@ def iso_check(D: int = 10, L: int = 8) -> Report:
                             f"order {D} and lambda cap {L} leave no lambda "
                             "term to compare; need order >= 4 and lambda "
                             "cap >= 1", 0, t0)
-    t = Series3.var("t", D, L)
-    s = Series3.var("s", D, L)
-    lam = Series3.var("l", D, L)
     cases = 0
 
-    sq = (1 - lam * s).sqrt()
-    tA, sA = t * sq, s
-    # the second map's formulas evaluated at the first map's images
-    tC = tA * ((1 - lam * sA).sqrt()).inverse()
-    sC = sA * (1 - lam * sA).inverse()
-    displayed_s = s * (1 - lam * s).inverse()
-    if tC != t:
+    # the scaling map sends t to t sq and fixes s; the normalized map then
+    # divides by sq again.  t enters only as a factor t * (series in s,
+    # lambda), so the t image closes when sq * sq^-1 = 1 at the s cap
+    # (D - 1) // 2 of the terms t s^b
+    S = (D - 1) // 2
+    sq = (1 - Series2.var("l", S, L) * Series2.var("s", S, L)).sqrt()
+    if sq * sq.inverse() != Series2.const(1, S, L):
         return failed("iso", params, "t image does not close", cases, t0)
     cases += 1
+
+    # s is fixed by the scaling map and sent to s/(1 - lambda s) by the
+    # normalized one
+    s = Series2.var("s", D // 2, L)
+    lam = Series2.var("l", D // 2, L)
+    sC = s * (1 - lam * s).inverse()
+    # the displayed s image in closed form: sum_k lambda^k s^(k+1)
+    displayed_s = Series2({(k + 1, k): 1 for k in range(L + 1)}, D // 2, L)
     if sC != displayed_s:
         return failed("iso", params, "s image does not match", cases, t0)
     cases += 1

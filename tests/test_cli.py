@@ -121,6 +121,24 @@ def test_all_matches_the_pinned_report(tmp_path, capsys):
     assert path.read_bytes() == pinned.read_bytes()
 
 
+@pytest.mark.parametrize("argv, fixture", [
+    (["conjecture", "--n-max", "16", "--i-max", "10"],
+     "verify_conjecture_16_10.json"),
+    (["hm", "--m-max", "10", "--s-cap", "20", "--lambda-cap", "12"],
+     "verify_hm_10_20_12.json"),
+    (["template", "--m-max", "24", "--order", "60"],
+     "verify_template_24_60.json"),
+])
+def test_deep_caps_match_the_pinned_reports(argv, fixture, tmp_path, capsys):
+    # caps far past the defaults, pinned from an earlier tree: they run the
+    # series inverse, square root and log much deeper than `verify all`
+    path = tmp_path / "r.json"
+    assert main(argv + ["--emit-json", str(path)]) == 0
+    capsys.readouterr()
+    pinned = Path(__file__).parent / "fixtures" / fixture
+    assert path.read_bytes() == pinned.read_bytes()
+
+
 def test_conjecture_suite_builds_its_f_table_once(monkeypatch, capsys):
     calls = []
     f_table = verifier.f_table

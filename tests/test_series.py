@@ -1,8 +1,10 @@
 """Truncated power series: inversion, square root, log/exp, and the
 Laurent layer with its formal log 2."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tutteval.exactnum import ONE, Rat, ZERO
 from tutteval.series import LaurentX, Series2, Series3, assert_degree_le
@@ -100,14 +102,98 @@ def test_series3_log_small():
     assert f == _relation_series_3var(D, L)
 
 
-def test_series3_inverse_sqrt():
-    D, L = 8, 4
-    s = Series3.var("s", D, L)
-    lam = Series3.var("l", D, L)
-    A = 1 - lam * s
-    assert A * A.inverse() == Series3.const(1, D, L)
-    r = A.sqrt()
-    assert r * r == A
+# -- the recurrence core against naive oracles -------------------------------
+
+
+def _naive_mul(A, B, S, L):
+    """Truncated product of two {(b, c): value} maps on Fractions."""
+    out = {}
+    for (b1, c1), x in A.items():
+        for (b2, c2), y in B.items():
+            k = (b1 + b2, c1 + c2)
+            if k[0] <= S and k[1] <= L:
+                out[k] = out.get(k, 0) + Fraction(x) * y
+    return {k: v for k, v in out.items() if v}
+
+
+def _ints_where_integral(A):
+    return all(type(v) is int for v in A.coeffs.values()
+               if Fraction(v).denominator == 1)
+
+
+_caps = st.tuples(st.integers(0, 4), st.integers(0, 4))
+_tail = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+    st.fractions(-4, 4, max_denominator=3) | st.integers(-4, 4), max_size=6)
+
+
+def _series(caps, c0, tail):
+    return Series2({**tail, (0, 0): c0}, *caps)
+
+
+@given(_caps, st.sampled_from([1, -1, 2, 3, Rat(-2, 3), Rat(1, 2)]), _tail)
+@example((0, 4), 2, {(0, 1): 1, (0, 3): Rat(1, 3)})
+@example((4, 0), 3, {(1, 0): 1, (2, 0): -2})
+@settings(max_examples=80, deadline=None)
+def test_inverse_times_series_is_one(caps, c0, tail):
+    A = _series(caps, c0, tail)
+    inv = A.inverse()
+    assert _naive_mul(A.coeffs, inv.coeffs, *caps) == {(0, 0): 1}
+    assert (inv.S, inv.L) == caps and _ints_where_integral(inv)
+
+
+@given(_caps, _tail)
+@example((0, 4), {(0, 1): 1})
+@example((4, 0), {(1, 0): -4})
+@settings(max_examples=80, deadline=None)
+def test_sqrt_squared_is_the_series(caps, tail):
+    A = _series(caps, 1, tail)
+    root = A.sqrt()
+    assert root.coeff(0, 0) == 1
+    assert _naive_mul(root.coeffs, root.coeffs, *caps) == A.coeffs
+    assert _ints_where_integral(root)
+
+
+@given(_caps, st.sampled_from([1, 2, Rat(2)]), _tail)
+@example((0, 4), 2, {(0, 1): 1})
+@example((4, 0), 1, {(1, 0): Rat(-1, 2)})
+@settings(max_examples=80, deadline=None)
+def test_exp_of_log_is_the_series(caps, c0, tail):
+    A = _series(caps, c0, tail)
+    lg, l2 = A.log()
+    assert l2 == (1 if c0 == 2 else 0)
+    assert lg.coeff(0, 0) == 0
+    assert _exp(lg, sum(caps)).scale(c0) == A
+    assert _ints_where_integral(lg)
+
+
+def test_recurrence_rejects_bad_constant_terms():
+    s, lam = s2(3, 3)
+    with pytest.raises(ZeroDivisionError):
+        (s + lam).inverse()
+    for bad in (2 + s, -1 + s, s):
+        with pytest.raises(ValueError):
+            bad.sqrt()
+    for bad in (3 + s, Rat(1, 2) + s, s):
+        with pytest.raises(ValueError):
+            bad.log()
+    with pytest.raises(ValueError):
+        LaurentX({-1: ONE, 0: ONE}, {}, 6).log()
+    with pytest.raises(ValueError):
+        LaurentX.const(3, 6).log()
+    with pytest.raises(ArithmeticError):
+        LaurentX({0: ONE}, {1: ONE}, 6).log()
+
+
+def test_laurent_log_matches_the_log_series():
+    # log(1 + 2x) = sum_k (-1)^(k+1) (2x)^k / k, and log 2 rides along for
+    # the argument 2 + 4x = 2 (1 + 2x)
+    N = 12
+    want = {k: Rat((-1) ** (k + 1) * 2 ** k, k) for k in range(1, N + 1)}
+    assert LaurentX({0: ONE, 1: Rat(2)}, {}, N).log() == \
+        LaurentX(want, {}, N)
+    assert LaurentX({0: Rat(2), 1: Rat(4)}, {}, N).log() == \
+        LaurentX(want, {0: ONE}, N)
 
 
 def test_degree_le_report():

@@ -19,23 +19,35 @@ from tutteval.tutte import tau_series
 
 def _relation_series_3var(D, L):
     """The second route to log(1 + t + r), r = s/(1+lambda s) + tau, in
-    three variables on rationals: the t-part integrates d/dt log = A_t / A
-    (a Newton inverse of the whole Series3 times the t-derivative), and the
-    t^0 part is the Series2 log of A at t = 0."""
+    three variables on rationals, from `Series3` sums and products alone:
+    the t-part integrates d/dt log A = A_t / A, with 1/A the geometric sum
+    of -(A - 1), and the t^0 part is the log series of r.  Every term of
+    A - 1 and of r has a + 2b + c >= 1, so D + L powers reach the caps."""
     t = Series3.var("t", D, L)
     s = Series3.var("s", D, L)
     lam = Series3.var("l", D, L)
+    n_max = D + L
+
+    def inverse_of_one_plus(X):
+        acc = Series3.const(1, D, L)
+        for _ in range(n_max):
+            acc = 1 - X * acc
+        return acc
+
     tau = Series3({(0, 0, c): v for (_, c), v in tau_series(L).coeffs.items()},
                   D, L)
-    A = 1 + t + s * (1 + lam * s).inverse() + tau
+    r = s * inverse_of_one_plus(lam * s) + tau
+    A = 1 + t + r
     dA = Series3({(a - 1, b, c): v * a
                   for (a, b, c), v in A.coeffs.items() if a}, D, L)
-    out = {(a + 1, b, c): v / (a + 1)
-           for (a, b, c), v in (dA * A.inverse()).coeffs.items()}
-    base, l2 = Series2({(b, c): v for (a, b, c), v in A.coeffs.items()
-                        if a == 0}, D // 2, L).log()
-    assert l2 == ZERO
-    out.update({(0, b, c): v for (b, c), v in base.coeffs.items()})
+    dlog = dA * inverse_of_one_plus(t + r)
+    out = {(a + 1, b, c): Rat(v, a + 1)
+           for (a, b, c), v in dlog.coeffs.items()}
+    # log(1 + r) = sum_n (-1)^(n+1) r^n / n, by Horner
+    log_r = Series3.zero(D, L)
+    for n in range(n_max, 0, -1):
+        log_r = (log_r + Rat(1 if n % 2 else -1, n)) * r
+    out.update(log_r.coeffs)
     return Series3(out, D, L)
 
 
