@@ -1,13 +1,28 @@
 """The sparse multiplication inner loops.
 
-These three routines dominate the runtime of every large verification run.
-Coefficients are any exact numbers (`int` or `Fraction`).  `Poly` and
-`Series2` products clear denominators first, so `mul_poly` and `mul_trunc2`
-run on `int`s, which multiply several times faster.
+`mul_poly` and `mul_trunc2` carry the products of every large verification
+run; `mul_trunc3` is left to `Series3` products, which only the tests still
+make.  `Poly` and `Series2` products clear denominators first, so
+`mul_poly` and `mul_trunc2` run on `int`s, which multiply several times
+faster; `Fraction` coefficients are accepted as well.
+
+`mul_trunc2` multiplies whole lambda-rows (Kronecker substitution; D.
+Harvey, J. Symb. Comput. 44, 2009).  The terms of one s-exponent b become
+one int, sum_c v_c 2^(c w), so a product of two rows is one int product
+whose slot c holds the row product's lambda^c coefficient.  No slot of the
+truncated product exceeds max|A| max|B| min(len A, len B) in absolute
+value, since a target (b, c) meets at most one term of either operand per
+term of the other; w is that bound's bit length plus a sign bit, rounded up
+to whole bytes.  Only row pairs with b1 + b2 <= S are multiplied, their
+products are summed per output row, and the row is cut to its L + 1 low
+slots and read through a bias word of 2^(w-1) per slot, which makes every
+slot nonnegative, so no slot borrows from the next.  Operands whose rows
+hold mostly single terms, and rational ones, are multiplied term pair by
+term pair instead (see `mul_trunc2`).
 """
 
 import struct
-from itertools import product
+from itertools import chain, product
 from operator import mul
 
 
@@ -37,7 +52,24 @@ def mul_trunc3(A, B, D, L):
 
 
 def mul_trunc2(A, B, S, L):
-    """Product of two {(b,c): coeff} maps, truncated to b <= S, c <= L."""
+    """Product of two {(b,c): coeff} maps, truncated to b <= S, c <= L.
+
+    When both operands have int coefficients and at least three terms per
+    two lambda-rows, the rows are multiplied packed (see the module doc);
+    otherwise term pair by term pair.  A one-term operand, a series
+    truncated to lambda^0 and rows of mostly single terms take the pair
+    loop: there a row product is little more than a term product, and the
+    packing and unpacking would come on top.  Rational coefficients take
+    it too.  Measured on the 427 calls of one `series-sweep` round, each
+    call timed alone (best of 5; CPython 3.11, 2 cores): 0.136 s with the
+    pair loop on every call, 0.030 s packed on every call and 0.026 s with
+    this switch, which is as fast at any threshold from just above one to
+    1.5 terms per row, and takes 0.028 s at two."""
+    rows_a = {b for b, _ in A}
+    rows_b = {b for b, _ in B}
+    if (0 < 3 * len(rows_a) <= 2 * len(A) and 0 < 3 * len(rows_b) <= 2 * len(B)
+            and set(map(type, chain(A.values(), B.values()))) == {int}):
+        return _mul_rows(A, B, S, L)
     if len(A) > len(B):
         A, B = B, A
     out = {}
@@ -58,6 +90,44 @@ def mul_trunc2(A, B, S, L):
             else:
                 out[k] = v + ca * cb
     return {k: v for k, v in out.items() if v}
+
+
+def _pack_rows(A, w: int) -> dict:
+    """{b: sum_c v_c 2^(c w)} over the terms (b, c): v of an int map."""
+    rows = {}
+    get = rows.get
+    for (b, c), v in A.items():
+        rows[b] = get(b, 0) + (v << (c * w))
+    return rows
+
+
+def _mul_rows(A, B, S, L):
+    """`mul_trunc2` on packed lambda-rows, for nonempty maps to ints."""
+    bound = (max(map(abs, A.values())) * max(map(abs, B.values()))
+             * min(len(A), len(B)))
+    nb = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+    w = 8 * nb
+    rows_b = sorted(_pack_rows(B, w).items())
+    acc = {}
+    get = acc.get
+    for b1, x in _pack_rows(A, w).items():
+        for b2, y in rows_b:
+            b = b1 + b2
+            if b > S:
+                break
+            acc[b] = get(b, 0) + x * y
+    size = (L + 1) * nb
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * (L + 1), "little")
+    mask = (1 << (8 * size)) - 1
+    half = 1 << (w - 1)
+    out = {}
+    for b, x in acc.items():
+        row = ((x + bias) & mask).to_bytes(size, "little")
+        for c in range(L + 1):
+            v = int.from_bytes(row[c * nb:(c + 1) * nb], "little") - half
+            if v:
+                out[(b, c)] = v
+    return out
 
 
 def field_struct(nfields: int, bits: int) -> struct.Struct:

@@ -305,7 +305,9 @@ def relation_series(D: int, L: int) -> Series3:
     and the t^a slice, a >= 1, is (-1)^(a+1) u^a / a.  Since 1 + r has
     integer coefficients and constant term 1, u and its powers are integer
     series in (s, lambda): the powers are built on ints, truncated to
-    2b <= D - a, and only the t^0 slice and the factors 1/a are rational.
+    2b <= D - a, each by one `mul_trunc2` product on packed lambda-rows, and
+    only the t^0 slice and the factors 1/a are rational.  `direct_reduction`
+    multiplies by t^m as a shift of the t exponents.
     """
     S = D // 2
     terms = {(0, 0): 1}
@@ -331,9 +333,13 @@ def relation_series(D: int, L: int) -> Series3:
 
 def direct_reduction(m: int, S: int, L: int) -> Series2:
     """Template reduction of t^m log(1 + t + r), from the relation series at
-    caps (2S, L)."""
-    t = Series3.var("t", 2 * S, L)
-    return reduce_templates_series((t ** m) * relation_series(2 * S, L))
+    caps (2S, L): the product by t^m is the shift a -> a + m of every term
+    t^a s^b lambda^c, and the terms the shift carries past a + 2b = 2S
+    drop out."""
+    f = relation_series(2 * S, L)
+    return reduce_templates_series(
+        Series3({(a + m, b, c): v for (a, b, c), v in f.coeffs.items()},
+                2 * S, L))
 
 
 def verify_h_m(m: int, S: int, L: int) -> Report:

@@ -4,9 +4,12 @@ naive tuple-key product on `Fraction`s."""
 
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from tutteval import _kernels_py
 from tutteval._kernels_py import mul_poly, mul_trunc2, mul_trunc3
 from tutteval.exactnum import Rat
 from tutteval.series import Series2
@@ -173,3 +176,120 @@ def test_series2_product_with_mixed_denominators(A, B, S, L):
         naive_product(_truncated(A, keep), _truncated(B, keep)), keep)
     assert all(type(c) is int for c in P.coeffs.values()
                if c.denominator == 1)
+
+
+# -- the two paths of mul_trunc2 ---------------------------------------------
+#
+# Operands with int coefficients and at least three terms per two lambda-rows
+# each are multiplied as packed rows, the others term pair by term pair;
+# each case below states which side of that line it is on, and checks it.
+
+
+def _trunc2_path(A: dict, B: dict, S: int, L: int) -> tuple:
+    """mul_trunc2(A, B, S, L) and whether it multiplied packed rows."""
+    with mock.patch.object(_kernels_py, "_mul_rows",
+                           wraps=_kernels_py._mul_rows) as rows:
+        P = mul_trunc2(A, B, S, L)
+    return P, rows.called
+
+
+def _trunc2(A: dict, B: dict, S: int, L: int) -> dict:
+    return _truncated(naive_product(A, B), lambda m: m[0] <= S and m[1] <= L)
+
+
+def _grid(rows: int, cols: int, draw) -> dict:
+    return {(b, c): draw() for b in range(rows) for c in range(cols)}
+
+
+int_maps2 = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 5)),
+                            big_ints, max_size=14)
+
+
+@given(int_maps2, int_maps2, st.integers(0, 10), st.integers(0, 8))
+@settings(max_examples=80)
+def test_trunc2_on_ints_matches_naive(A, B, S, L):
+    P = _trunc2_path(A, B, S, L)[0]
+    assert P == _trunc2(A, B, S, L)
+    assert all(type(c) is int for c in P.values())
+
+
+@given(st.integers(1, 5), st.integers(2, 6), st.integers(1, 5),
+       st.integers(2, 6), st.integers(0, 9), st.integers(0, 9), st.data())
+@settings(max_examples=80)
+def test_trunc2_packed_on_dense_grids(p, q, p2, q2, S, L, data):
+    # negative coefficients and coefficients past 2^64; rows b1 + b2 > S
+    # and slots c > L drop out, down to S = 0 and L = 0
+    A = _grid(p, q, lambda: data.draw(big_ints))
+    B = _grid(p2, q2, lambda: data.draw(big_ints))
+    P, packed = _trunc2_path(A, B, S, L)
+    assert packed and P == _trunc2(A, B, S, L)
+    assert all(type(c) is int for c in P.values())
+
+
+def test_trunc2_packed_caps_zero():
+    # packed, with every row pair but (0, 0) past S = 0 and every slot but
+    # lambda^0 past L = 0
+    A = {(0, 0): 2, (0, 1): -3, (1, 0): 5, (1, 1): 7}
+    B = {(0, 0): -1, (0, 2): 4, (2, 0): 6, (2, 1): 1}
+    assert _trunc2_path(A, B, 0, 0) == ({(0, 0): -2}, True)
+    assert _trunc2_path(A, B, 0, 9) == (_trunc2(A, B, 0, 9), True)
+    assert _trunc2_path(A, B, 9, 0) == (_trunc2(A, B, 9, 0), True)
+    assert _trunc2(A, B, 9, 0) == {(0, 0): -2, (1, 0): -5, (2, 0): 12,
+                                   (3, 0): 30}
+
+
+def test_trunc2_packed_slot_cancels():
+    # (1 + lambda)(1 + s) (1 - lambda)(1 + s) = (1 - lambda^2)(1 + s)^2, on
+    # the packed side: the lambda^1 slots cancel and must not be stored
+    A = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+    B = {(0, 0): 1, (0, 1): -1, (1, 0): 1, (1, 1): -1}
+    want = {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 2): -1, (1, 2): -2,
+            (2, 2): -1}
+    assert _trunc2(A, B, 4, 4) == want
+    assert _trunc2_path(A, B, 4, 4) == (want, True)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("terms, coeff, bits", [(7, 4681, 15), (5, 13107, 16)])
+def test_trunc2_packed_slot_at_the_bound(sign, terms, coeff, bits):
+    # max|A| max|B| min(len A, len B) = coeff * 1 * terms = 2^bits - 1, and
+    # the lambda^(terms-1) slot reaches it: 2^15 - 1 fills two bytes with
+    # their sign bit, and 2^16 - 1 needs a third byte for the sign
+    A = {(0, c): sign * coeff for c in range(terms)}
+    B = {(0, c): 1 for c in range(terms)}
+    assert coeff * terms == 2 ** bits - 1
+    P, packed = _trunc2_path(A, B, 0, 12)
+    assert packed and P == _trunc2(A, B, 0, 12)
+    assert P[(0, terms - 1)] == sign * (2 ** bits - 1)
+
+
+@given(int_maps2, st.integers(0, 10), st.integers(0, 8))
+@settings(max_examples=40)
+def test_trunc2_pair_loop_on_empty_and_one_term_operands(B, S, L):
+    one = {(1, 2): -(2 ** 70) - 1}
+    assert _trunc2_path({}, B, S, L) == _trunc2_path(B, {}, S, L) \
+        == ({}, False)
+    assert _trunc2_path(one, B, S, L) == (_trunc2(one, B, S, L), False)
+    assert _trunc2_path(B, one, S, L) == (_trunc2(B, one, S, L), False)
+
+
+@given(st.integers(1, 6), st.integers(0, 1), st.integers(0, 12),
+       st.integers(0, 6), st.data())
+@settings(max_examples=60)
+def test_trunc2_at_the_density_switch(r, short, S, L, data):
+    # 2r rows holding 3r terms (packed), or one term fewer (pair loop),
+    # against a dense grid
+    keys = [(b, 0) for b in range(2 * r)] + [(b, 1) for b in range(r)]
+    A = {k: data.draw(big_ints) for k in keys[:len(keys) - short]}
+    B = _grid(3, 3, lambda: data.draw(big_ints))
+    assert _trunc2_path(A, B, S, L) == (_trunc2(A, B, S, L), not short)
+
+
+def test_trunc2_pair_loop_on_rationals():
+    # the dense grids of the packed side, with one rational coefficient
+    A = _grid(2, 3, lambda: 5)
+    A[(1, 1)] = Rat(-7, 3)
+    B = _grid(2, 2, lambda: -(2 ** 65))
+    assert _trunc2_path(A, B, 3, 3) == (_trunc2(A, B, 3, 3), False)
+    A[(1, 1)] = -7
+    assert _trunc2_path(A, B, 3, 3) == (_trunc2(A, B, 3, 3), True)

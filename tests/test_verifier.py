@@ -1,10 +1,13 @@
 """The relation table f_{k,i}, vanishing of all matched template integrals,
 the quotient Hilbert series, and the curvature substitution identities."""
 
+import re
+
 import pytest
 
 from tutteval.exactnum import ZERO
-from tutteval.polyring import poly_parse
+from tutteval.polyring import Poly, poly_parse
+from tutteval.series import Series2
 from tutteval.template import integrate
 from tutteval.verifier import (FTable, conjecture_reports, f_table,
                                hilbert_check, hilbert_coeffs, iso_check,
@@ -109,3 +112,64 @@ def test_hilbert_check():
 
 def test_iso_check():
     assert iso_check(8, 6).ok
+
+
+def test_iso_check_sees_a_wrong_square_root(monkeypatch):
+    # sq * sq^-1 = 1 holds for any invertible sq; only sq * sq = 1 - lambda s
+    # sees a wrong root
+    sqrt = Series2.sqrt
+
+    def perturbed(self):
+        root = sqrt(self)
+        coeffs = dict(root.coeffs)
+        coeffs[(1, 1)] = coeffs.get((1, 1), 0) + 32
+        return Series2(coeffs, root.S, root.L)
+
+    assert iso_check().ok
+    monkeypatch.setattr(Series2, "sqrt", perturbed)
+    rep = iso_check()
+    assert rep.status == "fail" and rep.n_cases == 0
+    assert rep.witness == "sq * sq differs from 1 - lambda s"
+
+
+def test_vanishing_fails_on_a_doubled_coefficient():
+    # doubling any term of f_{4,1} changes the one template integral of
+    # degree 6 with k = 4 (n = 3), and any term of f_{5,0} the first one of
+    # degree 8, that of t^3 f_{5,0} (n = 4); the witness carries the value
+    # `integrate` gives on the Poly product
+    tab = f_table(6, 2)
+    for n, k, i in ((3, 4, 1), (4, 5, 0)):
+        f = tab.get(k, i)
+        assert len(f.terms) > 1
+        for mono, c in f.terms.items():
+            bad = FTable(tab.K_max, tab.I_max,
+                         {**tab.entries, (k, i): f + Poly({mono: c})})
+            rep = verify_vanishing(n, 2, bad)
+            assert rep.status == "fail"
+            found = re.fullmatch(
+                rf"integral of t\^(\d+) s\^(\d+) f_\{{{k},{i}\}} = (.+)",
+                rep.witness)
+            m, l = int(found[1]), int(found[2])
+            val = integrate(Poly({(m, l, 0, 0, 0, 0): 1}) * bad.get(k, i), n)
+            assert val != 0 and found[3] == str(val)
+            assert (m, l) == ((0, 0) if n == 3 else (3, 0))
+    # 2 t^5 - 7 t^3 s integrates to 2 C(8,4) - 7 C(6,3) = 0 against t^3 but
+    # to 2 C(6,3) - 7 C(4,2) = -2 against t s: the first nonzero integral
+    # of dimension 4 is that of t s f_{5,0}
+    f = tab.get(5, 0) + Poly({(5, 0, 0, 0, 0, 0): 2, (3, 1, 0, 0, 0, 0): -7})
+    bad = FTable(tab.K_max, tab.I_max, {**tab.entries, (5, 0): f})
+    rep = verify_vanishing(4, 0, bad)
+    assert rep.status == "fail" and rep.n_cases == 1
+    assert rep.witness == "integral of t^1 s^1 f_{5,0} = -2"
+
+
+def test_vanishing_skips_terms_off_the_degree():
+    # as in `integrate`, a term of f_{5,0} off weighted degree 5 reaches no
+    # monomial of degree 2n, so it adds nothing to any integral
+    tab = f_table(6, 0)
+    f = tab.get(5, 0) + Poly({(0, 0, 0, 0, 0, 0): 1, (2, 3, 0, 0, 0, 0): 5})
+    bad = FTable(tab.K_max, tab.I_max, {**tab.entries, (5, 0): f})
+    assert integrate(Poly({(3, 0, 0, 0, 0, 0): 1}) * f, 4) == 0
+    for n in (3, 4):
+        rep = verify_vanishing(n, 0, bad)
+        assert rep.ok and rep.n_cases == verify_vanishing(n, 0, tab).n_cases
