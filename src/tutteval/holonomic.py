@@ -413,15 +413,10 @@ def poly_eval_series(p: Poly, phi: Series2, S: int, L: int) -> Series2:
 
 
 def _lambda_shift(A: Series2, v: int) -> Series2:
-    if v == 0:
-        return A
-    shifted = {}
-    for (b, c), val in A.coeffs.items():
-        if c < v:
-            raise ArithmeticError(
-                "series not divisible by the lambda power of the denominator")
-        shifted[(b, c - v)] = val
-    return Series2(shifted, A.S, A.L)
+    if any(c < v for _, c in A.coeffs):
+        raise ArithmeticError(
+            "series not divisible by the lambda power of the denominator")
+    return A.shift(0, -v)
 
 
 def pq_eval_series(A: PhiQuot, phi: Series2, S: int, L: int) -> Series2:
@@ -438,7 +433,7 @@ def pq_eval_series(A: PhiQuot, phi: Series2, S: int, L: int) -> Series2:
 
 def lambda_derivative(A: Series2) -> Series2:
     return Series2({(b, c - 1): v * c for (b, c), v in A.coeffs.items() if c},
-                   A.S, A.L)
+                   *A.caps)
 
 
 def f_series(S: int, L: int) -> Series2:

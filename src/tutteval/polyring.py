@@ -75,6 +75,21 @@ def _divide_terms(ints: dict, d: int) -> dict:
     return ints if d == 1 else {k: _ratio(c, d) for k, c in ints.items()}
 
 
+def _power(x, n: int):
+    """x^n by repeated squaring: the __pow__ of `Poly` and of the truncated
+    series.  A negative n is refused, since nothing here is inverted."""
+    if n < 0:
+        raise ValueError(f"negative power {n}")
+    result = x.scale(0) + 1
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
 class Poly:
     """Sparse polynomial: dict from exponent 6-tuple to nonzero exact
     coefficient, an int when integral and otherwise a Rat."""
@@ -219,17 +234,7 @@ class Poly:
                                 d * q.denominator)
         return p
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+    __pow__ = _power
 
     # -- univariate views --------------------------------------------------
 

@@ -1,35 +1,45 @@
-"""Truncated formal power series in (t, s, lambda), their two-variable
-restriction, and the Laurent-with-log2 auxiliary series.
+"""Truncated formal power series on one core: series in (t, s, lambda),
+their two-variable restriction, and the Laurent-with-log2 auxiliary series.
 
-Grading: deg t = 1, deg s = 2, deg lambda = -2.  A Series3 stores
-coefficients for monomials t^a s^b l^c with a + 2b <= D and c <= L; the
-lambda order is capped separately because the weighted degree of lambda is
-negative and a single total-degree cap would be ill-founded.  A Series2 is
-the t-free case with caps b <= S, c <= L.  Coefficients are exact: an `int`
-or a `Fraction`.  A Series2 product multiplies on ints over the operands'
-common denominators and divides once, as a `Poly` product does.
+`_Truncated` is the one ring.  An element is a map `coeffs` from exponent
+keys to exact coefficients (an `int` or a `Fraction`) and a tuple `caps`;
+construction drops the terms past the caps under the class's truncation
+rule, and sums and products carry the componentwise minimum of the operand
+caps.  A product multiplies on ints over the operands' common denominators
+and divides once, as a `Poly` product does, through the class's kernel.  A
+product by a monomial with coefficient 1 is `shift`: the keys move and the
+terms moved past the caps drop.  The keys and caps of each class:
 
-All arithmetic is exact and eager; results carry the componentwise minimum
-of the operand caps.  One integer recurrence in order of b + c (`_recur`)
-gives the Series2 inverse, A_0 y_k = -sum_{i != 0} A_i y_(k-i), and square
-root, 2 y_k = A_k - sum_{i != 0, k} y_i y_(k-i); a substitution
+* `Series3`: t^a s^b lambda^c under (a, b, c), caps (D, L), kept when
+  a + 2b <= D and c <= L; kernel `mul_trunc3`.  Grading: deg t = 1,
+  deg s = 2, deg lambda = -2.  The lambda order is capped separately
+  because the weighted degree of lambda is negative and a single
+  total-degree cap would be ill-founded.
+* `Series2`: s^b lambda^c under (b, c), caps (S, L), kept when b <= S and
+  c <= L; kernel `mul_trunc2`.
+* `LaurentX`: q(x) + p(x)*log2 with finitely many negative exponents, the
+  term x^k log2^j under (k, j) with j in {0, 1}, cap (N,), kept when
+  k <= N.  Log 2 is a formal symbol with componentwise equality; its
+  products run through `mul_trunc2` with log2 in the place of lambda, at
+  lambda-cap 1, and a product of two log2 parts is refused.
+
+One integer recurrence in order of b + c (`_recur`) gives the Series2
+inverse, A_0 y_k = -sum_{i != 0} A_i y_(k-i), and square root,
+2 y_k = A_k - sum_{i != 0, k} y_i y_(k-i); a substitution
 (s, lambda) -> (g s, g lambda) makes each division exact.  The log is
 theta^-1(theta A * A^-1) with theta = s d/ds + lambda d/dlambda, plus log 2
-when A_0 = 2.  Series3 has no inverse, sqrt or log: the three-variable log
-the verifier needs is assembled from t-slices in `template.relation_series`.
-
-LaurentX adjoins a formal symbol for log 2 with componentwise equality:
-an element is q(x) + p(x)*log2 with finitely many negative exponents.  Its
-log is the one-variable case of the Series2 log.
+when A_0 = 2; `LaurentX.log` is its one-variable case.  Series3 has no
+inverse, sqrt or log: the three-variable log the verifier needs is
+assembled from t-slices in `template.relation_series`.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 
 from .exactnum import ONE, ZERO
 from ._kernels_py import mul_trunc2, mul_trunc3
-from .polyring import Poly, _divide_terms, _int_terms, _ratio
+from .polyring import Poly, _divide_terms, _int_terms, _power, _ratio
 from .report import Report, failed, passed
 import time
 
@@ -88,74 +98,55 @@ def log_from_inverse(A: "Series2", inv: "Series2") -> "Series2":
                     for (b, c), x in mul_trunc2(a, v, S, L).items()}, S, L)
 
 
-def _power(x, n: int):
-    """x^n by repeated squaring: the __pow__ of both series classes."""
-    result = x.scale(0) + 1
-    while n:
-        if n & 1:
-            result = result * x
-        n >>= 1
-        if n:
-            x = x * x
-    return result
+class _Truncated:
+    """The ring shared by the three series classes (see the module doc).
+    A subclass gives its key of the constant term (`_origin`), its
+    truncation rule (`_cut`) and the call of its kernel (`_product`)."""
 
+    __slots__ = ("coeffs", "caps")
 
-class Series3:
-    """Truncated series in t, s, lambda: {(a,b,c): exact coefficient} with
-    a+2b <= D, c <= L."""
+    def __init__(self, coeffs, *caps):
+        self.caps = caps
+        self.coeffs = self._cut(coeffs, *caps)
 
-    __slots__ = ("coeffs", "D", "L")
+    @classmethod
+    def zero(cls, *caps):
+        return cls({}, *caps)
 
-    def __init__(self, coeffs, D: int, L: int):
-        self.D = D
-        self.L = L
-        self.coeffs = {k: v for k, v in coeffs.items()
-                       if v and k[0] + 2 * k[1] <= D and k[2] <= L}
+    @classmethod
+    def const(cls, q, *caps):
+        return cls({cls._origin: q}, *caps)
 
-    @staticmethod
-    def zero(D, L) -> "Series3":
-        return Series3({}, D, L)
-
-    @staticmethod
-    def const(q, D, L) -> "Series3":
-        return Series3({(0, 0, 0): q}, D, L)
-
-    @staticmethod
-    def var(name, D, L) -> "Series3":
-        key = {"t": (1, 0, 0), "s": (0, 1, 0), "l": (0, 0, 1)}[name]
-        return Series3({key: ONE}, D, L)
-
-    def coeff(self, a, b, c):
-        return self.coeffs.get((a, b, c), ZERO)
+    def coeff(self, *key):
+        return self.coeffs.get(key, ZERO)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __eq__(self, other):
-        if not isinstance(other, Series3):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def _caps(self, other):
-        return min(self.D, other.D), min(self.L, other.L)
+    def _caps(self, other) -> tuple:
+        return tuple(map(min, self.caps, other.caps))
 
     def __add__(self, other):
         if isinstance(other, (int, type(ONE))):
-            other = Series3.const(other, self.D, self.L)
-        D, L = self._caps(other)
+            other = self.const(other, *self.caps)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v
-        return Series3(out, D, L)
+        return type(self)(out, *self._caps(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series3({k: -v for k, v in self.coeffs.items()}, self.D, self.L)
+        return type(self)({k: -v for k, v in self.coeffs.items()}, *self.caps)
 
     def __sub__(self, other):
         if isinstance(other, (int, type(ONE))):
-            other = Series3.const(other, self.D, self.L)
+            other = self.const(other, *self.caps)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -164,104 +155,79 @@ class Series3:
     def __mul__(self, other):
         if isinstance(other, (int, type(ONE))):
             return self.scale(other)
-        D, L = self._caps(other)
-        return Series3(mul_trunc3(self.coeffs, other.coeffs, D, L), D, L)
+        caps = self._caps(other)
+        da, a = _int_terms(self.coeffs)
+        db, b = _int_terms(other.coeffs)
+        return type(self)(_divide_terms(self._product(a, b, caps), da * db),
+                          *caps)
 
     __rmul__ = __mul__
 
-    def scale(self, q) -> "Series3":
-        if not q:
-            return Series3.zero(self.D, self.L)
-        return Series3({k: v * q for k, v in self.coeffs.items()},
-                       self.D, self.L)
+    def scale(self, q):
+        # on ints over one common denominator, like a product
+        d, ints = _int_terms(self.coeffs)
+        n = q.numerator
+        return type(self)(_divide_terms({k: v * n for k, v in ints.items()},
+                                        d * q.denominator), *self.caps)
+
+    def shift(self, *offset):
+        """The product by the monomial with exponents `offset`, the trailing
+        ones 0 when left out, and coefficient 1: every key moves by
+        `offset`, and the terms moved past the caps drop."""
+        offset += (0,) * (len(self._origin) - len(offset))
+        return type(self)({tuple(map(add, k, offset)): v
+                           for k, v in self.coeffs.items()}, *self.caps)
 
     __pow__ = _power
 
     def __repr__(self):
-        return f"Series3(D={self.D}, L={self.L}, terms={len(self.coeffs)})"
+        return (f"{type(self).__name__}(caps={self.caps}, "
+                f"terms={len(self.coeffs)})")
 
 
-class Series2:
+class Series3(_Truncated):
+    """Truncated series in t, s, lambda: {(a,b,c): exact coefficient} with
+    a+2b <= D, c <= L."""
+
+    __slots__ = ()
+    _origin = (0, 0, 0)
+
+    @staticmethod
+    def _cut(coeffs, D, L):
+        return {k: v for k, v in coeffs.items()
+                if v and k[0] + 2 * k[1] <= D and k[2] <= L}
+
+    @staticmethod
+    def var(name, D, L) -> "Series3":
+        key = {"t": (1, 0, 0), "s": (0, 1, 0), "l": (0, 0, 1)}[name]
+        return Series3({key: 1}, D, L)
+
+    def _product(self, a, b, caps):
+        return mul_trunc3(a, b, *caps)
+
+
+class Series2(_Truncated):
     """Truncated series in s, lambda: {(b,c): exact coefficient} with
     b <= S, c <= L."""
 
-    __slots__ = ("coeffs", "S", "L")
-
-    def __init__(self, coeffs, S: int, L: int):
-        self.S = S
-        self.L = L
-        self.coeffs = {k: v for k, v in coeffs.items()
-                       if v and k[0] <= S and k[1] <= L}
+    __slots__ = ()
+    _origin = (0, 0)
 
     @staticmethod
-    def zero(S, L) -> "Series2":
-        return Series2({}, S, L)
-
-    @staticmethod
-    def const(q, S, L) -> "Series2":
-        return Series2({(0, 0): q}, S, L)
+    def _cut(coeffs, S, L):
+        return {k: v for k, v in coeffs.items()
+                if v and k[0] <= S and k[1] <= L}
 
     @staticmethod
     def var(name, S, L) -> "Series2":
         key = {"s": (1, 0), "l": (0, 1)}[name]
-        return Series2({key: ONE}, S, L)
+        return Series2({key: 1}, S, L)
 
-    def coeff(self, b, c):
-        return self.coeffs.get((b, c), ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, Series2):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def _caps(self, other):
-        return min(self.S, other.S), min(self.L, other.L)
-
-    def __add__(self, other):
-        if isinstance(other, (int, type(ONE))):
-            other = Series2.const(other, self.S, self.L)
-        S, L = self._caps(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return Series2(out, S, L)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series2({k: -v for k, v in self.coeffs.items()}, self.S, self.L)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, type(ONE))):
-            other = Series2.const(other, self.S, self.L)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, type(ONE))):
-            return self.scale(other)
-        S, L = self._caps(other)
-        da, a = _int_terms(self.coeffs)
-        db, b = _int_terms(other.coeffs)
-        return Series2(_divide_terms(mul_trunc2(a, b, S, L), da * db), S, L)
-
-    __rmul__ = __mul__
-
-    def scale(self, q) -> "Series2":
-        if not q:
-            return Series2.zero(self.S, self.L)
-        return Series2({k: v * q for k, v in self.coeffs.items()},
-                       self.S, self.L)
-
-    __pow__ = _power
+    def _product(self, a, b, caps):
+        return mul_trunc2(a, b, *caps)
 
     def truncate(self, S, L) -> "Series2":
-        return Series2(self.coeffs, min(self.S, S), min(self.L, L))
+        return Series2(self.coeffs, *map(min, self.caps, (S, L)))
 
     def lambda_slice(self, c: int) -> Poly:
         """Coefficient of lambda^c as a Poly in s."""
@@ -280,7 +246,7 @@ class Series2:
         a0 = a.get((0, 0))
         if not a0:
             raise ZeroDivisionError("series inverse needs a nonzero constant term")
-        S, L = self.S, self.L
+        S, L = self.caps
         W = _recur(_grid({}, S, L), _grid(a, S, L, a0), a0, S, L)
         return Series2(_unscale(W, a0, d, a0), S, L)
 
@@ -292,7 +258,8 @@ class Series2:
         if self.coeff(0, 0) != 1:
             raise ValueError("series sqrt needs constant term 1")
         d, a = _int_terms(self.coeffs)
-        S, L, g = self.S, self.L, 4 * d
+        S, L = self.caps
+        g = 4 * d
         Y = _recur(_grid(a, S, L, g, d), None, 2, S, L)
         return Series2(_unscale(Y, g), S, L)
 
@@ -308,14 +275,12 @@ class Series2:
             raise ValueError(f"log needs constant term 1 or 2, got {c0}")
         return log_from_inverse(self, self.inverse()), ONE if c0 == 2 else ZERO
 
-    def __repr__(self):
-        return f"Series2(S={self.S}, L={self.L}, terms={len(self.coeffs)})"
-
 
 def assert_degree_le(A: Series2, bound: int) -> Report:
     """Check every stored monomial s^b l^c satisfies 2b - 2c <= bound."""
     t0 = time.perf_counter()
-    params = {"bound": bound, "s_cap": A.S, "lambda_cap": A.L}
+    S, L = A.caps
+    params = {"bound": bound, "s_cap": S, "lambda_cap": L}
     worst = None
     for (b, c) in sorted(A.coeffs):
         if 2 * b - 2 * c > bound:
@@ -331,110 +296,33 @@ def assert_degree_le(A: Series2, bound: int) -> Report:
 # -- Laurent series with a formal log 2 ------------------------------------
 
 
-def _dmul(a: dict, b: dict, N: int) -> dict:
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            if k > N:
-                continue
-            out[k] = out.get(k, 0) + va * vb
-    return {k: v for k, v in out.items() if v}
+class LaurentX(_Truncated):
+    """q(x) + p(x)*log2 with integer exponents bounded below, capped at N:
+    {(k, j): exact coefficient of x^k log2^j}, j in {0, 1}, k <= N."""
 
-
-class LaurentX:
-    """q(x) + p(x)*log2 with integer exponents bounded below, capped at N."""
-
-    __slots__ = ("q", "p", "N")
-
-    def __init__(self, q=None, p=None, N: int = 0):
-        self.N = N
-        self.q = {k: v for k, v in (q or {}).items() if v and k <= N}
-        self.p = {k: v for k, v in (p or {}).items() if v and k <= N}
+    __slots__ = ()
+    _origin = (0, 0)
 
     @staticmethod
-    def const(v, N) -> "LaurentX":
-        return LaurentX({0: v}, {}, N)
+    def _cut(coeffs, N):
+        return {k: v for k, v in coeffs.items() if v and k[0] <= N}
 
-    @staticmethod
-    def monomial(k, v, N) -> "LaurentX":
-        return LaurentX({k: v}, {}, N)
-
-    def coeff(self, k):
-        """(rational part, log2 part) of x^k."""
-        return self.q.get(k, ZERO), self.p.get(k, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.q and not self.p
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentX):
-            return NotImplemented
-        return self.q == other.q and self.p == other.p
-
-    def __add__(self, other):
-        if isinstance(other, (int, type(ONE))):
-            other = LaurentX.const(other, self.N)
-        N = min(self.N, other.N)
-        q = dict(self.q)
-        for k, v in other.q.items():
-            q[k] = q.get(k, 0) + v
-        p = dict(self.p)
-        for k, v in other.p.items():
-            p[k] = p.get(k, 0) + v
-        return LaurentX(q, p, N)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentX({k: -v for k, v in self.q.items()},
-                        {k: -v for k, v in self.p.items()}, self.N)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, type(ONE))):
-            other = LaurentX.const(other, self.N)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, type(ONE))):
-            return self.scale(other)
-        if self.p and other.p:
+    def _product(self, a, b, caps):
+        if any(j for _, j in a) and any(j for _, j in b):
             raise ArithmeticError("product would create a log2^2 term")
-        N = min(self.N, other.N)
-        q = _dmul(self.q, other.q, N)
-        p = {}
-        for k, v in _dmul(self.q, other.p, N).items():
-            p[k] = p.get(k, 0) + v
-        for k, v in _dmul(self.p, other.q, N).items():
-            p[k] = p.get(k, 0) + v
-        return LaurentX(q, p, N)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "LaurentX":
-        return LaurentX({k: v * c for k, v in self.q.items()},
-                        {k: v * c for k, v in self.p.items()}, self.N)
+        return mul_trunc2(a, b, *caps, 1)
 
     def derivative(self) -> "LaurentX":
-        return LaurentX({k - 1: v * k for k, v in self.q.items() if k},
-                        {k - 1: v * k for k, v in self.p.items() if k},
-                        self.N)
+        return LaurentX({(k - 1, j): v * k
+                         for (k, j), v in self.coeffs.items() if k},
+                        *self.caps)
 
     def log(self) -> "LaurentX":
         """log of a log2-free series with constant term 1 or 2, ord >= 0:
         the one-variable case of `Series2.log`, at caps (N, 0)."""
-        if self.p:
+        if any(j for _, j in self.coeffs):
             raise ArithmeticError("log of a log2-carrying series")
-        if any(k < 0 for k in self.q):
+        if any(k < 0 for k, _ in self.coeffs):
             raise ValueError("LaurentX log needs a power series argument")
-        lg, l2 = Series2({(k, 0): v for k, v in self.q.items()},
-                         self.N, 0).log()
-        return LaurentX({b: v for (b, _), v in lg.coeffs.items()},
-                        {0: l2} if l2 else {}, self.N)
-
-    def __repr__(self):
-        return (f"LaurentX(N={self.N}, terms={len(self.q)}"
-                f"+{len(self.p)}*log2)")
+        lg, l2 = Series2(self.coeffs, *self.caps, 0).log()
+        return LaurentX({**lg.coeffs, (0, 1): l2}, *self.caps)

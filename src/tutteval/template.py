@@ -60,7 +60,8 @@ def reduce_templates_series(A: Series3) -> Series2:
             continue
         k = (b + a // 2, c)
         out[k] = out.get(k, ZERO) + binomial(a, a // 2) * v
-    return Series2(out, A.D // 2, A.L)
+    D, L = A.caps
+    return Series2(out, D // 2, L)
 
 
 # -- the two polynomial families -------------------------------------------
@@ -113,24 +114,24 @@ def verify_q2_ode(m: int) -> Report:
 
 def sqrt_1m4x2(N: int) -> LaurentX:
     """sqrt(1 - 4x^2) = 1 - 2 sum_l C(2l,l)/(l+1) x^(2l+2)."""
-    q = {0: ONE}
+    q = {(0, 0): ONE}
     for l in range(0, (N - 2) // 2 + 1):
-        q[2 * l + 2] = Rat(-2) * binomial(2 * l, l) / Rat(l + 1)
-    return LaurentX(q, {}, N)
+        q[(2 * l + 2, 0)] = Rat(-2) * binomial(2 * l, l) / Rat(l + 1)
+    return LaurentX(q, N)
 
 
 def inv_sqrt_1m4x2(N: int) -> LaurentX:
     """1/sqrt(1 - 4x^2) = sum_l C(2l,l) x^(2l)."""
-    return LaurentX({2 * l: binomial(2 * l, l) for l in range(N // 2 + 1)},
-                    {}, N)
+    return LaurentX({(2 * l, 0): binomial(2 * l, l)
+                     for l in range(N // 2 + 1)}, N)
 
 
 def _poly_in_inv_x(p: Poly, N: int) -> LaurentX:
     """Evaluate a polynomial in y at y = 1/x as a Laurent series."""
     q = {}
     for mkey, c in p.terms.items():
-        q[-mkey[5]] = c
-    return LaurentX(q, {}, N)
+        q[(-mkey[5], 0)] = c
+    return LaurentX(q, N)
 
 
 def combinatorial_sum(m: int, N: int) -> LaurentX:
@@ -140,8 +141,8 @@ def combinatorial_sum(m: int, N: int) -> LaurentX:
     for k in range(1, N + 1):
         if (k - m) % 2:
             continue
-        q[k] = binomial(k + m, (k + m) // 2) / Rat(k)
-    return LaurentX(q, {}, N)
+        q[(k, 0)] = binomial(k + m, (k + m) // 2) / Rat(k)
+    return LaurentX(q, N)
 
 
 def closed_side(m: int, N: int) -> LaurentX:
@@ -158,7 +159,8 @@ def kappa_constant(m: int):
     """The even-m additive constant, pinned by matching the x^0 coefficient
     at order 2m + 8, where the summation side has none: a pair (rational
     part, log2 part).  Zero for odd m."""
-    return tuple(-v for v in closed_side(m, 2 * m + 8).coeff(0))
+    rhs = closed_side(m, 2 * m + 8)
+    return -rhs.coeff(0, 0), -rhs.coeff(0, 1)
 
 
 def verify_series_identity(m: int, N: int) -> Report:
@@ -184,11 +186,7 @@ def verify_series_identity(m: int, N: int) -> Report:
     rhs = closed_side(m, N)
 
     def eq_upto(A: LaurentX, B: LaurentX) -> bool:
-        qa = {k: v for k, v in A.q.items() if k <= upto}
-        qb = {k: v for k, v in B.q.items() if k <= upto}
-        pa = {k: v for k, v in A.p.items() if k <= upto}
-        pb = {k: v for k, v in B.p.items() if k <= upto}
-        return qa == qb and pa == pb
+        return LaurentX(A.coeffs, upto) == LaurentX(B.coeffs, upto)
 
     dl, dr = lhs.derivative(), rhs.derivative()
     if not eq_upto(dl, dr):
@@ -197,19 +195,19 @@ def verify_series_identity(m: int, N: int) -> Report:
     # the Q2-term derivative has the displayed closed form
     # 1/(x^(m+1) sqrt) - [m even] C(m,m/2)/(x sqrt), from the binomial series
     inv_rt = inv_sqrt_1m4x2(N)
-    direct = LaurentX.monomial(-(m + 1), ONE, N) * inv_rt
+    direct = inv_rt.shift(-(m + 1))
     if m % 2 == 0:
-        direct = direct - LaurentX.monomial(-1, binomial(m, m // 2), N) * inv_rt
+        direct = direct - inv_rt.shift(-1).scale(binomial(m, m // 2))
     q2term = _poly_in_inv_x(q2_poly(m), N) * sqrt_1m4x2(N)
     if not eq_upto(q2term.derivative(), direct):
         return failed("series_identity", params,
                       "derivative does not match 1/(x^(m+1) sqrt(1-4x^2)) form",
                       N, t0)
-    kq, kp = (-v for v in rhs.coeff(0))  # as in `kappa_constant`
+    kq, kp = -rhs.coeff(0, 0), -rhs.coeff(0, 1)  # as in `kappa_constant`
     if m % 2 == 1 and (kq or kp):
         return failed("series_identity", params,
                       f"odd m needs no constant, got {kq}+{kp}*log2", N, t0)
-    full = rhs + LaurentX({0: kq}, {0: kp}, N)
+    full = rhs + LaurentX({(0, 0): kq, (0, 1): kp}, N)
     if not eq_upto(lhs, full):
         return failed("series_identity", params,
                       "full identity fails after constant matching", N, t0)
@@ -231,7 +229,7 @@ def base_series(S: int, L: int) -> tuple:
     one_ls = 1 + lam * s
     tau = Series2({(0, c): v for (_, c), v in tau_series(L).coeffs.items()},
                   S, L)
-    r = s * one_ls.inverse() + tau
+    r = one_ls.inverse().shift(1) + tau
     b = s + one_ls * ((1 + r) ** 2 - s.scale(4)).sqrt()
     return s, lam, one_ls, tau, r, b
 
@@ -269,27 +267,25 @@ def h_m_series(m: int, S: int, L: int, kappa=None):
     for _ in range(m):
         one_r_pows.append(one_r_pows[-1] * (1 + r))
 
-    def s_pow(e):
-        return Series2({(e, 0): ONE}, S, L)
-
     q1 = q1_poly(m)
     q2 = q2_poly(m)
     for mono, c in q1.terms.items():
         i = mono[5]
-        main = main + (one_r_pows[i] * s_pow((m - i) // 2)).scale(c * sgn)
+        main = main + one_r_pows[i].shift((m - i) // 2).scale(c * sgn)
     for mono, c in q2.terms.items():
         i = mono[5]
-        main = main + (one_r_pows[i - 1] * bs_over
-                       * s_pow((m - i) // 2)).scale(c * sgn)
+        term = (one_r_pows[i - 1] * bs_over).shift((m - i) // 2)
+        main = main + term.scale(c * sgn)
     # the pinned constant rides on s^(m/2)
+    top = (m // 2, 0)
     if kq or kp:
-        main = main + s_pow(m // 2).scale(kq * sgn)
-        l2 = l2 + s_pow(m // 2).scale(kp * sgn)
+        main = main + Series2({top: kq * sgn}, S, L)
+        l2 = l2 + Series2({top: kp * sgn}, S, L)
 
     if m % 2 == 0:
         cm = binomial(m, m // 2)
-        main = main + (s_pow(m // 2) * lg).scale(cm)
-        l2 = l2 + s_pow(m // 2).scale(cm * l2_big)
+        main = main + lg.shift(m // 2).scale(cm)
+        l2 = l2 + Series2({top: cm * l2_big}, S, L)
     return main, l2
 
 
@@ -337,9 +333,7 @@ def direct_reduction(m: int, S: int, L: int) -> Series2:
     t^a s^b lambda^c, and the terms the shift carries past a + 2b = 2S
     drop out."""
     f = relation_series(2 * S, L)
-    return reduce_templates_series(
-        Series3({(a + m, b, c): v for (a, b, c), v in f.coeffs.items()},
-                2 * S, L))
+    return reduce_templates_series(f.shift(m))
 
 
 def verify_h_m(m: int, S: int, L: int) -> Report:

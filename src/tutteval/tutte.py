@@ -37,8 +37,7 @@ def phi_series(L: int) -> Series2:
         raise ValueError(f"phi_series needs L >= 1, got {L}")
     coeffs = {}
     for k in range(1, L + 1):
-        coeffs = (Series2.var("l", 0, k)
-                  * (1 + Series2(coeffs, 0, k)) ** 4).coeffs
+        coeffs = ((1 + Series2(coeffs, 0, k)) ** 4).shift(0, 1).coeffs
     return Series2(coeffs, 0, L)
 
 
@@ -163,7 +162,7 @@ def three_way_report(max_i: int = 6, tamari_max: int = TAMARI_MAX) -> Report:
     return passed("tutte_three_way", params, cases, t0)
 
 
-def lagrange_report(n_max: int = 40) -> Report:
+def lagrange_report(n_max: int) -> Report:
     """Fixed-point series coefficients against the Lagrange-inversion
     closed form (1/n) C(4n, n-1)."""
     t0 = time.perf_counter()

@@ -213,6 +213,23 @@ def test_trunc2_on_ints_matches_naive(A, B, S, L):
     assert all(type(c) is int for c in P.values())
 
 
+@given(st.integers(1, 4), st.integers(2, 3), st.integers(-6, 4), st.data())
+@settings(max_examples=60)
+def test_trunc2_with_negative_s_exponents(rows, cols, S, data):
+    # a Laurent series multiplies with negative first exponents: dense
+    # grids take the packed path, one term per row the pair loop
+    def draw():
+        return data.draw(big_ints)
+
+    A = {(b - 3, c): v for (b, c), v in _grid(rows, cols, draw).items()}
+    B = {(b - 2, c): v for (b, c), v in _grid(rows, cols, draw).items()}
+    P, packed = _trunc2_path(A, B, S, 1)
+    assert packed and P == _trunc2(A, B, S, 1)
+    single = {(b - 2, 0): draw() for b in range(rows)}
+    P, packed = _trunc2_path(A, single, S, 1)
+    assert not packed and P == _trunc2(A, single, S, 1)
+
+
 @given(st.integers(1, 5), st.integers(2, 6), st.integers(1, 5),
        st.integers(2, 6), st.integers(0, 9), st.integers(0, 9), st.data())
 @settings(max_examples=80)

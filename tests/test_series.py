@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tutteval.exactnum import ONE, Rat, ZERO
+from tutteval.polyring import Poly
 from tutteval.series import LaurentX, Series2, Series3, assert_degree_le
 from tutteval.template import relation_series
 
@@ -15,6 +16,13 @@ from test_template import _relation_series_3var
 
 def s2(S=8, L=6):
     return (Series2.var("s", S, L), Series2.var("l", S, L))
+
+
+def lx(q, p, N):
+    """q(x) + p(x)*log2 at cap N, from the maps {k: coefficient} of the
+    rational part q and the log2 part p."""
+    return LaurentX({**{(k, 0): v for k, v in q.items()},
+                     **{(k, 1): v for k, v in p.items()}}, N)
 
 
 def _exp(A, nmax):
@@ -139,7 +147,7 @@ def test_inverse_times_series_is_one(caps, c0, tail):
     A = _series(caps, c0, tail)
     inv = A.inverse()
     assert _naive_mul(A.coeffs, inv.coeffs, *caps) == {(0, 0): 1}
-    assert (inv.S, inv.L) == caps and _ints_where_integral(inv)
+    assert inv.caps == caps and _ints_where_integral(inv)
 
 
 @given(_caps, _tail)
@@ -178,11 +186,11 @@ def test_recurrence_rejects_bad_constant_terms():
         with pytest.raises(ValueError):
             bad.log()
     with pytest.raises(ValueError):
-        LaurentX({-1: ONE, 0: ONE}, {}, 6).log()
+        lx({-1: ONE, 0: ONE}, {}, 6).log()
     with pytest.raises(ValueError):
         LaurentX.const(3, 6).log()
     with pytest.raises(ArithmeticError):
-        LaurentX({0: ONE}, {1: ONE}, 6).log()
+        lx({0: ONE}, {1: ONE}, 6).log()
 
 
 def test_laurent_log_matches_the_log_series():
@@ -190,10 +198,8 @@ def test_laurent_log_matches_the_log_series():
     # the argument 2 + 4x = 2 (1 + 2x)
     N = 12
     want = {k: Rat((-1) ** (k + 1) * 2 ** k, k) for k in range(1, N + 1)}
-    assert LaurentX({0: ONE, 1: Rat(2)}, {}, N).log() == \
-        LaurentX(want, {}, N)
-    assert LaurentX({0: Rat(2), 1: Rat(4)}, {}, N).log() == \
-        LaurentX(want, {0: ONE}, N)
+    assert lx({0: ONE, 1: Rat(2)}, {}, N).log() == lx(want, {}, N)
+    assert lx({0: Rat(2), 1: Rat(4)}, {}, N).log() == lx(want, {0: ONE}, N)
 
 
 def test_degree_le_report():
@@ -211,26 +217,26 @@ def test_laurent_inverse():
     # the geometric series sum (2x)^k inverts 1 - 2x under the truncated
     # product: the only leftover term, -2^(N+1) x^(N+1), is above the cap
     N = 12
-    a = LaurentX({0: ONE, 1: Rat(-2)}, {}, N)  # 1 - 2x
-    inv = LaurentX({k: Rat(2) ** k for k in range(N + 1)}, {}, N)
+    a = lx({0: ONE, 1: Rat(-2)}, {}, N)  # 1 - 2x
+    inv = lx({k: Rat(2) ** k for k in range(N + 1)}, {}, N)
     assert a * inv == LaurentX.const(1, N)
-    short = LaurentX({k: Rat(2) ** k for k in range(N)}, {}, N)
-    assert a * short == LaurentX({0: ONE, N: -Rat(2) ** N}, {}, N)
+    short = lx({k: Rat(2) ** k for k in range(N)}, {}, N)
+    assert a * short == lx({0: ONE, N: -Rat(2) ** N}, {}, N)
 
 
 def test_laurent_negative_exponents():
     N = 6
-    x_inv = LaurentX({-1: ONE}, {}, N)
-    assert (x_inv * x_inv).coeff(-2) == (ONE, ZERO)
-    shifted = x_inv * LaurentX({2: Rat(3)}, {}, N)
-    assert shifted.coeff(1) == (Rat(3), ZERO)
+    x_inv = lx({-1: ONE}, {}, N)
+    assert (x_inv * x_inv).coeffs == {(-2, 0): ONE}
+    shifted = x_inv * lx({2: Rat(3)}, {}, N)
+    assert shifted.coeffs == {(1, 0): Rat(3)}
 
 
 def test_laurent_log2_formal():
     N = 8
     two = LaurentX.const(2, N)
     lg = two.log()
-    assert lg == LaurentX({}, {0: ONE}, N)
+    assert lg == lx({}, {0: ONE}, N)
 
 
 @given(st.integers(-3, 3), st.integers(1, 5))
@@ -241,3 +247,97 @@ def test_laurent_const_arith(c, d):
     b = LaurentX.const(d, N)
     assert a + b == LaurentX.const(c + d, N)
     assert a * b == LaurentX.const(c * d, N)
+
+
+_laurent_part = st.dictionaries(
+    st.integers(-4, 6), st.fractions(-4, 4, max_denominator=3)
+    | st.integers(-4, 4), max_size=5)
+
+
+@given(_laurent_part, _laurent_part, _laurent_part, st.integers(-2, 6))
+@example({-2: 1, 0: Rat(1, 2)}, {-1: Rat(2, 3), 3: 1}, {1: 3, 2: -1}, 2)
+@settings(max_examples=80, deadline=None)
+def test_laurent_product_matches_a_naive_convolution(q, p, r, N):
+    # one log2 part at most: x^k log2^j under (k, j) convolves like
+    # s^k lambda^j at lambda cap 1, negative exponents included
+    A, B = lx(q, p, N), lx(r, {}, N)
+    want = _naive_mul(A.coeffs, B.coeffs, N, 1)
+    assert (A * B).coeffs == want and (B * A).coeffs == want
+    assert (A * B).caps == (N,) and _ints_where_integral(A * B)
+
+
+def test_laurent_refuses_a_log2_squared_term():
+    N = 4
+    a = lx({0: ONE}, {0: ONE}, N)  # 1 + log2
+    b = lx({}, {-1: Rat(1, 2)}, N)
+    for x, y in ((a, b), (b, a), (a, a)):
+        with pytest.raises(ArithmeticError):
+            x * y
+    # the guard looks at the operands, not at where the product would land
+    with pytest.raises(ArithmeticError):
+        lx({}, {N: ONE}, N) * lx({}, {N: ONE}, N)
+    assert (a * lx({1: 2}, {}, N)).coeffs == {(1, 0): 2, (1, 1): 2}
+
+
+_key3 = st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 3))
+_vals = st.fractions(-4, 4, max_denominator=3) | st.integers(-4, 4)
+
+
+@given(_caps, _tail, st.tuples(st.integers(0, 5), st.integers(0, 5)))
+@settings(max_examples=60, deadline=None)
+def test_series2_shift_is_the_product_by_the_monomial(caps, tail, offset):
+    A = Series2(tail, *caps)
+    moved = A.shift(*offset)
+    assert moved == A * Series2({offset: 1}, *caps)
+    assert moved.caps == caps
+    assert all(k[0] <= caps[0] and k[1] <= caps[1] for k in moved.coeffs)
+    assert A.shift(offset[0]) == A.shift(offset[0], 0)
+
+
+@given(st.dictionaries(_key3, _vals, max_size=6), st.integers(0, 8),
+       st.integers(0, 3), _key3)
+@settings(max_examples=60, deadline=None)
+def test_series3_shift_is_the_product_by_the_monomial(terms, D, L, offset):
+    A = Series3(terms, D, L)
+    moved = A.shift(*offset)
+    assert moved == A * Series3({offset: 1}, D, L)
+    assert moved.caps == (D, L)
+    assert A.shift(offset[0]) == A.shift(offset[0], 0, 0)
+
+
+@given(_laurent_part, _laurent_part, st.integers(-2, 6), st.data())
+@example({-2: 1}, {3: Rat(1, 2)}, 2, None)
+@settings(max_examples=60, deadline=None)
+def test_laurent_shift_is_the_product_by_the_monomial(q, p, N, data):
+    # x^k with k <= N, so the monomial itself is inside the cap; a shift
+    # down is a division by x^-k, exact on a Laurent series
+    k = data.draw(st.integers(-4, N)) if data else N
+    A = lx(q, p, N)
+    moved = A.shift(k)
+    assert moved == A * lx({k: 1}, {}, N)
+    assert moved.coeffs == {(e + k, j): v for (e, j), v in A.coeffs.items()
+                            if e + k <= N}
+
+
+def test_integral_results_stay_ints():
+    s, lam = s2(4, 4)
+    half = Series2({(0, 0): Rat(1, 2), (1, 1): Rat(3, 2)}, 4, 4)
+    for A in (half * 2, half.scale(Rat(4)), half * half.scale(4),
+              (half * 2) ** 3, (half * 2).shift(1, 1), -(half * 2),
+              half * 2 + 1 - s):
+        assert A.coeffs and _ints_where_integral(A)
+        assert all(type(v) is int for v in A.coeffs.values())
+    x = lx({-1: Rat(1, 2)}, {2: Rat(3, 4)}, 4)
+    assert all(type(v) is int for v in x.scale(4).coeffs.values())
+    assert all(type(v) is int
+               for v in (x * lx({1: 4}, {}, 4)).coeffs.values())
+
+
+def test_negative_powers_are_refused():
+    # x^-1 would need an inverse; the repeated squaring never ends on it
+    s, lam = s2(3, 3)
+    for x in (1 + s, Series3.var("t", 4, 2), LaurentX.const(2, 3),
+              Poly.var("s") + 1):
+        with pytest.raises(ValueError):
+            x ** -1
+        assert x ** 3 == x * x * x

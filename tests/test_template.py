@@ -108,7 +108,7 @@ def test_reduction_preserves_integrals(a, b, n):
 @pytest.mark.parametrize("D, L", [(6, 2), (9, 4), (12, 0), (17, 4), (24, 8)])
 def test_relation_series_matches_three_variable_route(D, L):
     f = relation_series(D, L)
-    assert (f.D, f.L) == (D, L)
+    assert f.caps == (D, L)
     assert f == _relation_series_3var(D, L)
 
 

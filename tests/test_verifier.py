@@ -123,11 +123,11 @@ def test_iso_check_sees_a_wrong_square_root(monkeypatch):
         root = sqrt(self)
         coeffs = dict(root.coeffs)
         coeffs[(1, 1)] = coeffs.get((1, 1), 0) + 32
-        return Series2(coeffs, root.S, root.L)
+        return Series2(coeffs, *root.caps)
 
-    assert iso_check().ok
+    assert iso_check(10, 8).ok
     monkeypatch.setattr(Series2, "sqrt", perturbed)
-    rep = iso_check()
+    rep = iso_check(10, 8)
     assert rep.status == "fail" and rep.n_cases == 0
     assert rep.witness == "sq * sq differs from 1 - lambda s"
 
