@@ -38,7 +38,8 @@ from itertools import combinations
 from .exactnum import ONE, Rat, ZERO, binomial, factorial, rank, rat_gcd
 from .polyring import (Poly, _eval_var, clear_and_normalize,
                        partial_derivative, poly_div_exact, poly_gcd,
-                       poly_parse, poly_to_str, primitive_rat, rat_content)
+                       poly_parse, poly_to_str, primitive_rat, rat_content,
+                       strip_gcd)
 from .report import Report, failed, inconclusive, passed
 from .series import Series2
 from .tutte import phi_series
@@ -689,13 +690,7 @@ def find_Rhat() -> DependencyVector:
     vec = [(r[0] * (partial_derivative(r[j], "l") + r[j - 1])
             - dr0 * r[j]).scale(Rat(factorial(j))) for j in range(1, 6)]
     for small in (R.entries[0], R.entries[4]):
-        g = small
-        for p in vec:
-            g = poly_gcd(g, p)
-            if g.is_const():
-                break
-        if not g.is_const():
-            vec = [poly_div_exact(p, g) for p in vec]
+        vec = strip_gcd(small, vec)
     return _band_vector("Rhat", 1, vec)
 
 

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import heapq
 import re
+from itertools import accumulate, repeat
 from math import gcd, lcm, prod
+from operator import mul
 
 from ._kernels_py import field_struct, mul_poly
 from .exactnum import ONE, Rat, ZERO, rat_gcd, rat_str
@@ -272,13 +274,32 @@ def partial_derivative(A: Poly, v) -> Poly:
 # -- exact division, content, gcd ------------------------------------------
 
 
+# the integer point at which `poly_div_exact` compares both sides
+_POINT = (2, 3, 5, 7, 11, 13)
+
+
+def _value_at_point(terms: dict) -> int:
+    """The value at `_POINT` of the integer polynomial {mono: int}."""
+    weights = None
+    for x, col in zip(_POINT, zip(*terms)):
+        top = max(col)
+        if top:
+            pows = list(accumulate(repeat(x, top), mul, initial=1))
+            w = map(pows.__getitem__, col)
+            weights = w if weights is None else map(mul, weights, w)
+    vals = terms.values()
+    return sum(vals) if weights is None else sum(map(mul, vals, weights))
+
+
 def poly_div_exact(A: Poly, B: Poly) -> Poly:
     """Exact quotient A/B; raises ArithmeticError if B does not divide A.
 
     With A = a A' and B = b B', A' and B' primitive integer polynomials, B'
     divides A' over Q exactly when it divides it over Z (Gauss's lemma), so
     A'/B' is computed on ints and a leading coefficient that lc(B') does not
-    divide proves the division inexact.  The quotient is (a/b) A'/B'.
+    divide proves the division inexact.  Before that, B'(x) not dividing
+    A'(x) at one integer point x proves it too.  The quotient is
+    (a/b) A'/B'.
 
     Monomials are packed into ints whose order is the graded lex order: the
     top field holds the total degree, the next ones variables 0, 1, ...
@@ -299,6 +320,11 @@ def poly_div_exact(A: Poly, B: Poly) -> Poly:
         raise ArithmeticError("inexact polynomial division")
     a, ia = _primitive_ints(A.terms)
     b, ib = _primitive_ints(B.terms)
+    # B' | A' makes A'/B' an integer polynomial, so B'(x) | A'(x) at every
+    # integer point x: one evaluation rejects most inexact divisions
+    bx = abs(_value_at_point(ib))
+    if bx and _value_at_point(ia) % bx:
+        raise ArithmeticError("inexact polynomial division")
     layout = field_struct(NVARS + 1, deg.bit_length() + 1)
     top = 1 << (8 * layout.size // (NVARS + 1) - 1)
     pack, from_bytes = layout.pack, int.from_bytes
@@ -609,6 +635,23 @@ def poly_gcd(A: Poly, B: Poly) -> Poly:
     return _poly_gcd_bivar(A, B, vm, ve)
 
 
+def strip_gcd(g: Poly, polys: list) -> list:
+    """The entries divided by gcd(g, entries).  The gcd grows over the
+    nonzero entries in order and stops as soon as it divides every entry,
+    as a constant does: the gcd of a prefix that divides them all is the
+    gcd of them all."""
+    for p in polys:
+        if p.is_zero():
+            continue
+        g = poly_gcd(g, p)
+        try:
+            return [poly_div_exact(q, g) if not q.is_zero() else q
+                    for q in polys]
+        except ArithmeticError:
+            continue
+    return polys
+
+
 def clear_and_normalize(polys: list) -> list:
     """Scale a nonzero polynomial vector to coprime integer entries.
 
@@ -618,18 +661,7 @@ def clear_and_normalize(polys: list) -> list:
     """
     if all(p.is_zero() for p in polys):
         raise ValueError("cannot normalize the zero vector")
-    # the gcd of a prefix that divides every entry is the gcd of them all
-    g = Poly()
-    for p in polys:
-        if p.is_zero():
-            continue
-        g = poly_gcd(g, p)
-        try:
-            polys = [poly_div_exact(q, g) if not q.is_zero() else q
-                     for q in polys]
-            break
-        except ArithmeticError:
-            continue
+    polys = strip_gcd(Poly(), polys)
     c = ZERO
     for p in polys:
         c = rat_gcd(c, rat_content(p))

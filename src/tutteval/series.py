@@ -29,8 +29,9 @@ inverse, A_0 y_k = -sum_{i != 0} A_i y_(k-i), and square root,
 (s, lambda) -> (g s, g lambda) makes each division exact.  The log is
 theta^-1(theta A * A^-1) with theta = s d/ds + lambda d/dlambda, plus log 2
 when A_0 = 2; `LaurentX.log` is its one-variable case.  Series3 has no
-inverse, sqrt or log: the three-variable log the verifier needs is
-assembled from t-slices in `template.relation_series`.
+inverse, sqrt or log: `template.relation_series` gives the three-variable
+log the verifier needs as its t-slices, t d/dt of the log as an integer
+Series3 and the t^0 slice as a Series2.
 """
 
 from __future__ import annotations

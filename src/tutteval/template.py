@@ -14,10 +14,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, lcm
 
 from .exactnum import ONE, Rat, ZERO, binomial, double_factorial
 from ._kernels_py import mul_trunc2
-from .polyring import Poly, partial_derivative, poly_div_exact
+from .polyring import Poly, _ratio, partial_derivative, poly_div_exact
 from .report import Report, failed, inconclusive, passed
 from .series import (LaurentX, Series2, Series3, assert_degree_le,
                      log_from_inverse)
@@ -50,18 +51,6 @@ def integrate(p: Poly, n: int):
             raise ValueError("integrate expects a polynomial in t, s only")
         total += c * monomial_template(m[0], m[1], n).value
     return total
-
-
-def reduce_templates_series(A: Series3) -> Series2:
-    """Termwise t-reduction of a (t,s,lambda) series into an (s,lambda) one."""
-    out: dict = {}
-    for (a, b, c), v in A.coeffs.items():
-        if a % 2:
-            continue
-        k = (b + a // 2, c)
-        out[k] = out.get(k, ZERO) + binomial(a, a // 2) * v
-    D, L = A.caps
-    return Series2(out, D // 2, L)
 
 
 # -- the two polynomial families -------------------------------------------
@@ -290,20 +279,22 @@ def h_m_series(m: int, S: int, L: int, kappa=None):
 
 
 @lru_cache(maxsize=1)
-def relation_series(D: int, L: int) -> Series3:
-    """log(1 + t + r) with r = s/(1+lambda s) + tau(lambda), at caps (D, L):
-    the series behind both the candidate relations (see `verifier.f_table`)
-    and the direct reduction of h_m.  The last caps are cached, since the
-    h_m checks need the same expansion for every m.
+def relation_series(D: int, L: int) -> tuple:
+    """The series behind both the candidate relations (see
+    `verifier.f_table`) and the direct reduction of h_m: log(1 + t + r)
+    with r = s/(1+lambda s) + tau(lambda), at caps (D, L), as the pair
+    (E, g).  E = t d/dt log(1 + t + r) is a `Series3` with `int`
+    coefficients, and g = log(1 + r), its t^0 slice, a `Series2` at caps
+    (D // 2, L).  The last caps are cached, since the h_m checks need the
+    same expansion for every m.
 
-    With u = 1/(1 + r), log(1 + t + r) = log(1 + r) + log(1 + t u), so the
-    t^0 slice is log(1 + r), read from the same u by `log_from_inverse`,
-    and the t^a slice, a >= 1, is (-1)^(a+1) u^a / a.  Since 1 + r has
-    integer coefficients and constant term 1, u and its powers are integer
-    series in (s, lambda): the powers are built on ints, truncated to
-    2b <= D - a, each by one `mul_trunc2` product on packed lambda-rows, and
-    only the t^0 slice and the factors 1/a are rational.  `direct_reduction`
-    multiplies by t^m as a shift of the t exponents.
+    With u = 1/(1 + r), log(1 + t + r) = log(1 + r) + log(1 + t u), so g is
+    read from the same u by `log_from_inverse`, and the t^a slice, a >= 1,
+    is (-1)^(a+1) u^a / a: E holds a times it, (-1)^(a+1) u^a.  Since
+    1 + r has integer coefficients and constant term 1, u and its powers
+    are integer series in (s, lambda): the powers are built on ints,
+    truncated to 2b <= D - a, each by one `mul_trunc2` product on packed
+    lambda-rows, and the readers divide by a.
     """
     S = D // 2
     terms = {(0, 0): 1}
@@ -316,24 +307,42 @@ def relation_series(D: int, L: int) -> Series3:
         terms[(0, c)] = terms.get((0, c), 0) + v.numerator
     one_r = Series2(terms, S, L)
     u = one_r.inverse()
-    out = {(0, b, c): v
-           for (b, c), v in log_from_inverse(one_r, u).coeffs.items()}
+    out = {}
     p = {(0, 0): 1}
     for a in range(1, D + 1):
         p = mul_trunc2(p, u.coeffs, (D - a) // 2, L)
         sign = 1 if a % 2 else -1
         for (b, c), v in p.items():
-            out[(a, b, c)] = Rat(sign * v, a)
-    return Series3(out, D, L)
+            out[(a, b, c)] = sign * v
+    return Series3(out, D, L), log_from_inverse(one_r, u)
 
 
 def direct_reduction(m: int, S: int, L: int) -> Series2:
-    """Template reduction of t^m log(1 + t + r), from the relation series at
-    caps (2S, L): the product by t^m is the shift a -> a + m of every term
-    t^a s^b lambda^c, and the terms the shift carries past a + 2b = 2S
-    drop out."""
-    f = relation_series(2 * S, L)
-    return reduce_templates_series(f.shift(m))
+    """Template reduction of t^m log(1 + t + r), from the relation series
+    (E, g) at caps (2S, L).  The term t^a s^b lambda^c of the log, v/a
+    with v in E, moves to t^e, e = a + m; it is dropped when e is odd or
+    e + 2b > 2S, and otherwise reduced to C(e, e/2) s^(b + e/2) lambda^c.
+    Each output key sums C(e, e/2) (den/a) v on ints, den the lcm of every
+    a that can reach its s exponent, and divides once; the t^0 slice g
+    adds C(m, m/2) g when m is even."""
+    E, g = relation_series(2 * S, L)
+    cent = [comb(e, e // 2) for e in range(2 * S + 1)]
+    # key (B, c) is reached from a = 2B - 2b - m with a = m mod 2 and b >= 0
+    den = [lcm(*range(2 - m % 2, 2 * B - m + 1, 2)) for B in range(S + 1)]
+    acc = {}
+    for (a, b, c), v in E.coeffs.items():
+        e = a + m
+        if e % 2 or e + 2 * b > 2 * S:
+            continue
+        B = b + e // 2
+        acc[(B, c)] = acc.get((B, c), 0) + cent[e] * (den[B] // a) * v
+    out = {k: _ratio(v, den[k[0]]) for k, v in acc.items()}
+    if m % 2 == 0:
+        for (b, c), v in g.coeffs.items():
+            if m + 2 * b <= 2 * S:
+                k = (b + m // 2, c)
+                out[k] = out.get(k, 0) + cent[m] * v
+    return Series2(out, S, L)
 
 
 def verify_h_m(m: int, S: int, L: int) -> Report:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .exactnum import ONE, ZERO, rank
-from .polyring import Poly, _int_terms
+from .polyring import Poly, _int_terms, _ratio
 from .report import Report, failed, inconclusive, passed
 from .series import Series2
 from .template import integrate, relation_series
@@ -59,23 +59,25 @@ class FTable:
 
 def f_table(K_max: int, I_max: int) -> FTable:
     """Regroup the t^a s^b lambda^c coefficients of the relation series
-    log(1 + t + s/(1+lambda s) + tau(lambda)), built from the powers of one
-    integer series in `template.relation_series`, by (k, i) =
-    (a + 2b - 2c, c)."""
+    log(1 + t + s/(1+lambda s) + tau(lambda)) by (k, i) =
+    (a + 2b - 2c, c).  `template.relation_series` gives the series as
+    (E, g): the t^a coefficient, a >= 1, is v/a for v in E, an `int` when
+    a divides v, and the t^0 one is read from g.  Each entry is collected
+    as one map and becomes one `Poly`."""
     if K_max < 1 or I_max < 0:
         raise ValueError("caps must be positive")
-    f = relation_series(K_max + 2 * I_max, I_max)
-    tab = FTable(K_max, I_max)
-    for (a, b, c), v in f.coeffs.items():
+    E, g = relation_series(K_max + 2 * I_max, I_max)
+    grouped = {}
+    for (a, b, c), v in E.coeffs.items():
         k = a + 2 * b - 2 * c
-        if 1 <= k <= K_max and c <= I_max:
-            mono = (a, b, 0, 0, 0, 0)
-            p = tab.entries.get((k, c))
-            if p is None:
-                tab.entries[(k, c)] = Poly({mono: v})
-            else:
-                tab.entries[(k, c)] = p + Poly({mono: v})
-    return tab
+        if 1 <= k <= K_max:
+            grouped.setdefault((k, c), {})[(a, b, 0, 0, 0, 0)] = _ratio(v, a)
+    for (b, c), v in g.coeffs.items():
+        k = 2 * b - 2 * c
+        if 1 <= k <= K_max:
+            grouped.setdefault((k, c), {})[(0, b, 0, 0, 0, 0)] = v
+    return FTable(K_max, I_max,
+                  {key: Poly(terms) for key, terms in grouped.items()})
 
 
 # -- template vanishing ----------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tutteval import holonomic
+from tutteval import holonomic, polyring
 from tutteval.exactnum import ONE, Rat, factorial
 from tutteval.holonomic import (_PQ_ONE, DependencyVector, PhiQuot,
                                 _invert_mod_p, _kernel_vector, _pq_dlam,
@@ -365,6 +365,29 @@ def test_dependency_precondition_failure_is_a_report(monkeypatch):
     rep = dependency_report("Rhat")
     assert rep.status == "fail"
     assert rep.witness == "R_0 = 0: F cannot be eliminated from R"
+
+
+def test_find_Rhat_stops_at_the_first_dividing_gcd(monkeypatch):
+    # one gcd against R_0 (constant: nothing to strip) and one against R_4,
+    # whose factor already divides every entry; the normalization of the
+    # band vector then takes two more
+    find_R()
+    q_tower(5)
+    Rhat = find_Rhat()
+    calls = []
+    gcd = polyring.poly_gcd
+
+    def counting(A, B):
+        calls.append(1)
+        return gcd(A, B)
+
+    monkeypatch.setattr(polyring, "poly_gcd", counting)
+    find_Rhat.cache_clear()
+    try:
+        assert find_Rhat() == Rhat
+    finally:
+        find_Rhat.cache_clear()
+    assert len(calls) == 4
 
 
 def test_dependency_report_unknown_kind(monkeypatch):

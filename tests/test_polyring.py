@@ -109,6 +109,54 @@ def test_div_inexact_raises():
         poly_div_exact(t, t ** 2)
 
 
+def _long_division_spy(monkeypatch):
+    """A list that records each long division `poly_div_exact` starts (it
+    sizes the packed monomial fields first)."""
+    started = []
+    field_struct = polyring.field_struct
+
+    def spy(*args):
+        started.append(args)
+        return field_struct(*args)
+
+    monkeypatch.setattr(polyring, "field_struct", spy)
+    return started
+
+
+def test_div_exact_rejects_at_the_point_first(monkeypatch):
+    # at the point t = 2, s = 3, l = 5: B(x) does not divide A(x), which
+    # proves B does not divide A before any long division starts
+    started = _long_division_spy(monkeypatch)
+    for A, B in ((t ** 2 + 1, t + 1),           # 5 against 3
+                 (s * lam + 2, s + lam),        # 17 against 8
+                 (3 * s ** 2 - 1, 2 * s + 1)):  # 26 against 7
+        assert polyring._value_at_point(A.terms) % \
+            polyring._value_at_point(B.terms)
+        with pytest.raises(ArithmeticError):
+            poly_div_exact(A, B)
+    assert started == []
+    # an exact quotient still goes through the long division
+    assert poly_div_exact((t + 1) * (s - lam), t + 1) == s - lam
+    assert len(started) == 1
+
+
+def test_div_exact_falls_through_at_a_root_of_the_divisor(monkeypatch):
+    # B(x) = 0 at the point proves nothing, and B(x) | A(x) does not prove
+    # B | A: both go to the long division, which decides
+    started = _long_division_spy(monkeypatch)
+    cases = ((t ** 2 + 1, t - 2, None),               # B(2) = 0, A(2) = 5
+             ((t - 2) * (t + 5), t - 2, t + 5),
+             (s ** 2 - lam ** 2 + s, s * 5 - lam * 3, None),  # B = 0
+             (t ** 2 + 2, t + 1, None))               # 3 divides 6
+    for A, B, Q in cases:
+        if Q is None:
+            with pytest.raises(ArithmeticError):
+                poly_div_exact(A, B)
+        else:
+            assert poly_div_exact(A, B) == Q
+    assert len(started) == len(cases)
+
+
 def naive_div_exact(A: dict, B: dict):
     """Reference: grlex long division over Q on tuple keys with Fraction
     coefficients; the quotient if B divides A exactly, else None."""

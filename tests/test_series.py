@@ -9,9 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from tutteval.exactnum import ONE, Rat, ZERO
 from tutteval.polyring import Poly
 from tutteval.series import LaurentX, Series2, Series3, assert_degree_le
-from tutteval.template import relation_series
-
-from test_template import _relation_series_3var
+from test_template import _relation_series_3var, _relation_series_log
 
 
 def s2(S=8, L=6):
@@ -94,12 +92,12 @@ def test_series2_truncation_consistency():
     assert small == wide_then_cut
 
 
-def test_series3_log_small():
+def test_relation_series_small():
     # at lambda cap 0 the relation series is log(1 + t + s)
     D, L = 6, 0
     t = Series3.var("t", D, L)
     s = Series3.var("s", D, L)
-    f = relation_series(D, L)
+    f = _relation_series_log(D, L)
     # hand expansion: t - t^2/2 + s + t^3/3 - ts ...
     assert f.coeff(1, 0, 0) == ONE
     assert f.coeff(2, 0, 0) == Rat(-1, 2)

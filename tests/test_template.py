@@ -10,8 +10,8 @@ from tutteval import template
 from tutteval.exactnum import ONE, Rat, ZERO, binomial
 from tutteval.polyring import Poly, poly_parse, poly_to_str
 from tutteval.series import Series2, Series3
-from tutteval.template import (integrate, kappa_constant, monomial_template,
-                               q1_poly, q2_poly, reduce_templates_series,
+from tutteval.template import (direct_reduction, integrate, kappa_constant,
+                               monomial_template, q1_poly, q2_poly,
                                relation_series, verify_h_m, verify_q2_ode,
                                verify_series_identity)
 from tutteval.tutte import tau_series
@@ -49,6 +49,29 @@ def _relation_series_3var(D, L):
         log_r = (log_r + Rat(1 if n % 2 else -1, n)) * r
     out.update(log_r.coeffs)
     return Series3(out, D, L)
+
+
+def _relation_series_log(D, L):
+    """log(1 + t + r) as one `Series3`, assembled from the pair (E, g) of
+    `relation_series`: the t^a coefficient v/a for v in E, g at t^0."""
+    E, g = relation_series(D, L)
+    out = {(a, b, c): Rat(v, a) for (a, b, c), v in E.coeffs.items()}
+    out.update({(0, b, c): v for (b, c), v in g.coeffs.items()})
+    return Series3(out, D, L)
+
+
+def _reduce_shifted(f, m, S):
+    """The template reduction of t^m f, termwise on rationals: t^e s^b
+    lambda^c with e = a + m even and e + 2b <= 2S becomes
+    C(e, e/2) s^(b + e/2) lambda^c, and every other term drops."""
+    out = {}
+    for (a, b, c), v in f.coeffs.items():
+        e = a + m
+        if e % 2 or e + 2 * b > 2 * S:
+            continue
+        k = (b + e // 2, c)
+        out[k] = out.get(k, ZERO) + binomial(e, e // 2) * v
+    return Series2(out, S, f.caps[1])
 
 
 def _digest(f):
@@ -89,32 +112,52 @@ def test_integrate_hand_examples():
         integrate(Poly.var("l"), 1)
 
 
-def test_reduce_templates():
-    # t^2 -> 2s, odd powers die, the lambda exponent rides along
-    A = Series3({(2, 0, 0): ONE, (3, 0, 0): ONE, (4, 1, 1): ONE}, 12, 2)
-    assert reduce_templates_series(A) == \
-        Series2({(1, 0): Rat(2), (3, 1): Rat(6)}, 6, 2)
+def test_direct_reduction_by_hand():
+    # at lambda cap 0 the series is log(1 + t + s) = t + s - t^2/2 - ...;
+    # below t^2 s^2 weight, t^2 times it has t^3 (odd, dies), t^2 s
+    # (-> 2 s^2) and -t^4/2 (-> -C(4,2)/2 s^2 = -3 s^2)
+    assert direct_reduction(2, 2, 0) == Series2({(2, 0): -1}, 2, 0)
+    # m = 0: s and -t^2/2 -> -s cancel at s cap 1
+    assert direct_reduction(0, 1, 0).is_zero()
 
 
-@given(st.integers(1, 8), st.integers(0, 4), st.integers(1, 10))
-@settings(max_examples=60)
-def test_reduction_preserves_integrals(a, b, n):
-    p = Poly({(a, b, 0, 0, 0, 0): Rat(3, 2)})
-    reduced = reduce_templates_series(Series3({(a, b, 0): Rat(3, 2)},
-                                              a + 2 * b, 0))
-    assert integrate(p, n) == integrate(reduced.lambda_slice(0), n)
+@pytest.mark.parametrize("m, S, L", [(0, 3, 2), (1, 4, 1), (2, 5, 3),
+                                     (3, 4, 0), (4, 6, 2), (7, 6, 2)])
+def test_direct_reduction_matches_three_variable_route(m, S, L):
+    got = direct_reduction(m, S, L)
+    assert got.caps == (S, L)
+    assert not got.is_zero()
+    assert got == _reduce_shifted(_relation_series_3var(2 * S, L), m, S)
+
+
+@given(st.integers(0, 6), st.integers(1, 5), st.integers(0, 3),
+       st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_reduction_preserves_integrals(m, S, L, n):
+    # the integral over dimension n of [lambda^c] t^m log(1 + t + r), cut
+    # at weighted degree 2S, is the s^n lambda^c coefficient of the
+    # reduction
+    f = _relation_series_3var(2 * S, L)
+    reduced = direct_reduction(m, S, L)
+    for c in range(L + 1):
+        p = Poly({(a + m, b, 0, 0, 0, 0): v
+                  for (a, b, cc), v in f.coeffs.items()
+                  if cc == c and a + m + 2 * b <= 2 * S})
+        assert integrate(p, n) == integrate(reduced.lambda_slice(c), n)
 
 
 @pytest.mark.parametrize("D, L", [(6, 2), (9, 4), (12, 0), (17, 4), (24, 8)])
 def test_relation_series_matches_three_variable_route(D, L):
-    f = relation_series(D, L)
-    assert f.caps == (D, L)
-    assert f == _relation_series_3var(D, L)
+    E, g = relation_series(D, L)
+    assert E.caps == (D, L) and g.caps == (D // 2, L)
+    # E = t d/dt log(1 + t + r) has no t^0 term and integer coefficients
+    assert all(a >= 1 and type(v) is int for (a, _, _), v in E.coeffs.items())
+    assert _relation_series_log(D, L) == _relation_series_3var(D, L)
 
 
 def test_relation_series_digest():
     # the (38, 10) expansion behind `verify conjecture --n-max 16 --i-max 10`
-    f = relation_series(38, 10)
+    f = _relation_series_log(38, 10)
     assert len(f.coeffs) == 4378
     assert _digest(f) == ("e159c9761a03123bf2719b2e0c4601d1"
                           "2872b93309f61e0429f53d58fd6ea280")

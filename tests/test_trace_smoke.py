@@ -1,7 +1,8 @@
 """The per-layer tracer of the benchmark harness still finds the layers it
 times: a program change that renames or moves a traced method makes its
 metric read 0 instead of raising, so a small traced run must see the
-truncated product kernel and the series log, inverse and sqrt at work."""
+truncated product kernel, the series log, inverse and sqrt, the f-table
+and the direct reduction of h_m at work."""
 
 import sys
 from pathlib import Path
@@ -26,12 +27,15 @@ def test_traced_run_sees_the_series_layers(capsys):
         for argv in (["template", "--m-max", "2", "--order", "10"],
                      ["hm", "--m-max", "2", "--s-cap", "6",
                       "--lambda-cap", "4"],
-                     ["iso"]):
+                     ["iso"],
+                     ["conjecture", "--n-max", "3", "--i-max", "2"]):
             assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     values = tracer.snapshot()
     for metric in ("kernels.mul_trunc2_calls", "series.log_s",
-                   "series.inverse_s", "series.sqrt_s"):
+                   "series.inverse_s", "series.sqrt_s",
+                   "verifier.f_table_calls", "verifier.f_table_terms",
+                   "template.direct_reduction_s"):
         assert values[metric] > 0, metric

@@ -13,6 +13,8 @@ from tutteval.verifier import (FTable, conjecture_reports, f_table,
                                hilbert_check, hilbert_coeffs, iso_check,
                                restriction_spot_check, verify_vanishing)
 
+from test_template import _relation_series_3var
+
 
 def test_f_table_low_entries():
     tab = f_table(3, 0)
@@ -29,6 +31,23 @@ def test_f_table_weighted_homogeneous():
     for k in range(1, 7):
         for i in range(3):
             assert not tab.get(k, i).is_zero()
+
+
+@pytest.mark.parametrize("K, I", [(6, 2), (9, 4)])
+def test_f_table_matches_three_variable_route(K, I):
+    # the regrouping by (k, i) = (a + 2b - 2c, c) of the rational
+    # three-variable route, entry by entry; integral coefficients are ints
+    grouped = {}
+    for (a, b, c), v in _relation_series_3var(K + 2 * I, I).coeffs.items():
+        k = a + 2 * b - 2 * c
+        if 1 <= k <= K:
+            grouped.setdefault((k, c), {})[(a, b, 0, 0, 0, 0)] = v
+    tab = f_table(K, I)
+    assert (tab.K_max, tab.I_max) == (K, I)
+    assert tab.entries == {key: Poly(terms) for key, terms in grouped.items()}
+    for p in tab.entries.values():
+        assert all(type(v) is int or v.denominator > 1
+                   for v in p.terms.values())
 
 
 def test_f_table_bad_caps():
