@@ -12,11 +12,6 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 
-def rat_str(q) -> str:
-    """Canonical decimal text rendering, "num/den" with den omitted when 1."""
-    return str(q)
-
-
 def rat_gcd(a, b):
     """gcd of two rationals: gcd(nums)/lcm(dens), nonnegative.
 
@@ -61,13 +56,6 @@ def binomial(n: int, k: int):
     if n < 0 or k < 0 or k > n:
         return ZERO
     return Rat(math.comb(n, k))
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial of negative integer {n}")
-    return math.factorial(n)
 
 
 def double_factorial(i: int) -> int:

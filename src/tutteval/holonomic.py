@@ -23,9 +23,9 @@ common factored denominator and normalized once.
 Each dependency vector carries its band: R among Q_0..Q_4 and Rhat among
 Q_1..Q_5 have the lambda-coefficients (i, i - offset - 1) equal to positive
 multiples of s - 1 and 3s + 1, and vanish below them.  `DependencyVector`
-derives indices, shift and factor from its kind and offset, so the report,
-the sign rule of `_band_vector` and the b recursions read the band from one
-place.
+derives indices, shift and factor from its kind and offset, and builds one
+table of its nonzero lambda-coefficients R_ik = k! [lambda^k] R_i: the band
+checks of the report and both b recursions index it.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import comb, factorial
 
-from .exactnum import ONE, Rat, ZERO, binomial, factorial, rank, rat_gcd
+from .exactnum import ONE, Rat, ZERO, rank, rat_gcd
 from .polyring import (Poly, _eval_var, clear_and_normalize,
                        partial_derivative, poly_div_exact, poly_gcd,
                        poly_parse, poly_to_str, primitive_rat, rat_content,
@@ -485,7 +486,7 @@ class DependencyVector:
     Its band is the lambda-coefficients (i, i - shift), shift = offset + 1,
     for i above the offset: each is a positive scalar times the factor
     BAND_FACTOR[kind], and every coefficient (i, k) with k < i - shift
-    vanishes."""
+    vanishes, i.e. is missing from `table`."""
 
     kind: str                  # "R" or "Rhat"
     offset: int                # index of entries[0]
@@ -506,24 +507,19 @@ class DependencyVector:
     def entry(self, i: int) -> Poly:
         return self.entries[i - self.offset]
 
-    def coeff(self, i: int, k: int) -> Poly:
-        """R_{ik}: k! times the lambda^k coefficient, a polynomial in s."""
-        p = self.entry(i)
-        out = {}
-        for m, c in p.terms.items():
-            if m[2] == k:
-                out[m[:2] + (0,) + m[3:]] = c
-        return Poly(out).scale(Rat(factorial(k)))
+    def table(self) -> dict:
+        """{(i, k): R_ik} over the nonzero R_ik = k! [lambda^k] R_i, each a
+        polynomial in s, in one pass over the entries.
 
-    def lambda_degree(self, i: int) -> int:
-        return self.entry(i).degree("l")
-
-
-def weighted_degree(p: Poly) -> int:
-    """max over monomials of 2 deg_s - 2 deg_lambda (weights s:2, lambda:-2)."""
-    if p.is_zero():
-        return -(10 ** 9)
-    return max(2 * m[1] - 2 * m[2] for m in p.terms)
+        A reader builds it once and keeps it only while it reads it: kept on
+        the cached vectors, both tables would outlive their readers and
+        raise the peak memory of a holonomic run."""
+        parts = {}
+        for i in self.indices:
+            for m, c in self.entry(i).terms.items():
+                parts.setdefault((i, m[2]), {})[m[:2] + (0,) + m[3:]] = c
+        return {(i, k): Poly(terms).scale(factorial(k))
+                for (i, k), terms in parts.items()}
 
 
 def _prime_power(exps: dict, base: dict) -> Poly:
@@ -718,10 +714,12 @@ def dependency_report(kind: str) -> Report:
                       cases, t0)
     cases += 1
 
-    # vanishing below the band
+    # vanishing below the band; the table is built after the re-expansion,
+    # the peak of the report's memory
+    table = dv.table()
     for i in dv.indices:
         for k in range(0, i - shift):
-            if not dv.coeff(i, k).is_zero():
+            if (i, k) in table:
                 return failed("dependency", params,
                               f"coefficient ({i},{k}) should vanish",
                               cases, t0)
@@ -730,7 +728,7 @@ def dependency_report(kind: str) -> Report:
     # band coefficients: positive scalar multiples of the common factor
     scalars = []
     for i in dv.indices[1:]:
-        lead = dv.coeff(i, i - shift)
+        lead = table.get((i, i - shift), Poly())
         try:
             c = poly_div_exact(lead, dv.factor)
         except ArithmeticError:
@@ -745,12 +743,15 @@ def dependency_report(kind: str) -> Report:
         cases += 1
 
     if kind == "Rhat":
+        # weights s: 2, lambda: -2; a zero entry meets any bound
         for i in dv.indices:
-            wd = weighted_degree(dv.entry(i))
-            if wd > 2 * (3 - i):
+            bound = 2 * (3 - i)
+            wd = max((2 * p.degree("s") - 2 * k
+                      for (j, k), p in table.items() if j == i), default=bound)
+            if wd > bound:
                 return failed("dependency", params,
                               f"weighted degree of entry {i} is {wd} > "
-                              f"{2 * (3 - i)}", cases, t0)
+                              f"{bound}", cases, t0)
             cases += 1
 
     rep = passed("dependency", params, cases, t0)
@@ -805,11 +806,13 @@ def b_direct(S: int, L: int) -> BSeq:
 def b_recursion(L: int) -> tuple:
     """Rebuild b_0..b_L from the two dependency recursions.
 
-    At each order l, the vector with shift h determines b_{l+h} by an exact
-    division by its band, a scalar multiple of its factor: s - 1 for R,
-    3s + 1 for Rhat.  A nonzero remainder would be a counterexample and is
-    reported as such.  The two routes must agree wherever both apply.  With
-    L < 1 there is no b_l to derive, and the result is inconclusive.
+    At order l, the coefficient R_ik of a vector with shift h meets b_m,
+    m = l + i - k, with weight C(l, k); the entries with m = l + h, its band,
+    determine b_{l+h} by an exact division, as the band is a scalar multiple
+    of its factor: s - 1 for R, 3s + 1 for Rhat.  A nonzero remainder would
+    be a counterexample and is reported as such, and so is an entry below
+    the band (m > l + h).  The two routes must agree wherever both apply.
+    With L < 1 there is no b_l to derive, and the result is inconclusive.
     """
     t0 = time.perf_counter()
     params = {"orders": L}
@@ -817,40 +820,40 @@ def b_recursion(L: int) -> tuple:
         return BSeq("recursion", L), inconclusive(
             "b_recursion", params,
             f"orders {L} leave no b_l to derive; need orders >= 1", 0, t0)
-    vectors = (find_R(), find_Rhat())
     s = Poly.var("s")
     b = [Poly.one(), 3 * s + 1]
     cases = 0
-
-    def r_coeff(dv, i, k):
-        # the recursion identity pairs b^{(i)} with entry(i)/i!: the stored
-        # vector is normalized against the columns Q_i/i!, while the
-        # lambda-coefficient comparison below expands sum_i R_i d^iF/dlambda^i
-        # with no factorial on the derivative
-        if i < dv.offset or k < 0 or k > dv.lambda_degree(i):
-            return Poly()
-        return dv.coeff(i, k).scale(Rat(1, factorial(i)))
+    # the recursion identity pairs b^{(i)} with R_ik / i!: the stored vector
+    # is normalized against the columns Q_i/i!, while the lambda-coefficient
+    # comparison expands sum_i R_i d^iF/dlambda^i with no factorial on the
+    # derivative
+    routes = [(dv, {(i, k): p.scale(Rat(1, factorial(i)))
+                    for (i, k), p in dv.table().items()})
+              for dv in (find_R(), find_Rhat())]
 
     for l in range(0, L):
-        for dv in vectors:
+        for dv, r in routes:
             target = l + dv.shift
             if target > L:
                 continue
             route = f"({poly_to_str(dv.factor)}) route"
-            lead = Poly()
-            for i in dv.indices[1:]:
-                lead = lead + r_coeff(dv, i, i - dv.shift).scale(
-                    binomial(l, target - i))
+            # the weight of each b_m, summed before any product with b_m
+            weights = {}
+            for (i, k), p in r.items():
+                if k > l:
+                    continue
+                m = l + i - k
+                if m > target:
+                    rep = failed("b_recursion", params,
+                                 f"{route}: coefficient ({i},{k}) lies below "
+                                 f"the band", cases, t0)
+                    return BSeq("recursion", L, b), rep
+                weights[m] = weights.get(m, Poly()) + p.scale(comb(l, k))
+            lead = weights.pop(target, Poly())
             # b = s + F, and s is lambda-free: only an index-0 entry sees it
-            rhs = r_coeff(dv, 0, l) * s
-            for m in range(0, min(target, len(b))):
-                for i in dv.indices:
-                    co = binomial(l, m - i)
-                    if not co:
-                        continue
-                    rk = r_coeff(dv, i, l + i - m)
-                    if not rk.is_zero():
-                        rhs = rhs - rk.scale(co) * b[m]
+            rhs = r.get((0, l), Poly()) * s
+            for m, w in weights.items():
+                rhs = rhs - w * b[m]
             try:
                 b_next = poly_div_exact(rhs, lead)
             except ArithmeticError:

@@ -28,7 +28,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from ._kernels_py import field_struct, mul_poly
-from .exactnum import ONE, Rat, ZERO, rat_gcd, rat_str
+from .exactnum import ONE, Rat, ZERO, rat_gcd
 
 VARS = ("t", "s", "l", "f", "x", "y")
 NVARS = len(VARS)
@@ -106,10 +106,6 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
     def const(q) -> "Poly":
         return Poly({_ZMONO: q} if q else {})
 
@@ -158,9 +154,6 @@ class Poly:
         if not self.terms:
             return ZERO
         return self.terms[self.leading_monomial()]
-
-    def coeff(self, mono):
-        return self.terms.get(tuple(mono), ZERO)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -688,9 +681,9 @@ def poly_to_str(A: Poly) -> str:
         if factors and mag == ONE:
             body = "*".join(factors)
         elif factors:
-            body = rat_str(mag) + "*" + "*".join(factors)
+            body = str(mag) + "*" + "*".join(factors)
         else:
-            body = rat_str(mag)
+            body = str(mag)
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:

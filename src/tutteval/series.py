@@ -198,11 +198,6 @@ class Series3(_Truncated):
         return {k: v for k, v in coeffs.items()
                 if v and k[0] + 2 * k[1] <= D and k[2] <= L}
 
-    @staticmethod
-    def var(name, D, L) -> "Series3":
-        key = {"t": (1, 0, 0), "s": (0, 1, 0), "l": (0, 0, 1)}[name]
-        return Series3({key: 1}, D, L)
-
     def _product(self, a, b, caps):
         return mul_trunc3(a, b, *caps)
 

@@ -12,9 +12,9 @@ verifier can cross-check them.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
+from math import factorial
 
-from .exactnum import Rat, binomial, factorial
+from .exactnum import Rat, binomial
 from .report import Report, failed, inconclusive, passed
 from .series import Series2
 
@@ -91,7 +91,6 @@ def right_rotations(tree):
         yield (left, t)
 
 
-@lru_cache(maxsize=None)
 def _tamari_closure(i: int):
     """(trees, reach) where reach[j] is the bitset of elements >= tree j."""
     trees = binary_trees(i)

@@ -128,10 +128,13 @@ def test_all_matches_the_pinned_report(tmp_path, capsys):
      "verify_hm_10_20_12.json"),
     (["template", "--m-max", "24", "--order", "60"],
      "verify_template_24_60.json"),
+    (["holonomic", "--tower", "6", "--b-orders", "40", "--s-cap", "42"],
+     "verify_holonomic_6_40_42.json"),
 ])
 def test_deep_caps_match_the_pinned_reports(argv, fixture, tmp_path, capsys):
     # caps far past the defaults, pinned from an earlier tree: they run the
-    # series inverse, square root and log much deeper than `verify all`
+    # series inverse, square root and log, and the b recursions, much deeper
+    # than `verify all`
     path = tmp_path / "r.json"
     assert main(argv + ["--emit-json", str(path)]) == 0
     capsys.readouterr()

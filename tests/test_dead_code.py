@@ -4,7 +4,11 @@ methods, is referenced from src/ somewhere outside its own definition, so
 a function that only tests call cannot come back unnoticed.
 
 A reference is matched by name only: a method counts as used when any
-attribute of that name is read in src/."""
+attribute of that name is read in src/.  So the guard is blind to a method
+that shares its name with a method in use elsewhere: a test-only
+`Series3.var` passed on the calls of `Series2.var`, and `Poly.zero` and
+`Poly.coeff` on those of the truncated series' `zero` and `coeff`.  Such
+a method is found only by reading its callers."""
 
 import ast
 from pathlib import Path

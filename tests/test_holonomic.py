@@ -4,13 +4,14 @@ their band structure, and the recursively generated coefficient sequence."""
 import json
 import random
 from itertools import combinations
+from math import factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tutteval import holonomic, polyring
-from tutteval.exactnum import ONE, Rat, factorial
+from tutteval.exactnum import ONE, Rat
 from tutteval.holonomic import (_PQ_ONE, DependencyVector, PhiQuot,
                                 _invert_mod_p, _kernel_vector, _pq_dlam,
                                 _pq_eq, _pq_mul, _pq_normalize, _pq_scale,
@@ -20,7 +21,7 @@ from tutteval.holonomic import (_PQ_ONE, DependencyVector, PhiQuot,
                                 dependency_report,
                                 find_R, find_Rhat, p0_quot, p0_report,
                                 p0_series_report, pq_from_poly, q1_phi,
-                                q_tower, tower_oracle, weighted_degree)
+                                q_tower, tower_oracle)
 from tutteval.polyring import (Poly, partial_derivative, poly_div_exact,
                                poly_gcd, poly_parse, poly_to_str,
                                primitive_rat)
@@ -212,13 +213,11 @@ def test_dependency_R():
     assert dv.offset == 0 and len(dv.entries) == 5
     # the band R_{i,i-1} is a positive scalar times (s - 1)
     expected = {1: 15, 2: 96, 3: 324, 4: 486}
+    table = dv.table()
     for i in range(1, 5):
-        band = dv.coeff(i, i - 1)
-        assert band == (s - 1).scale(Rat(expected[i]))
+        assert table[(i, i - 1)] == (s - 1).scale(Rat(expected[i]))
     # nothing below the band
-    for i in range(5):
-        for k in range(i - 1):
-            assert dv.coeff(i, k).is_zero()
+    assert all(k >= i - 1 for i, k in table)
     assert dependency_report("R").ok
 
 
@@ -226,15 +225,27 @@ def test_dependency_Rhat():
     dv = find_Rhat()
     assert dv.offset == 1 and len(dv.entries) == 5
     expected = {2: 126, 3: 612, 4: 1782, 5: 2430}
+    table = dv.table()
     for i in range(2, 6):
-        band = dv.coeff(i, i - 2)
-        assert band == (3 * s + 1).scale(Rat(expected[i]))
+        assert table[(i, i - 2)] == (3 * s + 1).scale(Rat(expected[i]))
+    assert all(k >= i - 2 for i, k in table)
+    # weighted degree bound 2(3 - i) with s:2, lambda:-2, on every monomial
     for i in range(1, 6):
-        for k in range(i - 2):
-            assert dv.coeff(i, k).is_zero()
-        # weighted degree bound 2(3 - i) with s:2, lambda:-2
-        assert weighted_degree(dv.entry(i)) <= 2 * (3 - i)
+        assert all(2 * m[1] - 2 * m[2] <= 2 * (3 - i)
+                   for m in dv.entry(i).terms)
     assert dependency_report("Rhat").ok
+
+
+def test_dependency_table_rebuilds_the_entries():
+    # the table holds exactly the nonzero R_ik = k! [lambda^k] R_i, in s
+    lam = Poly.var("l")
+    for dv in (find_R(), find_Rhat()):
+        table = dv.table()
+        assert all(p and p.vars_present() <= {1} for p in table.values())
+        for i in dv.indices:
+            back = sum((p.scale(Rat(1, factorial(k))) * lam ** k
+                        for (j, k), p in table.items() if j == i), Poly())
+            assert back == dv.entry(i)
 
 
 def test_dependency_vectors_match_pinned_fixtures():
@@ -365,6 +376,23 @@ def test_dependency_precondition_failure_is_a_report(monkeypatch):
     rep = dependency_report("Rhat")
     assert rep.status == "fail"
     assert rep.witness == "R_0 = 0: F cannot be eliminated from R"
+
+
+def test_b_recursion_fails_on_an_entry_below_the_band(monkeypatch):
+    # R_{3,0} below the band of R meets b_{l+3} at order l, past the b_{l+1}
+    # that the order determines: the recursion reports it rather than
+    # dropping it
+    R = find_R()
+    find_Rhat()  # cached from the true R
+    entries = list(R.entries)
+    entries[3] = entries[3] + 1
+    bad = DependencyVector("R", 0, entries)
+    assert (3, 0) in bad.table() and (3, 0) not in R.table()
+    monkeypatch.setattr(holonomic, "find_R", lambda: bad)
+    _, rep = b_recursion(4)
+    assert rep.status == "fail"
+    assert rep.witness == ("(s - 1) route: coefficient (3,0) lies below "
+                           "the band")
 
 
 def test_find_Rhat_stops_at_the_first_dividing_gcd(monkeypatch):

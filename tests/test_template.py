@@ -23,9 +23,9 @@ def _relation_series_3var(D, L):
     the t-part integrates d/dt log A = A_t / A, with 1/A the geometric sum
     of -(A - 1), and the t^0 part is the log series of r.  Every term of
     A - 1 and of r has a + 2b + c >= 1, so D + L powers reach the caps."""
-    t = Series3.var("t", D, L)
-    s = Series3.var("s", D, L)
-    lam = Series3.var("l", D, L)
+    t = Series3({(1, 0, 0): 1}, D, L)
+    s = Series3({(0, 1, 0): 1}, D, L)
+    lam = Series3({(0, 0, 1): 1}, D, L)
     n_max = D + L
 
     def inverse_of_one_plus(X):
