@@ -47,17 +47,6 @@ def rank(rows) -> int:
     return out
 
 
-def binomial(n: int, k: int):
-    """C(n, k) as a Rat; 0 outside the range 0 <= k <= n (or n < 0).
-
-    The out-of-range-is-zero convention collapses boundary cases in the
-    template sums, so no caller needs to guard its index ranges.
-    """
-    if n < 0 or k < 0 or k > n:
-        return ZERO
-    return Rat(math.comb(n, k))
-
-
 def double_factorial(i: int) -> int:
     """i!! = i(i-2)(i-4)... with the conventions (-1)!! = 0 and 0!! = 1."""
     if i < -1:

@@ -37,7 +37,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from .exactnum import ONE, Rat, ZERO, rank, rat_gcd
-from .polyring import (Poly, _eval_var, clear_and_normalize,
+from .polyring import (Poly, _value_at_point, clear_and_normalize,
                        partial_derivative, poly_div_exact, poly_gcd,
                        poly_parse, poly_to_str, primitive_rat, rat_content,
                        strip_gcd)
@@ -374,13 +374,14 @@ def p0_quot() -> PhiQuot:
 @lru_cache(maxsize=1)
 def q1_phi() -> PhiQuot:
     """Q1 with dF/dlambda = Q1 F along phi(lambda): the reduction of
-    P1 + P0 P2, where P_1, P_2 are the logarithmic derivatives of F^2 with
-    the 1/(2 F^2) factor inverted modulo P."""
+    (d_lambda F^2 + P0 d_phi F^2) (2 F^2)^-1, the total lambda derivative
+    of F^2 over 2 F^2, with the inverse taken modulo P."""
     fsq = f_squared()
     inv2G = _invert_mod_p(_pq_scale(pq_from_poly(fsq), Rat(2)))
-    P1 = _pq_mul(pq_from_poly(partial_derivative(fsq, "l")), inv2G)
-    P2 = _pq_mul(pq_from_poly(partial_derivative(fsq, "f")), inv2G)
-    return _pq_sum([(ONE, P1), (ONE, _pq_mul(p0_quot(), P2))])
+    dfsq = _pq_sum([
+        (ONE, pq_from_poly(partial_derivative(fsq, "l"))),
+        (ONE, _pq_mul(p0_quot(), pq_from_poly(partial_derivative(fsq, "f"))))])
+    return _pq_mul(dfsq, inv2G)
 
 
 @lru_cache(maxsize=None)
@@ -642,7 +643,7 @@ def _rank4_witness(cols: list):
     the rank is then taken to be below 4."""
     for a, b in _RANK_POINTS:
         def at(p: Poly):
-            return _eval_var(_eval_var(p, "s", a), "l", b).const_value()
+            return _value_at_point(p.terms, (0, a, b, 0, 0, 0))
 
         if any(not at(p) for col in cols for p in col.den):
             continue

@@ -271,10 +271,10 @@ def partial_derivative(A: Poly, v) -> Poly:
 _POINT = (2, 3, 5, 7, 11, 13)
 
 
-def _value_at_point(terms: dict) -> int:
-    """The value at `_POINT` of the integer polynomial {mono: int}."""
+def _value_at_point(terms: dict, point: tuple = _POINT):
+    """The value at `point` of the polynomial {mono: coefficient}."""
     weights = None
-    for x, col in zip(_POINT, zip(*terms)):
+    for x, col in zip(point, zip(*terms)):
         top = max(col)
         if top:
             pows = list(accumulate(repeat(x, top), mul, initial=1))
@@ -450,16 +450,6 @@ def _gcd_univar(A: Poly, B: Poly, v) -> Poly:
     return primitive_rat(Poly({tuple(e if j == i else 0
                                      for j in range(NVARS)): c
                                for e, c in enumerate(g) if c}))[1]
-
-
-def _eval_var(A: Poly, v, a) -> Poly:
-    """Substitute the rational value a for variable v."""
-    i = _vi(v)
-    out = {}
-    for m, c in A.terms.items():
-        key = m[:i] + (0,) + m[i + 1:]
-        out[key] = out.get(key, 0) + c * a ** m[i]
-    return Poly(out)
 
 
 def _interpolate(xs: list, columns: list) -> list:

@@ -12,11 +12,10 @@ among valuations to exact rational arithmetic against these values.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lcm
 
-from .exactnum import ONE, Rat, ZERO, binomial, double_factorial
+from .exactnum import ONE, Rat, ZERO, double_factorial
 from ._kernels_py import mul_trunc2
 from .polyring import Poly, _ratio, partial_derivative, poly_div_exact
 from .report import Report, failed, inconclusive, passed
@@ -25,22 +24,12 @@ from .series import (LaurentX, Series2, Series3, assert_degree_le,
 from .tutte import tau_series
 
 
-@dataclass(frozen=True)
-class TemplateValue:
-    """One evaluated monomial template: the integral value with provenance."""
-
-    value: object  # Rat
-    n: int
-    t_exp: int
-    s_exp: int
-
-
-def monomial_template(a: int, b: int, n: int) -> TemplateValue:
+def monomial_template(a: int, b: int, n: int) -> int:
     """Integral of t^a s^b over dimension n: C(2n-2b, n-b) when a+2b = 2n,
     else 0."""
     if a + 2 * b == 2 * n and a % 2 == 0:
-        return TemplateValue(binomial(2 * n - 2 * b, n - b), n, a, b)
-    return TemplateValue(ZERO, n, a, b)
+        return comb(2 * n - 2 * b, n - b)
+    return 0
 
 
 def integrate(p: Poly, n: int):
@@ -49,7 +38,7 @@ def integrate(p: Poly, n: int):
     for m, c in p.terms.items():
         if any(m[i] for i in (2, 3, 4, 5)):
             raise ValueError("integrate expects a polynomial in t, s only")
-        total += c * monomial_template(m[0], m[1], n).value
+        total += c * monomial_template(m[0], m[1], n)
     return total
 
 
@@ -64,7 +53,7 @@ def q1_poly(m: int) -> Poly:
     for i in range(1, m + 1):
         if (m - i) % 2:
             continue
-        out[(0, 0, 0, 0, 0, i)] = binomial(m - i, (m - i) // 2) / Rat(i)
+        out[(0, 0, 0, 0, 0, i)] = Rat(comb(m - i, (m - i) // 2), i)
     return Poly(out)
 
 
@@ -91,7 +80,7 @@ def verify_q2_ode(m: int) -> Report:
         - poly_div_exact(q2, y).scale(Rat(4))
     rhs = y ** (m + 1)
     if m % 2 == 0:
-        rhs = rhs - y.scale(binomial(m, m // 2))
+        rhs = rhs - y.scale(comb(m, m // 2))
     if lhs == rhs:
         return passed("q2_ode", params, 1, t0)
     return failed("q2_ode", params,
@@ -105,13 +94,13 @@ def sqrt_1m4x2(N: int) -> LaurentX:
     """sqrt(1 - 4x^2) = 1 - 2 sum_l C(2l,l)/(l+1) x^(2l+2)."""
     q = {(0, 0): ONE}
     for l in range(0, (N - 2) // 2 + 1):
-        q[(2 * l + 2, 0)] = Rat(-2) * binomial(2 * l, l) / Rat(l + 1)
+        q[(2 * l + 2, 0)] = Rat(-2 * comb(2 * l, l), l + 1)
     return LaurentX(q, N)
 
 
 def inv_sqrt_1m4x2(N: int) -> LaurentX:
     """1/sqrt(1 - 4x^2) = sum_l C(2l,l) x^(2l)."""
-    return LaurentX({(2 * l, 0): binomial(2 * l, l)
+    return LaurentX({(2 * l, 0): comb(2 * l, l)
                      for l in range(N // 2 + 1)}, N)
 
 
@@ -130,7 +119,7 @@ def combinatorial_sum(m: int, N: int) -> LaurentX:
     for k in range(1, N + 1):
         if (k - m) % 2:
             continue
-        q[(k, 0)] = binomial(k + m, (k + m) // 2) / Rat(k)
+        q[(k, 0)] = Rat(comb(k + m, (k + m) // 2), k)
     return LaurentX(q, N)
 
 
@@ -140,7 +129,7 @@ def closed_side(m: int, N: int) -> LaurentX:
     rt = sqrt_1m4x2(N)
     out = _poly_in_inv_x(q1_poly(m), N) + _poly_in_inv_x(q2_poly(m), N) * rt
     if m % 2 == 0:
-        out = out - (1 + rt).log().scale(binomial(m, m // 2))
+        out = out - (1 + rt).log().scale(comb(m, m // 2))
     return out
 
 
@@ -186,7 +175,7 @@ def verify_series_identity(m: int, N: int) -> Report:
     inv_rt = inv_sqrt_1m4x2(N)
     direct = inv_rt.shift(-(m + 1))
     if m % 2 == 0:
-        direct = direct - inv_rt.shift(-1).scale(binomial(m, m // 2))
+        direct = direct - inv_rt.shift(-1).scale(comb(m, m // 2))
     q2term = _poly_in_inv_x(q2_poly(m), N) * sqrt_1m4x2(N)
     if not eq_upto(q2term.derivative(), direct):
         return failed("series_identity", params,
@@ -208,32 +197,45 @@ def verify_series_identity(m: int, N: int) -> Report:
 # -- the reduced series h_m ------------------------------------------------
 
 
+def _one_plus_r(S: int, L: int) -> Series2:
+    """1 + r with r = s/(1+lambda s) + tau(lambda), at caps (S, L), in
+    closed form on ints: 1, the terms (-1)^(j-1) s^j lambda^(j-1) of
+    s/(1+lambda s), and tau.  Raises ArithmeticError if a coefficient of
+    tau is not an integer."""
+    terms = {(0, 0): 1}
+    for j in range(1, min(S, L + 1) + 1):
+        terms[(j, j - 1)] = (-1) ** (j - 1)
+    for (_, c), v in tau_series(L).coeffs.items():
+        if v.denominator != 1:
+            raise ArithmeticError(f"tau coefficient {v} of lambda^{c} "
+                                  "is not an integer")
+        terms[(0, c)] = terms.get((0, c), 0) + v.numerator
+    return Series2(terms, S, L)
+
+
 @lru_cache(maxsize=1)
 def base_series(S: int, L: int) -> tuple:
-    """Shared (s,lambda) ingredients at caps (S, L), as the tuple
-    (s, lambda, 1+lambda*s, tau, r, b).  The last caps are cached, since
-    h_m needs the same ingredients for every m."""
+    """The (s,lambda) series under b at caps (S, L), as the tuple
+    (1 + r, root, b) with root = sqrt((1+r)^2 - 4s) and
+    b = s + (1+lambda s) root, the product by lambda s taken as a shift.
+    The last caps are cached, since h_m needs the same series for
+    every m."""
     s = Series2.var("s", S, L)
-    lam = Series2.var("l", S, L)
-    one_ls = 1 + lam * s
-    tau = Series2({(0, c): v for (_, c), v in tau_series(L).coeffs.items()},
-                  S, L)
-    r = one_ls.inverse().shift(1) + tau
-    b = s + one_ls * ((1 + r) ** 2 - s.scale(4)).sqrt()
-    return s, lam, one_ls, tau, r, b
+    one_r = _one_plus_r(S, L)
+    root = (one_r * one_r - s.scale(4)).sqrt()
+    return one_r, root, s + root + root.shift(1, 1)
 
 
 @lru_cache(maxsize=1)
 def h_m_shared(S: int, L: int) -> tuple:
-    """The parts of h_m at caps (S, L) that do not depend on m, as the tuple
-    (sqrt((1+r)^2 - 4s), log(big) - log(1+lambda*s), log 2 part of
-    log(big)) with big = 1 + (1+lambda*s) tau + lambda*s + b.  The last caps
-    are cached, like `base_series`."""
-    s, lam, one_ls, tau, r, b = base_series(S, L)
-    bs_over = (b - s) * one_ls.inverse()
-    lg_big, l2_big = (1 + (one_ls * tau) + (lam * s) + b).log()
-    lg_small, _ = one_ls.log()  # constant term 1: no log 2 part
-    return bs_over, lg_big - lg_small, l2_big
+    """The logarithm in h_m at caps (S, L), which does not depend on m, as
+    the pair (series, log 2 part) of log(1 + r + root).  It equals
+    log(big) - log(1+lambda s) with big = 1 + (1+lambda s) tau + lambda s
+    + b, since big = (1+lambda s)(1 + tau + root) + s; the constant term
+    is 2, so the log 2 part is 1.  The last caps are cached, like
+    `base_series`."""
+    one_r, root, _ = base_series(S, L)
+    return (one_r + root).log()
 
 
 def h_m_series(m: int, S: int, L: int, kappa=None):
@@ -246,15 +248,15 @@ def h_m_series(m: int, S: int, L: int, kappa=None):
     if kappa is None:
         kappa = kappa_constant(m)
     kq, kp = kappa
-    r = base_series(S, L)[4]
-    bs_over, lg, l2_big = h_m_shared(S, L)
+    one_r, root, _ = base_series(S, L)
+    lg, l2_big = h_m_shared(S, L)
     sgn = Rat(-1 if m % 2 == 0 else 1)  # (-1)^(m+1)
     main = Series2.zero(S, L)
     l2 = Series2.zero(S, L)
 
     one_r_pows = [Series2.const(1, S, L)]
     for _ in range(m):
-        one_r_pows.append(one_r_pows[-1] * (1 + r))
+        one_r_pows.append(one_r_pows[-1] * one_r)
 
     q1 = q1_poly(m)
     q2 = q2_poly(m)
@@ -263,7 +265,7 @@ def h_m_series(m: int, S: int, L: int, kappa=None):
         main = main + one_r_pows[i].shift((m - i) // 2).scale(c * sgn)
     for mono, c in q2.terms.items():
         i = mono[5]
-        term = (one_r_pows[i - 1] * bs_over).shift((m - i) // 2)
+        term = (one_r_pows[i - 1] * root).shift((m - i) // 2)
         main = main + term.scale(c * sgn)
     # the pinned constant rides on s^(m/2)
     top = (m // 2, 0)
@@ -272,7 +274,7 @@ def h_m_series(m: int, S: int, L: int, kappa=None):
         l2 = l2 + Series2({top: kp * sgn}, S, L)
 
     if m % 2 == 0:
-        cm = binomial(m, m // 2)
+        cm = comb(m, m // 2)
         main = main + lg.shift(m // 2).scale(cm)
         l2 = l2 + Series2({top: cm * l2_big}, S, L)
     return main, l2
@@ -291,21 +293,13 @@ def relation_series(D: int, L: int) -> tuple:
     With u = 1/(1 + r), log(1 + t + r) = log(1 + r) + log(1 + t u), so g is
     read from the same u by `log_from_inverse`, and the t^a slice, a >= 1,
     is (-1)^(a+1) u^a / a: E holds a times it, (-1)^(a+1) u^a.  Since
-    1 + r has integer coefficients and constant term 1, u and its powers
+    1 + r, from `_one_plus_r` as for `base_series`, has integer
+    coefficients and constant term 1, u and its powers
     are integer series in (s, lambda): the powers are built on ints,
     truncated to 2b <= D - a, each by one `mul_trunc2` product on packed
     lambda-rows, and the readers divide by a.
     """
-    S = D // 2
-    terms = {(0, 0): 1}
-    for j in range(1, min(S, L + 1) + 1):  # s/(1+lambda s)
-        terms[(j, j - 1)] = (-1) ** (j - 1)
-    for (_, c), v in tau_series(L).coeffs.items():
-        if v.denominator != 1:
-            raise ArithmeticError(f"tau coefficient {v} of lambda^{c} "
-                                  "is not an integer")
-        terms[(0, c)] = terms.get((0, c), 0) + v.numerator
-    one_r = Series2(terms, S, L)
+    one_r = _one_plus_r(D // 2, L)
     u = one_r.inverse()
     out = {}
     p = {(0, 0): 1}

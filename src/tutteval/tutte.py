@@ -12,9 +12,9 @@ verifier can cross-check them.
 from __future__ import annotations
 
 import time
-from math import factorial
+from math import comb, factorial
 
-from .exactnum import Rat, binomial
+from .exactnum import Rat
 from .report import Report, failed, inconclusive, passed
 from .series import Series2
 
@@ -43,7 +43,7 @@ def phi_series(L: int) -> Series2:
 
 def phi_coeff_lagrange(n: int):
     """Independent oracle: [lambda^n] phi = (1/n) C(4n, n-1)."""
-    return binomial(4 * n, n - 1) / Rat(n)
+    return Rat(comb(4 * n, n - 1), n)
 
 
 def tau_from_phi(L: int) -> Series2:

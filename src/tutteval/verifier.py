@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import comb
+from functools import partial
+from math import ceil, comb
 
 from .exactnum import ONE, ZERO, rank
 from .polyring import Poly, _int_terms, _ratio
@@ -129,37 +130,26 @@ def verify_vanishing(n: int, I_max: int, tab: FTable | None = None,
     return passed("vanishing", params, cases, t0)
 
 
-_WORKER_TABLE = None
-
-
-def _vanishing_init(tab):
-    global _WORKER_TABLE
-    _WORKER_TABLE = tab
-
-
-def _vanishing_task(args):
-    n, i_max = args
-    return verify_vanishing(n, i_max, _WORKER_TABLE)
-
-
 def conjecture_reports(n_max: int, i_max: int, jobs: int = 1,
                        tab: FTable | None = None) -> list:
     """One vanishing report per dimension 1..n_max, computed from a single
-    shared f-table (built here unless given); `jobs` > 1 farms dimensions
-    out to worker processes and merges in dimension order, so the output is
-    independent of the level of parallelism."""
+    shared f-table (built here unless given).  `jobs` > 1 farms the
+    dimensions out to worker processes in at most `jobs` chunks, so the
+    table, bound into the task, is pickled at most `jobs` times; the
+    reports come back in dimension order, so the output is independent of
+    the level of parallelism."""
     if tab is None:
         tab = f_table(n_max + 2, i_max)
-    work = [(n, i_max) for n in range(1, n_max + 1)]
+    task = partial(verify_vanishing, I_max=i_max, tab=tab)
+    dims = range(1, n_max + 1)
     if jobs > 1:
         # imported here: the multiprocessing modules behind it add ~1.3 MB
         # to the memory of a run that stays in one process
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 initializer=_vanishing_init,
-                                 initargs=(tab,)) as pool:
-            return list(pool.map(_vanishing_task, work))
-    return [verify_vanishing(n, i_max, tab) for n, _ in work]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(task, dims,
+                                 chunksize=max(1, ceil(n_max / jobs))))
+    return list(map(task, dims))
 
 
 def restriction_spot_check(n_max: int, i_max: int) -> Report:

@@ -5,8 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tutteval.exactnum import (ONE, Rat, ZERO, binomial, double_factorial,
-                               rank, rat_gcd)
+from tutteval.exactnum import ONE, Rat, ZERO, double_factorial, rank, rat_gcd
 
 rationals = st.builds(Rat,
                       st.integers(min_value=-10**6, max_value=10**6),
@@ -44,24 +43,7 @@ def test_rat_gcd_content_is_maximal(a, b):
     # dividing by the gcd leaves coprime integers
     g = rat_gcd(a, b)
     if g:
-        import math
         assert math.gcd(int(a / g), int(b / g)) == 1
-
-
-def test_binomial():
-    assert binomial(4, 2) == Rat(6)
-    assert binomial(0, 0) == ONE
-    assert binomial(3, 5) == ZERO
-    assert binomial(3, -1) == ZERO
-    assert binomial(-2, 0) == ZERO
-    assert binomial(40, 9) == Rat(math.factorial(40),
-                                  math.factorial(9) * math.factorial(31))
-
-
-@given(st.integers(min_value=0, max_value=60),
-       st.integers(min_value=0, max_value=60))
-def test_pascal(n, k):
-    assert binomial(n + 1, k + 1) == binomial(n, k) + binomial(n, k + 1)
 
 
 def test_double_factorial():

@@ -2,12 +2,13 @@
 with its pinned constants, and the h_m equivalence."""
 
 import hashlib
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tutteval import template
-from tutteval.exactnum import ONE, Rat, ZERO, binomial
+from tutteval import series, template
+from tutteval.exactnum import ONE, Rat, ZERO
 from tutteval.polyring import Poly, poly_parse, poly_to_str
 from tutteval.series import Series2, Series3
 from tutteval.template import (direct_reduction, integrate, kappa_constant,
@@ -70,7 +71,7 @@ def _reduce_shifted(f, m, S):
         if e % 2 or e + 2 * b > 2 * S:
             continue
         k = (b + e // 2, c)
-        out[k] = out.get(k, ZERO) + binomial(e, e // 2) * v
+        out[k] = out.get(k, ZERO) + comb(e, e // 2) * v
     return Series2(out, S, f.caps[1])
 
 
@@ -82,23 +83,23 @@ def _digest(f):
 
 def test_monomial_template_values():
     # C(2n-2b, n-b) on the degree-matched even lattice
-    assert monomial_template(0, 1, 1).value == ONE          # C(0,0)
-    assert monomial_template(2, 0, 1).value == Rat(2)       # C(2,1)
-    assert monomial_template(4, 0, 2).value == Rat(6)       # C(4,2)
-    assert monomial_template(2, 1, 2).value == Rat(2)
-    assert monomial_template(0, 2, 2).value == ONE
+    assert monomial_template(0, 1, 1) == ONE          # C(0,0)
+    assert monomial_template(2, 0, 1) == Rat(2)       # C(2,1)
+    assert monomial_template(4, 0, 2) == Rat(6)       # C(4,2)
+    assert monomial_template(2, 1, 2) == Rat(2)
+    assert monomial_template(0, 2, 2) == ONE
     # off-lattice: degree mismatch or odd t-power
-    assert monomial_template(1, 0, 1).value == ZERO
-    assert monomial_template(2, 0, 2).value == ZERO
-    assert monomial_template(3, 1, 2).value == ZERO
+    assert monomial_template(1, 0, 1) == ZERO
+    assert monomial_template(2, 0, 2) == ZERO
+    assert monomial_template(3, 1, 2) == ZERO
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(1, 8))
 @settings(max_examples=60)
 def test_monomial_template_closed_form(a, b, n):
-    v = monomial_template(a, b, n).value
+    v = monomial_template(a, b, n)
     if a % 2 == 0 and a + 2 * b == 2 * n:
-        assert v == binomial(2 * n - 2 * b, n - b)
+        assert v == comb(2 * n - 2 * b, n - b)
     else:
         assert v == ZERO
 
@@ -244,7 +245,7 @@ def test_series_identity_empty_window_is_inconclusive():
 def test_kappa_log2_part_is_central_binomial():
     # the log2 coefficient of kappa_m is C(m, m/2) for even m
     for m in range(0, 10, 2):
-        assert kappa_constant(m)[1] == binomial(m, m // 2)
+        assert kappa_constant(m)[1] == comb(m, m // 2)
 
 
 def test_kappa_by_sympy():
@@ -262,7 +263,7 @@ def test_kappa_by_sympy():
               4: sympy.Rational(-7, 2) + 6 * sympy.log(2)}
     for m in range(0, 9, 2):
         closed = (at_inv_x(q1_poly(m)) + at_inv_x(q2_poly(m)) * rt
-                  - int(binomial(m, m // 2)) * sympy.log(1 + rt))
+                  - comb(m, m // 2) * sympy.log(1 + rt))
         c0 = sympy.series(closed, x, 0, 1).removeO().coeff(x, 0)
         kq, kp = kappa_constant(m)
         mine = (sympy.Rational(kq.numerator, kq.denominator)
@@ -282,3 +283,69 @@ def test_h_m_small_caps():
 def test_h_m_cap_guard():
     rep = verify_h_m(6, 2, 3)
     assert rep.status == "inconclusive"
+
+
+# the caps at which the closed-form 1 + r and the root are checked against
+# the route through the inverse of 1 + lambda s and the products it needs
+_ROUTE_CAPS = [(12, 8), (14, 12), (20, 12), (3, 0), (1, 5)]
+
+
+def _inverse_route(S, L):
+    """s, 1 + lambda s, tau and 1 + r = 1 + s (1 + lambda s)^-1 + tau at
+    caps (S, L), built through `Series2.inverse` and products."""
+    s = Series2.var("s", S, L)
+    one_ls = 1 + Series2.var("l", S, L) * s
+    tau = Series2({(0, c): v for (_, c), v in tau_series(L).coeffs.items()},
+                  S, L)
+    return s, one_ls, tau, 1 + s * one_ls.inverse() + tau
+
+
+@pytest.mark.parametrize("S, L", _ROUTE_CAPS)
+def test_one_plus_r_matches_the_inverse_route(S, L):
+    assert template._one_plus_r(S, L) == _inverse_route(S, L)[3]
+
+
+@pytest.mark.parametrize("S, L", _ROUTE_CAPS)
+def test_base_series_root_squares_back_and_b_is_the_product(S, L):
+    s, one_ls, _, _ = _inverse_route(S, L)
+    one_r, root, b = template.base_series(S, L)
+    assert one_r == template._one_plus_r(S, L)
+    assert root * root == one_r * one_r - s.scale(4)
+    assert b == s + one_ls * root
+
+
+@pytest.mark.parametrize("S, L", _ROUTE_CAPS)
+def test_h_m_log_matches_log_big_minus_log_one_plus_lambda_s(S, L):
+    s, one_ls, tau, _ = _inverse_route(S, L)
+    b = template.base_series(S, L)[2]
+    lg_big, l2_big = (1 + one_ls * tau + (one_ls - 1) + b).log()
+    lg_small, l2_small = one_ls.log()
+    assert not l2_small and l2_big == 1
+    lg, l2 = template.h_m_shared(S, L)
+    assert lg == lg_big - lg_small and l2 == l2_big
+
+
+def test_base_series_and_h_m_shared_operation_counts(monkeypatch):
+    # one inverse (inside the log), one sqrt, one log and two products:
+    # (1 + r)^2 and the product inside the log
+    counts = {"inverse": 0, "sqrt": 0, "log": 0, "mul_trunc2": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("inverse", "sqrt", "log"):
+        monkeypatch.setattr(Series2, name, spy(name, getattr(Series2, name)))
+    monkeypatch.setattr(series, "mul_trunc2",
+                        spy("mul_trunc2", series.mul_trunc2))
+    template.base_series.cache_clear()
+    template.h_m_shared.cache_clear()
+    try:
+        template.base_series(12, 8)
+        template.h_m_shared(12, 8)
+    finally:
+        template.base_series.cache_clear()
+        template.h_m_shared.cache_clear()
+    assert counts == {"inverse": 1, "sqrt": 1, "log": 1, "mul_trunc2": 2}
