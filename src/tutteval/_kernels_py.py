@@ -22,11 +22,44 @@ slots and read through a bias word of 2^(w-1) per slot, which makes every
 slot nonnegative, so no slot borrows from the next.  Operands whose rows
 hold mostly single terms, and rational ones, are multiplied term pair by
 term pair instead (see `mul_trunc2`).
+
+`mul_packed` multiplies whole two-variable polynomials the same way, on a
+sheared box (see also J. van der Hoeven and G. Lecerf, J. Symb. Comput.
+50, 2013, on sparse products by packing).  The holonomic tower's
+polynomials in (s, lambda) lie in a band along lambda ~ 1.4 s, which fills
+only a small part of their exponent box.  In the coordinates
+(a, m) = (e_u, e_v - q e_u) the band lies nearly flat, and the box of the
+product shrinks with it: the largest product of `verify holonomic`, 171 by
+282 terms with 846 output terms, has 3,082 cells at q = 0 and 1,150 at
+q = 1.  Of a small set of shears, the one with the fewest values of m is
+taken.  A term (a, m) of an operand gets the slot (a - a0) E + m - m0, with
+E the product's extent in m and (a0, m0) the least a and m of the operand.
+As a and m add under products, so does the slot, and as 0 <= m - m0 < E
+over the product, no two cells of the product share one.  An operand is
+written into byte buffers over its own span, one for the positive and one
+for the negative values, and becomes one int w bits per slot; the product
+of two such ints holds the product polynomial slot by slot.  It is shifted
+to the origin of a box common to all pairs, so several products are
+summed as ints and read once.  No slot of the sum exceeds the sum of the
+pairs' bounds max|A| max|B| min(len A, len B) in absolute value, and w is
+that bound's bit length plus a sign bit, rounded up to whole bytes.  The
+slots are read upward from the two's complement bytes of the sum: a
+slot's value is its digit, plus one if the slot below came out negative,
+less 2^w when that reaches 2^(w-1).
 """
 
 import struct
 from itertools import chain, product
-from operator import mul
+from operator import add, mul
+
+# the least len(A) * len(B) at which `mul_poly` multiplies packed: cold
+# `verify holonomic` took the same time (least of 5 runs 0.44-0.46 s;
+# CPython 3.11, 2 cores) at every threshold from 250 to 20,000, against
+# 0.58 s with only the sums packed
+PACK_PAIRS = 2000
+# the shears q of `mul_packed`: on the same runs, q = 0 alone took 0.71 s,
+# and (0, 1) and (0, 1, 2, 3) as long as (0, 1, 2)
+SHEARS = (0, 1, 2)
 
 
 def mul_trunc3(A, B, D, L):
@@ -144,10 +177,109 @@ def field_struct(nfields: int, bits: int) -> struct.Struct:
     raise OverflowError(f"exponents of {bits} bits cannot be packed")
 
 
+def two_variables(maps):
+    """(u, v), u < v, when every map has int coefficients and no key of any
+    map has a nonzero exponent outside the variables u and v; else None.
+    With fewer than two variables in use, the others are filled in from
+    the lowest index."""
+    used = set()
+    for A in maps:
+        if set(map(type, A.values())) != {int}:
+            return None
+        used.update(i for i, col in enumerate(zip(*A)) if any(col))
+        if len(used) > 2:
+            return None
+    n = len(next(iter(maps[0])))
+    pick = sorted(used) + [i for i in range(n) if i not in used]
+    return tuple(sorted(pick[:2])) if n >= 2 else None
+
+
+def _pack(a_col, b_col, values, q, ext, nb):
+    """(sum_j v_j 2^(8 nb i_j), a0, m0) for the terms (a_j, b_j): v_j, with
+    i_j = (a_j - a0) ext + m_j - m0 and m_j = b_j - q a_j, over the terms'
+    own span.  The positive and the negative values go through one byte
+    buffer each."""
+    m_col = [b - q * a for a, b in zip(a_col, b_col)]
+    a0, m0 = min(a_col), min(m_col)
+    size = ((max(a_col) - a0) * ext + max(m_col) - m0 + 1) * nb
+    pos = bytearray(size)
+    neg = None
+    for a, m, v in zip(a_col, m_col, values):
+        i = ((a - a0) * ext + m - m0) * nb
+        if v > 0:
+            pos[i:i + nb] = v.to_bytes(nb, "little")
+        else:
+            if neg is None:
+                neg = bytearray(size)
+            neg[i:i + nb] = (-v).to_bytes(nb, "little")
+    x = int.from_bytes(pos, "little")
+    if neg is not None:
+        x -= int.from_bytes(neg, "little")
+    return x, a0, m0
+
+
+def mul_packed(pairs, u, v):
+    """sum A B over `pairs` of nonempty maps to ints whose keys vanish
+    outside the variables u < v: one int product per pair on one sheared
+    Kronecker box, shifted to the box's origin, summed and decoded once
+    (see the module doc)."""
+    ops = [[([k[u] for k in X], [k[v] for k in X], list(X.values()))
+            for X in pair] for pair in pairs]
+    # the shear q that gives the sum the fewest values of m = e_v - q e_u
+    best = None
+    for q in SHEARS:
+        ms = [[[b - q * a for a, b in zip(a_col, b_col)]
+               for a_col, b_col, _ in pair] for pair in ops]
+        lo = min(min(x) + min(y) for x, y in ms)
+        hi = max(max(x) + max(y) for x, y in ms)
+        if best is None or hi - lo < best[2] - best[1]:
+            best = q, lo, hi
+    q, mlo, mhi = best
+    ext = mhi - mlo + 1
+    bound = sum(max(map(abs, A.values())) * max(map(abs, B.values()))
+                * min(len(A), len(B)) for A, B in pairs)
+    nb = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+    w = 8 * nb
+    alo = min(min(x[0]) + min(y[0]) for x, y in ops)
+    ahi = max(max(x[0]) + max(y[0]) for x, y in ops)
+    total = 0
+    for x, y in ops:
+        x, a1, m1 = _pack(*x, q, ext, nb)
+        y, a2, m2 = _pack(*y, q, ext, nb)
+        total += x * y << ((a1 + a2 - alo) * ext + m1 + m2 - mlo) * w
+    del ops, x, y
+    # the slots of the sum, read upward (see the module doc)
+    cells = (ahi - alo + 1) * ext
+    data = total.to_bytes(cells * nb, "little", signed=True)
+    del total
+    half, full, zero = 1 << (w - 1), 1 << w, bytes(nb)
+    out = {}
+    key = [0] * len(next(iter(pairs[0][0])))
+    j = carry = 0
+    for a in range(alo, ahi + 1):
+        key[u] = a
+        b0 = mlo + q * a
+        for b in range(b0, b0 + ext):
+            cell = data[j:j + nb]
+            j += nb
+            if carry or cell != zero:
+                s = int.from_bytes(cell, "little") + carry
+                carry = s >= half
+                if carry:
+                    s -= full
+                if s:
+                    key[v] = b
+                    out[tuple(key)] = s
+    return out
+
+
 def mul_poly(A, B):
     """Untruncated product of two {exponent-tuple: coeff} maps.
 
-    Each exponent tuple is read as one mixed-radix index over the product's
+    A one-term operand shifts and scales the other.  Two maps to ints in at
+    most two variables, with at least `PACK_PAIRS` term pairs, are
+    multiplied as one packed int product (`mul_packed`).  Otherwise each
+    exponent tuple is read as one mixed-radix index over the product's
     exponent box, whose extent in variable i is max_A e_i + max_B e_i + 1,
     so a product key is a single integer add and no digit carries into the
     next.  When the box has no more cells than there are term pairs, the
@@ -158,6 +290,15 @@ def mul_poly(A, B):
         return {}
     if len(A) > len(B):
         A, B = B, A
+    if len(A) == 1:
+        (e, c), = A.items()
+        if not c:
+            return {}
+        return {tuple(map(add, k, e)): c * x for k, x in B.items() if x}
+    if len(A) * len(B) >= PACK_PAIRS:
+        uv = two_variables((A, B))
+        if uv:
+            return mul_packed([(A, B)], *uv)
     ext = [x + y + 1 for x, y in zip(map(max, zip(*A)), map(max, zip(*B)))]
     w = [1] * len(ext)  # w[i] = ext[i+1] * ... * ext[-1], lex order
     for i in range(len(ext) - 1, 0, -1):

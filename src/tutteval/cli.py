@@ -80,7 +80,12 @@ def _template_suite(args) -> list:
 def _hm_suite(args) -> list:
     if args.m_max < 0:
         return _no_m("hm", args.m_max)
-    return [template.verify_h_m(m, args.s_cap, args.lambda_cap)
+    S, L = args.s_cap, args.lambda_cap
+    # every m reads a prefix of the same powers of 1 + r; an m above
+    # 2 S - 1, or a negative L, is inconclusive before any series is built
+    top = min(args.m_max, 2 * S - 1)
+    pows = template.one_r_powers(top, S, L) if top >= 0 and L >= 0 else None
+    return [template.verify_h_m(m, S, L, pows)
             for m in range(args.m_max + 1)]
 
 

@@ -38,9 +38,9 @@ from math import comb, factorial
 
 from .exactnum import ONE, Rat, ZERO, rank, rat_gcd
 from .polyring import (Poly, _value_at_point, clear_and_normalize,
-                       partial_derivative, poly_div_exact, poly_gcd,
-                       poly_parse, poly_to_str, primitive_rat, rat_content,
-                       strip_gcd)
+                       partial_derivative, point_value, poly_div_exact,
+                       poly_gcd, poly_parse, poly_to_str, primitive_rat,
+                       rat_content, strip_gcd, sum_of_products)
 from .report import Report, failed, inconclusive, passed
 from .series import Series2
 from .tutte import phi_series
@@ -113,16 +113,27 @@ def _pq_normalize(num: list, den: dict, c) -> PhiQuot:
     if not num:
         return PhiQuot([], {}, ONE)
     # strip the denominator's primes as far as they divide every numerator
-    # entry; the primes are coprime, so the order does not matter
+    # entry; the primes are coprime, so the order does not matter.  A prime
+    # p divides an entry n only if p(x) divides n(x) at the point x of
+    # `point_value`, so every entry is tested there before any is divided.
+    # After a division, n(x)/p(x) is the value at x of an integer multiple
+    # of the quotient, which keeps the test valid for the next power of p
+    vals = None
     out = {}
     for p, e in den.items():
+        px = point_value(p)
         while e > 0:
+            if vals is None:
+                vals = [point_value(n) for n in num]
+            if px and any(v % px for v in vals):
+                break
             try:
                 quots = [poly_div_exact(n, p) if not n.is_zero() else n
                          for n in num]
             except ArithmeticError:
                 break
             num = quots
+            vals = [v // px for v in vals] if px else None
             e -= 1
         if e > 0:
             out[p] = e
@@ -186,23 +197,24 @@ def _pq_mul(A: PhiQuot, B: PhiQuot) -> PhiQuot:
 def _pq_sum(terms) -> PhiQuot:
     """The sum of k A over the pairs (k, A), k a rational or a Poly in
     (s, lambda): every numerator is lifted to the least common factored
-    denominator, so the sum is normalized once."""
+    denominator, so the sum is normalized once, and the lifted numerators
+    of each phi-power are summed by one `sum_of_products`."""
     terms = [(k if isinstance(k, Poly) else Poly.const(k), A)
              for k, A in terms if k and not A.is_zero()]
     den = {}
     for _, A in terms:
         for p, e in A.den.items():
             den[p] = max(den.get(p, 0), e)
-    num = []
+    pairs = []
     for k, A in terms:
         lift = k.scale(A.c)
         for p, e in den.items():
             if e > A.den.get(p, 0):
                 lift = lift * p ** (e - A.den.get(p, 0))
-        for j, n in enumerate(A.num):
-            if j == len(num):
-                num.append(Poly())
-            num[j] = num[j] + n * lift
+        pairs.append((A.num, lift))
+    width = max((len(n) for n, _ in pairs), default=0)
+    num = [sum_of_products((n[j], lift) for n, lift in pairs if j < len(n))
+           for j in range(width)]
     return _pq_normalize(num, den, ONE)
 
 

@@ -25,9 +25,10 @@ import heapq
 import re
 from itertools import accumulate, repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import gt, mul, sub
 
-from ._kernels_py import field_struct, mul_poly
+from ._kernels_py import (PACK_PAIRS, field_struct, mul_packed, mul_poly,
+                          two_variables)
 from .exactnum import ONE, Rat, ZERO, rat_gcd
 
 VARS = ("t", "s", "l", "f", "x", "y")
@@ -250,6 +251,24 @@ class Poly:
         return poly_to_str(self)
 
 
+def sum_of_products(pairs) -> Poly:
+    """sum A B over the pairs (A, B) of polynomials.
+
+    When every coefficient is an int, the terms use at most two variables
+    and the pairs make at least `PACK_PAIRS` term products, the sum is one
+    packed int product per pair on one sheared box, decoded once
+    (`mul_packed`); otherwise it is sum(A * B)."""
+    pairs = [(A, B) for A, B in pairs if A and B]
+    maps = [(A.terms, B.terms) for A, B in pairs]
+    if sum(len(a) * len(b) for a, b in maps) >= PACK_PAIRS:
+        uv = two_variables([x for pair in maps for x in pair])
+        if uv:
+            p = Poly.__new__(Poly)
+            p.terms = mul_packed(maps, *uv)
+            return p
+    return sum((A * B for A, B in pairs), Poly())
+
+
 # -- calculus ---------------------------------------------------------------
 
 
@@ -284,6 +303,14 @@ def _value_at_point(terms: dict, point: tuple = _POINT):
     return sum(vals) if weights is None else sum(map(mul, vals, weights))
 
 
+def point_value(A: Poly) -> int:
+    """A'(x) at the point x = `_POINT`, for A = c A' with A' a primitive
+    integer polynomial and c > 0 rational.  If a polynomial B divides A,
+    then B'(x) divides A'(x) (Gauss's lemma): the test that
+    `poly_div_exact` makes first."""
+    return _value_at_point(_primitive_ints(A.terms)[1]) if A.terms else 0
+
+
 def poly_div_exact(A: Poly, B: Poly) -> Poly:
     """Exact quotient A/B; raises ArithmeticError if B does not divide A.
 
@@ -305,6 +332,17 @@ def poly_div_exact(A: Poly, B: Poly) -> Poly:
         return Poly()
     if B.is_const():
         return A.scale(ONE / B.const_value())
+    if len(B.terms) == 1:
+        # a monomial divides A when its exponents are at most those of
+        # every term of A: a shift, then a scaling
+        (mb, cb), = B.terms.items()
+        if any(map(gt, mb, map(min, zip(*A.terms)))):
+            raise ArithmeticError("inexact polynomial division")
+        p = Poly.__new__(Poly)
+        p.terms = {tuple(map(sub, m, mb)): c for m, c in A.terms.items()}
+        if cb == 1 and set(map(type, p.terms.values())) <= {int}:
+            return p
+        return p.scale(ONE / cb)
     # fields sized for A's total degree also hold every monomial of B, of
     # the quotient and of the remainders, unless B's degree is higher,
     # and then B cannot divide A
@@ -494,7 +532,8 @@ def _int_rows(A: Poly, vm, ve) -> list:
     """A polynomial in vm and ve times a positive integer, as the list over
     the vm-degree of its integer coefficient lists in ve."""
     ivm, ive = _vi(vm), _vi(ve)
-    rows = [[0] * (A.degree(ive) + 1) for _ in range(A.degree(ivm) + 1)]
+    width = A.degree(ive) + 1
+    rows = [[0] * width for _ in range(A.degree(ivm) + 1)]
     for m, c in _int_terms(A.terms)[1].items():
         rows[m[ivm]][m[ive]] = c
     return rows

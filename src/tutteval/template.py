@@ -238,8 +238,20 @@ def h_m_shared(S: int, L: int) -> tuple:
     return (one_r + root).log()
 
 
-def h_m_series(m: int, S: int, L: int, kappa=None):
-    """Closed form of h_m at caps (S, L).
+def one_r_powers(m_max: int, S: int, L: int) -> list:
+    """The powers (1 + r)^i, i <= m_max, at caps (S, L): h_m reads the
+    first m + 1, so a run over m <= m_max builds them once."""
+    one_r = base_series(S, L)[0]
+    pows = [Series2.const(1, S, L)]
+    for _ in range(m_max):
+        pows.append(pows[-1] * one_r)
+    return pows
+
+
+def h_m_series(m: int, S: int, L: int, kappa=None, one_r_pows=None):
+    """Closed form of h_m at caps (S, L), from the powers (1 + r)^i of
+    `one_r_powers` at the same caps, i <= m at least, built here if not
+    given.
 
     Returns (main, log2_part) as Series2; log2_part must vanish (the formal
     log 2 contributions cancel between the combined logarithm and kappa),
@@ -247,16 +259,14 @@ def h_m_series(m: int, S: int, L: int, kappa=None):
     """
     if kappa is None:
         kappa = kappa_constant(m)
+    if one_r_pows is None:
+        one_r_pows = one_r_powers(m, S, L)
     kq, kp = kappa
-    one_r, root, _ = base_series(S, L)
+    _, root, _ = base_series(S, L)
     lg, l2_big = h_m_shared(S, L)
     sgn = Rat(-1 if m % 2 == 0 else 1)  # (-1)^(m+1)
     main = Series2.zero(S, L)
     l2 = Series2.zero(S, L)
-
-    one_r_pows = [Series2.const(1, S, L)]
-    for _ in range(m):
-        one_r_pows.append(one_r_pows[-1] * one_r)
 
     q1 = q1_poly(m)
     q2 = q2_poly(m)
@@ -339,9 +349,10 @@ def direct_reduction(m: int, S: int, L: int) -> Series2:
     return Series2(out, S, L)
 
 
-def verify_h_m(m: int, S: int, L: int) -> Report:
+def verify_h_m(m: int, S: int, L: int, one_r_pows=None) -> Report:
     """h_m equals the direct reduction coefficientwise and has weighted
-    degree <= 2m; the log2 component must cancel identically."""
+    degree <= 2m; the log2 component must cancel identically.  The powers
+    of 1 + r may be passed in, as for `h_m_series`."""
     t0 = time.perf_counter()
     params = {"m": m, "s_cap": S, "lambda_cap": L}
     if L < 0:
@@ -353,7 +364,7 @@ def verify_h_m(m: int, S: int, L: int) -> Report:
         return inconclusive("h_m", params, f"s cap {S} too small for m={m}",
                             0, t0)
     kappa = kappa_constant(m)
-    main, l2 = h_m_series(m, S, L, kappa)
+    main, l2 = h_m_series(m, S, L, kappa, one_r_pows)
     if not l2.is_zero():
         return failed("h_m", params, "log2 component does not cancel",
                       len(main.coeffs), t0)

@@ -521,3 +521,31 @@ def test_caps_that_leave_nothing_to_compare_are_inconclusive():
         assert b_equality_report(b_direct(4, 0), rec).status == "inconclusive"
     with pytest.raises(ValueError, match="lambda cap -1 is negative"):
         b_direct(4, -1)
+
+
+def test_pq_normalize_tests_every_entry_before_dividing(monkeypatch):
+    # lambda divides the first entry, but the second is 4 at the point
+    # (s, l) = (3, 5), which 5 does not divide: no entry is divided
+    divided = []
+
+    def spy(A, B):
+        divided.append(A)
+        return poly_div_exact(A, B)
+
+    monkeypatch.setattr(holonomic, "poly_div_exact", spy)
+    lam = holonomic.LAM
+    pq = _pq_normalize([lam * s, s + 1], {lam: 1}, ONE)
+    assert divided == []
+    assert pq.num == [lam * s, s + 1] and pq.den == {lam: 1}
+    # lambda^2 divides both entries and lambda^3 neither: two rounds of
+    # divisions, and the third stops at the point test
+    pq = _pq_normalize([lam ** 2 * s, lam ** 3 + lam ** 2], {lam: 3}, ONE)
+    assert len(divided) == 4
+    assert pq.num == [s, lam + 1] and pq.den == {lam: 1}
+    # a prime that vanishes at the point proves nothing there: the
+    # divisions decide, and the second round stops at the first entry
+    root = Poly.var("l") - 5
+    divided.clear()
+    pq = _pq_normalize([root * s, root * (s + 2)], {root: 2}, ONE)
+    assert divided == [root * s, root * (s + 2), s]
+    assert pq.num == [s, s + 2] and pq.den == {root: 1}

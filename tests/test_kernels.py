@@ -310,3 +310,173 @@ def test_trunc2_pair_loop_on_rationals():
     assert _trunc2_path(A, B, 3, 3) == (_trunc2(A, B, 3, 3), False)
     A[(1, 1)] = -7
     assert _trunc2_path(A, B, 3, 3) == (_trunc2(A, B, 3, 3), True)
+
+
+# -- the sheared Kronecker box -----------------------------------------------
+#
+# Maps to ints in at most two variables with at least PACK_PAIRS term pairs
+# are multiplied as one packed int product (`mul_packed`), and a one-term
+# operand shifts and scales the other; every other product takes the pair
+# loop.  Each case below states which path it takes, and checks it.
+
+
+def _poly_path(A: dict, B: dict) -> tuple:
+    """mul_poly(A, B) and whether it multiplied packed."""
+    with mock.patch.object(_kernels_py, "mul_packed",
+                           wraps=_kernels_py.mul_packed) as packed:
+        P = mul_poly(A, B)
+    return P, packed.called
+
+
+def _key(u: int, v: int, a: int, b: int) -> tuple:
+    k = [0] * 6
+    k[u], k[v] = a, b
+    return tuple(k)
+
+
+def _band(u, v, n, slope, width, draw) -> dict:
+    """n terms a, b = floor(slope a) + j, j < width, from a = 0 up."""
+    return {_key(u, v, a, int(slope * a) + j): draw()
+            for a in range(n) for j in range(width)}
+
+
+def _sum_naive(pairs) -> dict:
+    out = {}
+    for A, B in pairs:
+        for k, c in naive_product(A, B).items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+variable_pairs = st.lists(st.integers(0, 5), min_size=2, max_size=2,
+                          unique=True).map(sorted)
+int_maps_uv = st.dictionaries(st.tuples(st.integers(0, 12),
+                                        st.integers(0, 12)),
+                              big_ints, min_size=1, max_size=14)
+
+
+@pytest.mark.parametrize("q", _kernels_py.SHEARS)
+@given(variable_pairs, st.sampled_from([0, 0.5, 1, 1.4, 2, 3]),
+       st.integers(1, 9), st.integers(1, 9), st.integers(1, 4), st.data())
+@settings(max_examples=40)
+def test_mul_packed_on_bands_under_every_shear(q, uv, slope, n1, n2, width,
+                                               data):
+    # negative coefficients and coefficients past 2^64, along bands of any
+    # slope, with the shear fixed to q whether or not it is the best
+    u, v = uv
+    A = _band(u, v, n1, slope, width, lambda: data.draw(big_ints))
+    B = _band(u, v, n2, slope, width, lambda: data.draw(big_ints))
+    with mock.patch.object(_kernels_py, "SHEARS", (q,)):
+        P = _kernels_py.mul_packed([(A, B)], u, v)
+    assert P == naive_product(A, B)
+    assert all(type(c) is int for c in P.values())
+
+
+@pytest.mark.parametrize("q", _kernels_py.SHEARS)
+@given(variable_pairs, int_maps_uv, int_maps_uv, st.booleans())
+@settings(max_examples=40)
+def test_mul_packed_on_random_maps_under_every_shear(q, uv, A, B, one_var):
+    # any two of the six variables; with one_var, every exponent of v is 0
+    u, v = uv
+    A = {_key(u, v, a, 0 if one_var else b): c for (a, b), c in A.items()}
+    B = {_key(u, v, a, b): c for (a, b), c in B.items()}
+    with mock.patch.object(_kernels_py, "SHEARS", (q,)):
+        assert _kernels_py.mul_packed([(A, B)], u, v) == naive_product(A, B)
+        assert _kernels_py.mul_packed([(B, A)], u, v) == naive_product(A, B)
+
+
+@pytest.mark.parametrize("q", _kernels_py.SHEARS)
+@given(variable_pairs, st.lists(st.tuples(int_maps_uv, int_maps_uv),
+                                min_size=1, max_size=4))
+@settings(max_examples=40)
+def test_mul_packed_sums_under_every_shear(q, uv, pairs):
+    # products on different origins summed on one box, and a pair with its
+    # negative, which cancels to zero
+    u, v = uv
+    pairs = [({_key(u, v, *k): c for k, c in A.items()},
+              {_key(u, v, *k): c for k, c in B.items()}) for A, B in pairs]
+    A, B = pairs[0]
+    with mock.patch.object(_kernels_py, "SHEARS", (q,)):
+        assert _kernels_py.mul_packed(pairs, u, v) == _sum_naive(pairs)
+        negated = {k: -c for k, c in A.items()}
+        assert _kernels_py.mul_packed([(A, B), (negated, B)], u, v) == {}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("terms, coeff, bits", [(7, 4681, 15), (5, 13107, 16),
+                                                (7, (2 ** 63 - 1) // 7, 63),
+                                                (1, 2 ** 64 - 1, 64)])
+@pytest.mark.parametrize("q", _kernels_py.SHEARS)
+def test_mul_packed_slot_at_the_bound(sign, terms, coeff, bits, q):
+    # max|A| max|B| min(len A, len B) = 2^bits - 1, and the cell (terms - 1)
+    # of the product reaches it: 2^15 - 1 and 2^63 - 1 fill their bytes
+    # with the sign bit, 2^16 - 1 and 2^64 - 1 need another byte for it;
+    # the slots below and above it hold smaller values of both signs
+    A = {_key(1, 2, 0, c): sign * coeff for c in range(terms)}
+    A[_key(1, 2, 1, 0)] = -sign * coeff
+    B = {_key(1, 2, 0, c): 1 for c in range(terms)}
+    assert coeff * terms == 2 ** bits - 1
+    with mock.patch.object(_kernels_py, "SHEARS", (q,)):
+        P = _kernels_py.mul_packed([(A, B)], 1, 2)
+    assert P == naive_product(A, B)
+    assert P[_key(1, 2, 0, terms - 1)] == sign * (2 ** bits - 1)
+
+
+def test_mul_packed_slot_cancels():
+    # (1 + l)(1 + s) (1 - l)(1 + s) = (1 - l^2)(1 + s)^2: the l^1 slots
+    # cancel and must not be stored
+    A = {_sl(0, 0): 1, _sl(0, 1): 1, _sl(1, 0): 1, _sl(1, 1): 1}
+    B = {_sl(0, 0): 1, _sl(0, 1): -1, _sl(1, 0): 1, _sl(1, 1): -1}
+    assert _kernels_py.mul_packed([(A, B)], 1, 2) == naive_product(A, B) == {
+        _sl(0, 0): 1, _sl(1, 0): 2, _sl(2, 0): 1, _sl(0, 2): -1,
+        _sl(1, 2): -2, _sl(2, 2): -1}
+
+
+def test_mul_packed_picks_the_smallest_box():
+    # terms along l = s: the shear q = 1 puts the product on one m, so the
+    # packed operands are a few slots long, however long the band
+    A = {_sl(a, a): a + 1 for a in range(60)}
+    B = {_sl(a, a + 1): -a - 2 for a in range(40)}
+    with mock.patch.object(_kernels_py, "_pack",
+                           wraps=_kernels_py._pack) as pack:
+        P = _kernels_py.mul_packed([(A, B)], 1, 2)
+    assert P == naive_product(A, B)
+    assert {call.args[3:5] for call in pack.call_args_list} == {(1, 1)}
+
+
+def test_mul_poly_packs_a_large_banded_product():
+    # 60 x 40 terms along l ~ 1.4 s: at least PACK_PAIRS pairs, two
+    # variables and ints, so packed; one rational coefficient, one term in a
+    # third variable or one term pair fewer than the threshold, and not
+    A = _band(1, 2, 20, 1.4, 3, lambda: -(2 ** 70) + 3)
+    B = _band(1, 2, 20, 1.4, 2, lambda: 2 ** 40 + 1)
+    assert len(A) * len(B) >= _kernels_py.PACK_PAIRS
+    assert _poly_path(A, B) == (naive_product(A, B), True)
+    assert _poly_path(B, A) == (naive_product(A, B), True)
+    third = {**B, (1, 0, 0, 0, 0, 0): 5}
+    assert _poly_path(A, third) == (naive_product(A, third), False)
+    rational = {**B, _sl(0, 0): Rat(1, 3)}
+    assert _poly_path(A, rational) == (naive_product(A, rational), False)
+    k = _kernels_py.PACK_PAIRS
+    short = {_sl(i, 0): i + 1 for i in range(k // 50)}
+    long = {_sl(0, j): -j - 1 for j in range(50)}
+    assert _poly_path(short, long) == (naive_product(short, long), True)
+    shorter = dict(list(short.items())[:-1])
+    assert _poly_path(shorter, long) == (naive_product(shorter, long), False)
+
+
+@given(st.one_of(big_ints, coeffs), st.tuples(*[st.integers(0, 4)] * 6),
+       st.one_of(int_maps6, maps6))
+@settings(max_examples=60)
+def test_mul_poly_by_one_term_shifts_and_scales(c, e, B):
+    # a one-term operand, int or rational, on either side, never packed
+    A = {e: c}
+    assert _poly_path(A, B) == (naive_product(A, B), False)
+    assert _poly_path(B, A) == (naive_product(A, B), False)
+
+
+def test_mul_poly_by_one_term_keeps_ints():
+    P = mul_poly({_sl(0, 1): 3}, {_sl(2, 0): -(2 ** 80), _sl(0, 0): 7})
+    assert P == {_sl(2, 1): -3 * 2 ** 80, _sl(0, 1): 21}
+    assert all(type(c) is int for c in P.values())
+    assert mul_poly({_sl(1, 1): Rat(1, 2)}, {_sl(0, 0): 4}) == {_sl(1, 1): 2}

@@ -4,6 +4,7 @@ format."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from tutteval.polyring import (VARS, Poly, _euclid_lists, _interpolate,
                                _poly_gcd_bivar, clear_and_normalize,
                                partial_derivative, poly_div_exact, poly_gcd,
                                poly_parse, poly_to_str, primitive_rat,
-                               rat_content)
+                               rat_content, sum_of_products)
 
 t, s, lam = Poly.var("t"), Poly.var("s"), Poly.var("l")
 
@@ -582,3 +583,103 @@ def test_clear_and_normalize_stops_at_the_first_dividing_gcd(monkeypatch):
     v = [(s - 1) * s, (s - 1) * lam, (s - 1) * (s + lam)]
     assert clear_and_normalize(v) == [s, lam, s + lam]
     assert len(calls) == 2
+
+
+# -- sums of products and monomial divisors ---------------------------------
+
+
+def _band_poly(n: int, width: int, draw) -> Poly:
+    """n width-term l-rows along l ~ 1.4 s, as the tower's polynomials."""
+    return Poly({(0, a, int(1.4 * a) + j, 0, 0, 0): draw()
+                 for a in range(n) for j in range(width)})
+
+
+def _packed_sum(pairs) -> tuple:
+    """sum_of_products(pairs) and whether it multiplied packed."""
+    with mock.patch.object(polyring, "mul_packed",
+                           wraps=polyring.mul_packed) as packed:
+        P = sum_of_products(pairs)
+    return P, packed.called
+
+
+def _plain_sum(pairs) -> Poly:
+    return sum((A * B for A, B in pairs), Poly())
+
+
+big = st.integers(-2 ** 100, 2 ** 100).filter(bool)
+
+
+@given(st.lists(st.tuples(st.integers(1, 14), st.integers(1, 3),
+                          st.integers(1, 14), st.integers(1, 3)),
+                min_size=1, max_size=4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_sum_of_products_matches_the_plain_sum(shapes, data):
+    pairs = [(_band_poly(n1, w1, lambda: data.draw(big)),
+              _band_poly(n2, w2, lambda: data.draw(big)))
+             for n1, w1, n2, w2 in shapes]
+    P, packed = _packed_sum(pairs)
+    assert P == _plain_sum(pairs)
+    assert all(type(c) is int for c in P.terms.values())
+    pairs_n = sum(len(A.terms) * len(B.terms) for A, B in pairs)
+    assert packed == (pairs_n >= polyring.PACK_PAIRS)
+
+
+def test_sum_of_products_packs_large_sums_and_cancels():
+    A = _band_poly(30, 3, lambda: 2 ** 90 - 1)
+    B = _band_poly(25, 2, lambda: -(2 ** 64) + 1)
+    C = _band_poly(10, 1, lambda: 3)
+    pairs = [(A, B), (C, A), (Poly(), B), (-B, A)]
+    assert _packed_sum(pairs) == (C * A, True)
+    assert _packed_sum([(A, B), (-A, B)]) == (Poly(), True)
+
+
+def test_sum_of_products_falls_back():
+    A = _band_poly(30, 3, lambda: 7)
+    B = _band_poly(25, 2, lambda: -5)
+    # a rational coefficient, or a term in a third variable: sum(A * B)
+    for C in (B + Poly({(0, 1, 1, 0, 0, 0): Rat(1, 3)}), B + t):
+        pairs = [(A, B), (A, C)]
+        assert _packed_sum(pairs) == (_plain_sum(pairs), False)
+        assert _packed_sum([(C, A)]) == (A * C, False)
+    assert _packed_sum([]) == (Poly(), False)
+    assert _packed_sum([(A, Poly())]) == (Poly(), False)
+
+
+@pytest.mark.parametrize("coeffs", [int_coeffs, rat_coeffs],
+                         ids=["integral", "rational"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_div_exact_by_a_monomial(coeffs, data):
+    # exact: every exponent of the monomial is at most those of every term;
+    # inexact otherwise, and then ArithmeticError as for any divisor
+    A = data.draw(_polys(coeffs))
+    m = data.draw(monos.filter(any))
+    c = data.draw(coeffs)
+    M = Poly({m: c})
+    q = poly_div_exact(A * M, M)
+    assert q == A
+    _honours_contract(q)
+    _agrees_with_naive(A, M)
+
+
+def test_div_exact_by_a_monomial_examples():
+    q = poly_div_exact(6 * s ** 3 * lam + Rat(3, 2) * s * lam ** 2,
+                       Poly({(0, 1, 1, 0, 0, 0): 3}))
+    assert q == 2 * s ** 2 + Rat(1, 2) * lam
+    _honours_contract(q)
+    assert poly_div_exact(s * lam + s * t, s) == lam + t
+    assert all(type(c) is int for c in poly_div_exact(
+        Poly({(0, 2, 0, 0, 0, 0): Rat(4)}), Poly({(0, 1, 0, 0, 0, 0): Rat(2)})
+    ).terms.values())
+    for A, M in ((s * lam + t, s), (s ** 2, s ** 3), (t * s, lam),
+                 (Rat(1, 2) * s + lam * s, s * lam)):
+        with pytest.raises(ArithmeticError):
+            poly_div_exact(A, M)
+
+
+def test_point_value_is_the_test_of_poly_div_exact():
+    # the value of the primitive integer multiple at the point t = 2, s = 3,
+    # l = 5, ...
+    assert polyring.point_value(Rat(3, 2) * s + Rat(1, 2) * lam) == 14
+    assert polyring.point_value(-4 * s * lam) == -15
+    assert polyring.point_value(Poly()) == 0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tutteval import series, template
+from tutteval.cli import main
 from tutteval.exactnum import ONE, Rat, ZERO
 from tutteval.polyring import Poly, poly_parse, poly_to_str
 from tutteval.series import Series2, Series3
@@ -349,3 +350,34 @@ def test_base_series_and_h_m_shared_operation_counts(monkeypatch):
         template.base_series.cache_clear()
         template.h_m_shared.cache_clear()
     assert counts == {"inverse": 1, "sqrt": 1, "log": 1, "mul_trunc2": 2}
+
+
+def test_hm_suite_builds_the_powers_of_one_plus_r_once(monkeypatch, capsys):
+    calls = []
+    build = template.one_r_powers
+
+    def spy(m_max, S, L):
+        calls.append((m_max, S, L))
+        return build(m_max, S, L)
+
+    monkeypatch.setattr(template, "one_r_powers", spy)
+    assert main(["hm", "--m-max", "5", "--s-cap", "6",
+                 "--lambda-cap", "4"]) == 0
+    assert calls == [(5, 6, 4)]
+    # an m above 2 S - 1 is inconclusive before it needs a power, and so is
+    # every m at a negative lambda cap
+    calls.clear()
+    main(["hm", "--m-max", "5", "--s-cap", "2", "--lambda-cap", "4"])
+    assert calls == [(3, 2, 4)]
+    calls.clear()
+    main(["hm", "--m-max", "5", "--lambda-cap", "-1"])
+    assert calls == []
+    capsys.readouterr()
+
+
+def test_h_m_series_reads_a_prefix_of_the_shared_powers():
+    pows = template.one_r_powers(6, 8, 5)
+    assert len(pows) == 7 and pows[2] == pows[1] * pows[1]
+    for m in range(7):
+        assert template.h_m_series(m, 8, 5, None, pows) == \
+            template.h_m_series(m, 8, 5)
