@@ -1,12 +1,12 @@
 """The sparse multiplication inner loops.
 
 `mul_poly` and `mul_trunc2` carry the products of every large verification
-run; `mul_trunc2` also multiplies the Laurent series with a formal log 2
-and builds the powers behind the relation series, the one `Series3` the
-program makes.  `mul_trunc3` is left to `Series3` products, which only the
-tests make.  `Poly` and series products clear denominators first, so the kernels
-run on `int`s, which multiply several times faster; `Fraction`
-coefficients are accepted as well.  The first exponent of a truncated
+run; `mul_trunc2` also multiplies the Laurent series with a formal log 2.
+`mul_trunc3` is left to `Series3` products, which only the tests make: the
+one `Series3` the program makes, the relation series, is written down
+coefficient by coefficient.  `Poly` and series products clear denominators
+first, so the kernels run on `int`s, which multiply several times faster;
+`Fraction` coefficients are accepted as well.  The first exponent of a truncated
 product's key may be negative, as in a Laurent series.
 
 `mul_trunc2` multiplies whole lambda-rows (Kronecker substitution; D.

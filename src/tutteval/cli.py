@@ -68,11 +68,18 @@ def _template_suite(args) -> list:
     if args.m_max < 0:
         return _no_m("template", args.m_max)
     reports = [template.verify_q2_ode(m) for m in range(args.m_max + 1)]
-    for m in range(min(args.m_max, 8) + 1):
-        reports.append(template.verify_series_identity(m, args.order))
+    # the even m share one log(1 + sqrt(1 - 4x^2)) at the run's order, built
+    # only if one of them has a coefficient to compare
+    N, top = args.order, min(args.m_max, 8)
+    evens = range(0, top + 1, 2)
+    lg = None
+    if any(template.compared_upto(m, N) >= 0 for m in evens):
+        lg = template.log_one_plus_sqrt(N)
+    for m in range(top + 1):
+        reports.append(template.verify_series_identity(m, N, lg))
     if args.fixtures:
         kappas = {str(m): [str(q) for q in template.kappa_constant(m)]
-                  for m in range(0, min(args.m_max, 8) + 1, 2)}
+                  for m in evens}
         reports.append(_fixture_report(args.fixtures, "kappa", kappas))
     return reports
 
@@ -140,7 +147,7 @@ def _conjecture_suite(args) -> list:
     reports += verifier.conjecture_reports(args.n_max, args.i_max, args.jobs,
                                            tab)
     reports.append(verifier.restriction_spot_check(min(args.n_max, 5),
-                                                  min(args.i_max, 4)))
+                                                  min(args.i_max, 4), tab))
     return reports
 
 

@@ -31,7 +31,6 @@ checks of the report and both b recursions index it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
@@ -41,7 +40,7 @@ from .polyring import (Poly, _value_at_point, clear_and_normalize,
                        partial_derivative, point_value, poly_div_exact,
                        poly_gcd, poly_parse, poly_to_str, primitive_rat,
                        rat_content, strip_gcd, sum_of_products)
-from .report import Report, failed, inconclusive, passed
+from .report import Record, Report, failed, inconclusive, passed
 from .series import Series2
 from .tutte import phi_series
 
@@ -87,14 +86,14 @@ def p0_series_report(L: int = 20) -> Report:
 # -- factored-denominator phi-polynomials ----------------------------------
 
 
-@dataclass
-class PhiQuot:
+class PhiQuot(Record):
     """c * (num[0] + num[1] phi + num[2] phi^2 + num[3] phi^3) / den,
     den the product of p^e over (p, e) in den.items()."""
 
-    num: list          # up to 4 Poly
-    den: dict          # prime Poly -> positive exponent
-    c: object = ONE    # Rat scalar
+    def __init__(self, num: list, den: dict, c=ONE):
+        self.num = num    # up to 4 Poly
+        self.den = den    # prime Poly -> positive exponent
+        self.c = c        # Rat scalar
 
     def is_zero(self) -> bool:
         return all(n.is_zero() for n in self.num)
@@ -491,8 +490,7 @@ def tower_oracle(i_max: int, S: int, L: int) -> Report:
 BAND_FACTOR = {"R": Poly.var("s") - 1, "Rhat": 3 * Poly.var("s") + 1}
 
 
-@dataclass
-class DependencyVector:
+class DependencyVector(Record):
     """A cleared, content-free kernel vector among the Q_i/i!, i in
     `indices` = offset..offset+4.
 
@@ -501,9 +499,11 @@ class DependencyVector:
     BAND_FACTOR[kind], and every coefficient (i, k) with k < i - shift
     vanishes, i.e. is missing from `table`."""
 
-    kind: str                  # "R" or "Rhat"
-    offset: int                # index of entries[0]
-    entries: list = field(default_factory=list)  # Poly in (s, lambda)
+    def __init__(self, kind: str, offset: int, entries: list | None = None):
+        self.kind = kind          # "R" or "Rhat"
+        self.offset = offset      # index of entries[0]
+        # Poly in (s, lambda)
+        self.entries = [] if entries is None else entries
 
     @property
     def indices(self) -> range:
@@ -683,10 +683,16 @@ def find_Rhat() -> DependencyVector:
     Uniqueness: the elimination needs R_0 != 0, and the kernel is a line
     only if Q_1..Q_5 have rank 4, which `_rank4_witness` certifies by an
     exact evaluation.  Either failing raises ArithmeticError.  The line is
-    then normalized exactly as find_R normalizes its vector.  Any common
-    factor of the c_j divides c_5 = r_0 r_4, so it is stripped by gcds
-    against the small R_0 and then R_4 before the generic normalization
-    (whose own gcd then has nothing left to find)."""
+    then normalized exactly as find_R normalizes its vector.
+
+    The common factor comes from one small gcd.  A common factor p of the
+    c_j that is prime to r_0 divides c_5 = r_0 r_4, so p | r_4, and
+    c_4 = r_0 (r_4' + r_3) - r_0' r_4, so p | r_4' + r_3 =
+    (R_4' + 4 R_3) / 4!.  Hence p divides H = gcd(R_4, R_4' + 4 R_3).  The
+    vector is divided by H without its monomial content, or, if that
+    division fails, by the gcd of H and the entries (`strip_gcd`); the gcd
+    of the generic normalization then certifies that no common factor is
+    left, one shared with r_0 included."""
     R = find_R()
     if R.entries[0].is_zero():
         raise ArithmeticError("R_0 = 0: F cannot be eliminated from R")
@@ -698,8 +704,15 @@ def find_Rhat() -> DependencyVector:
     dr0 = partial_derivative(r[0], "l")
     vec = [(r[0] * (partial_derivative(r[j], "l") + r[j - 1])
             - dr0 * r[j]).scale(Rat(factorial(j))) for j in range(1, 6)]
-    for small in (R.entries[0], R.entries[4]):
-        vec = strip_gcd(small, vec)
+    R3, R4 = R.entries[3], R.entries[4]
+    H = poly_gcd(R4, partial_derivative(R4, "l") + R3.scale(4))
+    low = tuple(map(min, zip(*H.terms)))
+    if any(low):
+        H = poly_div_exact(H, Poly({low: 1}))
+    try:
+        vec = [poly_div_exact(p, H) for p in vec]
+    except ArithmeticError:
+        vec = strip_gcd(H, vec)
     return _band_vector("Rhat", 1, vec)
 
 
@@ -775,14 +788,14 @@ def dependency_report(kind: str) -> Report:
 # -- the b sequence --------------------------------------------------------
 
 
-@dataclass
-class BSeq:
+class BSeq(Record):
     """b_0..b_L as polynomials in s, with provenance and the orders L that
     were asked for (bl is shorter when the build stopped early)."""
 
-    source: str  # "direct" | "recursion"
-    orders: int
-    bl: list = field(default_factory=list)
+    def __init__(self, source: str, orders: int, bl: list | None = None):
+        self.source = source  # "direct" | "recursion"
+        self.orders = orders
+        self.bl = [] if bl is None else bl
 
     def degree_report(self) -> Report:
         t0 = time.perf_counter()

@@ -10,17 +10,35 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 
 
-@dataclass
-class Report:
-    check: str
-    params: dict
-    status: str  # "pass" | "fail" | "inconclusive"
-    witness: object = None
-    n_cases: int = 0
-    millis: int = 0
+class Record:
+    """Field-wise `==` and `repr` over the attributes that a subclass's
+    `__init__` sets.  It stands in for `dataclasses`, whose import (inspect,
+    ast, dis, tokenize) adds about 1 MB to the resident memory of every
+    run."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({args})"
+
+
+class Report(Record):
+    def __init__(self, check: str, params: dict, status: str,
+                 witness: object = None, n_cases: int = 0, millis: int = 0):
+        self.check = check
+        self.params = params
+        self.status = status  # "pass" | "fail" | "inconclusive"
+        self.witness = witness
+        self.n_cases = n_cases
+        self.millis = millis
 
     @property
     def ok(self) -> bool:

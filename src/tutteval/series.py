@@ -31,7 +31,9 @@ theta^-1(theta A * A^-1) with theta = s d/ds + lambda d/dlambda, plus log 2
 when A_0 = 2; `LaurentX.log` is its one-variable case.  Series3 has no
 inverse, sqrt or log: `template.relation_series` gives the three-variable
 log the verifier needs as its t-slices, t d/dt of the log as an integer
-Series3 and the t^0 slice as a Series2.
+Series3 and the t^0 slice as a Series2, both from the binomial expansion
+of (1 + tau + sigma)^-a over univariate powers of 1/(1 + tau), with no
+Series2 inverse, product or log.
 """
 
 from __future__ import annotations
@@ -85,18 +87,6 @@ def _unscale(y: list, g: int, num: int = 1, den: int = 1) -> dict:
     """{(b, c): num y_bc / (den g^(b+c))} over the nonzero grid entries."""
     return {(b, c): _ratio(num * v, den * g ** (b + c))
             for b, row in enumerate(y) for c, v in enumerate(row) if v}
-
-
-def log_from_inverse(A: "Series2", inv: "Series2") -> "Series2":
-    """log(A / A_0) from A and its inverse.  With theta = s d/ds +
-    lambda d/dlambda, theta log A = theta A * A^-1, and theta^-1 divides the
-    s^b lambda^c coefficient by b + c; the product runs on ints."""
-    S, L = A._caps(inv)
-    da, a = _int_terms({(b, c): v * (b + c)
-                        for (b, c), v in A.coeffs.items() if b + c})
-    dv, v = _int_terms(inv.coeffs)
-    return Series2({(b, c): _ratio(x, da * dv * (b + c))
-                    for (b, c), x in mul_trunc2(a, v, S, L).items()}, S, L)
 
 
 class _Truncated:
@@ -260,8 +250,10 @@ class Series2(_Truncated):
         return Series2(_unscale(Y, g), S, L)
 
     def log(self):
-        """(series, log2_coeff): log(A) = log2_coeff * log2 + series, the
-        series from `log_from_inverse`.
+        """(series, log2_coeff): log(A) = log2_coeff * log2 + series.  With
+        theta = s d/ds + lambda d/dlambda, the series log(A / A_0) is
+        theta^-1(theta A * A^-1), where theta^-1 divides the s^b lambda^c
+        coefficient by b + c; the product runs on ints.
 
         The constant term must be 1 or 2; these are the only cases the
         verification needs, and log 2 is kept as a formal symbol.
@@ -269,7 +261,13 @@ class Series2(_Truncated):
         c0 = self.coeff(0, 0)
         if c0 != 1 and c0 != 2:
             raise ValueError(f"log needs constant term 1 or 2, got {c0}")
-        return log_from_inverse(self, self.inverse()), ONE if c0 == 2 else ZERO
+        S, L = self.caps
+        da, a = _int_terms({(b, c): v * (b + c)
+                            for (b, c), v in self.coeffs.items() if b + c})
+        dv, v = _int_terms(self.inverse().coeffs)
+        lg = {(b, c): _ratio(x, da * dv * (b + c))
+              for (b, c), x in mul_trunc2(a, v, S, L).items()}
+        return Series2(lg, S, L), ONE if c0 == 2 else ZERO
 
 
 def assert_degree_le(A: Series2, bound: int) -> Report:

@@ -14,13 +14,12 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 from math import comb, lcm
+from operator import mul
 
 from .exactnum import ONE, Rat, ZERO, double_factorial
-from ._kernels_py import mul_trunc2
 from .polyring import Poly, _ratio, partial_derivative, poly_div_exact
 from .report import Report, failed, inconclusive, passed
-from .series import (LaurentX, Series2, Series3, assert_degree_le,
-                     log_from_inverse)
+from .series import LaurentX, Series2, Series3, assert_degree_le
 from .tutte import tau_series
 
 
@@ -123,13 +122,21 @@ def combinatorial_sum(m: int, N: int) -> LaurentX:
     return LaurentX(q, N)
 
 
-def closed_side(m: int, N: int) -> LaurentX:
+def log_one_plus_sqrt(N: int) -> LaurentX:
+    """log(1 + sqrt(1 - 4x^2)) at order N, with its formal log 2 part."""
+    return (1 + sqrt_1m4x2(N)).log()
+
+
+def closed_side(m: int, N: int, lg: LaurentX | None = None) -> LaurentX:
     """Q1^m(1/x) + Q2^m(1/x) sqrt(1-4x^2) - [m even] C(m,m/2) log(1+sqrt(1-4x^2)),
-    without the undetermined even-m constant."""
+    without the undetermined even-m constant.  The log, the same for every
+    m, is `lg` when given, which must be `log_one_plus_sqrt(N)`."""
     rt = sqrt_1m4x2(N)
     out = _poly_in_inv_x(q1_poly(m), N) + _poly_in_inv_x(q2_poly(m), N) * rt
     if m % 2 == 0:
-        out = out - (1 + rt).log().scale(comb(m, m // 2))
+        if lg is None:
+            lg = log_one_plus_sqrt(N)
+        out = out - lg.scale(comb(m, m // 2))
     return out
 
 
@@ -141,19 +148,27 @@ def kappa_constant(m: int):
     return -rhs.coeff(0, 0), -rhs.coeff(0, 1)
 
 
-def verify_series_identity(m: int, N: int) -> Report:
+def compared_upto(m: int, N: int) -> int:
+    """The highest power of x that the series identity for m compares at
+    order N, negative when none is left.  Coefficients above N - m - 2 are
+    truncation artifacts: the closed side multiplies principal parts of
+    depth m against order-N expansions, and differentiation costs one more
+    order."""
+    return N - m - 2
+
+
+def verify_series_identity(m: int, N: int,
+                           lg: LaurentX | None = None) -> Report:
     """Check the combinatorial Laurent identity at order N.
 
     The derivative form is constant-free, so it is checked first; the even-m
     constant is then determined by x^0 matching and the full identity is
-    re-checked with it.  The report's witness records kappa.
+    re-checked with it.  The report's witness records kappa.  `lg`, when
+    given, is `log_one_plus_sqrt(N)`, shared by the even m of one run.
     """
     t0 = time.perf_counter()
     params = {"m": m, "order": N}
-    # coefficients above N - m - 2 are truncation artifacts: the closed side
-    # multiplies principal parts of depth m against order-N expansions, and
-    # differentiation costs one more order
-    upto = N - m - 2
+    upto = compared_upto(m, N)
     if upto < 0:
         # not even x^0 survives: kappa would be read off a truncated
         # coefficient, and no comparison is left to make
@@ -161,7 +176,7 @@ def verify_series_identity(m: int, N: int) -> Report:
                             f"order {N} leaves no coefficient to compare "
                             f"for m = {m}; need order >= {m + 2}", 0, t0)
     lhs = combinatorial_sum(m, N)
-    rhs = closed_side(m, N)
+    rhs = closed_side(m, N, lg)
 
     def eq_upto(A: LaurentX, B: LaurentX) -> bool:
         return LaurentX(A.coeffs, upto) == LaurentX(B.coeffs, upto)
@@ -197,19 +212,27 @@ def verify_series_identity(m: int, N: int) -> Report:
 # -- the reduced series h_m ------------------------------------------------
 
 
-def _one_plus_r(S: int, L: int) -> Series2:
-    """1 + r with r = s/(1+lambda s) + tau(lambda), at caps (S, L), in
-    closed form on ints: 1, the terms (-1)^(j-1) s^j lambda^(j-1) of
-    s/(1+lambda s), and tau.  Raises ArithmeticError if a coefficient of
-    tau is not an integer."""
-    terms = {(0, 0): 1}
-    for j in range(1, min(S, L + 1) + 1):
-        terms[(j, j - 1)] = (-1) ** (j - 1)
+def _tau_ints(L: int) -> list:
+    """The coefficients of tau(lambda) to lambda^L as a list of ints, from
+    `tau_series`, with tau[0] = 0.  Raises ArithmeticError if one is not an
+    integer."""
+    tau = [0] * (L + 1)
     for (_, c), v in tau_series(L).coeffs.items():
         if v.denominator != 1:
             raise ArithmeticError(f"tau coefficient {v} of lambda^{c} "
                                   "is not an integer")
-        terms[(0, c)] = terms.get((0, c), 0) + v.numerator
+        tau[c] = v.numerator
+    return tau
+
+
+def _one_plus_r(S: int, L: int) -> Series2:
+    """1 + r with r = s/(1+lambda s) + tau(lambda), at caps (S, L), in
+    closed form on ints: 1, the terms (-1)^(j-1) s^j lambda^(j-1) of
+    s/(1+lambda s), and tau (`_tau_ints`)."""
+    terms = {(0, c): v for c, v in enumerate(_tau_ints(L))}
+    terms[(0, 0)] = 1
+    for j in range(1, min(S, L + 1) + 1):
+        terms[(j, j - 1)] = (-1) ** (j - 1)
     return Series2(terms, S, L)
 
 
@@ -290,35 +313,80 @@ def h_m_series(m: int, S: int, L: int, kappa=None, one_r_pows=None):
     return main, l2
 
 
+def _neg_power_diagonals(tau: list, n_max: int) -> list:
+    """The diagonals of the univariate integer series
+    w_n = (1 + tau)^(-n), n <= n_max, for `tau` from `_tau_ints(L)`:
+    diag[n][c] = [w_n[c], w_(n-1)[c-1], ..., w_(n-i)[c-i]] with
+    i = min(n, c), the terms that a sum over k of w_(n-k)[c-k] reads, so
+    that such a sum is one `sum(map(mul, ...))`.  w_1 comes from
+    y_c = -sum_{i=1..c} tau_i y_(c-i), and w_n = w_(n-1) w_1, cut at
+    lambda^L."""
+    L = len(tau) - 1
+    w1 = [1]
+    for c in range(1, L + 1):
+        w1.append(-sum(map(mul, tau[1:c + 1], w1[c - 1::-1])))
+    w = [1] + [0] * L
+    diag = [[[v] for v in w]]
+    for _ in range(n_max):
+        w = [sum(map(mul, w[:c + 1], w1[c::-1])) for c in range(L + 1)]
+        prev = diag[-1]
+        diag.append([[w[0]]] + [[w[c]] + prev[c - 1]
+                                for c in range(1, L + 1)])
+    return diag
+
+
 @lru_cache(maxsize=1)
 def relation_series(D: int, L: int) -> tuple:
     """The series behind both the candidate relations (see
     `verifier.f_table`) and the direct reduction of h_m: log(1 + t + r)
-    with r = s/(1+lambda s) + tau(lambda), at caps (D, L), as the pair
-    (E, g).  E = t d/dt log(1 + t + r) is a `Series3` with `int`
-    coefficients, and g = log(1 + r), its t^0 slice, a `Series2` at caps
-    (D // 2, L).  The last caps are cached, since the h_m checks need the
-    same expansion for every m.
+    with r = tau(lambda) + sigma, sigma = s/(1+lambda s), at caps (D, L),
+    as the pair (E, g).  E = t d/dt log(1 + t + r) is a `Series3` with
+    `int` coefficients, and g = log(1 + r), its t^0 slice, a `Series2` at
+    caps (D // 2, L).  The last caps are cached, since the h_m checks need
+    the same expansion for every m.
 
-    With u = 1/(1 + r), log(1 + t + r) = log(1 + r) + log(1 + t u), so g is
-    read from the same u by `log_from_inverse`, and the t^a slice, a >= 1,
-    is (-1)^(a+1) u^a / a: E holds a times it, (-1)^(a+1) u^a.  Since
-    1 + r, from `_one_plus_r` as for `base_series`, has integer
-    coefficients and constant term 1, u and its powers
-    are integer series in (s, lambda): the powers are built on ints,
-    truncated to 2b <= D - a, each by one `mul_trunc2` product on packed
-    lambda-rows, and the readers divide by a.
+    With u = 1/(1 + r), log(1 + t + r) = log(1 + r) + log(1 + t u), so
+    the t^a slice, a >= 1, is (-1)^(a+1) u^a / a, and E holds a times it.
+    Both parts come from the univariate integer series
+    w_n = (1 + tau)^(-n) (`_neg_power_diagonals`) and the negative
+    binomial series: u^a = sum_j C(-a, j) sigma^j w_(a+j) and
+    sigma^j = sum_k C(-j, k) lambda^k s^(j+k), so [s^0] u^a = w_a and, for
+    b >= 1,
+        [s^b lambda^c] u^a = (-1)^b sum_{k=0..min(b-1, c)}
+                             C(a+j-1, j) C(b-1, k) w_(a+j)[c-k], j = b - k.
+    In the same way g = log(1 + tau) + sum_{j>=1} (-1)^(j+1) sigma^j w_j / j,
+    so for b >= 1
+        [s^b lambda^c] g = (-1)^(b+1) sum_{k=0..min(b-1, c)}
+                           C(b-1, k) w_(b-k)[c-k] / (b-k),
+    summed on ints over lcm(1..b) and divided once, and
+    c [lambda^c] log(1 + tau) = sum_{i=1..c} i tau_i w_1[c-i].  Raises
+    ArithmeticError if a coefficient of tau is not an integer.
     """
-    one_r = _one_plus_r(D // 2, L)
-    u = one_r.inverse()
+    tau = _tau_ints(L)
+    diag = _neg_power_diagonals(tau, max(D, 1))
+    # binom[n][k] = C(n, k) for n < D
+    binom = [[comb(n, k) for k in range(n + 1)] for n in range(D)]
     out = {}
-    p = {(0, 0): 1}
     for a in range(1, D + 1):
-        p = mul_trunc2(p, u.coeffs, (D - a) // 2, L)
         sign = 1 if a % 2 else -1
-        for (b, c), v in p.items():
-            out[(a, b, c)] = sign * v
-    return Series3(out, D, L), log_from_inverse(one_r, u)
+        out.update(((a, 0, c), sign * d[0]) for c, d in enumerate(diag[a]))
+        for b in range(1, (D - a) // 2 + 1):
+            sign = -sign
+            n = a + b
+            f = [sign * binom[n - k - 1][b - k] * binom[b - 1][k]
+                 for k in range(min(b, L + 1))]
+            out.update(((a, b, c), sum(map(mul, f, d)))
+                       for c, d in enumerate(diag[n]))
+    g = {(0, c): _ratio(sum(i * tau[i] * diag[1][c - i][0]
+                            for i in range(1, c + 1)), c)
+         for c in range(1, L + 1)}
+    for b in range(1, D // 2 + 1):
+        den = lcm(*range(1, b + 1))
+        sign = 1 if b % 2 else -1
+        h = [sign * binom[b - 1][k] * (den // (b - k)) for k in range(b)]
+        g.update(((b, c), _ratio(sum(map(mul, h, d)), den))
+                 for c, d in enumerate(diag[b]))
+    return Series3(out, D, L), Series2(g, D // 2, L)
 
 
 def direct_reduction(m: int, S: int, L: int) -> Series2:

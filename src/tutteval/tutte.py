@@ -31,14 +31,24 @@ def tutte_coeff(i: int):
 
 def phi_series(L: int) -> Series2:
     """The unique zero-constant series with phi = lambda (1+phi)^4, to
-    lambda-order L.  Fixed-point iteration gains one order per pass, so
-    pass k fixes the lambda^k coefficient and runs at lambda-cap k."""
+    lambda-order L, from the functional equation alone.  With
+    w = (1+phi)^4, phi_(n+1) = w_n, and J. C. P. Miller's recurrence for a
+    power of a series with constant term 1 (Knuth, TAOCP vol. 2, 4.7)
+    gives n w_n = sum_{k=1..n} (5k - n) phi_k w_(n-k), all on ints.
+    Raises ArithmeticError if a division by n is not exact."""
     if L < 1:
         raise ValueError(f"phi_series needs L >= 1, got {L}")
-    coeffs = {}
-    for k in range(1, L + 1):
-        coeffs = ((1 + Series2(coeffs, 0, k)) ** 4).shift(0, 1).coeffs
-    return Series2(coeffs, 0, L)
+    phi = [0]
+    w = [1]
+    for n in range(1, L):
+        phi.append(w[-1])
+        q, r = divmod(sum((5 * k - n) * phi[k] * w[n - k]
+                          for k in range(1, n + 1)), n)
+        if r:
+            raise ArithmeticError("phi recurrence is not integral")
+        w.append(q)
+    phi.append(w[-1])
+    return Series2({(0, n): v for n, v in enumerate(phi) if v}, 0, L)
 
 
 def phi_coeff_lagrange(n: int):
@@ -162,8 +172,9 @@ def three_way_report(max_i: int = 6, tamari_max: int = TAMARI_MAX) -> Report:
 
 
 def lagrange_report(n_max: int) -> Report:
-    """Fixed-point series coefficients against the Lagrange-inversion
-    closed form (1/n) C(4n, n-1)."""
+    """The coefficients of `phi_series`, from the functional equation by
+    Miller's power recurrence, against the Lagrange-inversion closed form
+    (1/n) C(4n, n-1)."""
     t0 = time.perf_counter()
     params = {"n_max": n_max}
     if n_max < 1:

@@ -15,27 +15,27 @@ check come from `exactnum.rank`, fraction-free elimination on integers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from math import ceil, comb
 
 from .exactnum import ONE, ZERO, rank
 from .polyring import Poly, _int_terms, _ratio
-from .report import Report, failed, inconclusive, passed
+from .report import Record, Report, failed, inconclusive, passed
 from .series import Series2
 from .template import integrate, relation_series
 
 # -- the f-table -----------------------------------------------------------
 
 
-@dataclass
-class FTable:
+class FTable(Record):
     """Components f_{k,i}(t,s) of the relation series, complete for
     k <= K_max and i <= I_max."""
 
-    K_max: int
-    I_max: int
-    entries: dict = field(default_factory=dict)  # (k, i) -> Poly in (t, s)
+    def __init__(self, K_max: int, I_max: int, entries: dict | None = None):
+        self.K_max = K_max
+        self.I_max = I_max
+        # (k, i) -> Poly in (t, s)
+        self.entries = {} if entries is None else entries
 
     def get(self, k: int, i: int) -> Poly:
         return self.entries.get((k, i), Poly())
@@ -152,11 +152,16 @@ def conjecture_reports(n_max: int, i_max: int, jobs: int = 1,
     return list(map(task, dims))
 
 
-def restriction_spot_check(n_max: int, i_max: int) -> Report:
-    """The same vanishing for k = n+3, n+4 (restriction closure), n <= n_max."""
+def restriction_spot_check(n_max: int, i_max: int,
+                           tab: FTable | None = None) -> Report:
+    """The same vanishing for k = n+3, n+4 (restriction closure), n <= n_max,
+    read from `tab` when it reaches k = n_max + 4 and i_max, and otherwise
+    from a table built here.  An entry f_{k,i} does not depend on the caps
+    of the table that holds it, so either table gives the same report."""
     t0 = time.perf_counter()
     params = {"n_max": n_max, "i_max": i_max, "offsets": [3, 4]}
-    tab = f_table(n_max + 4, i_max)
+    if tab is None or tab.K_max < n_max + 4 or tab.I_max < i_max:
+        tab = f_table(n_max + 4, i_max)
     cases = 0
     for n in range(1, n_max + 1):
         rep = verify_vanishing(n, i_max, tab, ks=(n + 3, n + 4))

@@ -130,6 +130,9 @@ def test_all_matches_the_pinned_report(tmp_path, capsys):
      "verify_template_24_60.json"),
     (["holonomic", "--tower", "6", "--b-orders", "40", "--s-cap", "42"],
      "verify_holonomic_6_40_42.json"),
+    (["conjecture", "--n-max", "64", "--i-max", "24"],
+     "verify_conjecture_64_24.json"),
+    (["tutte", "--max-i", "300"], "verify_tutte_300.json"),
 ])
 def test_deep_caps_match_the_pinned_reports(argv, fixture, tmp_path, capsys):
     # caps far past the defaults, pinned from an earlier tree: they run the
@@ -156,6 +159,38 @@ def test_conjecture_suite_builds_its_f_table_once(monkeypatch, capsys):
     # one table for the degree report and the vanishing checks, one wider
     # table for the restriction spot check
     assert calls == [(5, 2), (7, 2)]
+    # from n_max = 7 on, the suite's table reaches k = 5 + 4 and the spot
+    # check reads it: the default run builds one table
+    calls.clear()
+    assert main(["conjecture"]) == 0
+    capsys.readouterr()
+    assert calls == [(10, 6)]
+
+
+def test_template_suite_builds_one_log(monkeypatch, capsys):
+    # the five even m <= 8 share one log(1 + sqrt(1 - 4x^2)) at the suite's
+    # order; an order below 2 leaves every m inconclusive and builds none
+    calls = []
+    log = template.LaurentX.log
+
+    def counted(self):
+        calls.append(self.caps)
+        return log(self)
+
+    monkeypatch.setattr(template.LaurentX, "log", counted)
+    assert main(["template"]) == 0
+    assert calls == [(30,)]
+    calls.clear()
+    capsys.readouterr()
+    assert main(["template", "--order", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    identity = [ln for ln in lines if "series_identity" in ln]
+    assert len(identity) == 9
+    assert all(ln.startswith("[INCONCLUSIVE]") for ln in identity), identity
+    assert calls == []
+    # at order 2 only m = 0 has a coefficient to compare, and it needs the log
+    main(["template", "--order", "2"])
+    assert calls == [(2,)]
 
 
 def test_json_report_shape():

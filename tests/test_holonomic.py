@@ -396,9 +396,10 @@ def test_b_recursion_fails_on_an_entry_below_the_band(monkeypatch):
 
 
 def test_find_Rhat_stops_at_the_first_dividing_gcd(monkeypatch):
-    # one gcd against R_0 (constant: nothing to strip) and one against R_4,
-    # whose factor already divides every entry; the normalization of the
-    # band vector then takes two more
+    # one gcd H = gcd(R_4, R_4' + 4 R_3), whose factor, without its
+    # monomial content, already divides every entry; the normalization of
+    # the band vector then takes two more.  Both bindings of poly_gcd are
+    # counted: find_Rhat calls its own, strip_gcd the one in polyring
     find_R()
     q_tower(5)
     Rhat = find_Rhat()
@@ -410,12 +411,41 @@ def test_find_Rhat_stops_at_the_first_dividing_gcd(monkeypatch):
         return gcd(A, B)
 
     monkeypatch.setattr(polyring, "poly_gcd", counting)
+    monkeypatch.setattr(holonomic, "poly_gcd", counting)
     find_Rhat.cache_clear()
     try:
         assert find_Rhat() == Rhat
     finally:
         find_Rhat.cache_clear()
-    assert len(calls) == 4
+    assert len(calls) == 3
+
+
+def test_find_Rhat_falls_back_to_strip_gcd(monkeypatch):
+    # if the c_j were not all multiples of H, find_Rhat would strip
+    # gcd(H, c_j) instead; forced onto that route, it finds the same Rhat
+    find_R()
+    Rhat = find_Rhat()
+    div, strip = holonomic.poly_div_exact, holonomic.strip_gcd
+    refused, stripped = [], []
+
+    def refusing(p, d):
+        if len(d.terms) > 1 and not refused:  # the first division by H
+            refused.append(d)
+            raise ArithmeticError("refused")
+        return div(p, d)
+
+    def counting(H, vec):
+        stripped.append(H)
+        return strip(H, vec)
+
+    monkeypatch.setattr(holonomic, "poly_div_exact", refusing)
+    monkeypatch.setattr(holonomic, "strip_gcd", counting)
+    find_Rhat.cache_clear()
+    try:
+        assert find_Rhat() == Rhat
+    finally:
+        find_Rhat.cache_clear()
+    assert stripped == refused and len(refused) == 1
 
 
 def test_dependency_report_unknown_kind(monkeypatch):

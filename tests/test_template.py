@@ -2,12 +2,13 @@
 with its pinned constants, and the h_m equivalence."""
 
 import hashlib
+import sys
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tutteval import series, template
+from tutteval import _kernels_py, series, template
 from tutteval.cli import main
 from tutteval.exactnum import ONE, Rat, ZERO
 from tutteval.polyring import Poly, poly_parse, poly_to_str
@@ -148,13 +149,59 @@ def test_reduction_preserves_integrals(m, S, L, n):
         assert integrate(p, n) == integrate(reduced.lambda_slice(c), n)
 
 
-@pytest.mark.parametrize("D, L", [(6, 2), (9, 4), (12, 0), (17, 4), (24, 8)])
+@pytest.mark.parametrize("D, L", [(6, 2), (9, 4), (12, 0), (17, 4), (24, 8),
+                                  # odd and even D, L = 0, L above D / 2,
+                                  # and D = 0, 1, 2
+                                  (0, 3), (1, 0), (1, 5), (2, 0), (2, 7),
+                                  (3, 9), (7, 0), (8, 6), (11, 10), (16, 3)])
 def test_relation_series_matches_three_variable_route(D, L):
     E, g = relation_series(D, L)
     assert E.caps == (D, L) and g.caps == (D // 2, L)
     # E = t d/dt log(1 + t + r) has no t^0 term and integer coefficients
     assert all(a >= 1 and type(v) is int for (a, _, _), v in E.coeffs.items())
     assert _relation_series_log(D, L) == _relation_series_3var(D, L)
+
+
+@given(st.integers(0, 12), st.integers(0, 8))
+@settings(max_examples=30, deadline=None)
+def test_relation_series_matches_three_variable_route_property(D, L):
+    assert _relation_series_log(D, L) == _relation_series_3var(D, L)
+
+
+def _spy_every_binding(monkeypatch, fn, calls, name):
+    """Count the calls of `fn` through every binding of it in tutteval."""
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("tutteval") and mod is not None:
+            for key, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, key, counted)
+
+
+def test_relation_series_needs_no_bivariate_inverse_and_no_product(
+        monkeypatch):
+    # the binomial route reads univariate powers of 1/(1 + tau): no inverse
+    # of the bivariate 1 + r, and no mul_trunc2 product of its powers
+    calls = []
+    inverse = Series2.inverse
+
+    def spy_inverse(self):
+        if self.caps[0]:
+            calls.append("bivariate inverse")
+        return inverse(self)
+
+    monkeypatch.setattr(Series2, "inverse", spy_inverse)
+    _spy_every_binding(monkeypatch, _kernels_py.mul_trunc2, calls,
+                       "mul_trunc2")
+    relation_series.cache_clear()
+    try:
+        relation_series(24, 8)
+    finally:
+        relation_series.cache_clear()
+    assert calls == []
 
 
 def test_relation_series_digest():

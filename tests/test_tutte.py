@@ -1,8 +1,10 @@
 """The sequence three ways: closed form, algebraic series, lattice count."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tutteval.exactnum import Rat
+from tutteval.series import Series2
 from tutteval.tutte import (TAMARI_MAX, binary_trees, lagrange_report,
                             phi_coeff_lagrange, phi_series,
                             _tamari_closure, tamari_interval_count,
@@ -35,10 +37,35 @@ def test_tau_series_route():
         assert tau.coeff(0, i) == Rat(v)
 
 
+def _phi_fixed_point(L):
+    """The second route to phi = lambda (1+phi)^4: fixed-point iteration
+    on series products, which gains one order per pass, so pass k fixes
+    the lambda^k coefficient and runs at lambda-cap k."""
+    coeffs = {}
+    for k in range(1, L + 1):
+        coeffs = ((1 + Series2(coeffs, 0, k)) ** 4).shift(0, 1).coeffs
+    return Series2(coeffs, 0, L)
+
+
 def test_phi_lagrange_agreement():
-    phi = phi_series(20)
-    for n in range(1, 21):
+    phi = phi_series(300)
+    assert len(phi.coeffs) == 300
+    for n in range(1, 301):
         assert phi.coeff(0, n) == phi_coeff_lagrange(n)
+
+
+def test_phi_power_recurrence_matches_the_fixed_point():
+    for L in range(1, 61):
+        phi = phi_series(L)
+        assert phi.caps == (0, L)
+        assert phi.coeffs == _phi_fixed_point(L).coeffs
+        assert all(type(v) is int for v in phi.coeffs.values())
+
+
+def test_phi_series_needs_a_positive_order():
+    for L in (0, -3):
+        with pytest.raises(ValueError, match="L >= 1"):
+            phi_series(L)
 
 
 def test_phi_first_values():
