@@ -1,4 +1,4 @@
-"""The sparse multiplication inner loops.
+"""The sparse multiplication kernels.
 
 `mul_poly` and `mul_trunc2` carry the products of every large verification
 run; `mul_trunc2` also multiplies the Laurent series with a formal log 2.
@@ -6,28 +6,32 @@ run; `mul_trunc2` also multiplies the Laurent series with a formal log 2.
 one `Series3` the program makes, the relation series, is written down
 coefficient by coefficient.  `Poly` and series products clear denominators
 first, so the kernels run on `int`s, which multiply several times faster;
-`Fraction` coefficients are accepted as well.  The first exponent of a truncated
-product's key may be negative, as in a Laurent series.
+`Fraction` coefficients are accepted as well.  A product takes one of three
+routes.
 
-`mul_trunc2` multiplies whole lambda-rows (Kronecker substitution; D.
-Harvey, J. Symb. Comput. 44, 2009).  The terms of one s-exponent b become
-one int, sum_c v_c 2^(c w), so a product of two rows is one int product
-whose slot c holds the row product's lambda^c coefficient.  No slot of the
-truncated product exceeds max|A| max|B| min(len A, len B) in absolute
-value, since a target (b, c) meets at most one term of either operand per
-term of the other; w is that bound's bit length plus a sign bit, rounded up
-to whole bytes.  Only row pairs with b1 + b2 <= S are multiplied, their
-products are summed per output row, and the row is cut to its L + 1 low
-slots and read through a bias word of 2^(w-1) per slot, which makes every
-slot nonnegative, so no slot borrows from the next.  Operands whose rows
-hold mostly single terms, and rational ones, are multiplied term pair by
-term pair instead (see `mul_trunc2`).
+The pair loop, in `mul_poly`, multiplies term pair by term pair.  Each
+exponent tuple is read as one mixed-radix index over the product's exponent
+box, whose extent in variable i is max_A e_i + max_B e_i + 1, so a product
+key is a single integer add and no digit carries into the next.  It serves
+the products of `Fraction` operands and of operands too small or too
+sparse to pack, and the truncated products: `mul_trunc3`, and `mul_trunc2`
+on rows of mostly single terms, are `mul_poly`'s product cut to their caps.
+The first exponent of a truncated product's key may be negative, as in a
+Laurent series; it is shifted to 0 before the product and back after it.
 
-`mul_packed` multiplies whole two-variable polynomials the same way, on a
-sheared box (see also J. van der Hoeven and G. Lecerf, J. Symb. Comput.
-50, 2013, on sparse products by packing).  The holonomic tower's
-polynomials in (s, lambda) lie in a band along lambda ~ 1.4 s, which fills
-only a small part of their exponent box.  In the coordinates
+The lambda-row packer, `_mul_rows`, multiplies the dense int operands of
+`mul_trunc2` by whole lambda-rows (Kronecker substitution; D. Harvey, J.
+Symb. Comput. 44, 2009).  The terms of one s-exponent b become one int,
+sum_c v_c 2^(c w), so a product of two rows is one int product whose slot c
+holds the row product's lambda^c coefficient.  Only row pairs with
+b1 + b2 <= S are multiplied, their products are summed per output row, and
+each row's L + 1 low slots are read.
+
+The sheared packer, `mul_packed`, multiplies whole two-variable polynomials
+the same way, on a sheared box (see also J. van der Hoeven and G. Lecerf,
+J. Symb. Comput. 50, 2013, on sparse products by packing).  The holonomic
+tower's polynomials in (s, lambda) lie in a band along lambda ~ 1.4 s,
+which fills only a small part of their exponent box.  In the coordinates
 (a, m) = (e_u, e_v - q e_u) the band lies nearly flat, and the box of the
 product shrinks with it: the largest product of `verify holonomic`, 171 by
 282 terms with 846 output terms, has 3,082 cells at q = 0 and 1,150 at
@@ -39,13 +43,17 @@ over the product, no two cells of the product share one.  An operand is
 written into byte buffers over its own span, one for the positive and one
 for the negative values, and becomes one int w bits per slot; the product
 of two such ints holds the product polynomial slot by slot.  It is shifted
-to the origin of a box common to all pairs, so several products are
-summed as ints and read once.  No slot of the sum exceeds the sum of the
-pairs' bounds max|A| max|B| min(len A, len B) in absolute value, and w is
-that bound's bit length plus a sign bit, rounded up to whole bytes.  The
-slots are read upward from the two's complement bytes of the sum: a
-slot's value is its digit, plus one if the slot below came out negative,
-less 2^w when that reaches 2^(w-1).
+to the origin of a box common to all pairs, so several products are summed
+as ints and read once.
+
+Both packers size and read their slots the same way.  No slot of a sum of
+products A B exceeds, in absolute value, the sum over the pairs of
+max|A| max|B| min(len A, len B), since a target cell meets at most one term
+of either operand per term of the other; w is that bound's bit length plus
+a sign bit, rounded up to whole bytes (`_slot_bytes`).  `_read_slots` adds
+a bias word of 2^(w-1) per slot, which makes every slot nonnegative, so no
+slot borrows from the next; each slot reads as its digit less 2^(w-1), and
+a slot equal to the bias holds 0 and is skipped.
 """
 
 import struct
@@ -64,27 +72,8 @@ SHEARS = (0, 1, 2)
 
 def mul_trunc3(A, B, D, L):
     """Product of two {(a,b,c): coeff} maps, truncated to a+2b <= D, c <= L."""
-    if len(A) > len(B):
-        A, B = B, A
-    out = {}
-    get = out.get
-    bitems = list(B.items())
-    for (a1, b1, c1), ca in A.items():
-        for (a2, b2, c2), cb in bitems:
-            a = a1 + a2
-            b = b1 + b2
-            if a + 2 * b > D:
-                continue
-            c = c1 + c2
-            if c > L:
-                continue
-            k = (a, b, c)
-            v = get(k)
-            if v is None:
-                out[k] = ca * cb
-            else:
-                out[k] = v + ca * cb
-    return {k: v for k, v in out.items() if v}
+    return {k: v for k, v in mul_poly(A, B).items()
+            if k[0] + 2 * k[1] <= D and k[2] <= L}
 
 
 def mul_trunc2(A, B, S, L):
@@ -92,40 +81,50 @@ def mul_trunc2(A, B, S, L):
 
     When both operands have int coefficients and at least three terms per
     two lambda-rows, the rows are multiplied packed (see the module doc);
-    otherwise term pair by term pair.  A one-term operand, a series
-    truncated to lambda^0 and rows of mostly single terms take the pair
-    loop: there a row product is little more than a term product, and the
-    packing and unpacking would come on top.  Rational coefficients take
-    it too.  Measured on the 427 calls of one `series-sweep` round, each
-    call timed alone (best of 5; CPython 3.11, 2 cores): 0.136 s with the
-    pair loop on every call, 0.030 s packed on every call and 0.026 s with
-    this switch, which is as fast at any threshold from just above one to
-    1.5 terms per row, and takes 0.028 s at two."""
+    otherwise `mul_poly`'s product is cut to the caps.  A one-term operand,
+    a series truncated to lambda^0 and rows of mostly single terms take
+    `mul_poly`: there a row product is little more than a term product, and
+    the packing and unpacking would come on top.  Rational coefficients
+    take it too.  Measured on the 427 calls of one `series-sweep` round,
+    each call timed alone (best of 5; CPython 3.11, 2 cores): 0.136 s term
+    pair by term pair on every call, 0.030 s packed on every call and
+    0.026 s with this switch, which is as fast at any threshold from just
+    above one to 1.5 terms per row, and takes 0.028 s at two."""
     rows_a = {b for b, _ in A}
     rows_b = {b for b, _ in B}
     if (0 < 3 * len(rows_a) <= 2 * len(A) and 0 < 3 * len(rows_b) <= 2 * len(B)
             and set(map(type, chain(A.values(), B.values()))) == {int}):
         return _mul_rows(A, B, S, L)
-    if len(A) > len(B):
-        A, B = B, A
-    out = {}
-    get = out.get
-    bitems = list(B.items())
-    for (b1, c1), ca in A.items():
-        for (b2, c2), cb in bitems:
-            b = b1 + b2
-            if b > S:
-                continue
-            c = c1 + c2
-            if c > L:
-                continue
-            k = (b, c)
-            v = get(k)
-            if v is None:
-                out[k] = ca * cb
-            else:
-                out[k] = v + ca * cb
-    return {k: v for k, v in out.items() if v}
+    # `mul_poly` indexes exponents from 0: a Laurent series' s-exponents
+    # move up by -lo in each operand, and the product's down by -2 lo
+    lo = min(rows_a | rows_b | {0})
+    if lo:
+        A, B = ({(b - lo, c): v for (b, c), v in X.items()} for X in (A, B))
+    return {(b + 2 * lo, c): v for (b, c), v in mul_poly(A, B).items()
+            if b + 2 * lo <= S and c <= L}
+
+
+def _slot_bytes(pairs) -> int:
+    """Bytes per slot for the sum of the products A B over `pairs`: the
+    bound sum max|A| max|B| min(len A, len B) and a sign bit (see the
+    module doc)."""
+    bound = sum(max(map(abs, A.values())) * max(map(abs, B.values()))
+                * min(len(A), len(B)) for A, B in pairs)
+    return (bound.bit_length() + 8) // 8
+
+
+def _read_slots(x: int, n: int, nb: int) -> list:
+    """[(i, v_i)] over the nonzero v_i, i < n, of x = sum_i v_i 2^(8 nb i)
+    with every |v_i| < 2^(8 nb - 1), read through a bias word (see the
+    module doc); the slots from n up are ignored."""
+    bias = bytes(nb - 1) + b"\x80"
+    size = n * nb
+    data = ((x + int.from_bytes(bias * n, "little"))
+            & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    half = 1 << (8 * nb - 1)
+    return [(i, int.from_bytes(cell, "little") - half)
+            for i, j in enumerate(range(0, size, nb))
+            if (cell := data[j:j + nb]) != bias]
 
 
 def _pack_rows(A, w: int) -> dict:
@@ -139,31 +138,18 @@ def _pack_rows(A, w: int) -> dict:
 
 def _mul_rows(A, B, S, L):
     """`mul_trunc2` on packed lambda-rows, for nonempty maps to ints."""
-    bound = (max(map(abs, A.values())) * max(map(abs, B.values()))
-             * min(len(A), len(B)))
-    nb = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
-    w = 8 * nb
-    rows_b = sorted(_pack_rows(B, w).items())
+    nb = _slot_bytes([(A, B)])
+    rows_b = sorted(_pack_rows(B, 8 * nb).items())
     acc = {}
     get = acc.get
-    for b1, x in _pack_rows(A, w).items():
+    for b1, x in _pack_rows(A, 8 * nb).items():
         for b2, y in rows_b:
             b = b1 + b2
             if b > S:
                 break
             acc[b] = get(b, 0) + x * y
-    size = (L + 1) * nb
-    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * (L + 1), "little")
-    mask = (1 << (8 * size)) - 1
-    half = 1 << (w - 1)
-    out = {}
-    for b, x in acc.items():
-        row = ((x + bias) & mask).to_bytes(size, "little")
-        for c in range(L + 1):
-            v = int.from_bytes(row[c * nb:(c + 1) * nb], "little") - half
-            if v:
-                out[(b, c)] = v
-    return out
+    return {(b, c): v for b, x in acc.items()
+            for c, v in _read_slots(x, L + 1, nb)}
 
 
 def field_struct(nfields: int, bits: int) -> struct.Struct:
@@ -236,9 +222,7 @@ def mul_packed(pairs, u, v):
             best = q, lo, hi
     q, mlo, mhi = best
     ext = mhi - mlo + 1
-    bound = sum(max(map(abs, A.values())) * max(map(abs, B.values()))
-                * min(len(A), len(B)) for A, B in pairs)
-    nb = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+    nb = _slot_bytes(pairs)
     w = 8 * nb
     alo = min(min(x[0]) + min(y[0]) for x, y in ops)
     ahi = max(max(x[0]) + max(y[0]) for x, y in ops)
@@ -248,28 +232,15 @@ def mul_packed(pairs, u, v):
         y, a2, m2 = _pack(*y, q, ext, nb)
         total += x * y << ((a1 + a2 - alo) * ext + m1 + m2 - mlo) * w
     del ops, x, y
-    # the slots of the sum, read upward (see the module doc)
-    cells = (ahi - alo + 1) * ext
-    data = total.to_bytes(cells * nb, "little", signed=True)
-    del total
-    half, full, zero = 1 << (w - 1), 1 << w, bytes(nb)
+    # slot j of the sum holds the cell (a, b) with j = (a - alo) ext + m - mlo
+    # and m = b - q a
     out = {}
     key = [0] * len(next(iter(pairs[0][0])))
-    j = carry = 0
-    for a in range(alo, ahi + 1):
-        key[u] = a
-        b0 = mlo + q * a
-        for b in range(b0, b0 + ext):
-            cell = data[j:j + nb]
-            j += nb
-            if carry or cell != zero:
-                s = int.from_bytes(cell, "little") + carry
-                carry = s >= half
-                if carry:
-                    s -= full
-                if s:
-                    key[v] = b
-                    out[tuple(key)] = s
+    for j, s in _read_slots(total, (ahi - alo + 1) * ext, nb):
+        da, m = divmod(j, ext)
+        key[u] = alo + da
+        key[v] = mlo + m + q * key[u]
+        out[tuple(key)] = s
     return out
 
 

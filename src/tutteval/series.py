@@ -11,17 +11,20 @@ product by a monomial with coefficient 1 is `shift`: the keys move and the
 terms moved past the caps drop.  The keys and caps of each class:
 
 * `Series3`: t^a s^b lambda^c under (a, b, c), caps (D, L), kept when
-  a + 2b <= D and c <= L; kernel `mul_trunc3`.  Grading: deg t = 1,
-  deg s = 2, deg lambda = -2.  The lambda order is capped separately
-  because the weighted degree of lambda is negative and a single
-  total-degree cap would be ill-founded.
+  a + 2b <= D and c <= L; kernel `mul_trunc3`, `mul_poly`'s product cut
+  to the caps.  Grading: deg t = 1, deg s = 2, deg lambda = -2.  The
+  lambda order is capped separately because the weighted degree of lambda
+  is negative and a single total-degree cap would be ill-founded.
 * `Series2`: s^b lambda^c under (b, c), caps (S, L), kept when b <= S and
-  c <= L; kernel `mul_trunc2`.
+  c <= L; kernel `mul_trunc2`, which multiplies packed lambda-rows, or
+  cuts `mul_poly`'s product to the caps when the rows hold mostly single
+  terms or a coefficient is rational.
 * `LaurentX`: q(x) + p(x)*log2 with finitely many negative exponents, the
   term x^k log2^j under (k, j) with j in {0, 1}, cap (N,), kept when
   k <= N.  Log 2 is a formal symbol with componentwise equality; its
   products run through `mul_trunc2` with log2 in the place of lambda, at
-  lambda-cap 1, and a product of two log2 parts is refused.
+  lambda-cap 1 (negative exponents are shifted to 0 for `mul_poly` and
+  back), and a product of two log2 parts is refused.
 
 One integer recurrence in order of b + c (`_recur`) gives the Series2
 inverse, A_0 y_k = -sum_{i != 0} A_i y_(k-i), and square root,

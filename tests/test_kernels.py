@@ -7,7 +7,7 @@ from math import prod
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tutteval import _kernels_py
 from tutteval._kernels_py import mul_poly, mul_trunc2, mul_trunc3
@@ -480,3 +480,40 @@ def test_mul_poly_by_one_term_keeps_ints():
     assert P == {_sl(2, 1): -3 * 2 ** 80, _sl(0, 1): 21}
     assert all(type(c) is int for c in P.values())
     assert mul_poly({_sl(1, 1): Rat(1, 2)}, {_sl(0, 0): 4}) == {_sl(1, 1): 2}
+
+
+# -- the slot reader of both packers -----------------------------------------
+#
+# A sum of slots v_i 2^(i w), |v_i| < 2^(w-1), is read back through a bias
+# word of 2^(w-1) per slot; a negative slot borrows from the ones above it
+# in the int, and the reader must give every slot back exactly.
+
+
+def _slots(nb: int):
+    """(nb, slot values) with every |v| <= 2^(8 nb - 1) - 1; the extremes,
+    +-1 and 0 are drawn often, which gives runs of negative slots, a
+    negative top slot and exact zeros between nonzero slots."""
+    top = 2 ** (8 * nb - 1) - 1
+    slot = st.one_of(st.integers(-top, top),
+                     st.sampled_from([top, -top, 1, -1, 0]))
+    return st.tuples(st.just(nb), st.lists(slot, min_size=1, max_size=12))
+
+
+@given(st.integers(1, 5).flatmap(_slots), st.integers(-2 ** 80, 2 ** 80))
+@example((1, [-1] * 8), 0)
+@example((5, [-(2 ** 39 - 1)] * 5), 0)
+@example((2, [1, -1, 0, 0, -1]), -1)
+@example((2, [3, 0, 0, -(2 ** 15 - 1)]), 0)
+@example((3, [2 ** 23 - 1, 0, -1, 0, 2 ** 23 - 1, -(2 ** 23 - 1)]), 1)
+@example((4, [0, 0, -(2 ** 31 - 1)]), 0)
+@example((1, [0]), -1)
+@settings(max_examples=150)
+def test_read_slots_round_trip(slots, high):
+    # w = 8 nb from 8 to 40 bits: sum v_i 2^(i w) reads back exactly, and
+    # the slots from n up are ignored
+    nb, vals = slots
+    n, w = len(vals), 8 * nb
+    x = sum(v << (i * w) for i, v in enumerate(vals))
+    want = [(i, v) for i, v in enumerate(vals) if v]
+    assert _kernels_py._read_slots(x, n, nb) == want
+    assert _kernels_py._read_slots(x + (high << (n * w)), n, nb) == want

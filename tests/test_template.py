@@ -204,6 +204,26 @@ def test_relation_series_needs_no_bivariate_inverse_and_no_product(
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["all"], ["conjecture", "--n-max", "16", "--i-max", "10"]])
+def test_reports_make_no_series3_product(argv, monkeypatch, capsys):
+    # the one Series3 the program makes, the relation series, is written
+    # down coefficient by coefficient: no report multiplies two Series3,
+    # so mul_trunc3 serves the tests alone; every cache is cleared first,
+    # so the run is cold
+    calls = []
+    _spy_every_binding(monkeypatch, _kernels_py.mul_trunc3, calls,
+                       "mul_trunc3")
+    for mod in [m for n, m in sys.modules.items()
+                if n.startswith("tutteval") and m is not None]:
+        for val in vars(mod).values():
+            if hasattr(val, "cache_clear"):
+                val.cache_clear()
+    assert main(argv + ["--jobs", "1"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 def test_relation_series_digest():
     # the (38, 10) expansion behind `verify conjecture --n-max 16 --i-max 10`
     f = _relation_series_log(38, 10)
