@@ -4,18 +4,18 @@
 run; `mul_trunc2` also multiplies the Laurent series with a formal log 2.
 `mul_trunc3` is left to `Series3` products, which only the tests make: the
 one `Series3` the program makes, the relation series, is written down
-coefficient by coefficient.  `Poly` and series products clear denominators
-first, so the kernels run on `int`s, which multiply several times faster;
-`Fraction` coefficients are accepted as well.  A product takes one of three
-routes.
+coefficient by coefficient.  Every kernel takes maps to `int`s, which
+multiply several times faster than rationals: `Poly` and series products
+clear denominators first, and `polyring.sum_of_products` packs only maps to
+`int`s.  A product takes one of three routes.
 
 The pair loop, in `mul_poly`, multiplies term pair by term pair.  Each
 exponent tuple is read as one mixed-radix index over the product's exponent
 box, whose extent in variable i is max_A e_i + max_B e_i + 1, so a product
 key is a single integer add and no digit carries into the next.  It serves
-the products of `Fraction` operands and of operands too small or too
-sparse to pack, and the truncated products: `mul_trunc3`, and `mul_trunc2`
-on rows of mostly single terms, are `mul_poly`'s product cut to their caps.
+the products of operands too small or too sparse to pack, and the truncated
+products: `mul_trunc3`, and `mul_trunc2` on rows of mostly single terms,
+are `mul_poly`'s product cut to their caps.
 The first exponent of a truncated product's key may be negative, as in a
 Laurent series; it is shifted to 0 before the product and back after it.
 
@@ -57,7 +57,7 @@ a slot equal to the bias holds 0 and is skipped.
 """
 
 import struct
-from itertools import chain, product
+from itertools import product
 from operator import add, mul
 
 # the least len(A) * len(B) at which `mul_poly` multiplies packed: cold
@@ -79,21 +79,21 @@ def mul_trunc3(A, B, D, L):
 def mul_trunc2(A, B, S, L):
     """Product of two {(b,c): coeff} maps, truncated to b <= S, c <= L.
 
-    When both operands have int coefficients and at least three terms per
-    two lambda-rows, the rows are multiplied packed (see the module doc);
-    otherwise `mul_poly`'s product is cut to the caps.  A one-term operand,
-    a series truncated to lambda^0 and rows of mostly single terms take
-    `mul_poly`: there a row product is little more than a term product, and
-    the packing and unpacking would come on top.  Rational coefficients
-    take it too.  Measured on the 427 calls of one `series-sweep` round,
-    each call timed alone (best of 5; CPython 3.11, 2 cores): 0.136 s term
-    pair by term pair on every call, 0.030 s packed on every call and
-    0.026 s with this switch, which is as fast at any threshold from just
-    above one to 1.5 terms per row, and takes 0.028 s at two."""
+    When both operands have at least three terms per two lambda-rows, the
+    rows are multiplied packed (see the module doc); otherwise `mul_poly`'s
+    product is cut to the caps.  A one-term operand, a series truncated to
+    lambda^0 and rows of mostly single terms take `mul_poly`: there a row
+    product is little more than a term product, and the packing and
+    unpacking would come on top.  Measured on the 427 calls of one
+    `series-sweep` round, each call timed alone (best of 5; CPython 3.11,
+    2 cores): 0.136 s term pair by term pair on every call, 0.030 s packed
+    on every call and 0.026 s with this switch, which is as fast at any
+    threshold from just above one to 1.5 terms per row, and takes 0.028 s
+    at two."""
     rows_a = {b for b, _ in A}
     rows_b = {b for b, _ in B}
-    if (0 < 3 * len(rows_a) <= 2 * len(A) and 0 < 3 * len(rows_b) <= 2 * len(B)
-            and set(map(type, chain(A.values(), B.values()))) == {int}):
+    if (0 < 3 * len(rows_a) <= 2 * len(A)
+            and 0 < 3 * len(rows_b) <= 2 * len(B)):
         return _mul_rows(A, B, S, L)
     # `mul_poly` indexes exponents from 0: a Laurent series' s-exponents
     # move up by -lo in each operand, and the product's down by -2 lo
@@ -164,14 +164,11 @@ def field_struct(nfields: int, bits: int) -> struct.Struct:
 
 
 def two_variables(maps):
-    """(u, v), u < v, when every map has int coefficients and no key of any
-    map has a nonzero exponent outside the variables u and v; else None.
-    With fewer than two variables in use, the others are filled in from
-    the lowest index."""
+    """(u, v), u < v, when no key of any map has a nonzero exponent outside
+    the variables u and v; else None.  With fewer than two variables in
+    use, the others are filled in from the lowest index."""
     used = set()
     for A in maps:
-        if set(map(type, A.values())) != {int}:
-            return None
         used.update(i for i, col in enumerate(zip(*A)) if any(col))
         if len(used) > 2:
             return None
@@ -247,8 +244,8 @@ def mul_packed(pairs, u, v):
 def mul_poly(A, B):
     """Untruncated product of two {exponent-tuple: coeff} maps.
 
-    A one-term operand shifts and scales the other.  Two maps to ints in at
-    most two variables, with at least `PACK_PAIRS` term pairs, are
+    A one-term operand shifts and scales the other.  Two maps in at most
+    two variables, with at least `PACK_PAIRS` term pairs, are
     multiplied as one packed int product (`mul_packed`).  Otherwise each
     exponent tuple is read as one mixed-radix index over the product's
     exponent box, whose extent in variable i is max_A e_i + max_B e_i + 1,

@@ -33,12 +33,12 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, inf, prod
 
 from .exactnum import ONE, Rat, ZERO, rank, rat_gcd
 from .polyring import (Poly, _value_at_point, clear_and_normalize,
                        partial_derivative, point_value, poly_div_exact,
-                       poly_gcd, poly_parse, poly_to_str, primitive_rat,
+                       poly_gcd, poly_to_str, primitive_rat,
                        rat_content, strip_gcd, sum_of_products)
 from .report import Record, Report, failed, inconclusive, passed
 from .series import Series2
@@ -50,10 +50,11 @@ LAM = Poly.var("l")
 PHI = Poly.var("f")
 P_DEFINING = PHI - LAM * (1 + PHI) ** 4
 # phi is singular at lambda = 27/256
-SINGULAR = poly_parse("256*l - 27")
+SINGULAR = 256 * LAM - 27
 
 # the closed form of phi', over the denominator l (256 l - 27)
-P0_EXPECTED_NUM = poly_parse("12*l*f^3 + 52*l*f^2 + 4*l*f - 36*l + 9*f")
+P0_EXPECTED_NUM = (12 * LAM * PHI ** 3 + 52 * LAM * PHI ** 2 + 4 * LAM * PHI
+                   - 36 * LAM + 9 * PHI)
 P0_EXPECTED_DEN = {LAM: 1, SINGULAR: 1}
 
 
@@ -99,43 +100,55 @@ class PhiQuot(Record):
         return all(n.is_zero() for n in self.num)
 
     def den_poly(self) -> Poly:
-        d = Poly.one()
-        for p, e in self.den.items():
-            d = d * p ** e
-        return d
+        return _power_product(self.den, {})
 
 
-def _pq_normalize(num: list, den: dict, c) -> PhiQuot:
-    num = [n if isinstance(n, Poly) else Poly.const(n) for n in num]
-    while num and num[-1].is_zero():
-        num.pop()
-    if not num:
-        return PhiQuot([], {}, ONE)
-    # strip the denominator's primes as far as they divide every numerator
-    # entry; the primes are coprime, so the order does not matter.  A prime
-    # p divides an entry n only if p(x) divides n(x) at the point x of
-    # `point_value`, so every entry is tested there before any is divided.
-    # After a division, n(x)/p(x) is the value at x of an integer multiple
-    # of the quotient, which keeps the test valid for the next power of p
+def _power_product(exps: dict, base: dict) -> Poly:
+    """The product of p^(e - base[p]) over the primes p of exps whose
+    exponent e exceeds base[p] (0 when p is not in base).  The prime
+    powers are small, and are multiplied together before a caller meets
+    their product with a large polynomial."""
+    return prod((p ** (e - base.get(p, 0)) for p, e in exps.items()
+                 if e > base.get(p, 0)), start=Poly.one())
+
+
+def _strip_primes(num: list, caps: dict) -> tuple:
+    """(quotients, {p: k}): the entries of num, not all zero, divided by
+    p^k for each prime p of caps, k <= caps[p] the largest such that p^k
+    divides every entry.  The primes are coprime, so the order does not
+    matter.  A prime p divides an entry n only if p(x) divides n(x) at the
+    point x of `point_value`, so every entry is tested there before any is
+    divided.  After a division, n(x)/p(x) is the value at x of an integer
+    multiple of the quotient, which keeps the test valid for the next power
+    of p."""
     vals = None
-    out = {}
-    for p, e in den.items():
+    ks = {}
+    for p, cap in caps.items():
         px = point_value(p)
-        while e > 0:
+        k = 0
+        while k < cap:
             if vals is None:
                 vals = [point_value(n) for n in num]
             if px and any(v % px for v in vals):
                 break
             try:
-                quots = [poly_div_exact(n, p) if not n.is_zero() else n
-                         for n in num]
+                num = [poly_div_exact(n, p) if n else n for n in num]
             except ArithmeticError:
                 break
-            num = quots
             vals = [v // px for v in vals] if px else None
-            e -= 1
-        if e > 0:
-            out[p] = e
+            k += 1
+        ks[p] = k
+    return num, ks
+
+
+def _pq_normalize(num: list, den: dict, c) -> PhiQuot:
+    while num and num[-1].is_zero():
+        num = num[:-1]
+    if not num:
+        return PhiQuot([], {}, ONE)
+    # strip the denominator's primes as far as they divide every entry
+    num, ks = _strip_primes(num, den)
+    out = {p: e - ks[p] for p, e in den.items() if e > ks[p]}
     # pull the rational content into the scalar
     r = ZERO
     for n in num:
@@ -150,24 +163,26 @@ _PQ_ONE = PhiQuot([Poly.one()], {}, ONE)
 
 
 def _reduce_top(num: list) -> tuple:
-    """Reduce a phi-coefficient list modulo P = phi - lambda(1+phi)^4 via
-    phi^k = phi^{k-3}/lambda - phi^{k-4}(1 + 4 phi + 6 phi^2 + 4 phi^3).
-    Returns (list of <= 4 Poly, v) with value = sum / lambda^v."""
-    num = list(num)
-    v = 0
-    while True:
-        while num and num[-1].is_zero():
-            num.pop()
-        if len(num) <= 4:
-            break
-        k = len(num) - 1
-        ctop = num.pop()
-        num = [n * LAM for n in num]
-        v += 1
-        num[k - 3] = num[k - 3] + ctop
-        for j, bc in ((0, 1), (1, 4), (2, 6), (3, 4)):
-            num[k - 4 + j] = num[k - 4 + j] - ctop * LAM * bc
-    return num, v
+    """Reduce a phi-coefficient list of phi-degree <= 6 modulo
+    P = phi - lambda(1+phi)^4 via
+    phi^k = phi^{k-3}/lambda - phi^{k-4}(1 + 4 phi + 6 phi^2 + 4 phi^3),
+    for k = 6, 5, 4 in turn.  Only the parts moved to phi^{k-3} <= phi^3
+    carry 1/lambda, and no later step moves them, so the value is
+    (lambda low + high)/lambda.  Returns (list of <= 4 Poly, v) with
+    value = sum / lambda^v, v <= 1; a higher phi-degree raises ValueError.
+    """
+    if len(num) > 7:
+        raise ValueError(f"phi-degree {len(num) - 1} above 6")
+    low = list(num)
+    high = [Poly()] * 4
+    for k in range(len(low) - 1, 3, -1):
+        c = low[k]
+        high[k - 3] = c
+        for j, bc in enumerate((1, 4, 6, 4)):
+            low[k - 4 + j] = low[k - 4 + j] - c * bc
+    if not any(high):
+        return low[:4], 0
+    return [LAM * n + h for n, h in zip(low, high)], 1
 
 
 def pq_from_poly(p: Poly) -> PhiQuot:
@@ -204,13 +219,8 @@ def _pq_sum(terms) -> PhiQuot:
     for _, A in terms:
         for p, e in A.den.items():
             den[p] = max(den.get(p, 0), e)
-    pairs = []
-    for k, A in terms:
-        lift = k.scale(A.c)
-        for p, e in den.items():
-            if e > A.den.get(p, 0):
-                lift = lift * p ** (e - A.den.get(p, 0))
-        pairs.append((A.num, lift))
+    pairs = [(A.num, k.scale(A.c) * _power_product(den, A.den))
+             for k, A in terms]
     width = max((len(n) for n, _ in pairs), default=0)
     num = [sum_of_products((n[j], lift) for n, lift in pairs if j < len(n))
            for j in range(width)]
@@ -233,16 +243,11 @@ def _pq_dlam(A: PhiQuot) -> PhiQuot:
     (n/D)' = (n' R - n T) / (D R), R = prod p_i, T = sum_i e_i p_i' R/p_i."""
     if A.is_zero():
         return A
-    R = Poly.one()
-    for p in A.den:
-        R = R * p
-    T = Poly()
-    for p, e in A.den.items():
-        part = partial_derivative(p, "l").scale(Rat(e))
-        for q in A.den:
-            if q != p:
-                part = part * q
-        T = T + part
+    ones = dict.fromkeys(A.den, 1)
+    R = _power_product(ones, {})
+    T = sum((partial_derivative(p, "l").scale(Rat(e))
+             * _power_product(ones, {p: 1}) for p, e in A.den.items()),
+            Poly())
     num = [partial_derivative(n, "l") * R - n * T for n in A.num]
     den = {p: e + 1 for p, e in A.den.items()}
     return _pq_normalize(num, den, A.c)
@@ -268,29 +273,17 @@ def _row0_cofactors(M: list) -> list:
     (-1)^j times the 3x3 minor of rows 1..3 omitting column j, so that
     det M = sum_j M[0][j] cof_j and, when rows 1..3 have rank 3, the
     cofactors span their kernel.  Each minor is expanded along row 3 over
-    the six 2x2 minors of rows 1 and 2, which the four minors share."""
-    m2 = {(j, k): M[1][j] * M[2][k] - M[1][k] * M[2][j]
+    the six 2x2 minors of rows 1 and 2, which the four minors share; each
+    minor is one `sum_of_products`."""
+    m2 = {(j, k): sum_of_products([(M[1][j], M[2][k]), (-M[1][k], M[2][j])])
           for j, k in combinations(range(4), 2)}
     cofs = []
     for i in range(4):
         a, b, c = [j for j in range(4) if j != i]
-        y = M[3][a] * m2[(b, c)] - M[3][b] * m2[(a, c)] + M[3][c] * m2[(a, b)]
+        y = sum_of_products([(M[3][a], m2[(b, c)]), (-M[3][b], m2[(a, c)]),
+                             (M[3][c], m2[(a, b)])])
         cofs.append(-y if i % 2 else y)
     return cofs
-
-
-def _strip_primes(p: Poly, primes) -> tuple:
-    """Divide every power of the given primes out of p; returns the
-    cofactor and the exponents removed, {prime: exponent}."""
-    exps = {}
-    for q in primes:
-        while True:
-            try:
-                p = poly_div_exact(p, q)
-            except ArithmeticError:
-                break
-            exps[q] = exps.get(q, 0) + 1
-    return p, exps
 
 
 def _squarefree(f: Poly, v="l") -> dict:
@@ -319,16 +312,11 @@ def _squarefree(f: Poly, v="l") -> dict:
         b = poly_div_exact(b, g)
         d = poly_div_exact(d, g) - partial_derivative(b, v)
         i += 1
-    found = Poly.one()
-    for p, e in out.items():
-        found = found * p ** e
-    rest = poly_div_exact(f, found)
+    rest = poly_div_exact(f, _power_product(out, {}))
     if not rest.is_const():
         (w,) = rest.vars_present()
-        for p, e in _squarefree(primitive_rat(rest)[1], w).items():
-            out[p] = e
-            found = found * p ** e
-    if found != f:
+        out.update(_squarefree(primitive_rat(rest)[1], w))
+    if _power_product(out, {}) != f:
         raise ArithmeticError("square-free factors do not multiply back")
     return out
 
@@ -357,11 +345,11 @@ def _invert_mod_p(G: PhiQuot) -> PhiQuot:
         for r in range(min(4, len(col.num))):
             M[r][j] = (col.num[r] * lift).scale(col.c)
     cofs = _row0_cofactors(M)
-    det = sum((m * cof for m, cof in zip(M[0], cofs)), Poly())
+    det = sum_of_products(zip(M[0], cofs))
     if det.is_zero():
         raise ArithmeticError("multiplication matrix is singular")
     # factor the determinant: lambda, 256 lambda - 27, a primitive core
-    core, den = _strip_primes(det, (LAM, SINGULAR))
+    (core,), den = _strip_primes([det], {LAM: inf, SINGULAR: inf})
     r, core = primitive_rat(core)
     if not core.is_const():
         den.update(_squarefree(core))
@@ -535,16 +523,6 @@ class DependencyVector(Record):
                 for (i, k), terms in parts.items()}
 
 
-def _prime_power(exps: dict, base: dict) -> Poly:
-    """The product of p^(e - base[p]) over the primes p with exponent
-    e > base[p] in exps."""
-    out = Poly.one()
-    for p, e in exps.items():
-        if e > base[p]:
-            out = out * p ** (e - base[p])
-    return out
-
-
 def _kernel_vector(cols: list) -> list:
     """Kernel vector of the 4x5 phi-coefficient matrix of the PhiQuot
     columns Q_0/0!, ..., Q_4/4!, whose column 0 is a nonzero constant,
@@ -581,10 +559,13 @@ def _kernel_vector(cols: list) -> list:
     if all(y.is_zero() for y in ys):
         raise ArithmeticError(
             "all 3x3 minors of rows 1..3 vanish: kernel dimension exceeds 1")
-    primes = dict.fromkeys(p for col in cols for p in col.den)
+    primes = dict.fromkeys((p for col in cols for p in col.den), inf)
 
     def strip(d: Poly) -> tuple:
-        return _strip_primes(d, primes) if not d.is_zero() else (d, {})
+        if d.is_zero():
+            return d, {}
+        (core,), exps = _strip_primes([d], primes)
+        return core, exps
 
     def least() -> dict:
         return {p: min(e.get(p, 0) for core, e in stripped
@@ -592,11 +573,9 @@ def _kernel_vector(cols: list) -> list:
 
     stripped = [strip(y) for y in ys]
     low = least()
-    x0 = Poly()
-    for m, (core, exps) in zip(N[0][1:], stripped[1:]):
-        if not core.is_zero():
-            x0 = x0 - m * (core * _prime_power(exps, low))
-    core, exps = strip(x0.scale(ONE / head.num[0].const_value()))
+    x0 = sum_of_products((m, core * _power_product(exps, low))
+                         for m, (core, exps) in zip(N[0][1:], stripped[1:]))
+    core, exps = strip(x0.scale(-ONE / head.num[0].const_value()))
     stripped[0] = (core, {p: exps.get(p, 0) + e for p, e in low.items()})
     # undo the column scaling: the value matrix has columns c_i N_i / D_i,
     # so component i picks up D_i / c_i; track the prime powers of D_i and
@@ -605,7 +584,7 @@ def _kernel_vector(cols: list) -> list:
         for p, e in col.den.items():
             exps[p] = exps.get(p, 0) + e
     base = least()
-    return [(core * _prime_power(exps, base)).scale(ONE / col.c)
+    return [(core * _power_product(exps, base)).scale(ONE / col.c)
             for (core, exps), col in zip(stripped, cols)]
 
 
@@ -678,7 +657,8 @@ def find_Rhat() -> DependencyVector:
     As F^(j) = Q_j F, the vector (j! c_j) is a kernel vector of the columns
     Q_j/j!, and it is nonzero: c_5 = r_0 r_4, where r_4 != 0 because a
     relation among Q_0..Q_3 alone would drop the rank of Q_0..Q_4 below 4,
-    which find_R rules out.
+    which find_R rules out.  On the integer entries of R,
+    j! c_j = R_0 (R_j' + j R_{j-1}) - R_0' R_j, one `sum_of_products`.
 
     Uniqueness: the elimination needs R_0 != 0, and the kernel is a line
     only if Q_1..Q_5 have rank 4, which `_rank4_witness` certifies by an
@@ -693,19 +673,18 @@ def find_Rhat() -> DependencyVector:
     division fails, by the gcd of H and the entries (`strip_gcd`); the gcd
     of the generic normalization then certifies that no common factor is
     left, one shared with r_0 included."""
-    R = find_R()
-    if R.entries[0].is_zero():
+    R = find_R().entries + [Poly()]
+    if R[0].is_zero():
         raise ArithmeticError("R_0 = 0: F cannot be eliminated from R")
     if _rank4_witness(q_tower(5)[1:6]) is None:
         raise ArithmeticError("Q_1..Q_5 have rank below 4 at every sample "
                               "point: Rhat is not certified unique")
-    r = [p.scale(Rat(1, factorial(i))) for i, p in enumerate(R.entries)]
-    r.append(Poly())
-    dr0 = partial_derivative(r[0], "l")
-    vec = [(r[0] * (partial_derivative(r[j], "l") + r[j - 1])
-            - dr0 * r[j]).scale(Rat(factorial(j))) for j in range(1, 6)]
-    R3, R4 = R.entries[3], R.entries[4]
-    H = poly_gcd(R4, partial_derivative(R4, "l") + R3.scale(4))
+    dR = [partial_derivative(p, "l") for p in R]
+    # j! c_j = R_0 d_j - R_0' R_j with d_j = R_j' + j R_{j-1}
+    d = {j: dR[j] + R[j - 1].scale(j) for j in range(1, 6)}
+    vec = [sum_of_products([(R[0], d[j]), (-dR[0], R[j])])
+           for j in range(1, 6)]
+    H = poly_gcd(R[4], d[4])
     low = tuple(map(min, zip(*H.terms)))
     if any(low):
         H = poly_div_exact(H, Poly({low: 1}))

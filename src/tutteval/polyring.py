@@ -6,12 +6,15 @@ as a `Fraction` otherwise.  Products, exact quotients and scalings store
 every integral coefficient they make as an `int`, since most polynomials
 here are integral and `int` arithmetic is several times faster; an integral
 `Fraction` given from outside is still the same number, with the same
-`==`, hash and text.
+`==`, hash and text.  A product clears both denominators first, so the
+kernels of `_kernels_py` only ever see maps to `int`s.
 
 The variable set is fixed and ordered: t < s < l < f < x < y (l is the
 curvature parameter, f the algebraic auxiliary variable).  Monomials are
 exponent 6-tuples; the canonical term order is graded lexicographic on that
-variable order, which also fixes the text serialization.
+variable order, which also fixes the text that `poly_to_str` writes.  No
+parser reads that text back: polynomials are built from `Poly.var`,
+`Poly.const` and arithmetic.
 
 Everything here is immutable and pure.  Division and gcd are exact
 throughout.  A gcd involves at most two variables: univariate ones come from
@@ -22,8 +25,7 @@ from Brown's evaluation and interpolation of such univariate images.
 from __future__ import annotations
 
 import heapq
-import re
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm, prod
 from operator import gt, mul, sub
 
@@ -139,12 +141,10 @@ class Poly:
                     present[i] = True
         return {i for i in range(NVARS) if present[i]}
 
-    def degree(self, v=None) -> int:
-        """Degree in variable v, or total degree if v is None; -1 for 0."""
+    def degree(self, v) -> int:
+        """Degree in variable v; -1 for 0."""
         if not self.terms:
             return -1
-        if v is None:
-            return max(sum(m) for m in self.terms)
         i = _vi(v)
         return max(m[i] for m in self.terms)
 
@@ -257,11 +257,15 @@ def sum_of_products(pairs) -> Poly:
     When every coefficient is an int, the terms use at most two variables
     and the pairs make at least `PACK_PAIRS` term products, the sum is one
     packed int product per pair on one sheared box, decoded once
-    (`mul_packed`); otherwise it is sum(A * B)."""
+    (`mul_packed`); otherwise it is sum(A * B), whose products clear their
+    denominators themselves."""
     pairs = [(A, B) for A, B in pairs if A and B]
     maps = [(A.terms, B.terms) for A, B in pairs]
-    if sum(len(a) * len(b) for a, b in maps) >= PACK_PAIRS:
-        uv = two_variables([x for pair in maps for x in pair])
+    ops = [x for pair in maps for x in pair]
+    coeffs = chain.from_iterable(map(dict.values, ops))
+    if (sum(len(a) * len(b) for a, b in maps) >= PACK_PAIRS
+            and set(map(type, coeffs)) == {int}):
+        uv = two_variables(ops)
         if uv:
             p = Poly.__new__(Poly)
             p.terms = mul_packed(maps, *uv)
@@ -718,63 +722,3 @@ def poly_to_str(A: Poly) -> str:
         else:
             parts.append(("+ " if c > 0 else "- ") + body)
     return " ".join(parts)
-
-
-_TOKEN = re.compile(r"[a-z]+(?:\^\d+)?|\d+(?:/\d+)?|[+\-*]")
-
-
-def poly_parse(text: str) -> Poly:
-    """Parse the `poly_to_str` grammar (whitespace-insensitive)."""
-    s = text.replace(" ", "")
-    if not s or s == "0":
-        return Poly()
-    tokens = _TOKEN.findall(s)
-    if "".join(tokens) != s:
-        raise ValueError(f"cannot parse polynomial text: {text!r}")
-    result = Poly()
-    sign = 1
-    term_coeff = None
-    term_mono = None
-    expect_factor = True
-
-    def flush():
-        nonlocal result, term_coeff, term_mono
-        if term_mono is not None:
-            c = term_coeff if term_coeff is not None else 1
-            result = result + Poly({tuple(term_mono): c * sign})
-        term_coeff = None
-        term_mono = None
-
-    for tok in tokens:
-        if tok in "+-":
-            if expect_factor and term_mono is None:
-                # unary sign
-                sign = sign * (1 if tok == "+" else -1)
-                continue
-            flush()
-            sign = 1 if tok == "+" else -1
-            expect_factor = True
-        elif tok == "*":
-            expect_factor = True
-        else:
-            if term_mono is None:
-                term_mono = [0] * NVARS
-            if tok[0].isdigit():
-                if "/" in tok:
-                    a, b = tok.split("/")
-                    q = Rat(int(a), int(b))
-                else:
-                    q = int(tok)
-                term_coeff = q if term_coeff is None else term_coeff * q
-            else:
-                if "^" in tok:
-                    name, e = tok.split("^")
-                    e = int(e)
-                else:
-                    name, e = tok, 1
-                if name not in VAR_INDEX:
-                    raise ValueError(f"unknown variable {name!r} in {text!r}")
-                term_mono[VAR_INDEX[name]] += e
-            expect_factor = False
-    flush()
-    return result

@@ -6,7 +6,8 @@ keys to exact coefficients (an `int` or a `Fraction`) and a tuple `caps`;
 construction drops the terms past the caps under the class's truncation
 rule, and sums and products carry the componentwise minimum of the operand
 caps.  A product multiplies on ints over the operands' common denominators
-and divides once, as a `Poly` product does, through the class's kernel.  A
+and divides once, as a `Poly` product does, through the class's kernel,
+which takes maps to `int`s only.  A
 product by a monomial with coefficient 1 is `shift`: the keys move and the
 terms moved past the caps drop.  The keys and caps of each class:
 
@@ -18,7 +19,7 @@ terms moved past the caps drop.  The keys and caps of each class:
 * `Series2`: s^b lambda^c under (b, c), caps (S, L), kept when b <= S and
   c <= L; kernel `mul_trunc2`, which multiplies packed lambda-rows, or
   cuts `mul_poly`'s product to the caps when the rows hold mostly single
-  terms or a coefficient is rational.
+  terms.
 * `LaurentX`: q(x) + p(x)*log2 with finitely many negative exponents, the
   term x^k log2^j under (k, j) with j in {0, 1}, cap (N,), kept when
   k <= N.  Log 2 is a formal symbol with componentwise equality; its

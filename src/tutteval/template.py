@@ -271,19 +271,15 @@ def one_r_powers(m_max: int, S: int, L: int) -> list:
     return pows
 
 
-def h_m_series(m: int, S: int, L: int, kappa=None, one_r_pows=None):
-    """Closed form of h_m at caps (S, L), from the powers (1 + r)^i of
-    `one_r_powers` at the same caps, i <= m at least, built here if not
-    given.
+def h_m_series(m: int, S: int, L: int, kappa, one_r_pows):
+    """Closed form of h_m at caps (S, L), from kappa = `kappa_constant(m)`
+    and the powers (1 + r)^i of `one_r_powers` at the same caps, i <= m at
+    least.
 
     Returns (main, log2_part) as Series2; log2_part must vanish (the formal
     log 2 contributions cancel between the combined logarithm and kappa),
     which `verify_h_m` asserts.
     """
-    if kappa is None:
-        kappa = kappa_constant(m)
-    if one_r_pows is None:
-        one_r_pows = one_r_powers(m, S, L)
     kq, kp = kappa
     _, root, _ = base_series(S, L)
     lg, l2_big = h_m_shared(S, L)
@@ -417,10 +413,11 @@ def direct_reduction(m: int, S: int, L: int) -> Series2:
     return Series2(out, S, L)
 
 
-def verify_h_m(m: int, S: int, L: int, one_r_pows=None) -> Report:
+def verify_h_m(m: int, S: int, L: int, one_r_pows) -> Report:
     """h_m equals the direct reduction coefficientwise and has weighted
     degree <= 2m; the log2 component must cancel identically.  The powers
-    of 1 + r may be passed in, as for `h_m_series`."""
+    of 1 + r are those of `h_m_series`; they are read only when the caps
+    leave something to compare."""
     t0 = time.perf_counter()
     params = {"m": m, "s_cap": S, "lambda_cap": L}
     if L < 0:

@@ -84,7 +84,7 @@ def f_table(K_max: int, I_max: int) -> FTable:
 # -- template vanishing ----------------------------------------------------
 
 
-def verify_vanishing(n: int, I_max: int, tab: FTable | None = None,
+def verify_vanishing(n: int, I_max: int, tab: FTable,
                      ks: tuple | None = None) -> Report:
     """Integrate t^m s^l f_{k,i} over dimension n for every degree-matched
     (m, l, i): m + 2l + k + 2i = 2n.  All integrals must vanish exactly.
@@ -100,8 +100,6 @@ def verify_vanishing(n: int, I_max: int, tab: FTable | None = None,
         return inconclusive("vanishing", params,
                             f"no template integral of degree 2n = {2 * n} "
                             f"meets k in {list(ks)} and i <= {I_max}", 0, t0)
-    if tab is None:
-        tab = f_table(max(ks), I_max)
     if max(ks) > tab.K_max or I_max > tab.I_max:
         raise ValueError("f-table caps too small for this check")
     central = [comb(2 * j, j) for j in range(n + 1)]
@@ -130,16 +128,14 @@ def verify_vanishing(n: int, I_max: int, tab: FTable | None = None,
     return passed("vanishing", params, cases, t0)
 
 
-def conjecture_reports(n_max: int, i_max: int, jobs: int = 1,
-                       tab: FTable | None = None) -> list:
+def conjecture_reports(n_max: int, i_max: int, jobs: int,
+                       tab: FTable) -> list:
     """One vanishing report per dimension 1..n_max, computed from a single
-    shared f-table (built here unless given).  `jobs` > 1 farms the
+    shared f-table that reaches k = n_max + 2 and i_max.  `jobs` > 1 farms the
     dimensions out to worker processes in at most `jobs` chunks, so the
     table, bound into the task, is pickled at most `jobs` times; the
     reports come back in dimension order, so the output is independent of
     the level of parallelism."""
-    if tab is None:
-        tab = f_table(n_max + 2, i_max)
     task = partial(verify_vanishing, I_max=i_max, tab=tab)
     dims = range(1, n_max + 1)
     if jobs > 1:
@@ -152,15 +148,14 @@ def conjecture_reports(n_max: int, i_max: int, jobs: int = 1,
     return list(map(task, dims))
 
 
-def restriction_spot_check(n_max: int, i_max: int,
-                           tab: FTable | None = None) -> Report:
+def restriction_spot_check(n_max: int, i_max: int, tab: FTable) -> Report:
     """The same vanishing for k = n+3, n+4 (restriction closure), n <= n_max,
     read from `tab` when it reaches k = n_max + 4 and i_max, and otherwise
     from a table built here.  An entry f_{k,i} does not depend on the caps
     of the table that holds it, so either table gives the same report."""
     t0 = time.perf_counter()
     params = {"n_max": n_max, "i_max": i_max, "offsets": [3, 4]}
-    if tab is None or tab.K_max < n_max + 4 or tab.I_max < i_max:
+    if tab.K_max < n_max + 4 or tab.I_max < i_max:
         tab = f_table(n_max + 4, i_max)
     cases = 0
     for n in range(1, n_max + 1):

@@ -7,7 +7,7 @@ import time
 from tutteval import holonomic, template, tutte, verifier
 from tutteval.cli import main
 from tutteval.exactnum import ONE, Rat, ZERO
-from tutteval.polyring import poly_parse
+from tutteval.polyring import Poly
 
 
 def _criterion(num, label, budget, fn):
@@ -50,11 +50,12 @@ def test_criterion_3_first_derivative_closed_form():
     def check():
         rep = holonomic.p0_report()
         assert rep.ok, rep.line()
-        num = poly_parse("12*l*f^3 + 52*l*f^2 + 4*l*f - 36*l + 9*f")
+        l, f = Poly.var("l"), Poly.var("f")
+        num = 12 * l * f ** 3 + 52 * l * f ** 2 + 4 * l * f - 36 * l + 9 * f
         p0 = holonomic.p0_quot()
         assert len(p0.num) == 4
         for i in range(4):
-            assert p0.num[i].scale(p0.c) * poly_parse("256*l^2 - 27*l") == \
+            assert p0.num[i].scale(p0.c) * (256 * l ** 2 - 27 * l) == \
                 p0.den_poly() * num.as_univar("f")[i]
 
     _criterion(3, "first derivative as exact rational function", 1, check)
@@ -74,8 +75,9 @@ def test_criterion_4_ode_and_series_identity():
 
 def test_criterion_5_h_m_equivalence():
     def check():
+        pows = template.one_r_powers(6, 12, 8)
         for m in range(7):
-            rep = template.verify_h_m(m, 12, 8)
+            rep = template.verify_h_m(m, 12, 8, pows)
             assert rep.ok, rep.line()
 
     _criterion(5, "reduced series h_m, m<=6, caps (12,8)", 120, check)
@@ -115,7 +117,7 @@ def test_criterion_7_b_sequence_both_routes():
 
 def test_criterion_8_vanishing_single_job():
     def check():
-        reps = verifier.conjecture_reports(8, 6, jobs=1)
+        reps = verifier.conjecture_reports(8, 6, 1, verifier.f_table(10, 6))
         assert len(reps) == 8
         for r in reps:
             assert r.ok, r.line()
@@ -125,7 +127,7 @@ def test_criterion_8_vanishing_single_job():
 
 def test_criterion_8b_vanishing_parallel():
     def check():
-        reps = verifier.conjecture_reports(8, 6, jobs=8)
+        reps = verifier.conjecture_reports(8, 6, 8, verifier.f_table(10, 6))
         assert all(r.ok for r in reps)
 
     _criterion(8, "template vanishing n<=8 i<=6, eight processes", 120, check)

@@ -366,7 +366,7 @@ def test_small_caps_pass_only_on_a_real_comparison(suite, tmp_path, capsys):
 
 def test_hm_with_nothing_to_compare_is_inconclusive(capsys):
     # h_0 and its direct reduction both vanish at lambda cap 0
-    rep = template.verify_h_m(0, 3, 0)
+    rep = template.verify_h_m(0, 3, 0, template.one_r_powers(0, 3, 0))
     assert rep.status == "inconclusive" and rep.n_cases == 0
     assert rep.witness == ("h_0 and its direct reduction both vanish at "
                            "s cap 3, lambda cap 0; nothing to compare")

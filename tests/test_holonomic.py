@@ -15,7 +15,8 @@ from tutteval.exactnum import ONE, Rat
 from tutteval.holonomic import (_PQ_ONE, DependencyVector, PhiQuot,
                                 _invert_mod_p, _kernel_vector, _pq_dlam,
                                 _pq_eq, _pq_mul, _pq_normalize, _pq_scale,
-                                _pq_sum, _rank4_witness, _squarefree,
+                                _pq_sum, _rank4_witness, _reduce_top,
+                                _squarefree,
                                 b_direct, b_equality_report,
                                 b_recursion, coprimality_report,
                                 dependency_report,
@@ -23,10 +24,9 @@ from tutteval.holonomic import (_PQ_ONE, DependencyVector, PhiQuot,
                                 p0_series_report, pq_from_poly, q1_phi,
                                 q_tower, tower_oracle)
 from tutteval.polyring import (Poly, partial_derivative, poly_div_exact,
-                               poly_gcd, poly_parse, poly_to_str,
-                               primitive_rat)
+                               poly_gcd, poly_to_str, primitive_rat)
 
-s = Poly.var("s")
+s, lam, phi = Poly.var("s"), Poly.var("l"), Poly.var("f")
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -36,8 +36,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def test_p0_closed_form():
     # phi' = (12 l phi^3 + 52 l phi^2 + 4 l phi - 36 l + 9 phi)
     #        / ((256 l - 27) l), as phi-coefficients
-    num = poly_parse("12*l*f^3 + 52*l*f^2 + 4*l*f - 36*l + 9*f")
-    den = poly_parse("256*l^2 - 27*l")
+    num = (12 * lam * phi ** 3 + 52 * lam * phi ** 2 + 4 * lam * phi
+           - 36 * lam + 9 * phi)
+    den = 256 * lam ** 2 - 27 * lam
     p0 = p0_quot()
     assert len(p0.num) == 4
     for i in range(4):
@@ -81,7 +82,7 @@ def test_p0_reports():
 
 
 def test_p0_report_rejects_a_wrong_p0(monkeypatch):
-    wrong = _pq_sum([(ONE, p0_quot()), (ONE, pq_from_poly(poly_parse("f")))])
+    wrong = _pq_sum([(ONE, p0_quot()), (ONE, pq_from_poly(phi))])
     monkeypatch.setattr(holonomic, "p0_quot", lambda: wrong)
     rep = p0_report()
     assert rep.status == "fail" and rep.witness.startswith("got ")
@@ -91,20 +92,54 @@ def test_p0_report_rejects_a_wrong_p0(monkeypatch):
 
 
 def test_pq_roundtrip_and_ring_ops():
-    a = pq_from_poly(poly_parse("2*f + l"))
-    b = pq_from_poly(poly_parse("f^2 - 3"))
-    assert _pq_eq(_pq_mul(a, b), pq_from_poly(
-        poly_parse("2*f + l") * poly_parse("f^2 - 3")))
+    a = pq_from_poly(2 * phi + lam)
+    b = pq_from_poly(phi ** 2 - 3)
+    assert _pq_eq(_pq_mul(a, b), pq_from_poly((2 * phi + lam) * (phi ** 2 - 3)))
     assert _pq_eq(_pq_sum([(ONE, a), (Rat(-1), a)]), PhiQuot([], {}, ONE))
     # a Poly multiplier in (s, lambda), and terms over different primes
-    lam = Poly.var("l")
     assert _pq_eq(_pq_sum([(lam, a), (Rat(3), b)]), pq_from_poly(
-        lam * poly_parse("2*f + l") + 3 * poly_parse("f^2 - 3")))
+        lam * (2 * phi + lam) + 3 * (phi ** 2 - 3)))
     c = _pq_normalize([s], {holonomic.LAM: 2, holonomic.SINGULAR: 1}, ONE)
     assert _pq_eq(_pq_sum([(lam * holonomic.SINGULAR, c), (s, c)]),
                   _pq_normalize([s * (lam * holonomic.SINGULAR + s)],
                                 dict(c.den), ONE))
     assert _pq_dlam(pq_from_poly(Poly.one())).is_zero()
+
+
+def _bivariate(max_deg: int, lam: bool):
+    mono = st.tuples(st.integers(0, max_deg),
+                     st.integers(0, max_deg if lam else 0))
+    return st.dictionaries(mono, st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=4).map(
+        lambda d: Poly({(0, i, j, 0, 0, 0): c for (i, j), c in d.items()}))
+
+
+def _phi_value(num: list) -> Poly:
+    return sum((n * phi ** k for k, n in enumerate(num)), Poly())
+
+
+@given(st.lists(st.one_of(st.just(Poly()), _bivariate(3, True)),
+                max_size=7))
+@settings(max_examples=60, deadline=None)
+def test_reduce_top_matches_the_phi4_rule_term_by_term(num):
+    # reference: lambda times the value, with each term c phi^k, k >= 4,
+    # replaced by (c / lambda) phi^(k-4) (phi - lambda (1 + phi)^4 +
+    # lambda phi^4), i.e. lambda phi^4 = phi - lambda (1 + 4 phi + 6 phi^2
+    # + 4 phi^3), one term at a time until the phi-degree is <= 3
+    rest = phi - lam * (4 * phi ** 3 + 6 * phi ** 2 + 4 * phi + 1)
+    ref = lam * _phi_value(num)
+    while ref.degree("f") >= 4:
+        m, c = next((m, c) for m, c in ref.terms.items() if m[3] >= 4)
+        head = Poly({m: c})
+        ref = ref - head + poly_div_exact(head, lam * phi ** 4) * rest
+    low, v = _reduce_top(num)
+    assert len(low) <= 4 and v in (0, 1)
+    assert _phi_value(low) * lam ** (1 - v) == ref
+
+
+def test_reduce_top_refuses_phi_degree_above_6():
+    with pytest.raises(ValueError, match="phi-degree 7 above 6"):
+        _reduce_top([Poly.one()] * 8)
 
 
 # -- square-free denominator primes -----------------------------------------
@@ -131,25 +166,20 @@ def _is_squarefree(p: Poly) -> bool:
 
 def test_squarefree_splits_the_inversion_core_like_sympy(monkeypatch):
     # the core is v w^2 with w = (1 + l s)^4 - s: one denominator prime for
-    # the whole core could never cancel a single w
+    # the whole core could never cancel a single w.  Both factor lists are
+    # compared inside sympy, each factor made monic
     sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("l s")
+
+    def monic(p):
+        return sympy.Poly(sympy.sympify(poly_to_str(p).replace("^", "**")),
+                          *gens).monic()
+
     core = _inversion_core(monkeypatch)
-    ours = {poly_to_str(p): e for p, e in _squarefree(core).items()}
-    _, factors = sympy.sqf_list(sympy.sympify(
-        poly_to_str(core).replace("^", "**")))
-    theirs = {poly_to_str(primitive_rat(poly_parse(
-        str(sympy.expand(f)).replace("**", "^")))[1]): e for f, e in factors}
-    assert ours == theirs
-    w = (1 + poly_parse("l*s")) ** 4 - s
-    assert ours[poly_to_str(w)] == 2 and len(ours) == 2
-
-
-def _bivariate(max_deg: int, lam: bool):
-    mono = st.tuples(st.integers(0, max_deg),
-                     st.integers(0, max_deg if lam else 0))
-    return st.dictionaries(mono, st.integers(-3, 3).filter(bool),
-                           min_size=1, max_size=4).map(
-        lambda d: Poly({(0, i, j, 0, 0, 0): c for (i, j), c in d.items()}))
+    ours = {monic(p): e for p, e in _squarefree(core).items()}
+    _, factors = sympy.sqf_list(monic(core))
+    assert ours == {f.monic(): e for f, e in factors}
+    assert ours[monic((1 + lam * s) ** 4 - s)] == 2 and len(ours) == 2
 
 
 @given(_bivariate(2, True), _bivariate(2, True), _bivariate(2, False),
@@ -175,7 +205,6 @@ def test_squarefree_examples():
     assert _squarefree(Poly.one()) == {}
     sq = _squarefree(primitive_rat((s + 1) ** 3 * (s - 2))[1])
     assert sq == {s - 2: 1, s + 1: 3}
-    lam = Poly.var("l")
     f = (s + 1) ** 2 * (lam + s) ** 3 * (lam * s - 1)
     assert _squarefree(primitive_rat(f)[1]) == {
         lam * s - 1: 1, lam + s: 3, s + 1: 2}
@@ -238,7 +267,6 @@ def test_dependency_Rhat():
 
 def test_dependency_table_rebuilds_the_entries():
     # the table holds exactly the nonzero R_ik = k! [lambda^k] R_i, in s
-    lam = Poly.var("l")
     for dv in (find_R(), find_Rhat()):
         table = dv.table()
         assert all(p and p.vars_present() <= {1} for p in table.values())
@@ -330,15 +358,15 @@ def test_kernel_vector_matches_cramer(seed):
 
 
 def test_kernel_vector_rejects_rank_deficiency():
-    a = pq_from_poly(poly_parse("f + s*l"))
-    b = pq_from_poly(poly_parse("f^2 - l + 1"))
-    c = pq_from_poly(poly_parse("f^3 + 2*f + s"))
-    d = pq_from_poly(poly_parse("3*f^3 - f^2 + 7"))
+    a = pq_from_poly(phi + s * lam)
+    b = pq_from_poly(phi ** 2 - lam + 1)
+    c = pq_from_poly(phi ** 3 + 2 * phi + s)
+    d = pq_from_poly(3 * phi ** 3 - phi ** 2 + 7)
     assert len(_kernel_vector([_PQ_ONE, a, b, c, d])) == 5
     # rows 2 and 3 equal: rows 1..3 have rank 2, every 3x3 minor vanishes
-    low = [pq_from_poly(poly_parse(text)) for text in (
-        "f + s*l", "f^3 + f^2", "3*f^3 + 3*f^2 + 2*f + s",
-        "l*f^3 + l*f^2 + 7")]
+    low = [pq_from_poly(p) for p in (
+        phi + s * lam, phi ** 3 + phi ** 2, 3 * phi ** 3 + 3 * phi ** 2
+        + 2 * phi + s, lam * phi ** 3 + lam * phi ** 2 + 7)]
     with pytest.raises(ArithmeticError, match="kernel dimension exceeds 1"):
         _kernel_vector([_PQ_ONE] + low)
     # phi-degree <= 2 everywhere leaves row 3 zero
@@ -362,9 +390,9 @@ def test_rank4_witness():
     assert _rank4_witness([tower[0], tower[1], tower[2], tower[2]]) is None
     # a point where a denominator prime vanishes is skipped: s - 2 vanishes
     # at the first point, so the second certifies
-    a, b, c, d = (pq_from_poly(poly_parse(text)) for text in (
-        "1", "f + s*l", "f^2 - l + 1", "f^3 + 2*f + s"))
-    b = PhiQuot(b.num, {poly_parse("s - 2"): 1}, b.c)
+    a, b, c, d = (pq_from_poly(p) for p in (
+        Poly.one(), phi + s * lam, phi ** 2 - lam + 1, phi ** 3 + 2 * phi + s))
+    b = PhiQuot(b.num, {s - 2: 1}, b.c)
     assert _rank4_witness([a, b, c, d]) == (3, 2)
 
 
@@ -497,8 +525,8 @@ def test_b_direct_low_orders():
     bs = b_direct(8, 4)
     assert bs.bl[0] == Poly.one()
     assert bs.bl[1] == 3 * s + 1
-    assert bs.bl[2] == poly_parse("4*s^2 + 10*s + 6")
-    assert bs.bl[3] == poly_parse("36*s^2 + 114*s + 78")
+    assert bs.bl[2] == 4 * s ** 2 + 10 * s + 6
+    assert bs.bl[3] == 36 * s ** 2 + 114 * s + 78
     assert bs.degree_report().ok
 
 

@@ -15,7 +15,7 @@ from tutteval._kernels_py import mul_poly
 from tutteval.polyring import (VARS, Poly, _euclid_lists, _interpolate,
                                _poly_gcd_bivar, clear_and_normalize,
                                partial_derivative, poly_div_exact, poly_gcd,
-                               poly_parse, poly_to_str, primitive_rat,
+                               poly_to_str, primitive_rat,
                                rat_content, sum_of_products)
 
 t, s, lam = Poly.var("t"), Poly.var("s"), Poly.var("l")
@@ -38,8 +38,8 @@ def _random_poly(rng, nvars=2, deg=4, nterms=5, start=0):
 def test_poly_basics():
     p = (t + s) * (t - s)
     assert p == t * t - s * s
-    assert p.degree("t") == 2
-    assert p.degree() == 2
+    assert p.degree("t") == p.degree("s") == 2
+    assert p.degree("l") == 0 and Poly().degree("t") == -1
     assert (t + 1) ** 3 == t ** 3 + 3 * t ** 2 + 3 * t + 1
 
 
@@ -61,18 +61,13 @@ def test_poly_zero_and_const():
     assert not (t + 1).is_const()
 
 
-def test_str_parse_roundtrip():
+def test_str_canonical_text():
+    # descending graded-lex order, unit coefficients and magnitudes written
+    # without their sign, which goes between the terms
     p = 3 * t ** 2 * s - Rat(1, 2) * lam + 7
-    assert poly_parse(poly_to_str(p)) == p
-    assert poly_parse("12*l*f^3 + 52*l*f^2 + 4*l*f - 36*l + 9*f").degree("f") == 3
-
-
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=30)
-def test_roundtrip_random(seed):
-    rng = random.Random(seed)
-    p = _random_poly(rng, nvars=3, start=1)
-    assert poly_parse(poly_to_str(p)) == p
+    assert poly_to_str(p) == "3*t^2*s - 1/2*l + 7"
+    assert poly_to_str(1 - t * lam ** 2) == "-t*l^2 + 1"
+    assert poly_to_str(Poly()) == "0"
 
 
 def test_partial_derivative():
@@ -251,7 +246,7 @@ def test_div_exact_at_field_width_boundary(k):
         B = 3 * s ** (top // 2) - 2 * lam + 1
         Q = t ** (top - top // 2) + 5 * lam - 7
         A = B * Q
-        assert A.degree() == top
+        assert max(map(sum, A.terms)) == top
         assert _agrees_with_naive(A, B) == Q.terms
         _agrees_with_naive(A + t, B)
         _agrees_with_naive(A, B * t)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tutteval import _kernels_py, series, template
 from tutteval.cli import main
 from tutteval.exactnum import ONE, Rat, ZERO
-from tutteval.polyring import Poly, poly_parse, poly_to_str
+from tutteval.polyring import Poly, poly_to_str
 from tutteval.series import Series2, Series3
 from tutteval.template import (direct_reduction, integrate, kappa_constant,
                                monomial_template, q1_poly, q2_poly,
@@ -108,9 +108,10 @@ def test_monomial_template_closed_form(a, b, n):
 
 def test_integrate_hand_examples():
     # the two lowest relations integrate to zero by hand
-    assert integrate(poly_parse("s - 1/2*t^2"), 1) == ZERO
-    assert integrate(poly_parse("1/3*t^4 - t^2*s"), 2) == ZERO
-    assert integrate(poly_parse("t^2"), 1) == Rat(2)
+    t, s = Poly.var("t"), Poly.var("s")
+    assert integrate(s - Rat(1, 2) * t ** 2, 1) == ZERO
+    assert integrate(Rat(1, 3) * t ** 4 - t ** 2 * s, 2) == ZERO
+    assert integrate(t ** 2, 1) == Rat(2)
     with pytest.raises(ValueError):
         integrate(Poly.var("l"), 1)
 
@@ -169,9 +170,10 @@ def test_relation_series_matches_three_variable_route_property(D, L):
 
 
 def _spy_every_binding(monkeypatch, fn, calls, name):
-    """Count the calls of `fn` through every binding of it in tutteval."""
+    """Record (name, args) for each call of `fn` through every binding of
+    it in tutteval."""
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append((name, args))
         return fn(*args, **kwargs)
 
     for modname, mod in list(sys.modules.items()):
@@ -214,14 +216,45 @@ def test_reports_make_no_series3_product(argv, monkeypatch, capsys):
     calls = []
     _spy_every_binding(monkeypatch, _kernels_py.mul_trunc3, calls,
                        "mul_trunc3")
+    _clear_caches()
+    assert main(argv + ["--jobs", "1"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def _clear_caches():
     for mod in [m for n, m in sys.modules.items()
                 if n.startswith("tutteval") and m is not None]:
         for val in vars(mod).values():
             if hasattr(val, "cache_clear"):
                 val.cache_clear()
+
+
+def _int_maps(name: str, args: tuple) -> bool:
+    maps = ([X for pair in args[0] for X in pair] if name == "mul_packed"
+            else args[:2])
+    return all(type(c) is int for X in maps for c in X.values())
+
+
+@pytest.mark.parametrize("argv, kernels", [
+    (["all"], {"mul_poly", "mul_trunc2", "mul_packed"}),
+    (["conjecture", "--n-max", "16", "--i-max", "10"], set())])
+def test_reports_give_the_kernels_ints_only(argv, kernels, monkeypatch,
+                                            capsys):
+    # the kernels test no coefficient type: `Poly` and series products
+    # clear denominators first, and `sum_of_products` packs only ints, so
+    # every kernel call of a cold run gets maps to ints.  The conjecture
+    # run writes its relation series down with no product at all, so there
+    # the check guards against a future caller
+    calls = []
+    for name in ("mul_poly", "mul_trunc2", "mul_packed"):
+        _spy_every_binding(monkeypatch, getattr(_kernels_py, name), calls,
+                           name)
+    _clear_caches()
     assert main(argv + ["--jobs", "1"]) == 0
     capsys.readouterr()
-    assert calls == []
+    assert kernels <= {name for name, _ in calls}
+    assert [name for name, args in calls if not _int_maps(name, args)] == []
 
 
 def test_relation_series_digest():
@@ -343,13 +376,15 @@ def test_kappa_by_sympy():
 
 
 def test_h_m_small_caps():
+    pows = template.one_r_powers(3, 8, 5)
     for m in range(4):
-        rep = verify_h_m(m, 8, 5)
+        rep = verify_h_m(m, 8, 5, pows)
         assert rep.ok, rep.line()
 
 
 def test_h_m_cap_guard():
-    rep = verify_h_m(6, 2, 3)
+    # the caps leave nothing to compare, so no power of 1 + r is read
+    rep = verify_h_m(6, 2, 3, None)
     assert rep.status == "inconclusive"
 
 
@@ -446,5 +481,7 @@ def test_h_m_series_reads_a_prefix_of_the_shared_powers():
     pows = template.one_r_powers(6, 8, 5)
     assert len(pows) == 7 and pows[2] == pows[1] * pows[1]
     for m in range(7):
-        assert template.h_m_series(m, 8, 5, None, pows) == \
-            template.h_m_series(m, 8, 5)
+        kappa = kappa_constant(m)
+        assert template.h_m_series(m, 8, 5, kappa, pows) == \
+            template.h_m_series(m, 8, 5, kappa,
+                                template.one_r_powers(m, 8, 5))

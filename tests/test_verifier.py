@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from tutteval.exactnum import ZERO
-from tutteval.polyring import Poly, poly_parse
+from tutteval.exactnum import Rat, ZERO
+from tutteval.polyring import Poly
 from tutteval.series import Series2
 from tutteval.template import integrate
 from tutteval.verifier import (FTable, conjecture_reports, f_table,
@@ -16,12 +16,15 @@ from tutteval.verifier import (FTable, conjecture_reports, f_table,
 from test_template import _relation_series_3var
 
 
+t, s = Poly.var("t"), Poly.var("s")
+
+
 def test_f_table_low_entries():
     tab = f_table(3, 0)
     # log(1 + t + s + ...) starts t + (s - t^2/2) + (t^3/3 - t s) + ...
-    assert tab.get(1, 0) == poly_parse("t")
-    assert tab.get(2, 0) == poly_parse("s - 1/2*t^2")
-    assert tab.get(3, 0) == poly_parse("1/3*t^3 - t*s")
+    assert tab.get(1, 0) == t
+    assert tab.get(2, 0) == s - Rat(1, 2) * t ** 2
+    assert tab.get(3, 0) == Rat(1, 3) * t ** 3 - t * s
 
 
 def test_f_table_weighted_homogeneous():
@@ -57,39 +60,41 @@ def test_f_table_bad_caps():
 
 def test_low_entries_integrate_to_zero():
     # the two hand-checkable cases behind the smallest dimension
-    assert integrate(poly_parse("s - 1/2*t^2"), 1) == ZERO
-    assert integrate(poly_parse("1/3*t^3 - t*s") * poly_parse("t"), 2) == ZERO
+    assert integrate(s - Rat(1, 2) * t ** 2, 1) == ZERO
+    assert integrate((Rat(1, 3) * t ** 3 - t * s) * t, 2) == ZERO
 
 
 def test_vanishing_small():
+    tab = f_table(5, 3)
     for n in (1, 2, 3):
-        rep = verify_vanishing(n, 3)
+        rep = verify_vanishing(n, 3, tab)
         assert rep.ok, rep.line()
         assert rep.n_cases > 0
 
 
 def test_flat_column():
     # the lambda = 0 column: templates annihilate f_{n+1,0} and f_{n+2,0}
-    assert verify_vanishing(2, 0).ok
+    tab = f_table(4, 0)
+    assert verify_vanishing(2, 0, tab).ok
     # n = 0: no degree-matched cases at all, so nothing was compared
-    rep = verify_vanishing(0, 0)
+    rep = verify_vanishing(0, 0, tab)
     assert rep.status == "inconclusive" and rep.n_cases == 0
 
 
 def test_empty_ranges_are_inconclusive():
     # a direct call whose range holds no case says so instead of passing
-    rep = verify_vanishing(1, 0, ks=(5,))
+    rep = verify_vanishing(1, 0, f_table(5, 0), ks=(5,))
     assert rep.status == "inconclusive" and rep.n_cases == 0
     assert rep.witness == ("no template integral of degree 2n = 2 meets k "
                            "in [5] and i <= 0")
-    assert verify_vanishing(2, -1).status == "inconclusive"
+    assert verify_vanishing(2, -1, f_table(4, 0)).status == "inconclusive"
     rep = FTable(0, 0).degree_report()
     assert rep.status == "inconclusive"
     assert rep.witness == "the table has no entry to check"
     # n = 1, 2 have no case for k = n + 3, n + 4; n = 3 has one
-    rep = restriction_spot_check(2, 4)
+    rep = restriction_spot_check(2, 4, f_table(6, 4))
     assert rep.status == "inconclusive" and rep.n_cases == 0
-    rep = restriction_spot_check(3, 0)
+    rep = restriction_spot_check(3, 0, f_table(7, 0))
     assert rep.ok and rep.n_cases == 1
 
 
@@ -100,16 +105,20 @@ def test_cap_guard():
 
 
 def test_conjecture_reports_order_and_jobs():
-    seq = conjecture_reports(3, 2)
+    tab = f_table(5, 2)
+    seq = conjecture_reports(3, 2, 1, tab)
     assert [r.params["n"] for r in seq] == [1, 2, 3]
     assert all(r.ok for r in seq)
-    par = conjecture_reports(3, 2, jobs=2)
+    par = conjecture_reports(3, 2, 2, tab)
     # everything but the wall time (scrubbed by to_json_obj) must match
     assert [r.to_json_obj() for r in par] == [r.to_json_obj() for r in seq]
 
 
 def test_restriction_spot_check():
-    assert restriction_spot_check(3, 2).ok
+    # from a table that reaches k = n_max + 4, and from a smaller one,
+    # which the check replaces
+    assert restriction_spot_check(3, 2, f_table(7, 2)).ok
+    assert restriction_spot_check(3, 2, f_table(5, 2)).ok
 
 
 def test_hilbert_coeffs():
