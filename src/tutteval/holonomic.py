@@ -3,22 +3,33 @@
 The algebraic series phi (phi = lambda(1+phi)^4) makes
 F = sqrt([1 + lambda s + s + (1+lambda s) phi (1-phi-phi^2)]^2 - 4s(1+lambda s)^2)
 holonomic of rank 4 in lambda.  This module derives phi' = P0(lambda, phi),
-builds the derivative tower d^iF/dlambda^i = Q_i F with Q_i of phi-degree
-<= 3 over the fraction field in (s, lambda), extracts the two linear
-dependency vectors among the Q_i/i!, and runs the resulting recursions for
+builds a derivative tower over the fraction field in (s, lambda), extracts
+the two linear dependency vectors among the Q_i/i!, Q_i = F^(i)/F the
+derivatives d^iF/dlambda^i over F, and runs the resulting recursions for
 the coefficients b_l, whose s-degree bound (<= l) is the target statement.
+
+The tower is T_i = W^i F^(i)/F, W = F^2 reduced modulo P = phi -
+lambda(1+phi)^4, each of phi-degree <= 3: T_0 = 1 and T_(i+1) =
+W dT_i - (i - 1/2) dW T_i, d the lambda derivative along phi(lambda).  It
+takes no inverse modulo P, so its denominators hold only lambda and
+256 lambda - 27, those of P0.  W is a unit modulo P, so the columns
+W^(top-i) T_i/i! = W^top Q_i/i! have the linear relations of the Q_i/i!:
+the kernel, its rank witness and the re-expansions read those columns, and
+the series oracle checks W^i F^(i) = T_i F.  Their minors carry powers of
+the norm N(W), the determinant of W's multiplication matrix, whose
+square-free factors join lambda and 256 lambda - 27 as the known primes
+stripped from the minors.
 
 Generic fraction arithmetic over Q(s, lambda) swells badly (every operation
 triggers a bivariate gcd), so tower elements are held as PhiQuot values: a
 phi-polynomial numerator over a denominator kept in FACTORED form, a product
-of powers of a few fixed primes (lambda, 256 lambda - 27, and the square-free
-factors of the core of an inversion determinant), each the key of its
-exponent.  Cancellation then needs only trial exact divisions by the primes
-a value carries, never a general gcd.  The primes are square-free and
-pairwise coprime, so a numerator that one factor of the core divides loses
-that factor, whatever the others do.  A sum of PhiQuot values, with rational
-or (s, lambda)-polynomial multipliers, is taken by `_pq_sum` over the least
-common factored denominator and normalized once.
+of powers of a few fixed primes, each the key of its exponent.  Cancellation
+then needs only trial exact divisions by the primes a value carries, never
+a general gcd.  The primes are square-free and pairwise coprime, so a
+numerator that one of them divides loses that factor, whatever the others
+do.  A sum of PhiQuot values, with rational or (s, lambda)-polynomial
+multipliers, is taken by `_pq_sum` over the least common factored
+denominator and normalized once.
 
 Each dependency vector carries its band: R among Q_0..Q_4 and Rhat among
 Q_1..Q_5 have the lambda-coefficients (i, i - offset - 1) equal to positive
@@ -112,31 +123,58 @@ def _power_product(exps: dict, base: dict) -> Poly:
                  if e > base.get(p, 0)), start=Poly.one())
 
 
+def _multiplicity(v: int, px: int, cap) -> int:
+    """The largest k <= cap with px^k dividing v; v != 0, |px| >= 2."""
+    k = 0
+    while k < cap and not v % px:
+        v //= px
+        k += 1
+    return k
+
+
 def _strip_primes(num: list, caps: dict) -> tuple:
     """(quotients, {p: k}): the entries of num, not all zero, divided by
     p^k for each prime p of caps, k <= caps[p] the largest such that p^k
     divides every entry.  The primes are coprime, so the order does not
-    matter.  A prime p divides an entry n only if p(x) divides n(x) at the
-    point x of `point_value`, so every entry is tested there before any is
-    divided.  After a division, n(x)/p(x) is the value at x of an integer
-    multiple of the quotient, which keeps the test valid for the next power
-    of p."""
-    vals = None
-    ks = {}
+    matter.
+
+    If p^k divides an entry n, then p(x)^k divides n(x) at the point x of
+    `point_value`, so the point values bound k: every entry is divided once,
+    by p^k with k that bound, and k steps down only if a division fails.
+    The bound needs |p(x)| >= 2 and no nonzero entry vanishing at x; failing
+    that, p is divided out one power at a time, each round tried at the
+    point before any entry is divided.  After a division by p^k, n(x)/p(x)^k
+    is, up to sign, the value at x of the quotient's primitive part, which
+    keeps both tests valid for the next prime."""
+    vals, ks = None, {}
     for p, cap in caps.items():
-        px = point_value(p)
         k = 0
-        while k < cap:
-            if vals is None:
-                vals = [point_value(n) for n in num]
-            if px and any(v % px for v in vals):
+        if cap and vals is None:
+            vals = [point_value(n) for n in num]
+        px = point_value(p) if cap else 0
+        if abs(px) >= 2 and all(v for n, v in zip(num, vals) if n):
+            k = min(_multiplicity(v, px, cap) for v in vals if v)
+            while k:
+                pk = p ** k
+                try:
+                    num = [poly_div_exact(n, pk) if n else n for n in num]
+                except ArithmeticError:
+                    k -= 1
+                    continue
+                vals = [v // px ** k for v in vals]
                 break
-            try:
-                num = [poly_div_exact(n, p) if n else n for n in num]
-            except ArithmeticError:
-                break
-            vals = [v // px for v in vals] if px else None
-            k += 1
+        else:
+            while k < cap:
+                if vals is None:
+                    vals = [point_value(n) for n in num]
+                if px and any(v % px for v in vals):
+                    break
+                try:
+                    num = [poly_div_exact(n, p) if n else n for n in num]
+                except ArithmeticError:
+                    break
+                vals = [v // px for v in vals] if px else None
+                k += 1
         ks[p] = k
     return num, ks
 
@@ -268,22 +306,30 @@ def f_squared() -> Poly:
     return B * B - 4 * s * one_ls * one_ls
 
 
+def _minors(rows: list) -> dict:
+    """{cols: det} over the k-subsets cols of the columns of the k x n Poly
+    matrix `rows`, k <= n.  Each minor is expanded along its last row over
+    the minors of the rows above, which all minors of one size share, and
+    is one `sum_of_products`."""
+    n = len(rows[0])
+    level = {(j,): rows[0][j] for j in range(n)}
+    for k in range(1, len(rows)):
+        row = rows[k]
+        level = {cols: sum_of_products(
+            (row[c] if (k + t) % 2 == 0 else -row[c],
+             level[cols[:t] + cols[t + 1:]]) for t, c in enumerate(cols))
+            for cols in combinations(range(n), k + 1)}
+    return level
+
+
 def _row0_cofactors(M: list) -> list:
     """The signed row-0 cofactors of a 4x4 Poly matrix M: entry j is
     (-1)^j times the 3x3 minor of rows 1..3 omitting column j, so that
     det M = sum_j M[0][j] cof_j and, when rows 1..3 have rank 3, the
-    cofactors span their kernel.  Each minor is expanded along row 3 over
-    the six 2x2 minors of rows 1 and 2, which the four minors share; each
-    minor is one `sum_of_products`."""
-    m2 = {(j, k): sum_of_products([(M[1][j], M[2][k]), (-M[1][k], M[2][j])])
-          for j, k in combinations(range(4), 2)}
-    cofs = []
-    for i in range(4):
-        a, b, c = [j for j in range(4) if j != i]
-        y = sum_of_products([(M[3][a], m2[(b, c)]), (-M[3][b], m2[(a, c)]),
-                             (M[3][c], m2[(a, b)])])
-        cofs.append(-y if i % 2 else y)
-    return cofs
+    cofactors span their kernel."""
+    m3 = _minors(M[1:])
+    cofs = [m3[tuple(c for c in range(4) if c != j)] for j in range(4)]
+    return [-y if j % 2 else y for j, y in enumerate(cofs)]
 
 
 def _squarefree(f: Poly, v="l") -> dict:
@@ -321,14 +367,12 @@ def _squarefree(f: Poly, v="l") -> dict:
     return out
 
 
-def _invert_mod_p(G: PhiQuot) -> PhiQuot:
-    """X with G X = 1 modulo P, by Cramer's rule on the multiplication
-    matrix M: the coefficients of X are the row-0 cofactors of M over
-    det M, and the same cofactors give det M.  The determinant's primitive
-    core, if not constant, enters X's denominator next to lambda and
-    256 lambda - 27 as its square-free factors, each a prime with its
-    multiplicity, so that a numerator can cancel one factor without the
-    others."""
+def _norm(G: PhiQuot) -> tuple:
+    """(cofs, det, V) for G, whose denominator is a power of lambda: the
+    multiplication matrix M of G modulo P, lifted to polynomials by
+    lambda^V, its row-0 cofactors and det M, the norm N(G) times
+    lambda^(4V).  Column j of M holds the phi-coefficients of G phi^j.
+    det M = 0 raises ArithmeticError: G is then a zero divisor."""
     phi_pq = PhiQuot([Poly(), Poly.one()], {}, ONE)
     cols = []
     phi_pow = _PQ_ONE
@@ -348,11 +392,27 @@ def _invert_mod_p(G: PhiQuot) -> PhiQuot:
     det = sum_of_products(zip(M[0], cofs))
     if det.is_zero():
         raise ArithmeticError("multiplication matrix is singular")
-    # factor the determinant: lambda, 256 lambda - 27, a primitive core
+    return cofs, det, V
+
+
+def _det_primes(det: Poly) -> tuple:
+    """(r, {prime: exponent}) with det = r times the product of the prime
+    powers: lambda, 256 lambda - 27 and the square-free factors of the
+    primitive core left by them, each a prime with its multiplicity, so
+    that a numerator can cancel one factor without the others."""
     (core,), den = _strip_primes([det], {LAM: inf, SINGULAR: inf})
     r, core = primitive_rat(core)
     if not core.is_const():
         den.update(_squarefree(core))
+    return r, den
+
+
+def _invert_mod_p(G: PhiQuot) -> PhiQuot:
+    """X with G X = 1 modulo P, by Cramer's rule on the multiplication
+    matrix M of `_norm`: the coefficients of X are the row-0 cofactors of M
+    over det M, whose primes `_det_primes` finds."""
+    cofs, det, V = _norm(G)
+    r, den = _det_primes(det)
     lamV = LAM ** V
     X = _pq_normalize([lamV * cof for cof in cofs], den, ONE / r)
     if not _pq_eq(_pq_mul(G, X), _PQ_ONE):
@@ -370,36 +430,71 @@ def p0_quot() -> PhiQuot:
     return _pq_mul(_pq_scale(dP_dlam, Rat(-1)), _invert_mod_p(dP_dphi))
 
 
+def _pq_total(A: PhiQuot) -> PhiQuot:
+    """The lambda derivative along phi(lambda): d_lambda A + P0 d_phi A."""
+    return _pq_sum([(ONE, _pq_dlam(A)),
+                    (ONE, _pq_mul(_pq_dphi(A), p0_quot()))])
+
+
 @lru_cache(maxsize=1)
-def q1_phi() -> PhiQuot:
-    """Q1 with dF/dlambda = Q1 F along phi(lambda): the reduction of
-    (d_lambda F^2 + P0 d_phi F^2) (2 F^2)^-1, the total lambda derivative
-    of F^2 over 2 F^2, with the inverse taken modulo P."""
-    fsq = f_squared()
-    inv2G = _invert_mod_p(_pq_scale(pq_from_poly(fsq), Rat(2)))
-    dfsq = _pq_sum([
-        (ONE, pq_from_poly(partial_derivative(fsq, "l"))),
-        (ONE, _pq_mul(p0_quot(), pq_from_poly(partial_derivative(fsq, "f"))))])
-    return _pq_mul(dfsq, inv2G)
+def w_quot() -> tuple:
+    """(W, dW): W = F^2 reduced modulo P, a unit modulo P, and its lambda
+    derivative along phi(lambda), dW = 2 F F'."""
+    W = pq_from_poly(f_squared())
+    return W, _pq_total(W)
+
+
+@lru_cache(maxsize=1)
+def norm_primes() -> dict:
+    """{prime: inf} over lambda, 256 lambda - 27 and the square-free factors
+    of N(W) = det of the multiplication matrix of W: every prime that
+    `_kernel_vector` may find in a minor of the columns W^(top-i) T_i / i!.
+    N(W) = 0 raises ArithmeticError."""
+    _, det, _ = _norm(w_quot()[0])
+    _, den = _det_primes(det)
+    return dict.fromkeys([LAM, SINGULAR, *den], inf)
 
 
 @lru_cache(maxsize=None)
 def q_tower(kmax: int) -> tuple:
-    """(Q_0, ..., Q_kmax) with d^iF/dlambda^i = Q_i F, phi-degree <= 3.
+    """(T_0, ..., T_kmax) with T_i = W^i F^(i) / F, phi-degree <= 3.
 
-    Each tower extends the cached q_tower(kmax - 1) by one step.  Towers
-    are tuples, so neither that step nor a caller can change a cached one."""
+    T_0 = 1 and T_(i+1) = W dT_i - (i - 1/2) dW T_i, the lambda derivative
+    of W^i F^(i) / F times W: no inverse modulo P is taken, so every
+    denominator is a power of lambda or of 256 lambda - 27.  Each tower
+    extends the cached q_tower(kmax - 1) by one step.  Towers are tuples, so
+    neither that step nor a caller can change a cached one."""
     if not 1 <= kmax <= TOWER_MAX:
         raise ValueError(f"q_tower supports 1 <= kmax <= {TOWER_MAX}")
-    q1 = q1_phi()
-    if kmax == 1:
-        return (_PQ_ONE, q1)
-    tower = q_tower(kmax - 1)
-    qi = tower[-1]
-    qnext = _pq_sum([(ONE, _pq_dlam(qi)),
-                     (ONE, _pq_mul(_pq_dphi(qi), p0_quot())),
-                     (ONE, _pq_mul(qi, q1))])
-    return tower + (qnext,)
+    W, dW = w_quot()
+    tower = (_PQ_ONE,) if kmax == 1 else q_tower(kmax - 1)
+    i = kmax - 1
+    ti = tower[-1]
+    tnext = _pq_sum([(ONE, _pq_mul(W, _pq_total(ti))),
+                     (Rat(1, 2) - i, _pq_mul(dW, ti))])
+    return tower + (tnext,)
+
+
+@lru_cache(maxsize=2)
+def tower_columns(top: int) -> tuple:
+    """The five columns W^(top-i) T_i / i!, i = top - 4..top, that is W^top
+    times Q_i / i! with Q_i = F^(i) / F: as W is a unit modulo P, their
+    linear relations over Q(s, lambda) are those of the Q_i / i!."""
+    W = w_quot()[0]
+    tower = q_tower(top)
+    powers = [_PQ_ONE, W]
+    while len(powers) < 5:
+        powers.append(_pq_mul(powers[-1], W))
+    cols = []
+    for i in range(top - 4, top + 1):
+        if i == top:
+            col = tower[i]
+        elif i == 0:  # T_0 = 1
+            col = powers[top]
+        else:
+            col = _pq_mul(powers[top - i], tower[i])
+        cols.append(_pq_scale(col, Rat(1, factorial(i))))
+    return tuple(cols)
 
 
 # -- series oracles --------------------------------------------------------
@@ -438,33 +533,28 @@ def lambda_derivative(A: Series2) -> Series2:
                    *A.caps)
 
 
-def f_series(S: int, L: int) -> Series2:
-    """F(s, lambda, phi(lambda)) as a truncated series (principal sqrt)."""
-    phi = Series2(phi_series(L).coeffs, S, L)
-    fsq = poly_eval_series(f_squared(), phi, S, L)
-    return fsq.sqrt()
-
-
 def tower_oracle(i_max: int, S: int, L: int) -> Report:
-    """Check d^iF/dlambda^i = Q_i(s,lambda,phi(lambda)) F as truncated
-    series; accuracy lost to differentiation and lambda-denominators is
-    absorbed by a widened internal cap."""
+    """Check W^i d^iF/dlambda^i = T_i(s,lambda,phi(lambda)) F as truncated
+    series, W = F^2; accuracy lost to differentiation and lambda-denominators
+    is absorbed by a widened internal cap."""
     t0 = time.perf_counter()
     params = {"i_max": i_max, "s_cap": S, "lambda_cap": L}
     if not 1 <= i_max <= TOWER_MAX:
         return inconclusive("tower_oracle", params,
                             f"i_max {i_max} is outside 1..{TOWER_MAX}", 0, t0)
     tower = q_tower(i_max)
-    slack = max(q.den.get(LAM, 0) for q in tower)
+    slack = max(t.den.get(LAM, 0) for t in tower)
     Lw = L + i_max + slack
     phi = Series2(phi_series(Lw).coeffs, S, Lw)
-    F = f_series(S, Lw)
-    dF = F
+    W = poly_eval_series(f_squared(), phi, S, Lw)
+    F = W.sqrt()  # the principal root
+    dF, Wi = F, Series2.const(1, S, Lw)
     cases = 0
     for i in range(1, i_max + 1):
         dF = lambda_derivative(dF)
-        qi = pq_eval_series(tower[i], phi, S, Lw)
-        if dF.truncate(S, L) != (qi * F).truncate(S, L):
+        Wi = Wi * W
+        ti = pq_eval_series(tower[i], phi, S, Lw)
+        if (Wi * dF).truncate(S, L) != (ti * F).truncate(S, L):
             return failed("tower_oracle", params, f"mismatch at i={i}",
                           cases, t0)
         cases += 1
@@ -523,67 +613,45 @@ class DependencyVector(Record):
                 for (i, k), terms in parts.items()}
 
 
-def _kernel_vector(cols: list) -> list:
+def _kernel_vector(cols: list, primes: dict) -> list:
     """Kernel vector of the 4x5 phi-coefficient matrix of the PhiQuot
-    columns Q_0/0!, ..., Q_4/4!, whose column 0 is a nonzero constant,
-    i.e. a multiple of e_0.
+    columns, a line when that matrix has rank 4.
 
-    With N the numerator matrix and k its (0, 0) entry, the fraction-free
-    Cramer rule then needs only the four signed 3x3 minors y_j of rows 1..3
-    over columns 1..4, the row-0 cofactors of columns 1..4 from
-    `_row0_cofactors`: components 1..4 of the kernel of N are y_1..y_4,
-    and row 0 gives component 0 as -(N[0][1] y_1 + ... + N[0][4] y_4) / k.
-    All four minors vanishing would mean rows 1..3 have rank < 3, i.e.
-    kernel dimension > 1, and is rejected.  The components are then
-    rescaled by the column denominators.
+    With N the numerator matrix, the fraction-free Cramer rule gives the
+    kernel of N as the five signed 4x4 minors y_i, (-1)^i det N without
+    column i, from `_minors`.  All five vanishing means rank < 4, i.e.
+    kernel dimension > 1, and is rejected.  The value matrix has columns
+    c_i N_i / D_i, so component i is y_i D_i / c_i.
 
     The numerators that `_pq_normalize` leaves are content-free integer
     polynomials, so every product in the minors runs on integers (see
-    `Poly.__mul__`), several times faster than on rationals.  The (large)
-    common content of the components coming from the column denominators
-    is removed in exponent space by trial division by the primes of those
-    denominators.  Those primes are the square-free factors of the
-    inversion core, so stripping them leaves the components no common
-    factor, and the later generic gcd finds a constant.
-    The minors are stripped of those primes first, and component 0 is
-    summed from their cores times only the prime powers above the least
-    ones: the same polynomial, divided by a known prime power, from
-    products a few times smaller."""
-    head = cols[0]
-    if head.den or len(head.num) != 1 or not head.num[0].is_const() \
-            or head.num[0].is_zero():
-        raise ArithmeticError("column 0 is not a nonzero constant")
+    `Poly.__mul__`), several times faster than on rationals.  The large
+    common factor of the components, powers of the primes of the column
+    denominators and of `primes`, is removed in exponent space: each minor
+    is stripped of those primes, the column denominators are added as
+    exponents, and only the powers above the least ones are multiplied
+    back.  When `primes` holds every prime the minors share, the later
+    generic gcd finds a constant."""
     N = [[col.num[r] if r < len(col.num) else Poly() for col in cols]
          for r in range(4)]
-    ys = [Poly()] + _row0_cofactors([row[1:] for row in N])
+    m4 = _minors(N)
+    ys = [m4[tuple(c for c in range(5) if c != i)] for i in range(5)]
     if all(y.is_zero() for y in ys):
         raise ArithmeticError(
-            "all 3x3 minors of rows 1..3 vanish: kernel dimension exceeds 1")
-    primes = dict.fromkeys((p for col in cols for p in col.den), inf)
-
-    def strip(d: Poly) -> tuple:
-        if d.is_zero():
-            return d, {}
-        (core,), exps = _strip_primes([d], primes)
-        return core, exps
-
-    def least() -> dict:
-        return {p: min(e.get(p, 0) for core, e in stripped
-                       if not core.is_zero()) for p in primes}
-
-    stripped = [strip(y) for y in ys]
-    low = least()
-    x0 = sum_of_products((m, core * _power_product(exps, low))
-                         for m, (core, exps) in zip(N[0][1:], stripped[1:]))
-    core, exps = strip(x0.scale(-ONE / head.num[0].const_value()))
-    stripped[0] = (core, {p: exps.get(p, 0) + e for p, e in low.items()})
-    # undo the column scaling: the value matrix has columns c_i N_i / D_i,
-    # so component i picks up D_i / c_i; track the prime powers of D_i and
-    # of the minors themselves as exponent vectors and drop their common part
-    for (core, exps), col in zip(stripped, cols):
+            "all 4x4 minors vanish: kernel dimension exceeds 1")
+    ys = [-y if i % 2 else y for i, y in enumerate(ys)]
+    caps = dict(primes)
+    caps.update(dict.fromkeys((p for col in cols for p in col.den), inf))
+    stripped = []
+    for y, col in zip(ys, cols):
+        core, exps = y, {}
+        if not y.is_zero():
+            (core,), exps = _strip_primes([y], caps)
         for p, e in col.den.items():
             exps[p] = exps.get(p, 0) + e
-    base = least()
+        stripped.append((core, exps))
+    base = {p: min(e.get(p, 0) for core, e in stripped if not core.is_zero())
+            for p in caps}
     return [(core * _power_product(exps, base)).scale(ONE / col.c)
             for (core, exps), col in zip(stripped, cols)]
 
@@ -604,17 +672,16 @@ def _band_vector(kind: str, offset: int, vec: list) -> DependencyVector:
 def find_R() -> DependencyVector:
     """Dependency among Q_0/0!, ..., Q_4/4!: the rank-4 relation.
 
-    Q_0 = 1 is the unit column, so `_kernel_vector` reads R_1..R_4 off the
-    3x3 minors of the phi^1..phi^3 rows of Q_1..Q_4 and R_0 off the phi^0
-    row; it raises ArithmeticError if those rows have rank below 3, i.e. if
-    the kernel is not a line.  The components come back with no common
-    factor, since the tower's denominator primes are square-free and
-    `_kernel_vector` strips them, so the gcd in `clear_and_normalize` stops
-    at a constant; `_band_vector` clears the vector of its content and fixes
-    its sign by the band R_{1,0}."""
-    tower = q_tower(4)
-    cols = [_pq_scale(tower[i], Rat(1, factorial(i))) for i in range(5)]
-    return _band_vector("R", 0, _kernel_vector(cols))
+    It is read off the columns W^(4-i) T_i / i! of `tower_columns`, whose
+    kernel is that of the Q_i/i!.  `_kernel_vector` takes the five 4x4
+    minors and raises ArithmeticError if they all vanish, i.e. if the
+    kernel is not a line.  Its components come back with no common factor,
+    since `norm_primes` holds the primes that the minors share and they are
+    stripped, so the gcd in `clear_and_normalize` stops at a constant;
+    `_band_vector` clears the vector of its content and fixes its sign by
+    the band R_{1,0}."""
+    return _band_vector("R", 0, _kernel_vector(list(tower_columns(4)),
+                                               norm_primes()))
 
 
 # sample points (s, lambda) for the rank witness of find_Rhat
@@ -662,36 +729,45 @@ def find_Rhat() -> DependencyVector:
 
     Uniqueness: the elimination needs R_0 != 0, and the kernel is a line
     only if Q_1..Q_5 have rank 4, which `_rank4_witness` certifies by an
-    exact evaluation.  Either failing raises ArithmeticError.  The line is
-    then normalized exactly as find_R normalizes its vector.
+    exact evaluation of the columns W^(5-j) T_j / j!.  Either failing raises
+    ArithmeticError.  The line is then normalized exactly as find_R
+    normalizes its vector.
 
-    The common factor comes from one small gcd.  A common factor p of the
-    c_j that is prime to r_0 divides c_5 = r_0 r_4, so p | r_4, and
-    c_4 = r_0 (r_4' + r_3) - r_0' r_4, so p | r_4' + r_3 =
-    (R_4' + 4 R_3) / 4!.  Hence p divides H = gcd(R_4, R_4' + 4 R_3).  The
-    vector is divided by H without its monomial content, or, if that
-    division fails, by the gcd of H and the entries (`strip_gcd`); the gcd
-    of the generic normalization then certifies that no common factor is
-    left, one shared with r_0 included."""
+    Any verified common divisor of the entries may be removed first: the
+    gcd in `clear_and_normalize` certifies that no common factor is left.
+    A common factor p of the c_j that is prime to r_0 divides c_5 = r_0 r_4,
+    so p | r_4, and c_4 = r_0 (r_4' + r_3) - r_0' r_4, so
+    p | r_4' + r_3 = (R_4' + 4 R_3) / 4!.  The divisor taken is H, R_4
+    without the primes of `norm_primes` and without its monomial content:
+    with K = R_4 / H and M = (R_4' + 4 R_3) / H, 5! c_5 / H = 5 R_0 K and
+    4! c_4 / H = R_0 M - R_0' K, so only j! c_j for j <= 3 are divided.  If
+    H does not divide R_4' + 4 R_3 or one of them, the entries are divided
+    by the gcd of gcd(R_4, R_4' + 4 R_3) and the entries (`strip_gcd`)."""
     R = find_R().entries + [Poly()]
     if R[0].is_zero():
         raise ArithmeticError("R_0 = 0: F cannot be eliminated from R")
-    if _rank4_witness(q_tower(5)[1:6]) is None:
+    if _rank4_witness(tower_columns(5)) is None:
         raise ArithmeticError("Q_1..Q_5 have rank below 4 at every sample "
                               "point: Rhat is not certified unique")
     dR = [partial_derivative(p, "l") for p in R]
     # j! c_j = R_0 d_j - R_0' R_j with d_j = R_j' + j R_{j-1}
     d = {j: dR[j] + R[j - 1].scale(j) for j in range(1, 6)}
-    vec = [sum_of_products([(R[0], d[j]), (-dR[0], R[j])])
-           for j in range(1, 6)]
-    H = poly_gcd(R[4], d[4])
-    low = tuple(map(min, zip(*H.terms)))
-    if any(low):
-        H = poly_div_exact(H, Poly({low: 1}))
+
+    def c(j: int) -> Poly:
+        return sum_of_products([(R[0], d[j]), (-dR[0], R[j])])
+
+    (core,), ks = _strip_primes([R[4]], norm_primes())
+    low = tuple(map(min, zip(*core.terms)))
+    H = poly_div_exact(core, Poly({low: 1})) if any(low) else core
+    K = _power_product(ks, {}) * Poly({low: 1})
     try:
-        vec = [poly_div_exact(p, H) for p in vec]
+        M = poly_div_exact(d[4], H)
+        vec = [poly_div_exact(c(j), H) for j in range(1, 4)]
     except ArithmeticError:
-        vec = strip_gcd(H, vec)
+        vec = strip_gcd(poly_gcd(R[4], d[4]), [c(j) for j in range(1, 6)])
+    else:
+        vec += [sum_of_products([(R[0], M), (-dR[0], K)]),
+                (R[0] * K).scale(5)]
     return _band_vector("Rhat", 1, vec)
 
 
@@ -708,12 +784,12 @@ def dependency_report(kind: str) -> Report:
         dv = find_R() if kind == "R" else find_Rhat()
     except ArithmeticError as exc:
         return failed("dependency", params, str(exc), cases, t0)
-    tower = q_tower(dv.indices[-1])
+    cols = tower_columns(dv.indices[-1])
     shift = dv.shift
 
-    # re-expansion: sum R_i Q_i / i! = 0 identically mod P
-    acc = _pq_sum((dv.entry(i).scale(Rat(1, factorial(i))), tower[i])
-                  for i in dv.indices)
+    # re-expansion: sum R_i W^(top-i) T_i / i! = W^top sum R_i Q_i / i! = 0
+    # identically mod P, W a unit
+    acc = _pq_sum(zip(dv.entries, cols))
     if not acc.is_zero():
         return failed("dependency", params, "re-expansion is nonzero",
                       cases, t0)

@@ -157,14 +157,14 @@ def compared_upto(m: int, N: int) -> int:
     return N - m - 2
 
 
-def verify_series_identity(m: int, N: int,
-                           lg: LaurentX | None = None) -> Report:
+def verify_series_identity(m: int, N: int, lg: LaurentX | None) -> Report:
     """Check the combinatorial Laurent identity at order N.
 
     The derivative form is constant-free, so it is checked first; the even-m
     constant is then determined by x^0 matching and the full identity is
-    re-checked with it.  The report's witness records kappa.  `lg`, when
-    given, is `log_one_plus_sqrt(N)`, shared by the even m of one run.
+    re-checked with it.  The report's witness records kappa.  `lg` is
+    `log_one_plus_sqrt(N)`, shared by the even m of one run, or None when
+    no even m of the run has a coefficient to compare.
     """
     t0 = time.perf_counter()
     params = {"m": m, "order": N}

@@ -65,8 +65,9 @@ def test_criterion_4_ode_and_series_identity():
     def check():
         for m in range(13):
             assert template.verify_q2_ode(m).ok, f"ODE fails at m={m}"
+        lg = template.log_one_plus_sqrt(30)
         for m in range(9):
-            assert template.verify_series_identity(m, 30).ok, \
+            assert template.verify_series_identity(m, 30, lg).ok, \
                 f"series identity fails at m={m}"
         assert template.kappa_constant(0) == (ZERO, ONE)
 
@@ -86,8 +87,9 @@ def test_criterion_5_h_m_equivalence():
 def _clear_holonomic_caches():
     """Drop every cached holonomic build, so a timed check measures a cold
     build whatever ran before it in the same process."""
-    for fn in (holonomic.p0_quot, holonomic.q1_phi, holonomic.q_tower,
-               holonomic.find_R, holonomic.find_Rhat):
+    for fn in (holonomic.p0_quot, holonomic.w_quot, holonomic.norm_primes,
+               holonomic.q_tower, holonomic.tower_columns, holonomic.find_R,
+               holonomic.find_Rhat):
         fn.cache_clear()
 
 

@@ -4,7 +4,7 @@ their band structure, and the recursively generated coefficient sequence."""
 import json
 import random
 from itertools import combinations
-from math import factorial
+from math import factorial, inf
 from pathlib import Path
 
 import pytest
@@ -14,15 +14,15 @@ from tutteval import holonomic, polyring
 from tutteval.exactnum import ONE, Rat
 from tutteval.holonomic import (_PQ_ONE, DependencyVector, PhiQuot,
                                 _invert_mod_p, _kernel_vector, _pq_dlam,
-                                _pq_eq, _pq_mul, _pq_normalize, _pq_scale,
-                                _pq_sum, _rank4_witness, _reduce_top,
-                                _squarefree,
+                                _pq_dphi, _pq_eq, _pq_mul, _pq_normalize,
+                                _pq_scale, _pq_sum, _rank4_witness,
+                                _reduce_top, _squarefree, _strip_primes,
                                 b_direct, b_equality_report,
                                 b_recursion, coprimality_report,
                                 dependency_report,
-                                find_R, find_Rhat, p0_quot, p0_report,
-                                p0_series_report, pq_from_poly, q1_phi,
-                                q_tower, tower_oracle)
+                                find_R, find_Rhat, norm_primes, p0_quot,
+                                p0_report, p0_series_report, pq_from_poly,
+                                q_tower, tower_columns, tower_oracle, w_quot)
 from tutteval.polyring import (Poly, partial_derivative, poly_div_exact,
                                poly_gcd, poly_to_str, primitive_rat)
 
@@ -142,12 +142,71 @@ def test_reduce_top_refuses_phi_degree_above_6():
         _reduce_top([Poly.one()] * 8)
 
 
+# -- stripping known primes --------------------------------------------------
+
+
+def _strip_one_power_at_a_time(num: list, caps: dict) -> tuple:
+    """Reference for `_strip_primes`: divide by each prime while every
+    entry allows it, with no test at a point."""
+    ks = {}
+    for p, cap in caps.items():
+        k = 0
+        while k < cap:
+            try:
+                num = [poly_div_exact(n, p) if n else n for n in num]
+            except ArithmeticError:
+                break
+            k += 1
+        ks[p] = k
+    return num, ks
+
+
+# at the point (s, l) = (3, 5): l is 5, 256 l - 27 is 1253, and s + 2, which
+# no prime divides, is 5 as well; s - 2 is 1 and l - 5 is 0, two primes the
+# point values cannot bound
+_STRIP_PRIMES = (lam, holonomic.SINGULAR, (1 + lam * s) ** 4 - s, s - 2,
+                 lam - 5)
+
+
+@given(st.lists(st.tuples(st.one_of(st.just(Poly()), _bivariate(2, True),
+                                    st.just(s + 2)),
+                          st.lists(st.integers(0, 3), min_size=5,
+                                   max_size=5)),
+                min_size=1, max_size=3),
+       st.lists(st.sampled_from([1, 2, inf]), min_size=5, max_size=5),
+       st.permutations(range(5)))
+@settings(max_examples=60, deadline=None)
+def test_strip_primes_matches_one_power_at_a_time(entries, caps, order):
+    num = [c * holonomic._power_product(dict(zip(_STRIP_PRIMES, e)), {})
+           for c, e in entries]
+    if all(n.is_zero() for n in num):
+        num[0] = s + 2
+    caps = {_STRIP_PRIMES[i]: caps[i] for i in order}
+    assert _strip_primes(num, caps) == _strip_one_power_at_a_time(num, caps)
+
+
+def test_strip_primes_steps_down_after_a_false_positive(monkeypatch):
+    # l^2 (s + 2) is 125 at the point: the values allow l^3, the division
+    # by l^3 fails, and the one by l^2 is the last
+    divisors = []
+
+    def spy(A, B):
+        divisors.append(B)
+        return poly_div_exact(A, B)
+
+    monkeypatch.setattr(holonomic, "poly_div_exact", spy)
+    assert _strip_primes([lam ** 2 * (s + 2)], {lam: inf}) == (
+        [s + 2], {lam: 2})
+    assert divisors == [lam ** 3, lam ** 2]
+
+
 # -- square-free denominator primes -----------------------------------------
 
 
 def _inversion_core(monkeypatch) -> Poly:
-    """The primitive core of the determinant that inverting 2 F^2 modulo P
-    hands to `_squarefree`."""
+    """The primitive core of the norm N(W), W = F^2 modulo P, that
+    `norm_primes` hands to `_squarefree`: the core that inverting W modulo
+    P would meet."""
     seen = []
 
     def record(f, *args):
@@ -155,7 +214,7 @@ def _inversion_core(monkeypatch) -> Poly:
         return _squarefree(f, *args)
 
     monkeypatch.setattr(holonomic, "_squarefree", record)
-    _invert_mod_p(_pq_scale(pq_from_poly(holonomic.f_squared()), Rat(2)))
+    norm_primes.__wrapped__()
     return seen[0]
 
 
@@ -211,27 +270,106 @@ def test_squarefree_examples():
 
 
 def test_tower_denominator_primes_are_squarefree_and_coprime():
-    keys = {p for q in q_tower(5) for p in q.den}
+    # the tower's denominators hold lambda and 256 l - 27 only; the primes
+    # stripped from the kernel minors add the two square-free factors of
+    # N(W)
+    tower_keys = {p for t in q_tower(5) for p in t.den}
+    assert tower_keys == {holonomic.LAM, holonomic.SINGULAR}
+    keys = set(norm_primes())
+    assert tower_keys < keys and len(keys) == 4
+    assert (1 + lam * s) ** 4 - s in keys
     for p in keys:
         assert poly_gcd(p, partial_derivative(p, "l")).is_const()
     for p, q in combinations(keys, 2):
         assert poly_gcd(p, q).is_const()
 
 
+def test_norm_primes_refuse_a_zero_divisor(monkeypatch):
+    # N(W) = 0 would leave W no unit modulo P
+    zero = PhiQuot([], {}, ONE)
+    monkeypatch.setattr(holonomic, "w_quot", lambda: (zero, zero))
+    with pytest.raises(ArithmeticError, match="singular"):
+        norm_primes.__wrapped__()
+
+
+def _q_tower_reference(kmax: int) -> list:
+    """Q_0..Q_kmax with d^iF/dlambda^i = Q_i F, by the recurrence
+    Q_(i+1) = dQ_i + Q_i Q_1, Q_1 = dW (2 W)^-1 modulo P: the tower that
+    the T-tower replaced, kept as its oracle."""
+    W, dW = w_quot()
+    q1 = _pq_mul(dW, _invert_mod_p(_pq_scale(W, Rat(2))))
+    tower = [_PQ_ONE, q1]
+    while len(tower) <= kmax:
+        q = tower[-1]
+        tower.append(_pq_sum([(ONE, _pq_dlam(q)),
+                              (ONE, _pq_mul(_pq_dphi(q), p0_quot())),
+                              (ONE, _pq_mul(q, q1))]))
+    return tower[:kmax + 1]
+
+
+def test_t_tower_is_w_powers_times_the_q_tower():
+    # T_i = W^i Q_i for i <= 6, and no inverse enters the T-tower: its
+    # denominators hold only lambda and 256 lambda - 27
+    W = w_quot()[0]
+    Wi = _PQ_ONE
+    for i, (t, q) in enumerate(zip(q_tower(6), _q_tower_reference(6))):
+        assert set(t.den) <= {holonomic.LAM, holonomic.SINGULAR}, i
+        assert _pq_eq(t, _pq_mul(Wi, q)), i
+        Wi = _pq_mul(Wi, W)
+
+
+def test_tower_columns_are_w_top_times_q_over_factorial():
+    W = w_quot()[0]
+    ref = _q_tower_reference(5)
+    for top in (4, 5):
+        Wtop = _PQ_ONE
+        for _ in range(top):
+            Wtop = _pq_mul(Wtop, W)
+        for i, col in zip(range(top - 4, top + 1), tower_columns(top)):
+            want = _pq_scale(_pq_mul(Wtop, ref[i]), Rat(1, factorial(i)))
+            assert _pq_eq(col, want), (top, i)
+
+
 def test_kernel_vector_of_R_has_no_hidden_common_factor():
     # the prime stripping leaves components whose gcd is constant, so no
     # common factor such as ((1 + l s)^4 - s)^7 reaches the normalization
-    tower = q_tower(4)
-    cols = [_pq_scale(tower[i], Rat(1, factorial(i))) for i in range(5)]
     g = Poly()
-    for p in _kernel_vector(cols):
+    for p in _kernel_vector(list(tower_columns(4)), norm_primes()):
         g = poly_gcd(g, p)
     assert g.is_const()
 
 
 def test_q_tower_oracle():
-    # d^i F / d lambda^i = Q_i F as truncated series, i <= 3 fast
+    # W^i d^i F / d lambda^i = T_i F as truncated series, i <= 3 fast
     assert tower_oracle(3, 14, 10).ok
+
+
+def _perturbed_tower(i: int) -> tuple:
+    tower = list(q_tower(5))
+    tower[i] = _pq_sum([(ONE, tower[i]), (lam, _PQ_ONE)])
+    return tuple(tower)
+
+
+@pytest.mark.parametrize("i", [1, 3])
+def test_tower_oracle_rejects_a_perturbed_t(monkeypatch, i):
+    bad = _perturbed_tower(i)
+    monkeypatch.setattr(holonomic, "q_tower", lambda k: bad[:k + 1])
+    rep = tower_oracle(3, 8, 6)
+    assert rep.status == "fail" and rep.witness == f"mismatch at i={i}"
+
+
+def test_r_re_expansion_rejects_a_perturbed_t(monkeypatch):
+    # R from the true tower, its re-expansion against columns from a tower
+    # with T_2 changed
+    find_R()
+    bad = _perturbed_tower(2)
+    monkeypatch.setattr(holonomic, "q_tower", lambda k: bad[:k + 1])
+    tower_columns.cache_clear()
+    try:
+        rep = dependency_report("R")
+    finally:
+        tower_columns.cache_clear()
+    assert rep.status == "fail" and rep.witness == "re-expansion is nonzero"
 
 
 # -- dependency vectors -----------------------------------------------------
@@ -300,10 +438,10 @@ def _det(M: list) -> Poly:
 
 
 def cramer_kernel(cols: list) -> list:
-    """Reference: the generic fraction-free Cramer rule on the 4x5
-    phi-coefficient matrix, which does not use the unit column.  Component
-    i is the signed 4x4 minor of the numerator matrix omitting column i,
-    times D_i / c_i for the column denominator D_i and scalar c_i."""
+    """Reference: the fraction-free Cramer rule on the 4x5 phi-coefficient
+    matrix by brute force.  Component i is the signed 4x4 minor of the
+    numerator matrix omitting column i, times D_i / c_i for the column
+    denominator D_i and scalar c_i."""
     N = [[col.num[r] if r < len(col.num) else Poly() for col in cols]
          for r in range(4)]
     vec = []
@@ -325,16 +463,20 @@ def _random_column(rng):
                                        rng.randrange(1, 9)))
 
 
-@given(st.integers(0, 10 ** 6))
+@given(st.integers(0, 10 ** 6), st.booleans())
 @settings(max_examples=25, deadline=None)
-def test_kernel_vector_matches_cramer(seed):
-    # the unit-column route and the generic route find the same line
+def test_kernel_vector_matches_cramer(seed, unit):
+    # the shared-minor route with prime stripping and the brute-force route
+    # find the same line, with or without a unit column
     rng = random.Random(seed)
-    cols = [_PQ_ONE] + [_random_column(rng) for _ in range(4)]
+    cols = [_random_column(rng) for _ in range(5)]
+    if unit:
+        cols[0] = _PQ_ONE
+    primes = {s - 1: inf} if rng.randrange(2) else {}
     try:
-        vec = _kernel_vector(cols)
+        vec = _kernel_vector(cols, primes)
     except ArithmeticError:
-        # rows 1..3 of rank < 3: the whole matrix has rank < 4
+        # every 4x4 minor vanishes: the matrix has rank < 4
         assert all(p.is_zero() for p in cramer_kernel(cols))
         return
     ref = cramer_kernel(cols)
@@ -362,32 +504,29 @@ def test_kernel_vector_rejects_rank_deficiency():
     b = pq_from_poly(phi ** 2 - lam + 1)
     c = pq_from_poly(phi ** 3 + 2 * phi + s)
     d = pq_from_poly(3 * phi ** 3 - phi ** 2 + 7)
-    assert len(_kernel_vector([_PQ_ONE, a, b, c, d])) == 5
-    # rows 2 and 3 equal: rows 1..3 have rank 2, every 3x3 minor vanishes
+    e = PhiQuot([lam, s], {holonomic.LAM: 1}, Rat(2, 3))
+    assert len(_kernel_vector([_PQ_ONE, a, b, c, d], {})) == 5
+    assert len(_kernel_vector([e, a, b, c, d], {})) == 5
+    # rows 2 and 3 equal: rank 3, all five 4x4 minors vanish
     low = [pq_from_poly(p) for p in (
-        phi + s * lam, phi ** 3 + phi ** 2, 3 * phi ** 3 + 3 * phi ** 2
-        + 2 * phi + s, lam * phi ** 3 + lam * phi ** 2 + 7)]
+        Poly.one(), phi + s * lam, phi ** 3 + phi ** 2,
+        3 * phi ** 3 + 3 * phi ** 2 + 2 * phi + s,
+        lam * phi ** 3 + lam * phi ** 2 + 7)]
     with pytest.raises(ArithmeticError, match="kernel dimension exceeds 1"):
-        _kernel_vector([_PQ_ONE] + low)
+        _kernel_vector(low, {})
     # phi-degree <= 2 everywhere leaves row 3 zero
     with pytest.raises(ArithmeticError, match="kernel dimension exceeds 1"):
-        _kernel_vector([_PQ_ONE, a, b, a, b])
-    # column 0 must be a nonzero constant
-    with pytest.raises(ArithmeticError, match="column 0"):
-        _kernel_vector([a, _PQ_ONE, b, c, d])
-    with pytest.raises(ArithmeticError, match="column 0"):
-        _kernel_vector([PhiQuot([Poly.one()], {holonomic.LAM: 1}, ONE),
-                        a, b, c, d])
+        _kernel_vector([e, a, b, a, b], {})
 
 
 def test_rank4_witness():
     # the certificate is the first sample point at which the evaluated
     # numerator matrix has rank 4
-    tower = q_tower(5)
-    assert _rank4_witness(tower[:4]) == (2, 1)
-    assert _rank4_witness(tower[1:6]) == (2, 1)
+    cols = tower_columns(5)
+    assert _rank4_witness(tower_columns(4)[:4]) == (2, 1)
+    assert _rank4_witness(cols) == (2, 1)
     # a repeated column leaves rank 3 at every point
-    assert _rank4_witness([tower[0], tower[1], tower[2], tower[2]]) is None
+    assert _rank4_witness([cols[0], cols[1], cols[2], cols[2]]) is None
     # a point where a denominator prime vanishes is skipped: s - 2 vanishes
     # at the first point, so the second certifies
     a, b, c, d = (pq_from_poly(p) for p in (
@@ -424,12 +563,12 @@ def test_b_recursion_fails_on_an_entry_below_the_band(monkeypatch):
 
 
 def test_find_Rhat_stops_at_the_first_dividing_gcd(monkeypatch):
-    # one gcd H = gcd(R_4, R_4' + 4 R_3), whose factor, without its
-    # monomial content, already divides every entry; the normalization of
-    # the band vector then takes two more.  Both bindings of poly_gcd are
-    # counted: find_Rhat calls its own, strip_gcd the one in polyring
+    # the divisor H, R_4 without the known primes and its monomial content,
+    # divides every entry, so find_Rhat takes no gcd of its own; the
+    # normalization of the band vector then takes two.  Both bindings of
+    # poly_gcd are counted: find_Rhat's own, and the one strip_gcd calls
     find_R()
-    q_tower(5)
+    tower_columns(5)
     Rhat = find_Rhat()
     calls = []
     gcd = polyring.poly_gcd
@@ -445,20 +584,24 @@ def test_find_Rhat_stops_at_the_first_dividing_gcd(monkeypatch):
         assert find_Rhat() == Rhat
     finally:
         find_Rhat.cache_clear()
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_find_Rhat_falls_back_to_strip_gcd(monkeypatch):
-    # if the c_j were not all multiples of H, find_Rhat would strip
-    # gcd(H, c_j) instead; forced onto that route, it finds the same Rhat
-    find_R()
+    # H is gcd(R_4, R_4' + 4 R_3) without its monomial content at this
+    # tree, although find_Rhat takes no gcd to find it.  If a division by H
+    # failed, find_Rhat would strip the gcd of that gcd and the entries
+    # instead; forced onto that route, it finds the same Rhat
+    R = find_R().entries
+    g = poly_gcd(R[4], partial_derivative(R[4], "l") + R[3].scale(4))
+    H = poly_div_exact(g, Poly({tuple(map(min, zip(*g.terms))): 1}))
     Rhat = find_Rhat()
     div, strip = holonomic.poly_div_exact, holonomic.strip_gcd
     refused, stripped = [], []
 
     def refusing(p, d):
-        if len(d.terms) > 1 and not refused:  # the first division by H
-            refused.append(d)
+        if d == H and not refused:  # the first division by H
+            refused.append(g)
             raise ArithmeticError("refused")
         return div(p, d)
 
@@ -503,11 +646,11 @@ def test_q_tower_extends_without_mutation():
 
 
 def test_q_tower_does_not_depend_on_build_order():
-    # the primes of a denominator are its keys, so which of phi' and Q1 is
+    # the primes of a denominator are its keys, so which of phi' and W is
     # built first leaves no trace in the tower
     built = []
-    for first in (q1_phi, p0_quot):
-        for fn in (p0_quot, q1_phi, q_tower):
+    for first in (w_quot, p0_quot):
+        for fn in (p0_quot, w_quot, q_tower):
             fn.cache_clear()
         first()
         built.append([(q.num, list(q.den.items()), q.c) for q in q_tower(2)])
@@ -595,10 +738,11 @@ def test_pq_normalize_tests_every_entry_before_dividing(monkeypatch):
     pq = _pq_normalize([lam * s, s + 1], {lam: 1}, ONE)
     assert divided == []
     assert pq.num == [lam * s, s + 1] and pq.den == {lam: 1}
-    # lambda^2 divides both entries and lambda^3 neither: two rounds of
-    # divisions, and the third stops at the point test
+    # lambda^2 divides both entries and lambda^3 neither: the point values
+    # 75 and 150 hold 5^2 and no 5^3, so each entry is divided once, by
+    # lambda^2
     pq = _pq_normalize([lam ** 2 * s, lam ** 3 + lam ** 2], {lam: 3}, ONE)
-    assert len(divided) == 4
+    assert divided == [lam ** 2 * s, lam ** 3 + lam ** 2]
     assert pq.num == [s, lam + 1] and pq.den == {lam: 1}
     # a prime that vanishes at the point proves nothing there: the
     # divisions decide, and the second round stops at the first entry

@@ -14,9 +14,9 @@ from tutteval.exactnum import ONE, Rat, ZERO
 from tutteval.polyring import Poly, poly_to_str
 from tutteval.series import Series2, Series3
 from tutteval.template import (direct_reduction, integrate, kappa_constant,
-                               monomial_template, q1_poly, q2_poly,
-                               relation_series, verify_h_m, verify_q2_ode,
-                               verify_series_identity)
+                               log_one_plus_sqrt, monomial_template, q1_poly,
+                               q2_poly, relation_series, verify_h_m,
+                               verify_q2_ode, verify_series_identity)
 from tutteval.tutte import tau_series
 
 
@@ -314,8 +314,9 @@ def test_q2_is_the_polynomial_solution_by_sympy():
 
 
 def test_series_identity_and_kappa():
+    lg = log_one_plus_sqrt(30)
     for m in range(9):
-        rep = verify_series_identity(m, 30)
+        rep = verify_series_identity(m, 30, lg)
         assert rep.ok, rep.line()
     # odd-m constants vanish; kappa_0 is exactly log 2
     assert kappa_constant(0) == (ZERO, ONE)
@@ -332,13 +333,13 @@ def test_series_identity_empty_window_is_inconclusive():
     # order N < m + 2 leaves no coefficient to compare: (8, 4) used to pass
     # with a kappa read off a truncated coefficient, (10, 0) on 0 cases
     for m, N in ((8, 4), (10, 0)):
-        rep = verify_series_identity(m, N)
+        rep = verify_series_identity(m, N, log_one_plus_sqrt(N))
         assert rep.status == "inconclusive" and rep.n_cases == 0, rep.line()
     # from N = m + 2 on, every pass reports the true kappa_m
     for m in range(9):
         kq, kp = kappa_constant(m)
         for N in range(m + 2, m + 6):
-            rep = verify_series_identity(m, N)
+            rep = verify_series_identity(m, N, log_one_plus_sqrt(N))
             assert rep.ok and rep.n_cases > 0, rep.line()
             assert rep.witness == f"kappa = {kq} + {kp}*log2"
 
