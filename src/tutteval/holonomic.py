@@ -148,10 +148,12 @@ def _strip_primes(num: list, caps: dict) -> tuple:
     keeps both tests valid for the next prime."""
     vals, ks = None, {}
     for p, cap in caps.items():
-        k = 0
-        if cap and vals is None:
+        ks[p] = k = 0
+        if not cap:
+            continue
+        if vals is None:
             vals = [point_value(n) for n in num]
-        px = point_value(p) if cap else 0
+        px = point_value(p)
         if abs(px) >= 2 and all(v for n, v in zip(num, vals) if n):
             k = min(_multiplicity(v, px, cap) for v in vals if v)
             while k:
@@ -722,9 +724,9 @@ def find_Rhat() -> DependencyVector:
     r_0 times that minus r_0' times R eliminates F and leaves
     sum_{j=1..5} c_j F^(j) = 0 with c_j = r_0 (r_j' + r_{j-1}) - r_0' r_j.
     As F^(j) = Q_j F, the vector (j! c_j) is a kernel vector of the columns
-    Q_j/j!, and it is nonzero: c_5 = r_0 r_4, where r_4 != 0 because a
-    relation among Q_0..Q_3 alone would drop the rank of Q_0..Q_4 below 4,
-    which find_R rules out.  On the integer entries of R,
+    Q_j/j!, and it is nonzero: c_5 = r_0 r_4, where r_4 != 0 unless
+    Q_0..Q_3 are dependent, which F's order 4 rules out and which is
+    checked.  On the integer entries of R,
     j! c_j = R_0 (R_j' + j R_{j-1}) - R_0' R_j, one `sum_of_products`.
 
     Uniqueness: the elimination needs R_0 != 0, and the kernel is a line
@@ -746,6 +748,8 @@ def find_Rhat() -> DependencyVector:
     R = find_R().entries + [Poly()]
     if R[0].is_zero():
         raise ArithmeticError("R_0 = 0: F cannot be eliminated from R")
+    if R[4].is_zero():
+        raise ArithmeticError("R_4 = 0: Q_0..Q_3 are dependent")
     if _rank4_witness(tower_columns(5)) is None:
         raise ArithmeticError("Q_1..Q_5 have rank below 4 at every sample "
                               "point: Rhat is not certified unique")

@@ -537,12 +537,16 @@ def test_rank4_witness():
 
 def test_dependency_precondition_failure_is_a_report(monkeypatch):
     R = find_R()
-    no_r0 = DependencyVector("R", 0, [Poly()] + R.entries[1:])
-    find_Rhat.cache_clear()
-    monkeypatch.setattr(holonomic, "find_R", lambda: no_r0)
-    rep = dependency_report("Rhat")
-    assert rep.status == "fail"
-    assert rep.witness == "R_0 = 0: F cannot be eliminated from R"
+    for entries, witness in (
+            ([Poly()] + R.entries[1:],
+             "R_0 = 0: F cannot be eliminated from R"),
+            (R.entries[:4] + [Poly()], "R_4 = 0: Q_0..Q_3 are dependent")):
+        find_Rhat.cache_clear()
+        monkeypatch.setattr(holonomic, "find_R",
+                            lambda: DependencyVector("R", 0, entries))
+        rep = dependency_report("Rhat")
+        assert rep.status == "fail"
+        assert rep.witness == witness
 
 
 def test_b_recursion_fails_on_an_entry_below_the_band(monkeypatch):
