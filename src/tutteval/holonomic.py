@@ -2,11 +2,12 @@
 
 The algebraic series phi (phi = lambda(1+phi)^4) makes
 F = sqrt([1 + lambda s + s + (1+lambda s) phi (1-phi-phi^2)]^2 - 4s(1+lambda s)^2)
-holonomic of rank 4 in lambda.  This module derives phi' = P0(lambda, phi),
-builds a derivative tower over the fraction field in (s, lambda), extracts
-the two linear dependency vectors among the Q_i/i!, Q_i = F^(i)/F the
-derivatives d^iF/dlambda^i over F, and runs the resulting recursions for
-the coefficients b_l, whose s-degree bound (<= l) is the target statement.
+holonomic of rank 4 in lambda.  This module certifies the closed form of
+phi' = P0(lambda, phi), builds a derivative tower over the fraction field
+in (s, lambda), extracts the two linear dependency vectors among the
+Q_i/i!, Q_i = F^(i)/F the derivatives d^iF/dlambda^i over F, and runs the
+resulting recursions for the coefficients b_l, whose s-degree bound (<= l)
+is the target statement.
 
 The tower is T_i = W^i F^(i)/F, W = F^2 reduced modulo P = phi -
 lambda(1+phi)^4, each of phi-degree <= 3: T_0 = 1 and T_(i+1) =
@@ -14,11 +15,8 @@ W dT_i - (i - 1/2) dW T_i, d the lambda derivative along phi(lambda).  It
 takes no inverse modulo P, so its denominators hold only lambda and
 256 lambda - 27, those of P0.  W is a unit modulo P, so the columns
 W^(top-i) T_i/i! = W^top Q_i/i! have the linear relations of the Q_i/i!:
-the kernel, its rank witness and the re-expansions read those columns, and
-the series oracle checks W^i F^(i) = T_i F.  Their minors carry powers of
-the norm N(W), the determinant of W's multiplication matrix, whose
-square-free factors join lambda and 256 lambda - 27 as the known primes
-stripped from the minors.
+the kernel and the re-expansions read those columns, and the series oracle
+checks W^i F^(i) = T_i F.
 
 Generic fraction arithmetic over Q(s, lambda) swells badly (every operation
 triggers a bivariate gcd), so tower elements are held as PhiQuot values: a
@@ -46,10 +44,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, inf, prod
 
-from .exactnum import ONE, Rat, ZERO, rank, rat_gcd
-from .polyring import (Poly, _value_at_point, clear_and_normalize,
-                       partial_derivative, point_value, poly_div_exact,
-                       poly_gcd, poly_to_str, primitive_rat,
+from .exactnum import ONE, Rat, ZERO, rat_gcd
+from .polyring import (Poly, clear_and_normalize, partial_derivative,
+                       point_value, poly_div_exact, poly_gcd, poly_to_str,
                        rat_content, strip_gcd, sum_of_products)
 from .report import Record, Report, failed, inconclusive, passed
 from .series import Series2
@@ -63,6 +60,21 @@ P_DEFINING = PHI - LAM * (1 + PHI) ** 4
 # phi is singular at lambda = 27/256
 SINGULAR = 256 * LAM - 27
 
+_S = Poly.var("s")
+# the primes that the kernel minors of the columns W^(top-i) T_i / i! may
+# share, each to any power; they only guide the stripping, and the gcd in
+# `clear_and_normalize` certifies that no common factor is left
+KERNEL_PRIMES = dict.fromkeys([
+    # the denominators of P0 and of the tower
+    LAM, SINGULAR,
+    # up to a power of lambda, W's norm modulo P is Res_phi(P, F^2) = G E^2;
+    # R_4 carries G
+    (1 - 16 * LAM * (1 + LAM * _S) ** 2) ** 2
+    - 64 * LAM ** 2 * _S * (1 + LAM * _S) ** 2,
+    # E = -P(lambda, lambda s) / lambda; the 4x4 minors carry E^7
+    (1 + LAM * _S) ** 4 - _S,
+], inf)
+
 # the closed form of phi', over the denominator l (256 l - 27)
 P0_EXPECTED_NUM = (12 * LAM * PHI ** 3 + 52 * LAM * PHI ** 2 + 4 * LAM * PHI
                    - 36 * LAM + 9 * PHI)
@@ -70,12 +82,19 @@ P0_EXPECTED_DEN = {LAM: 1, SINGULAR: 1}
 
 
 def p0_report() -> Report:
-    """P0 equals the expected rational function, exactly."""
+    """P0 is phi', exactly: P_phi P0 + P_lambda = 0 modulo P.
+
+    Differentiating P(lambda, phi(lambda)) = 0 gives P_phi phi' + P_lambda
+    = 0.  P = phi - lambda (1+phi)^4 is linear in lambda with coprime
+    coefficients, so it is irreducible and Q(lambda)[phi]/P is a field.
+    There P_phi = 1 - 4 lambda (1+phi)^3, of phi-degree 3 < 4, is nonzero,
+    so phi' is the one solution of that equation, and P0 solving it is
+    phi'."""
     t0 = time.perf_counter()
     p0 = p0_quot()
-    expected = _pq_normalize(P0_EXPECTED_NUM.as_univar("f"), P0_EXPECTED_DEN,
-                             ONE)
-    if not _pq_eq(p0, expected):
+    dP_dphi = pq_from_poly(partial_derivative(P_DEFINING, "f"))
+    dP_dlam = pq_from_poly(partial_derivative(P_DEFINING, "l"))
+    if not _pq_eq(_pq_mul(dP_dphi, p0), _pq_scale(dP_dlam, Rat(-1))):
         num = [poly_to_str(n.scale(p0.c)) for n in p0.num]
         return failed("p0", {}, f"got {num} / ({poly_to_str(p0.den_poly())})",
                       1, t0)
@@ -310,9 +329,9 @@ def f_squared() -> Poly:
 
 def _minors(rows: list) -> dict:
     """{cols: det} over the k-subsets cols of the columns of the k x n Poly
-    matrix `rows`, k <= n.  Each minor is expanded along its last row over
-    the minors of the rows above, which all minors of one size share, and
-    is one `sum_of_products`."""
+    matrix `rows`, k <= n: the five 4x4 minors of `_kernel_vector`.  Each
+    minor is expanded along its last row over the minors of the rows above,
+    which all minors of one size share, and is one `sum_of_products`."""
     n = len(rows[0])
     level = {(j,): rows[0][j] for j in range(n)}
     for k in range(1, len(rows)):
@@ -324,112 +343,12 @@ def _minors(rows: list) -> dict:
     return level
 
 
-def _row0_cofactors(M: list) -> list:
-    """The signed row-0 cofactors of a 4x4 Poly matrix M: entry j is
-    (-1)^j times the 3x3 minor of rows 1..3 omitting column j, so that
-    det M = sum_j M[0][j] cof_j and, when rows 1..3 have rank 3, the
-    cofactors span their kernel."""
-    m3 = _minors(M[1:])
-    cofs = [m3[tuple(c for c in range(4) if c != j)] for j in range(4)]
-    return [-y if j % 2 else y for j, y in enumerate(cofs)]
-
-
-def _squarefree(f: Poly, v="l") -> dict:
-    """Square-free decomposition {factor: multiplicity} of f, a primitive
-    polynomial in at most two variables with positive leading coefficient:
-    f is the product of factor^multiplicity, and the factors are primitive,
-    square-free and pairwise coprime.
-
-    Yun's algorithm in v (D. Y. Y. Yun, SYMSAC 1976): with a = gcd(f, f'),
-    b = f/a and d = f'/a - b', each step splits off g = gcd(b, d), the
-    product of the irreducible factors of multiplicity i, then continues
-    with b/g and d/g - (b/g)'.  A factor free of v divides f' as often as f,
-    so the steps drop it; that part, f over the product found, is
-    decomposed again in its own variable.  The product is checked against
-    f, and a mismatch raises ArithmeticError."""
-    out = {}
-    df = partial_derivative(f, v)
-    a = poly_gcd(f, df)
-    b = poly_div_exact(f, a)
-    d = poly_div_exact(df, a) - partial_derivative(b, v)
-    i = 1
-    while not b.is_const():
-        g = poly_gcd(b, d)
-        if not g.is_const():
-            out[g] = i
-        b = poly_div_exact(b, g)
-        d = poly_div_exact(d, g) - partial_derivative(b, v)
-        i += 1
-    rest = poly_div_exact(f, _power_product(out, {}))
-    if not rest.is_const():
-        (w,) = rest.vars_present()
-        out.update(_squarefree(primitive_rat(rest)[1], w))
-    if _power_product(out, {}) != f:
-        raise ArithmeticError("square-free factors do not multiply back")
-    return out
-
-
-def _norm(G: PhiQuot) -> tuple:
-    """(cofs, det, V) for G, whose denominator is a power of lambda: the
-    multiplication matrix M of G modulo P, lifted to polynomials by
-    lambda^V, its row-0 cofactors and det M, the norm N(G) times
-    lambda^(4V).  Column j of M holds the phi-coefficients of G phi^j.
-    det M = 0 raises ArithmeticError: G is then a zero divisor."""
-    phi_pq = PhiQuot([Poly(), Poly.one()], {}, ONE)
-    cols = []
-    phi_pow = _PQ_ONE
-    for _ in range(4):
-        cols.append(_pq_mul(G, phi_pow))
-        phi_pow = _pq_mul(phi_pow, phi_pq)
-    V = max(col.den.get(LAM, 0) for col in cols)
-    M = [[Poly() for _ in range(4)] for _ in range(4)]
-    for j, col in enumerate(cols):
-        if set(col.den) - {LAM}:
-            raise ArithmeticError(
-                "unexpected denominator in the multiplication matrix")
-        lift = LAM ** (V - col.den.get(LAM, 0))
-        for r in range(min(4, len(col.num))):
-            M[r][j] = (col.num[r] * lift).scale(col.c)
-    cofs = _row0_cofactors(M)
-    det = sum_of_products(zip(M[0], cofs))
-    if det.is_zero():
-        raise ArithmeticError("multiplication matrix is singular")
-    return cofs, det, V
-
-
-def _det_primes(det: Poly) -> tuple:
-    """(r, {prime: exponent}) with det = r times the product of the prime
-    powers: lambda, 256 lambda - 27 and the square-free factors of the
-    primitive core left by them, each a prime with its multiplicity, so
-    that a numerator can cancel one factor without the others."""
-    (core,), den = _strip_primes([det], {LAM: inf, SINGULAR: inf})
-    r, core = primitive_rat(core)
-    if not core.is_const():
-        den.update(_squarefree(core))
-    return r, den
-
-
-def _invert_mod_p(G: PhiQuot) -> PhiQuot:
-    """X with G X = 1 modulo P, by Cramer's rule on the multiplication
-    matrix M of `_norm`: the coefficients of X are the row-0 cofactors of M
-    over det M, whose primes `_det_primes` finds."""
-    cofs, det, V = _norm(G)
-    r, den = _det_primes(det)
-    lamV = LAM ** V
-    X = _pq_normalize([lamV * cof for cof in cofs], den, ONE / r)
-    if not _pq_eq(_pq_mul(G, X), _PQ_ONE):
-        raise ArithmeticError("modular inverse verification failed")
-    return X
-
-
 @lru_cache(maxsize=1)
 def p0_quot() -> PhiQuot:
-    """phi' = P0(lambda, phi): differentiating P(lambda, phi) = 0 gives
-    phi' = -P_lambda / P_phi, computed as -P_lambda times the inverse of
-    P_phi modulo P."""
-    dP_dphi = pq_from_poly(partial_derivative(P_DEFINING, "f"))
-    dP_dlam = pq_from_poly(partial_derivative(P_DEFINING, "l"))
-    return _pq_mul(_pq_scale(dP_dlam, Rat(-1)), _invert_mod_p(dP_dphi))
+    """phi' = P0(lambda, phi), the closed form that `p0_report`
+    certifies."""
+    return _pq_normalize(P0_EXPECTED_NUM.as_univar("f"), P0_EXPECTED_DEN,
+                         ONE)
 
 
 def _pq_total(A: PhiQuot) -> PhiQuot:
@@ -444,17 +363,6 @@ def w_quot() -> tuple:
     derivative along phi(lambda), dW = 2 F F'."""
     W = pq_from_poly(f_squared())
     return W, _pq_total(W)
-
-
-@lru_cache(maxsize=1)
-def norm_primes() -> dict:
-    """{prime: inf} over lambda, 256 lambda - 27 and the square-free factors
-    of N(W) = det of the multiplication matrix of W: every prime that
-    `_kernel_vector` may find in a minor of the columns W^(top-i) T_i / i!.
-    N(W) = 0 raises ArithmeticError."""
-    _, det, _ = _norm(w_quot()[0])
-    _, den = _det_primes(det)
-    return dict.fromkeys([LAM, SINGULAR, *den], inf)
 
 
 @lru_cache(maxsize=None)
@@ -678,40 +586,12 @@ def find_R() -> DependencyVector:
     kernel is that of the Q_i/i!.  `_kernel_vector` takes the five 4x4
     minors and raises ArithmeticError if they all vanish, i.e. if the
     kernel is not a line.  Its components come back with no common factor,
-    since `norm_primes` holds the primes that the minors share and they are
+    since KERNEL_PRIMES holds the primes that the minors share and they are
     stripped, so the gcd in `clear_and_normalize` stops at a constant;
     `_band_vector` clears the vector of its content and fixes its sign by
     the band R_{1,0}."""
     return _band_vector("R", 0, _kernel_vector(list(tower_columns(4)),
-                                               norm_primes()))
-
-
-# sample points (s, lambda) for the rank witness of find_Rhat
-_RANK_POINTS = ((2, 1), (3, 2), (5, 7), (11, 13))
-
-
-def _rank4_witness(cols: list):
-    """A sample point (s, lambda) certifying that the 4 x len(cols)
-    phi-coefficient matrix of the PhiQuot columns has rank 4 over
-    Q(s, lambda), or None.
-
-    At a point where no prime of any column denominator vanishes, the value
-    matrix is the numerator matrix times the nonzero diagonal c_j / D_j, so
-    both have the rank of the numerator matrix evaluated there, which
-    `rank` computes exactly.  Rank 4 at the point means some 4x4 minor is a
-    nonzero rational function.  None means no sample point gave rank 4:
-    the rank is then taken to be below 4."""
-    for a, b in _RANK_POINTS:
-        def at(p: Poly):
-            return _value_at_point(p.terms, (0, a, b, 0, 0, 0))
-
-        if any(not at(p) for col in cols for p in col.den):
-            continue
-        vals = [[at(col.num[r]) if r < len(col.num) else 0 for col in cols]
-                for r in range(4)]
-        if rank(vals) == 4:
-            return a, b
-    return None
+                                               KERNEL_PRIMES))
 
 
 @lru_cache(maxsize=1)
@@ -729,18 +609,20 @@ def find_Rhat() -> DependencyVector:
     checked.  On the integer entries of R,
     j! c_j = R_0 (R_j' + j R_{j-1}) - R_0' R_j, one `sum_of_products`.
 
-    Uniqueness: the elimination needs R_0 != 0, and the kernel is a line
-    only if Q_1..Q_5 have rank 4, which `_rank4_witness` certifies by an
-    exact evaluation of the columns W^(5-j) T_j / j!.  Either failing raises
-    ArithmeticError.  The line is then normalized exactly as find_R
-    normalizes its vector.
+    Uniqueness: the kernel of Q_1..Q_5 is a line, since their 4 x 5
+    phi-coefficient matrix has rank 4 by two facts already checked.  find_R
+    has a nonzero 4x4 minor, so the kernel of Q_0..Q_4 is a line, spanned by
+    R.  R_0 != 0, so Q_1..Q_4 are independent: a relation among them would
+    be a kernel vector of Q_0..Q_4 with a zero index-0 entry.  R_0 = 0
+    raises ArithmeticError, as the elimination needs R_0 != 0 too.  The
+    line is then normalized exactly as find_R normalizes its vector.
 
     Any verified common divisor of the entries may be removed first: the
     gcd in `clear_and_normalize` certifies that no common factor is left.
     A common factor p of the c_j that is prime to r_0 divides c_5 = r_0 r_4,
     so p | r_4, and c_4 = r_0 (r_4' + r_3) - r_0' r_4, so
     p | r_4' + r_3 = (R_4' + 4 R_3) / 4!.  The divisor taken is H, R_4
-    without the primes of `norm_primes` and without its monomial content:
+    without the primes of KERNEL_PRIMES and without its monomial content:
     with K = R_4 / H and M = (R_4' + 4 R_3) / H, 5! c_5 / H = 5 R_0 K and
     4! c_4 / H = R_0 M - R_0' K, so only j! c_j for j <= 3 are divided.  If
     H does not divide R_4' + 4 R_3 or one of them, the entries are divided
@@ -750,9 +632,6 @@ def find_Rhat() -> DependencyVector:
         raise ArithmeticError("R_0 = 0: F cannot be eliminated from R")
     if R[4].is_zero():
         raise ArithmeticError("R_4 = 0: Q_0..Q_3 are dependent")
-    if _rank4_witness(tower_columns(5)) is None:
-        raise ArithmeticError("Q_1..Q_5 have rank below 4 at every sample "
-                              "point: Rhat is not certified unique")
     dR = [partial_derivative(p, "l") for p in R]
     # j! c_j = R_0 d_j - R_0' R_j with d_j = R_j' + j R_{j-1}
     d = {j: dR[j] + R[j - 1].scale(j) for j in range(1, 6)}
@@ -760,7 +639,7 @@ def find_Rhat() -> DependencyVector:
     def c(j: int) -> Poly:
         return sum_of_products([(R[0], d[j]), (-dR[0], R[j])])
 
-    (core,), ks = _strip_primes([R[4]], norm_primes())
+    (core,), ks = _strip_primes([R[4]], KERNEL_PRIMES)
     low = tuple(map(min, zip(*core.terms)))
     H = poly_div_exact(core, Poly({low: 1})) if any(low) else core
     K = _power_product(ks, {}) * Poly({low: 1})

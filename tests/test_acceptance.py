@@ -87,9 +87,8 @@ def test_criterion_5_h_m_equivalence():
 def _clear_holonomic_caches():
     """Drop every cached holonomic build, so a timed check measures a cold
     build whatever ran before it in the same process."""
-    for fn in (holonomic.p0_quot, holonomic.w_quot, holonomic.norm_primes,
-               holonomic.q_tower, holonomic.tower_columns, holonomic.find_R,
-               holonomic.find_Rhat):
+    for fn in (holonomic.p0_quot, holonomic.w_quot, holonomic.q_tower,
+               holonomic.tower_columns, holonomic.find_R, holonomic.find_Rhat):
         fn.cache_clear()
 
 

@@ -8,7 +8,11 @@ attribute of that name is read in src/.  So the guard is blind to a method
 that shares its name with a method in use elsewhere: a test-only
 `Series3.var` passed on the calls of `Series2.var`, and `Poly.zero` and
 `Poly.coeff` on those of the truncated series' `zero` and `coeff`.  Such
-a method is found only by reading its callers."""
+a method is found only by reading its callers.
+
+No unused imports either: every name that a module of src/tutteval imports
+at module level is read in that module (`from __future__` imports are
+exempt), so an import that outlives the code that read it goes too."""
 
 import ast
 from pathlib import Path
@@ -73,3 +77,47 @@ def test_the_guard_sees_an_unused_definition(tmp_path):
         "    def live(self):\n        return Box()\n\n"
         "    def idle(self, n):\n        return self.idle(n - 1)\n")
     assert _unreferenced(tmp_path) == ["mod.py:5 dead", "mod.py:16 idle"]
+
+
+def _unused_imports(root=SRC):
+    """`file:line name` of every name bound by a module-level import of a
+    module under root and never read (an ast.Name in Load context) in that
+    module; `import a.b` binds a."""
+    out = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    out.append(f"{path.name}:{node.lineno} {name}")
+    return out
+
+
+def test_every_module_level_import_is_read_in_its_module():
+    assert _unused_imports() == []
+
+
+def test_the_guard_sees_an_unused_import(tmp_path):
+    # a name read only inside a string, or only assigned, is unused; a
+    # dotted import counts as read through its first name, and an import
+    # inside a function is not at module level
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "import time\n"
+        "from math import inf as INF, pi\n"
+        "from .polyring import (Poly,\n"
+        "                       primitive_rat)\n\n"
+        "pi = 3\n\n\n"
+        "def f():\n"
+        "    from json import dumps\n"
+        "    return os.path.join('time', str(INF)), Poly\n")
+    assert _unused_imports(tmp_path) == [
+        "mod.py:4 time", "mod.py:5 pi", "mod.py:6 primitive_rat"]

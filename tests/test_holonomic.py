@@ -12,19 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 from tutteval import holonomic, polyring
 from tutteval.exactnum import ONE, Rat
-from tutteval.holonomic import (_PQ_ONE, DependencyVector, PhiQuot,
-                                _invert_mod_p, _kernel_vector, _pq_dlam,
-                                _pq_dphi, _pq_eq, _pq_mul, _pq_normalize,
-                                _pq_scale, _pq_sum, _rank4_witness,
-                                _reduce_top, _squarefree, _strip_primes,
-                                b_direct, b_equality_report,
-                                b_recursion, coprimality_report,
-                                dependency_report,
-                                find_R, find_Rhat, norm_primes, p0_quot,
-                                p0_report, p0_series_report, pq_from_poly,
-                                q_tower, tower_columns, tower_oracle, w_quot)
+from tutteval.holonomic import (_PQ_ONE, KERNEL_PRIMES, DependencyVector,
+                                PhiQuot, _kernel_vector, _pq_dlam, _pq_eq,
+                                _pq_mul, _pq_normalize, _pq_scale, _pq_sum,
+                                _reduce_top, _strip_primes, b_direct,
+                                b_equality_report, b_recursion,
+                                coprimality_report, dependency_report,
+                                find_R, find_Rhat, p0_quot, p0_report,
+                                p0_series_report, pq_from_poly, q_tower,
+                                tower_columns, tower_oracle, w_quot)
 from tutteval.polyring import (Poly, partial_derivative, poly_div_exact,
-                               poly_gcd, poly_to_str, primitive_rat)
+                               poly_gcd, poly_to_str)
 
 s, lam, phi = Poly.var("s"), Poly.var("l"), Poly.var("f")
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -47,10 +45,10 @@ def test_p0_closed_form():
 
 
 def test_p0_solves_the_implicit_derivative():
-    # P_phi phi' + P_lambda = 0 modulo P, with P0 built from P alone; the
-    # inversion of P_phi needs no prime beyond l and 256 l - 27
+    # P_phi phi' + P_lambda = 0 modulo P, the identity that p0_report
+    # certifies, with no prime beyond l and 256 l - 27
     P = holonomic.P_DEFINING
-    p0 = p0_quot.__wrapped__()
+    p0 = p0_quot()
     assert set(p0.den) <= {holonomic.LAM, holonomic.SINGULAR}
     residue = _pq_sum([
         (ONE, _pq_mul(p0, pq_from_poly(partial_derivative(P, "f")))),
@@ -58,18 +56,18 @@ def test_p0_solves_the_implicit_derivative():
     assert residue.is_zero()
 
 
+def _to_sympy(sympy, p: Poly):
+    return sympy.sympify(poly_to_str(p).replace("^", "**"))
+
+
 def test_p0_closed_form_by_sympy():
     # an independent route to the pinned closed form: -P_lambda / P_phi
     # minus it reduces to 0 modulo P
     sympy = pytest.importorskip("sympy")
     l, f = sympy.symbols("l f")
-
-    def to_sympy(p):
-        return sympy.sympify(poly_to_str(p).replace("^", "**"))
-
     P = f - l * (1 + f) ** 4
-    num = to_sympy(holonomic.P0_EXPECTED_NUM)
-    den = sympy.Mul(*[to_sympy(p) ** e
+    num = _to_sympy(sympy, holonomic.P0_EXPECTED_NUM)
+    den = sympy.Mul(*[_to_sympy(sympy, p) ** e
                       for p, e in holonomic.P0_EXPECTED_DEN.items()])
     residue = sympy.expand(-sympy.diff(P, l) * den - num * sympy.diff(P, f))
     assert sympy.rem(residue, P, f) == 0
@@ -200,82 +198,30 @@ def test_strip_primes_steps_down_after_a_false_positive(monkeypatch):
     assert divisors == [lam ** 3, lam ** 2]
 
 
-# -- square-free denominator primes -----------------------------------------
+# -- the primes of the kernel minors -----------------------------------------
 
 
-def _inversion_core(monkeypatch) -> Poly:
-    """The primitive core of the norm N(W), W = F^2 modulo P, that
-    `norm_primes` hands to `_squarefree`: the core that inverting W modulo
-    P would meet."""
-    seen = []
-
-    def record(f, *args):
-        seen.append(f)
-        return _squarefree(f, *args)
-
-    monkeypatch.setattr(holonomic, "_squarefree", record)
-    norm_primes.__wrapped__()
-    return seen[0]
-
-
-def _is_squarefree(p: Poly) -> bool:
-    v = "l" if p.degree("l") > 0 else "s"
-    return poly_gcd(p, partial_derivative(p, v)).is_const()
-
-
-def test_squarefree_splits_the_inversion_core_like_sympy(monkeypatch):
-    # the core is v w^2 with w = (1 + l s)^4 - s: one denominator prime for
-    # the whole core could never cancel a single w.  Both factor lists are
-    # compared inside sympy, each factor made monic
+def test_kernel_primes_are_the_factors_of_the_norm_like_sympy():
+    # up to a power of l, the norm of W = F^2 modulo P is Res_phi(P, F^2)
+    # = G E^2, with E = -P(l, l s)/l; compared inside sympy, independently
+    # of src/
     sympy = pytest.importorskip("sympy")
-    gens = sympy.symbols("l s")
-
-    def monic(p):
-        return sympy.Poly(sympy.sympify(poly_to_str(p).replace("^", "**")),
-                          *gens).monic()
-
-    core = _inversion_core(monkeypatch)
-    ours = {monic(p): e for p, e in _squarefree(core).items()}
-    _, factors = sympy.sqf_list(monic(core))
-    assert ours == {f.monic(): e for f, e in factors}
-    assert ours[monic((1 + lam * s) ** 4 - s)] == 2 and len(ours) == 2
-
-
-@given(_bivariate(2, True), _bivariate(2, True), _bivariate(2, False),
-       st.permutations([1, 2, 3]))
-@settings(max_examples=40, deadline=None)
-def test_squarefree_decomposes_products_of_powers(a, b, c, exps):
-    # a^i b^j c^k with c free of lambda: the factors multiply back, are
-    # square-free and pairwise coprime
-    f = primitive_rat(a ** exps[0] * b ** exps[1] * c ** exps[2])[1]
-    sq = _squarefree(f)
-    back = Poly.one()
-    for p, e in sq.items():
-        assert not p.is_const() and e >= 1
-        assert primitive_rat(p)[1] == p
-        assert _is_squarefree(p)
-        back = back * p ** e
-    assert back == f
-    for p, q in combinations(sq, 2):
-        assert poly_gcd(p, q).is_const()
-
-
-def test_squarefree_examples():
-    assert _squarefree(Poly.one()) == {}
-    sq = _squarefree(primitive_rat((s + 1) ** 3 * (s - 2))[1])
-    assert sq == {s - 2: 1, s + 1: 3}
-    f = (s + 1) ** 2 * (lam + s) ** 3 * (lam * s - 1)
-    assert _squarefree(primitive_rat(f)[1]) == {
-        lam * s - 1: 1, lam + s: 3, s + 1: 2}
+    l, s_, f = sympy.symbols("l s f")
+    P = f - l * (1 + f) ** 4
+    B = 1 + l * s_ + s_ + (1 + l * s_) * f * (1 - f - f ** 2)
+    F2 = sympy.expand(B ** 2 - 4 * s_ * (1 + l * s_) ** 2)
+    lam_, singular, G, E = (_to_sympy(sympy, p) for p in KERNEL_PRIMES)
+    assert (lam_, singular) == (l, 256 * l - 27)
+    assert sympy.expand(sympy.resultant(P, F2, f) - G * E ** 2) == 0
+    assert sympy.expand(P.subs(f, l * s_) + l * E) == 0
 
 
 def test_tower_denominator_primes_are_squarefree_and_coprime():
     # the tower's denominators hold lambda and 256 l - 27 only; the primes
-    # stripped from the kernel minors add the two square-free factors of
-    # N(W)
+    # stripped from the kernel minors add the two factors of W's norm
     tower_keys = {p for t in q_tower(5) for p in t.den}
     assert tower_keys == {holonomic.LAM, holonomic.SINGULAR}
-    keys = set(norm_primes())
+    keys = set(KERNEL_PRIMES)
     assert tower_keys < keys and len(keys) == 4
     assert (1 + lam * s) ** 4 - s in keys
     for p in keys:
@@ -284,57 +230,34 @@ def test_tower_denominator_primes_are_squarefree_and_coprime():
         assert poly_gcd(p, q).is_const()
 
 
-def test_norm_primes_refuse_a_zero_divisor(monkeypatch):
-    # N(W) = 0 would leave W no unit modulo P
-    zero = PhiQuot([], {}, ONE)
-    monkeypatch.setattr(holonomic, "w_quot", lambda: (zero, zero))
-    with pytest.raises(ArithmeticError, match="singular"):
-        norm_primes.__wrapped__()
-
-
-def _q_tower_reference(kmax: int) -> list:
-    """Q_0..Q_kmax with d^iF/dlambda^i = Q_i F, by the recurrence
-    Q_(i+1) = dQ_i + Q_i Q_1, Q_1 = dW (2 W)^-1 modulo P: the tower that
-    the T-tower replaced, kept as its oracle."""
-    W, dW = w_quot()
-    q1 = _pq_mul(dW, _invert_mod_p(_pq_scale(W, Rat(2))))
-    tower = [_PQ_ONE, q1]
-    while len(tower) <= kmax:
-        q = tower[-1]
-        tower.append(_pq_sum([(ONE, _pq_dlam(q)),
-                              (ONE, _pq_mul(_pq_dphi(q), p0_quot())),
-                              (ONE, _pq_mul(q, q1))]))
-    return tower[:kmax + 1]
-
-
 def test_t_tower_is_w_powers_times_the_q_tower():
-    # T_i = W^i Q_i for i <= 6, and no inverse enters the T-tower: its
-    # denominators hold only lambda and 256 lambda - 27
-    W = w_quot()[0]
-    Wi = _PQ_ONE
-    for i, (t, q) in enumerate(zip(q_tower(6), _q_tower_reference(6))):
-        assert set(t.den) <= {holonomic.LAM, holonomic.SINGULAR}, i
-        assert _pq_eq(t, _pq_mul(Wi, q)), i
-        Wi = _pq_mul(Wi, W)
+    # T_i = W^i Q_i, i.e. W^i d^iF/dlambda^i = T_i F, for i <= 6 as
+    # truncated series, and no inverse enters the T-tower: its denominators
+    # hold only lambda and 256 lambda - 27
+    for t in q_tower(6):
+        assert set(t.den) <= {holonomic.LAM, holonomic.SINGULAR}
+    assert tower_oracle(6, 10, 8).ok
 
 
 def test_tower_columns_are_w_top_times_q_over_factorial():
+    # column i is W^(top-i) T_i / i! = W^top Q_i / i!, the W-power built
+    # here by repeated products
     W = w_quot()[0]
-    ref = _q_tower_reference(5)
+    tower = q_tower(5)
     for top in (4, 5):
-        Wtop = _PQ_ONE
-        for _ in range(top):
-            Wtop = _pq_mul(Wtop, W)
         for i, col in zip(range(top - 4, top + 1), tower_columns(top)):
-            want = _pq_scale(_pq_mul(Wtop, ref[i]), Rat(1, factorial(i)))
-            assert _pq_eq(col, want), (top, i)
+            want = tower[i]
+            for _ in range(top - i):
+                want = _pq_mul(want, W)
+            assert _pq_eq(col, _pq_scale(want, Rat(1, factorial(i)))), \
+                (top, i)
 
 
 def test_kernel_vector_of_R_has_no_hidden_common_factor():
     # the prime stripping leaves components whose gcd is constant, so no
     # common factor such as ((1 + l s)^4 - s)^7 reaches the normalization
     g = Poly()
-    for p in _kernel_vector(list(tower_columns(4)), norm_primes()):
+    for p in _kernel_vector(list(tower_columns(4)), KERNEL_PRIMES):
         g = poly_gcd(g, p)
     assert g.is_const()
 
@@ -519,22 +442,6 @@ def test_kernel_vector_rejects_rank_deficiency():
         _kernel_vector([e, a, b, a, b], {})
 
 
-def test_rank4_witness():
-    # the certificate is the first sample point at which the evaluated
-    # numerator matrix has rank 4
-    cols = tower_columns(5)
-    assert _rank4_witness(tower_columns(4)[:4]) == (2, 1)
-    assert _rank4_witness(cols) == (2, 1)
-    # a repeated column leaves rank 3 at every point
-    assert _rank4_witness([cols[0], cols[1], cols[2], cols[2]]) is None
-    # a point where a denominator prime vanishes is skipped: s - 2 vanishes
-    # at the first point, so the second certifies
-    a, b, c, d = (pq_from_poly(p) for p in (
-        Poly.one(), phi + s * lam, phi ** 2 - lam + 1, phi ** 3 + 2 * phi + s))
-    b = PhiQuot(b.num, {s - 2: 1}, b.c)
-    assert _rank4_witness([a, b, c, d]) == (3, 2)
-
-
 def test_dependency_precondition_failure_is_a_report(monkeypatch):
     R = find_R()
     for entries, witness in (
@@ -547,6 +454,25 @@ def test_dependency_precondition_failure_is_a_report(monkeypatch):
         rep = dependency_report("Rhat")
         assert rep.status == "fail"
         assert rep.witness == witness
+
+
+def test_dependency_rhat_fails_when_find_R_finds_no_line(monkeypatch):
+    # columns of rank 3 make every 4x4 minor vanish, so find_R raises and
+    # Rhat, derived from R, is a fail report with that reason
+    low = tuple(pq_from_poly(p) for p in (
+        Poly.one(), phi + s * lam, phi ** 3 + phi ** 2,
+        3 * phi ** 3 + 3 * phi ** 2 + 2 * phi + s,
+        lam * phi ** 3 + lam * phi ** 2 + 7))
+    monkeypatch.setattr(holonomic, "tower_columns", lambda top: low)
+    find_R.cache_clear()
+    find_Rhat.cache_clear()
+    try:
+        rep = dependency_report("Rhat")
+    finally:
+        find_R.cache_clear()
+        find_Rhat.cache_clear()
+    assert rep.status == "fail" and rep.n_cases == 0
+    assert rep.witness == "all 4x4 minors vanish: kernel dimension exceeds 1"
 
 
 def test_b_recursion_fails_on_an_entry_below_the_band(monkeypatch):
