@@ -47,12 +47,12 @@ from math import comb, factorial, inf, prod
 from .exactnum import ONE, Rat, ZERO, rat_gcd
 from .polyring import (Poly, clear_and_normalize, partial_derivative,
                        point_value, poly_div_exact, poly_gcd, poly_to_str,
-                       rat_content, strip_gcd, sum_of_products)
+                       rat_content, sum_of_products)
 from .report import Record, Report, failed, inconclusive, passed
 from .series import Series2
 from .tutte import phi_series
 
-TOWER_MAX = 6  # rational-function swell beyond this exceeds desk scale
+TOWER_MAX = 10
 
 LAM = Poly.var("l")
 PHI = Poly.var("f")
@@ -62,8 +62,9 @@ SINGULAR = 256 * LAM - 27
 
 _S = Poly.var("s")
 # the primes that the kernel minors of the columns W^(top-i) T_i / i! may
-# share, each to any power; they only guide the stripping, and the gcd in
-# `clear_and_normalize` certifies that no common factor is left
+# share, each to any power; they only guide the stripping:
+# `clear_and_normalize` certifies that no common factor is left, or the
+# report fails
 KERNEL_PRIMES = dict.fromkeys([
     # the denominators of P0 and of the tower
     LAM, SINGULAR,
@@ -540,8 +541,9 @@ def _kernel_vector(cols: list, primes: dict) -> list:
     denominators and of `primes`, is removed in exponent space: each minor
     is stripped of those primes, the column denominators are added as
     exponents, and only the powers above the least ones are multiplied
-    back.  When `primes` holds every prime the minors share, the later
-    generic gcd finds a constant."""
+    back.  When `primes` holds every prime the minors share, the entries
+    come back coprime: certified by `clear_and_normalize`, or the report
+    fails."""
     N = [[col.num[r] if r < len(col.num) else Poly() for col in cols]
          for r in range(4)]
     m4 = _minors(N)
@@ -587,9 +589,9 @@ def find_R() -> DependencyVector:
     minors and raises ArithmeticError if they all vanish, i.e. if the
     kernel is not a line.  Its components come back with no common factor,
     since KERNEL_PRIMES holds the primes that the minors share and they are
-    stripped, so the gcd in `clear_and_normalize` stops at a constant;
-    `_band_vector` clears the vector of its content and fixes its sign by
-    the band R_{1,0}."""
+    stripped: certified by `clear_and_normalize`, which raises
+    ArithmeticError otherwise, so the report fails.  `_band_vector` clears
+    the vector of its content and fixes its sign by the band R_{1,0}."""
     return _band_vector("R", 0, _kernel_vector(list(tower_columns(4)),
                                                KERNEL_PRIMES))
 
@@ -617,16 +619,16 @@ def find_Rhat() -> DependencyVector:
     raises ArithmeticError, as the elimination needs R_0 != 0 too.  The
     line is then normalized exactly as find_R normalizes its vector.
 
-    Any verified common divisor of the entries may be removed first: the
-    gcd in `clear_and_normalize` certifies that no common factor is left.
-    A common factor p of the c_j that is prime to r_0 divides c_5 = r_0 r_4,
-    so p | r_4, and c_4 = r_0 (r_4' + r_3) - r_0' r_4, so
-    p | r_4' + r_3 = (R_4' + 4 R_3) / 4!.  The divisor taken is H, R_4
+    Any verified common divisor of the entries may be removed first:
+    `clear_and_normalize` certifies that no common factor is left, or the
+    report fails.  A common factor p of the c_j that is prime to r_0
+    divides c_5 = r_0 r_4, so p | r_4, and c_4 = r_0 (r_4' + r_3) - r_0' r_4,
+    so p | r_4' + r_3 = (R_4' + 4 R_3) / 4!.  The divisor taken is H, R_4
     without the primes of KERNEL_PRIMES and without its monomial content:
     with K = R_4 / H and M = (R_4' + 4 R_3) / H, 5! c_5 / H = 5 R_0 K and
     4! c_4 / H = R_0 M - R_0' K, so only j! c_j for j <= 3 are divided.  If
-    H does not divide R_4' + 4 R_3 or one of them, the entries are divided
-    by the gcd of gcd(R_4, R_4' + 4 R_3) and the entries (`strip_gcd`)."""
+    H does not divide R_4' + 4 R_3 or one of them, ArithmeticError is
+    raised, and the report fails."""
     R = find_R().entries + [Poly()]
     if R[0].is_zero():
         raise ArithmeticError("R_0 = 0: F cannot be eliminated from R")
@@ -646,11 +648,11 @@ def find_Rhat() -> DependencyVector:
     try:
         M = poly_div_exact(d[4], H)
         vec = [poly_div_exact(c(j), H) for j in range(1, 4)]
-    except ArithmeticError:
-        vec = strip_gcd(poly_gcd(R[4], d[4]), [c(j) for j in range(1, 6)])
-    else:
-        vec += [sum_of_products([(R[0], M), (-dR[0], K)]),
-                (R[0] * K).scale(5)]
+    except ArithmeticError as exc:
+        raise ArithmeticError(
+            "H, R_4 without its kernel primes, does not divide "
+            "R_4' + 4 R_3 or one of c_1..c_3") from exc
+    vec += [sum_of_products([(R[0], M), (-dR[0], K)]), (R[0] * K).scale(5)]
     return _band_vector("Rhat", 1, vec)
 
 

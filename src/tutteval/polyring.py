@@ -17,16 +17,17 @@ parser reads that text back: polynomials are built from `Poly.var`,
 `Poly.const` and arithmetic.
 
 Everything here is immutable and pure.  Division and gcd are exact
-throughout.  A gcd involves at most two variables: univariate ones come from
-a primitive remainder sequence on integer coefficient lists, bivariate ones
-from Brown's evaluation and interpolation of such univariate images.
+throughout.  A gcd is univariate, from a primitive remainder sequence on
+integer coefficient lists.  A vector in two variables is not divided by a
+gcd: `clear_and_normalize` certifies from such gcds of its univariate
+images that its entries are coprime, or raises.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import accumulate, chain, repeat
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import gt, mul, sub
 
 from ._kernels_py import (PACK_PAIRS, field_struct, mul_packed, mul_poly,
@@ -480,218 +481,100 @@ def _univar_coeffs(A: Poly, v) -> list:
     return out
 
 
-def _gcd_univar(A: Poly, B: Poly, v) -> Poly:
-    """gcd of polynomials involving only variable v, primitive with
-    positive leading coefficient."""
-    if A.is_zero():
-        return primitive_rat(B)[1] if not B.is_zero() else Poly()
-    if B.is_zero():
-        return primitive_rat(A)[1]
-    g = _euclid_lists(_univar_coeffs(A, v), _univar_coeffs(B, v))
-    i = _vi(v)
+def poly_gcd(A: Poly, B: Poly) -> Poly:
+    """gcd of polynomials in at most one variable together, primitive with
+    positive leading coefficient (for two constants, their rational gcd);
+    two or more variables raise ValueError.
+
+    Euclid's algorithm over Q, as the primitive remainder sequence on ints
+    of `_euclid_lists`."""
+    pv = A.vars_present() | B.vars_present()
+    if len(pv) > 1:
+        raise ValueError("poly_gcd takes one variable, got "
+                         + ", ".join(VARS[i] for i in sorted(pv)))
+    if not (A and B):
+        return primitive_rat(A + B)[1]
+    if not pv:
+        return Poly.const(rat_gcd(A.const_value(), B.const_value()))
+    i, = pv
+    g = _euclid_lists(_univar_coeffs(A, i), _univar_coeffs(B, i))
     return primitive_rat(Poly({tuple(e if j == i else 0
                                      for j in range(NVARS)): c
                                for e, c in enumerate(g) if c}))[1]
 
 
-def _interpolate(xs: list, columns: list) -> list:
-    """Coefficient lists of the polynomials through the points (xs[i], ys[i]),
-    one for each value list ys in columns; xs are distinct integers.
-
-    Lagrange's formula on ints, shared by every column: with
-    N_j = prod_{i != j} (x - xs[i]), w_j = N_j(xs[j]) and L = lcm(w_j), the
-    polynomial through integer values Y is sum_j Y_j (L / w_j) N_j / L.  A
-    column of rationals is first written as integers Y over a denominator D.
-    """
-    n = len(xs)
-    master = [1]  # prod (x - xs[i]), ascending coefficients
-    for x in xs:
-        master = [0] + master
-        for k in range(len(master) - 1):
-            master[k] -= x * master[k + 1]
-    ws = [prod(xj - xi for xi in xs if xi != xj) for xj in xs]
-    L = lcm(*ws)
-    basis = []
-    for xj, w in zip(xs, ws):
-        N = [0] * n  # master / (x - xj) by synthetic division
-        N[-1] = master[n]
-        for k in range(n - 1, 0, -1):
-            N[k - 1] = master[k] + xj * N[k]
-        basis.append([(L // w) * c for c in N])
-    out = []
-    for ys in columns:
-        D = lcm(*[y.denominator for y in ys])
-        acc = [0] * n
-        for y, row in zip(ys, basis):
-            yj = y.numerator * (D // y.denominator)
-            if yj:
-                acc = [a + yj * c for a, c in zip(acc, row)]
-        while acc and not acc[-1]:
-            acc.pop()
-        out.append([Rat(c, L * D) for c in acc])
+def _image(A: Poly, v: int, w: int, a: int) -> list:
+    """The coefficient list in v of A at w = a, of length deg_v A + 1."""
+    out = [0] * (A.degree(v) + 1)
+    for m, c in A.terms.items():
+        out[m[v]] += c * a ** m[w]
     return out
 
 
-def _int_rows(A: Poly, vm, ve) -> list:
-    """A polynomial in vm and ve times a positive integer, as the list over
-    the vm-degree of its integer coefficient lists in ve."""
-    ivm, ive = _vi(vm), _vi(ve)
-    width = A.degree(ive) + 1
-    rows = [[0] * width for _ in range(A.degree(ivm) + 1)]
-    for m, c in _int_terms(A.terms)[1].items():
-        rows[m[ivm]][m[ive]] = c
-    return rows
+def _certify_images(polys: list, v: int, w: int) -> None:
+    """Certify that the nonzero polys share no factor of positive degree in
+    v, from their images at w = a for a = 1, 2, ... up to a bound; raise
+    ArithmeticError if no point certifies it.
 
+    Soundness: let A be the first entry.  At a point a where lc_v(A) does
+    not vanish, a common factor of positive v-degree keeps its v-degree,
+    since its leading coefficient in v divides lc_v(A).  So it divides
+    every image, and images with a constant gcd exclude it.
 
-def _horner(coeffs: list, a):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * a + c
-    return acc
-
-
-def _poly_gcd_bivar(A: Poly, B: Poly, vm: int, ve: int) -> Poly:
-    """gcd of polynomials in exactly the two variables vm, ve by evaluation
-    at ve = 0, 1, 2, ... and interpolation of the univariate gcd images
-    (Brown's method over the rationals, W. S. Brown, J. ACM 18(4), 1971),
-    each image a univariate gcd on integer coefficient lists.
-
-    The interpolant H of the images of least degree has the vm-degree of
-    those images, which no gcd of the inputs exceeds.  So once H divides
-    both primitive parts it is their gcd, however few points it came from:
-    the points start at two more than the degree of the leading-coefficient
-    gcd and double toward Brown's bound only while that trial fails."""
-    ua, ub = A.as_univar(vm), B.as_univar(vm)
-    ca = Poly()
-    for c in ua:
-        ca = _gcd_univar(ca, c, ve)
-    cb = Poly()
-    for c in ub:
-        cb = _gcd_univar(cb, c, ve)
-    cont = _gcd_univar(ca, cb, ve)
-    pa = poly_div_exact(A, ca) if ca != Poly.one() else A
-    pb = poly_div_exact(B, cb) if cb != Poly.one() else B
-    gamma = _gcd_univar(pa.as_univar(vm)[-1], pb.as_univar(vm)[-1], ve)
-    gamma_c = _univar_coeffs(gamma, ve)
-    # the images are taken of integer multiples of pa and pb, which have the
-    # same monic gcd at every point
-    rows_a, rows_b = _int_rows(pa, vm, ve), _int_rows(pb, vm, ve)
-
-    # Brown's bound on the points the gcd can need; the points already
-    # taken are kept when the target grows
-    bound = gamma.degree(ve) + min(pa.degree(ve), pb.degree(ve)) + 1
-    target = min(bound, gamma.degree(ve) + 2)
-    xs = []
-    images = []
-    dmin = None
-    a = 0
-    while True:
-        while len(xs) < target:
-            if not _horner(rows_a[-1], a) or not _horner(rows_b[-1], a):
-                a += 1
-                continue
-            g = _euclid_lists([_horner(r, a) for r in rows_a],
-                              [_horner(r, a) for r in rows_b])
-            d = len(g) - 1
-            if d == 0:
-                return primitive_rat(cont)[1]
-            if dmin is None or d < dmin:
-                dmin = d
-                xs, images = [], []
-            if d == dmin:
-                ga = _horner(gamma_c, a)
-                xs.append(a)
-                images.append([c * ga for c in g])
-            a += 1
-        ivm, ive = _vi(vm), _vi(ve)
-        terms = {}
-        col_polys = []
-        columns = _interpolate(xs, [[img[k] for img in images]
-                                    for k in range(dmin + 1)])
-        for k, coeffs in enumerate(columns):
-            col = {}
-            for e, c in enumerate(coeffs):
-                if c:
-                    mono = [0] * NVARS
-                    mono[ive] = e
-                    col[tuple(mono)] = c  # ve part only, for the content gcd
-                    mono[ivm] = k
-                    terms[tuple(mono)] = c
-            col_polys.append(Poly(col))
-        H = Poly(terms)
-        ch = Poly()
-        for col in col_polys:
-            ch = _gcd_univar(ch, col, ve)
-        if not (ch.is_const() and ch.const_value() == ONE):
-            H = poly_div_exact(H, ch)
-        H = primitive_rat(H)[1]
-        try:
-            poly_div_exact(pa, H)
-            poly_div_exact(pb, H)
-        except ArithmeticError:
-            target = min(2 * target, bound) if target < bound else target + 8
-            continue
-        return primitive_rat(H * cont)[1]
-
-
-def poly_gcd(A: Poly, B: Poly) -> Poly:
-    """gcd of polynomials in at most two variables together, primitive with
-    positive leading coefficient (for two constants, their rational gcd).
-
-    One variable goes through `_gcd_univar`, two through `_poly_gcd_bivar`;
-    more than two raise ValueError.
-    """
-    pv = A.vars_present() | B.vars_present()
-    if len(pv) > 2:
-        raise ValueError("poly_gcd supports at most two variables, got "
-                         + ", ".join(VARS[i] for i in sorted(pv)))
-    if A.is_zero():
-        return primitive_rat(B)[1] if not B.is_zero() else Poly()
-    if B.is_zero():
-        return primitive_rat(A)[1]
-    if not pv:
-        return Poly.const(rat_gcd(A.const_value(), B.const_value()))
-    if len(pv) == 1:
-        return _gcd_univar(A, B, pv.pop())
-    v1, v2 = sorted(pv)
-    # evaluate the variable of smaller degree: fewer sample points
-    d1 = max(A.degree(v1), B.degree(v1))
-    d2 = max(A.degree(v2), B.degree(v2))
-    vm, ve = (v2, v1) if d1 <= d2 else (v1, v2)
-    return _poly_gcd_bivar(A, B, vm, ve)
-
-
-def strip_gcd(g: Poly, polys: list) -> list:
-    """The entries divided by gcd(g, entries).  The gcd grows over the
-    nonzero entries in order and stops as soon as it divides every entry,
-    as a constant does: the gcd of a prefix that divides them all is the
-    gcd of them all."""
-    for p in polys:
-        if p.is_zero():
-            continue
-        g = poly_gcd(g, p)
-        try:
-            return [poly_div_exact(q, g) if not q.is_zero() else q
-                    for q in polys]
-        except ArithmeticError:
-            continue
-    return polys
+    The bound: if no such factor exists, some integer combination B of the
+    other entries has none in common with A either (each of A's finitely
+    many prime factors of positive v-degree divides the combinations of a
+    proper subspace only).  Then the Sylvester resultant Res_v(A, B) is a
+    nonzero polynomial in w of degree at most deg_v A * D_w + D_v * deg_w A,
+    D the largest degrees of the entries.  At a point a where neither
+    lc_v(A) nor that resultant vanishes, A(a) and B(a) are coprime, and so
+    are the images (if deg_v A = 0, A(a) is a nonzero constant).  At most
+    deg_w lc_v(A) plus that degree points fail, so one point past them
+    certifies.  The images are built lazily, entry by entry, and a point
+    stops at the first constant running gcd."""
+    A = polys[0]
+    top = A.degree(v)
+    bound = (max(m[w] for m in A.terms if m[v] == top)
+             + top * max(p.degree(w) for p in polys)
+             + max(p.degree(v) for p in polys) * A.degree(w))
+    for a in range(1, bound + 2):
+        images = (_image(p, v, w, a) for p in polys)
+        first = next(images)
+        if first[-1] and any(len(g) == 1 for g in accumulate(
+                chain([first], images), _euclid_lists)):
+            return
+    raise ArithmeticError(
+        f"the entries share a factor in {VARS[v]}: their images at "
+        f"{VARS[w]} = 1..{bound + 1} keep a common factor")
 
 
 def clear_and_normalize(polys: list) -> list:
-    """Scale a nonzero polynomial vector to coprime integer entries.
+    """Scale a nonzero vector of polynomials in at most two variables to
+    coprime integer entries.
 
-    Divides by the common polynomial factor, the gcd of the first entries
-    as soon as it divides all of them, and by the common rational content.
-    The global sign is left to the caller.
+    Divides by the common rational content and certifies that the entries
+    have no common polynomial factor: for each of the two variables,
+    univariate images with a constant gcd (`_certify_images`) exclude a
+    common factor of positive degree in it, and a nonconstant factor has
+    positive degree in one of them.  A vector that is not certified raises
+    ArithmeticError; the zero vector and more than two variables raise
+    ValueError.  The global sign is left to the caller.
     """
-    if all(p.is_zero() for p in polys):
+    if not any(polys):
         raise ValueError("cannot normalize the zero vector")
-    polys = strip_gcd(Poly(), polys)
+    pv = set().union(*map(Poly.vars_present, polys))
+    if len(pv) > 2:
+        raise ValueError("clear_and_normalize takes two variables, got "
+                         + ", ".join(VARS[i] for i in sorted(pv)))
     c = ZERO
     for p in polys:
         c = rat_gcd(c, rat_content(p))
-    return [p.scale(ONE / c) for p in polys]
+    polys = [p.scale(ONE / c) for p in polys]
+    nonzero = [p for p in polys if p]
+    v, w = (sorted(pv) + [i for i in range(NVARS) if i not in pv])[:2]
+    _certify_images(nonzero, v, w)
+    _certify_images(nonzero, w, v)
+    return polys
 
 
 # -- text serialization ----------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tutteval import holonomic, polyring
+from tutteval import holonomic
 from tutteval.exactnum import ONE, Rat
 from tutteval.holonomic import (_PQ_ONE, KERNEL_PRIMES, DependencyVector,
                                 PhiQuot, _kernel_vector, _pq_dlam, _pq_eq,
@@ -22,7 +22,7 @@ from tutteval.holonomic import (_PQ_ONE, KERNEL_PRIMES, DependencyVector,
                                 p0_series_report, pq_from_poly, q_tower,
                                 tower_columns, tower_oracle, w_quot)
 from tutteval.polyring import (Poly, partial_derivative, poly_div_exact,
-                               poly_gcd, poly_to_str)
+                               poly_to_str)
 
 s, lam, phi = Poly.var("s"), Poly.var("l"), Poly.var("f")
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -58,6 +58,15 @@ def test_p0_solves_the_implicit_derivative():
 
 def _to_sympy(sympy, p: Poly):
     return sympy.sympify(poly_to_str(p).replace("^", "**"))
+
+
+def _sympy_gcd_is_const(*polys) -> bool:
+    """Whether sympy's gcd of the polynomials is a constant."""
+    sympy = pytest.importorskip("sympy")
+    g = sympy.Integer(0)
+    for p in polys:
+        g = sympy.gcd(g, _to_sympy(sympy, p))
+    return g.is_number
 
 
 def test_p0_closed_form_by_sympy():
@@ -225,9 +234,9 @@ def test_tower_denominator_primes_are_squarefree_and_coprime():
     assert tower_keys < keys and len(keys) == 4
     assert (1 + lam * s) ** 4 - s in keys
     for p in keys:
-        assert poly_gcd(p, partial_derivative(p, "l")).is_const()
+        assert _sympy_gcd_is_const(p, partial_derivative(p, "l"))
     for p, q in combinations(keys, 2):
-        assert poly_gcd(p, q).is_const()
+        assert _sympy_gcd_is_const(p, q)
 
 
 def test_t_tower_is_w_powers_times_the_q_tower():
@@ -256,15 +265,18 @@ def test_tower_columns_are_w_top_times_q_over_factorial():
 def test_kernel_vector_of_R_has_no_hidden_common_factor():
     # the prime stripping leaves components whose gcd is constant, so no
     # common factor such as ((1 + l s)^4 - s)^7 reaches the normalization
-    g = Poly()
-    for p in _kernel_vector(list(tower_columns(4)), KERNEL_PRIMES):
-        g = poly_gcd(g, p)
-    assert g.is_const()
+    assert _sympy_gcd_is_const(
+        *_kernel_vector(list(tower_columns(4)), KERNEL_PRIMES))
 
 
 def test_q_tower_oracle():
     # W^i d^i F / d lambda^i = T_i F as truncated series, i <= 3 fast
     assert tower_oracle(3, 14, 10).ok
+
+
+def test_tower_oracle_at_the_tower_cap():
+    # the deepest tower the CLI accepts still meets the series oracle
+    assert tower_oracle(holonomic.TOWER_MAX, 8, 6).ok
 
 
 def _perturbed_tower(i: int) -> tuple:
@@ -492,61 +504,50 @@ def test_b_recursion_fails_on_an_entry_below_the_band(monkeypatch):
                            "the band")
 
 
-def test_find_Rhat_stops_at_the_first_dividing_gcd(monkeypatch):
-    # the divisor H, R_4 without the known primes and its monomial content,
-    # divides every entry, so find_Rhat takes no gcd of its own; the
-    # normalization of the band vector then takes two.  Both bindings of
-    # poly_gcd are counted: find_Rhat's own, and the one strip_gcd calls
-    find_R()
-    tower_columns(5)
-    Rhat = find_Rhat()
-    calls = []
-    gcd = polyring.poly_gcd
+@pytest.mark.parametrize("factor", [lam + 2, s - 5, s * lam + 1])
+def test_dependency_r_fails_on_a_planted_common_factor(monkeypatch, factor):
+    # the kernel vector times a common factor in lambda only, in s only or
+    # in both is not certified coprime, and the report fails with the
+    # reason rather than passing a vector that is not normalized
+    kernel = holonomic._kernel_vector
 
-    def counting(A, B):
-        calls.append(1)
-        return gcd(A, B)
+    def planted(cols, primes):
+        return [factor * p for p in kernel(cols, primes)]
 
-    monkeypatch.setattr(polyring, "poly_gcd", counting)
-    monkeypatch.setattr(holonomic, "poly_gcd", counting)
+    monkeypatch.setattr(holonomic, "_kernel_vector", planted)
+    find_R.cache_clear()
     find_Rhat.cache_clear()
     try:
-        assert find_Rhat() == Rhat
+        rep = dependency_report("R")
     finally:
+        find_R.cache_clear()
         find_Rhat.cache_clear()
-    assert len(calls) == 2
+    assert rep.status == "fail" and rep.n_cases == 0
+    assert rep.witness.startswith("the entries share a factor in ")
 
 
-def test_find_Rhat_falls_back_to_strip_gcd(monkeypatch):
-    # H is gcd(R_4, R_4' + 4 R_3) without its monomial content at this
-    # tree, although find_Rhat takes no gcd to find it.  If a division by H
-    # failed, find_Rhat would strip the gcd of that gcd and the entries
-    # instead; forced onto that route, it finds the same Rhat
+def test_find_Rhat_fails_when_H_does_not_divide(monkeypatch):
+    # H, R_4 without its kernel primes and its monomial content, divides
+    # R_4' + 4 R_3 at this tree; a division refused there leaves no other
+    # route, so the Rhat report fails with the reason
     R = find_R().entries
-    g = poly_gcd(R[4], partial_derivative(R[4], "l") + R[3].scale(4))
-    H = poly_div_exact(g, Poly({tuple(map(min, zip(*g.terms))): 1}))
-    Rhat = find_Rhat()
-    div, strip = holonomic.poly_div_exact, holonomic.strip_gcd
-    refused, stripped = [], []
+    d4 = partial_derivative(R[4], "l") + R[3].scale(4)
+    div = holonomic.poly_div_exact
 
-    def refusing(p, d):
-        if d == H and not refused:  # the first division by H
-            refused.append(g)
+    def refusing(p, q):
+        if p == d4:
             raise ArithmeticError("refused")
-        return div(p, d)
-
-    def counting(H, vec):
-        stripped.append(H)
-        return strip(H, vec)
+        return div(p, q)
 
     monkeypatch.setattr(holonomic, "poly_div_exact", refusing)
-    monkeypatch.setattr(holonomic, "strip_gcd", counting)
     find_Rhat.cache_clear()
     try:
-        assert find_Rhat() == Rhat
+        rep = dependency_report("Rhat")
     finally:
         find_Rhat.cache_clear()
-    assert stripped == refused and len(refused) == 1
+    assert rep.status == "fail" and rep.n_cases == 0
+    assert rep.witness == ("H, R_4 without its kernel primes, does not "
+                           "divide R_4' + 4 R_3 or one of c_1..c_3")
 
 
 def test_dependency_report_unknown_kind(monkeypatch):
@@ -641,7 +642,8 @@ def test_caps_that_leave_nothing_to_compare_are_inconclusive():
     for i_max in (0, -1, holonomic.TOWER_MAX + 1):
         rep = tower_oracle(i_max, 8, 6)
         assert rep.status == "inconclusive" and rep.n_cases == 0
-        assert rep.witness == f"i_max {i_max} is outside 1..6"
+        assert rep.witness == \
+            f"i_max {i_max} is outside 1..{holonomic.TOWER_MAX}"
     for L in (0, -1):
         rec, rep = b_recursion(L)
         assert rep.status == "inconclusive" and rep.n_cases == 0

@@ -4,6 +4,7 @@ format."""
 
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -12,11 +13,10 @@ from hypothesis import given, settings, strategies as st
 from tutteval import polyring
 from tutteval.exactnum import ONE, Rat
 from tutteval._kernels_py import mul_poly
-from tutteval.polyring import (VARS, Poly, _euclid_lists, _interpolate,
-                               _poly_gcd_bivar, clear_and_normalize,
+from tutteval.polyring import (VARS, Poly, _euclid_lists, clear_and_normalize,
                                partial_derivative, poly_div_exact, poly_gcd,
-                               poly_to_str, primitive_rat,
-                               rat_content, sum_of_products)
+                               poly_to_str, primitive_rat, rat_content,
+                               sum_of_products)
 
 t, s, lam = Poly.var("t"), Poly.var("s"), Poly.var("l")
 
@@ -416,9 +416,10 @@ def test_primitive_rat_sign():
 
 
 def test_gcd_examples():
-    assert poly_gcd(t ** 2 - s ** 2, t + s) == t + s
-    assert poly_gcd((t + 1) ** 2 * s, (t + 1) * s ** 2) == (t + 1) * s
-    assert poly_gcd(t, s) == Poly.one()
+    assert poly_gcd(s ** 2 - 1, s + 1) == s + 1
+    assert poly_gcd((lam + 1) ** 2 * lam, (lam + 1) * lam ** 2) == \
+        (lam + 1) * lam
+    assert poly_gcd(t, t + 1) == Poly.one()
     assert poly_gcd(Poly(), 3 * t) == t
     assert poly_gcd(Rat(4) * Poly.one(), Rat(6) * Poly.one()) == Poly.const(Rat(2))
 
@@ -427,18 +428,24 @@ def test_gcd_examples():
 @settings(max_examples=40, deadline=None)
 def test_gcd_divides_inputs(seed):
     rng = random.Random(seed)
-    A = _random_poly(rng, nterms=rng.randrange(1, 5))
-    B = _random_poly(rng, nterms=rng.randrange(1, 5))
+    v = rng.randrange(3)
+    G = _random_poly(rng, nvars=1, deg=3, nterms=2, start=v)
+    A = G * _random_poly(rng, nvars=1, nterms=rng.randrange(1, 5), start=v)
+    B = G * _random_poly(rng, nvars=1, nterms=rng.randrange(1, 5), start=v)
     if A.is_zero() or B.is_zero():
         return
     g = poly_gcd(A, B)
     poly_div_exact(A, g)
     poly_div_exact(B, g)
+    poly_div_exact(g, G)
 
 
 def test_gcd_rejects_three_variables():
+    # poly_gcd is univariate: two variables are refused as well as three
     with pytest.raises(ValueError):
-        poly_gcd(t * s, s * lam)
+        poly_gcd(t * s, s + 1)
+    with pytest.raises(ValueError):
+        poly_gcd(s, lam)
     with pytest.raises(ValueError):
         poly_gcd(Poly(), t + s + lam)
 
@@ -458,126 +465,75 @@ def sympy_gcd(A: Poly, B: Poly) -> Poly:
                                for m, c in g.terms()}))[1]
 
 
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=40, deadline=None)
-def test_bivar_gcd_matches_sympy(seed):
-    # Brown's interpolation, from either variable, against sympy
-    rng = random.Random(seed)
-    G = _random_poly(rng, nvars=2, deg=3, nterms=3, start=1)
-    A = G * _random_poly(rng, nvars=2, deg=3, nterms=3, start=1)
-    B = G * _random_poly(rng, nvars=2, deg=3, nterms=3, start=1)
-    if A.is_zero() or B.is_zero():
-        return
-    pv = A.vars_present() | B.vars_present()
-    if len(pv) != 2:
-        return
-    v1, v2 = sorted(pv)
-    expected = sympy_gcd(A, B)
-    assert poly_gcd(A, B) == expected
-    assert _poly_gcd_bivar(A, B, v1, v2) == expected
-    assert _poly_gcd_bivar(A, B, v2, v1) == expected
-
-
-def test_bivar_gcd_retries_past_a_short_first_target(monkeypatch):
-    # both inputs are monic in s, so the leading-coefficient gcd is 1 and
-    # the first target is 2 points; the gcd has lambda-degree 8 and needs 9,
-    # so the trial division fails and the points double toward the bound
-    calls = []
-    interpolate = polyring._interpolate
-
-    def counting(xs, columns):
-        calls.append(len(xs))
-        return interpolate(xs, columns)
-
-    monkeypatch.setattr(polyring, "_interpolate", counting)
-    G = s + lam ** 8 + 3 * lam ** 5 - 2
-    A = G * (s ** 2 + lam + 1)
-    B = G * (s - lam ** 3 + 2)
-    expected = sympy_gcd(A, B)
-    assert expected == G
-    assert _poly_gcd_bivar(A, B, polyring._vi("s"), polyring._vi("l")) == G
-    assert calls[0] == 2 and len(calls) > 1 and calls[-1] >= 9
-    # a gcd of lambda-degree 1 is found from the first two points
-    calls.clear()
-    H = s + 2 * lam - 1
-    assert _poly_gcd_bivar(H * (s ** 2 + lam), H * (s - lam ** 3),
-                           polyring._vi("s"), polyring._vi("l")) == H
-    assert calls == [2]
-
-
-def naive_interpolate(xs: list, ys: list) -> list:
-    """Reference: Newton divided differences over Q, then expansion of the
-    Newton form; the coefficient list of the polynomial through the points."""
-    n = len(xs)
-    dd = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    coeffs = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        coeffs = [(coeffs[k - 1] if k else 0) - xs[i] * coeffs[k]
-                  for k in range(n)]
-        coeffs[0] += dd[i]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=60, deadline=None)
-def test_interpolate_matches_newton(seed):
-    rng = random.Random(seed)
-    xs = sorted(rng.sample(range(-5, 40), rng.randrange(1, 12)))
-    columns = [[Rat(rng.randrange(-99, 100), rng.choice((1, 1, 4, 9)))
-                for _ in xs] for _ in range(3)]
-    columns.append([Rat(0)] * len(xs))
-    assert _interpolate(xs, columns) == [naive_interpolate(xs, ys)
-                                         for ys in columns]
-
-
-def test_gcd_large_dispatch():
-    # a large bivariate instance: the common factor must come back exactly
-    G = (s ** 3 + lam * s - 2) * (s - lam ** 2 + 1)
-    A = G * sum((i + 1) * s ** i * lam ** (i % 4) for i in range(45))
-    B = G * sum((2 * i + 1) * s ** (i % 7) * lam ** i for i in range(40))
-    g = poly_gcd(A, B)
-    poly_div_exact(g, primitive_rat(G)[1])
-
-
 # -- vector normalization --------------------------------------------------
 
 
 def test_clear_and_normalize():
-    v = [Rat(2, 3) * (s - 1) * s * lam, Rat(4, 5) * (s - 1) ** 2 * lam ** 2]
+    v = [Rat(2, 3) * s * lam, Poly(), Rat(4, 5) * (s - 1) ** 2]
     out = clear_and_normalize(v)
-    assert out == [5 * s, 6 * (s - 1) * lam]
+    assert out == [5 * s * lam, Poly(), 6 * (s - 1) ** 2]
     # the normalized vector stays proportional to the input
-    assert out[0] * v[1] == out[1] * v[0]
+    assert out[0] * v[2] == out[2] * v[0]
     with pytest.raises(ValueError):
         clear_and_normalize([Poly(), Poly()])
+    with pytest.raises(ValueError):
+        clear_and_normalize([t, s, lam])
+    # a common factor is not divided out: the vector is refused
+    with pytest.raises(ArithmeticError):
+        clear_and_normalize([(s - 1) * s * lam, (s - 1) ** 2 * lam ** 2])
+    # coprime, but both images at s = 1 and at l = 1 share a root: the
+    # certificate goes on to the next point
+    assert clear_and_normalize([s - lam, s + lam - 2]) == [s - lam,
+                                                            s + lam - 2]
 
 
-def test_clear_and_normalize_stops_at_the_first_dividing_gcd(monkeypatch):
-    calls = []
-    gcd = polyring.poly_gcd
+@pytest.mark.parametrize("factor", [lam + 2, s - 5, s * lam + 1, lam,
+                                    (s - 1) * (lam - 1) + 1,
+                                    Rat(2) * Poly.one()])
+def test_clear_and_normalize_refuses_a_common_factor(factor):
+    # a coprime vector is certified at the first point; times a common
+    # factor in lambda only, in s only or in both it is refused, and a
+    # constant factor is only content.  (s - 1)(l - 1) + 1 is 1 at s = 1
+    # and at l = 1, where the first entry loses its leading coefficient in
+    # the other variable: the certificate skips those points
+    v = [s ** 3 * lam + 2 * lam ** 2 - 1, (s + lam) ** 2 + 3, s * lam - 4]
+    assert clear_and_normalize(v) == v
+    planted = [factor * p for p in v]
+    if factor.is_const():
+        assert clear_and_normalize(planted) == v
+        return
+    with pytest.raises(ArithmeticError, match="share a factor"):
+        clear_and_normalize(planted)
 
-    def counting(A, B):
-        calls.append(1)
-        return gcd(A, B)
 
-    monkeypatch.setattr(polyring, "poly_gcd", counting)
-    # gcd(v0, v1) = (s - 1)(lambda + 2) does not divide v2, so the trial
-    # division fails and the loop goes on to gcd(., v2) = s - 1
-    v = [(s - 1) * (lam + 2) * s, (s - 1) * (lam + 2) * lam,
-         (s - 1) * (lam ** 2 + s)]
-    assert clear_and_normalize(v) == [(lam + 2) * s, (lam + 2) * lam,
-                                      lam ** 2 + s]
-    assert len(calls) == 3
-    # here gcd(v0, v1) = s - 1 divides v2, so v2 takes no gcd
-    calls.clear()
-    v = [(s - 1) * s, (s - 1) * lam, (s - 1) * (s + lam)]
-    assert clear_and_normalize(v) == [s, lam, s + lam]
-    assert len(calls) == 2
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_clear_and_normalize_refuses_exactly_the_common_factors(seed):
+    # against sympy's gcd: a vector of 2-4 entries in s and lambda, half of
+    # them given a random common factor, is refused exactly when the gcd
+    # of its entries is not constant
+    rng = random.Random(seed)
+    G = _random_poly(rng, nvars=2, deg=2, nterms=2, start=1)
+    if rng.random() < 0.5:
+        G = Poly.one()
+    v = [G * _random_poly(rng, nvars=2, deg=3, nterms=rng.randrange(1, 4),
+                          start=1)
+         for _ in range(rng.randrange(2, 5))]
+    if not any(v):
+        return
+    g = Poly()
+    for p in v:
+        g = sympy_gcd(g, p)
+    if g.is_const():
+        out = clear_and_normalize(v)
+        # the same ray, on coprime integers
+        k = next(i for i, p in enumerate(v) if p)
+        assert all(o * v[k] == out[k] * p for o, p in zip(out, v))
+        coeffs = [c for o in out for c in o.terms.values()]
+        assert all(type(c) is int for c in coeffs) and gcd(*coeffs) == 1
+    else:
+        with pytest.raises(ArithmeticError):
+            clear_and_normalize(v)
 
 
 # -- sums of products and monomial divisors ---------------------------------
