@@ -6,8 +6,8 @@ run; `mul_trunc2` also multiplies the Laurent series with a formal log 2.
 one `Series3` the program makes, the relation series, is written down
 coefficient by coefficient.  Every kernel takes maps to `int`s, which
 multiply several times faster than rationals: `Poly` and series products
-clear denominators first, and `polyring.sum_of_products` packs only maps to
-`int`s.  A product takes one of three routes.
+clear denominators first, and `polyring.sums_of_products` packs only maps
+to `int`s.  A product takes one of three routes.
 
 The pair loop, in `mul_poly`, multiplies term pair by term pair.  Each
 exponent tuple is read as one mixed-radix index over the product's exponent
@@ -37,27 +37,35 @@ product shrinks with it: the largest product of `verify holonomic`, 171 by
 282 terms with 846 output terms, has 3,082 cells at q = 0 and 1,150 at
 q = 1.  Of a small set of shears, the one with the fewest values of m is
 taken.  A term (a, m) of an operand gets the slot (a - a0) E + m - m0, with
-E the product's extent in m and (a0, m0) the least a and m of the operand.
+E the products' extent in m and (a0, m0) the least a and m of the operand.
 As a and m add under products, so does the slot, and as 0 <= m - m0 < E
 over the product, no two cells of the product share one.  An operand is
 written into byte buffers over its own span, one for the positive and one
 for the negative values, and becomes one int w bits per slot; the product
 of two such ints holds the product polynomial slot by slot.  It is shifted
-to the origin of a box common to all pairs, so several products are summed
-as ints and read once.
+to the origin of a box common to the pairs of its sum, so several products
+are summed as ints and read once.  One call takes several such sums over
+one pool of operands, as the minors of one size or the phi-powers of a
+`PhiQuot` sum do: they share the shear, E and w, so an operand that several
+pairs meet, in one sum or in several, is packed once, and each sum is
+decoded once.  The shear is read off each operand's row extremes, its least
+and greatest exponent of v at each exponent of u.
 
 Both packers size and read their slots the same way.  No slot of a sum of
 products A B exceeds, in absolute value, the sum over the pairs of
 max|A| max|B| min(len A, len B), since a target cell meets at most one term
 of either operand per term of the other; w is that bound's bit length plus
-a sign bit, rounded up to whole bytes (`_slot_bytes`).  `_read_slots` adds
-a bias word of 2^(w-1) per slot, which makes every slot nonnegative, so no
-slot borrows from the next; each slot reads as its digit less 2^(w-1), and
-a slot equal to the bias holds 0 and is skipped.
+a sign bit, rounded up to whole bytes (`_slot_bytes`), and the largest such
+w over the sums of one call.  `_read_slots` adds a bias word of 2^(w-1)
+per slot, which makes every slot nonnegative, so no slot borrows from the
+next; each slot reads as its digit less 2^(w-1), and a slot equal to the
+bias holds 0 and is skipped.
+
+Exact division packs nothing: `polyring.poly_div_exact` long-divides on the
+pair loop's mixed-radix index over its dividend's box.
 """
 
-import struct
-from itertools import product
+from itertools import chain, product
 from operator import add, mul
 
 # the least len(A) * len(B) at which `mul_poly` multiplies packed: cold
@@ -152,17 +160,6 @@ def _mul_rows(A, B, S, L):
             for c, v in _read_slots(x, L + 1, nb)}
 
 
-def field_struct(nfields: int, bits: int) -> struct.Struct:
-    """Big-endian layout of nfields unsigned fields of at least `bits` bits
-    each (1, 2, 4 or 8 bytes).  It packs an exponent tuple e into one int,
-    int.from_bytes(layout.pack(*e), "big"), and unpacks the int k as
-    layout.unpack(k.to_bytes(layout.size, "big"))."""
-    for code in "BHIQ":
-        if bits <= 8 * struct.calcsize(code):
-            return struct.Struct(f">{nfields}{code}")
-    raise OverflowError(f"exponents of {bits} bits cannot be packed")
-
-
 def two_variables(maps):
     """(u, v), u < v, when no key of any map has a nonzero exponent outside
     the variables u and v; else None.  With fewer than two variables in
@@ -201,43 +198,71 @@ def _pack(a_col, b_col, values, q, ext, nb):
     return x, a0, m0
 
 
-def mul_packed(pairs, u, v):
-    """sum A B over `pairs` of nonempty maps to ints whose keys vanish
-    outside the variables u < v: one int product per pair on one sheared
-    Kronecker box, shifted to the box's origin, summed and decoded once
-    (see the module doc)."""
-    ops = [[([k[u] for k in X], [k[v] for k in X], list(X.values()))
-            for X in pair] for pair in pairs]
-    # the shear q that gives the sum the fewest values of m = e_v - q e_u
+def _rows(X, u, v) -> tuple:
+    """(a_col, b_col, lows, highs) of a map whose keys vanish outside u and
+    v: its columns of exponents a of u and b of v, and the least and the
+    greatest b of each row a as (a, b) pairs."""
+    a_col = [k[u] for k in X]
+    b_col = [k[v] for k in X]
+    cells = sorted(zip(a_col, b_col))
+    return a_col, b_col, dict(reversed(cells)).items(), dict(cells).items()
+
+
+def mul_packed(sums, u, v):
+    """[sum A B over the pairs of each sum] for `sums`, lists of pairs of
+    nonempty maps to ints whose keys vanish outside the variables u < v:
+    one int product per pair on one sheared Kronecker box, shifted to its
+    sum's origin, summed and decoded once per sum (see the module doc).
+
+    The sums share one shear, one m-extent and one slot width, so an
+    operand met in several pairs, of one sum or of several, is packed once;
+    operands are told apart by identity.  The shear is read off each
+    operand's row extremes, its least and greatest b for each a."""
+    by_id = {id(X): X for pairs in sums for X in chain.from_iterable(pairs)}
+    ops = {key: _rows(X, u, v) for key, X in by_id.items()}
+    prods = [[(id(A), id(B)) for A, B in pairs] for pairs in sums]
+    # the shear q that gives the sums the fewest values of m = e_v - q e_u,
+    # from the m-range of each operand
     best = None
     for q in SHEARS:
-        ms = [[[b - q * a for a, b in zip(a_col, b_col)]
-               for a_col, b_col, _ in pair] for pair in ops]
-        lo = min(min(x) + min(y) for x, y in ms)
-        hi = max(max(x) + max(y) for x, y in ms)
+        span = {key: (min(b - q * a for a, b in lows),
+                      max(b - q * a for a, b in highs))
+                for key, (_, _, lows, highs) in ops.items()}
+        lo = min(span[x][0] + span[y][0] for ps in prods for x, y in ps)
+        hi = max(span[x][1] + span[y][1] for ps in prods for x, y in ps)
         if best is None or hi - lo < best[2] - best[1]:
             best = q, lo, hi
     q, mlo, mhi = best
     ext = mhi - mlo + 1
-    nb = _slot_bytes(pairs)
+    nb = max(map(_slot_bytes, sums))
     w = 8 * nb
-    alo = min(min(x[0]) + min(y[0]) for x, y in ops)
-    ahi = max(max(x[0]) + max(y[0]) for x, y in ops)
-    total = 0
-    for x, y in ops:
-        x, a1, m1 = _pack(*x, q, ext, nb)
-        y, a2, m2 = _pack(*y, q, ext, nb)
-        total += x * y << ((a1 + a2 - alo) * ext + m1 + m2 - mlo) * w
-    del ops, x, y
-    # slot j of the sum holds the cell (a, b) with j = (a - alo) ext + m - mlo
-    # and m = b - q a
-    out = {}
-    key = [0] * len(next(iter(pairs[0][0])))
-    for j, s in _read_slots(total, (ahi - alo + 1) * ext, nb):
-        da, m = divmod(j, ext)
-        key[u] = alo + da
-        key[v] = mlo + m + q * key[u]
-        out[tuple(key)] = s
+    packed = {}
+    for key, (a_col, b_col, _, _) in ops.items():
+        packed[key] = (*_pack(a_col, b_col, by_id[key].values(), q, ext, nb),
+                       max(a_col))
+    del ops
+    # each sum shifted to the origin (alo, mlo) of its box: the slot j holds
+    # the cell (a, b) with j = (a - alo) ext + m - mlo and m = b - q a
+    boxes = []
+    for ps in prods:
+        alo = min(packed[x][1] + packed[y][1] for x, y in ps)
+        ahi = max(packed[x][3] + packed[y][3] for x, y in ps)
+        total = 0
+        for x, y in ps:
+            (x, a1, m1, _), (y, a2, m2, _) = packed[x], packed[y]
+            total += x * y << ((a1 + a2 - alo) * ext + m1 + m2 - mlo) * w
+        boxes.append((total, alo, ahi))
+    del packed
+    out = []
+    key = [0] * len(next(iter(sums[0][0][0])))
+    for total, alo, ahi in boxes:
+        res = {}
+        for j, s in _read_slots(total, (ahi - alo + 1) * ext, nb):
+            da, m = divmod(j, ext)
+            key[u] = alo + da
+            key[v] = mlo + m + q * key[u]
+            res[tuple(key)] = s
+        out.append(res)
     return out
 
 
@@ -266,7 +291,7 @@ def mul_poly(A, B):
     if len(A) * len(B) >= PACK_PAIRS:
         uv = two_variables((A, B))
         if uv:
-            return mul_packed([(A, B)], *uv)
+            return mul_packed([[(A, B)]], *uv)[0]
     ext = [x + y + 1 for x, y in zip(map(max, zip(*A)), map(max, zip(*B)))]
     w = [1] * len(ext)  # w[i] = ext[i+1] * ... * ext[-1], lex order
     for i in range(len(ext) - 1, 0, -1):

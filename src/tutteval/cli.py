@@ -17,7 +17,7 @@ import time
 
 from . import holonomic, template, tutte, verifier
 from .polyring import poly_to_str
-from .report import Report, inconclusive, reports_to_json
+from .report import Report, failed, inconclusive, reports_to_json
 
 
 def _fixture_report(directory: str, name: str, payload) -> Report:
@@ -121,14 +121,17 @@ def _holonomic_suite(args) -> list:
         reports.append(holonomic.b_equality_report(bd, br))
     reports.append(holonomic.coprimality_report())
     if args.fixtures:
-        R = holonomic.find_R()
-        Rhat = holonomic.find_Rhat()
-        reports.append(_fixture_report(
-            args.fixtures, "dependency_R",
-            [poly_to_str(p) for p in R.entries]))
-        reports.append(_fixture_report(
-            args.fixtures, "dependency_Rhat",
-            [poly_to_str(p) for p in Rhat.entries]))
+        for name, find in (("dependency_R", holonomic.find_R),
+                           ("dependency_Rhat", holonomic.find_Rhat)):
+            t0 = time.perf_counter()
+            try:
+                entries = [poly_to_str(p) for p in find().entries]
+            except ArithmeticError as exc:
+                # a refused vector has nothing to pin or compare
+                reports.append(failed("fixture", {"name": name}, str(exc), 0,
+                                      t0))
+                continue
+            reports.append(_fixture_report(args.fixtures, name, entries))
         if bd is not None:
             reports.append(_fixture_report(
                 args.fixtures, "b_sequence",

@@ -27,7 +27,8 @@ a general gcd.  The primes are square-free and pairwise coprime, so a
 numerator that one of them divides loses that factor, whatever the others
 do.  A sum of PhiQuot values, with rational or (s, lambda)-polynomial
 multipliers, is taken by `_pq_sum` over the least common factored
-denominator and normalized once.
+denominator and normalized once; the sums of its phi-powers are one
+`sums_of_products`, which packs each lifted multiplier once.
 
 Each dependency vector carries its band: R among Q_0..Q_4 and Rhat among
 Q_1..Q_5 have the lambda-coefficients (i, i - offset - 1) equal to positive
@@ -47,7 +48,7 @@ from math import comb, factorial, inf, prod
 from .exactnum import ONE, Rat, ZERO, rat_gcd
 from .polyring import (Poly, clear_and_normalize, partial_derivative,
                        point_value, poly_div_exact, poly_gcd, poly_to_str,
-                       rat_content, sum_of_products)
+                       rat_content, sum_of_products, sums_of_products)
 from .report import Record, Report, failed, inconclusive, passed
 from .series import Series2
 from .tutte import phi_series
@@ -272,7 +273,8 @@ def _pq_sum(terms) -> PhiQuot:
     """The sum of k A over the pairs (k, A), k a rational or a Poly in
     (s, lambda): every numerator is lifted to the least common factored
     denominator, so the sum is normalized once, and the lifted numerators
-    of each phi-power are summed by one `sum_of_products`."""
+    of all phi-powers are summed by one `sums_of_products`, which shares
+    each lift among the phi-powers."""
     terms = [(k if isinstance(k, Poly) else Poly.const(k), A)
              for k, A in terms if k and not A.is_zero()]
     den = {}
@@ -282,8 +284,8 @@ def _pq_sum(terms) -> PhiQuot:
     pairs = [(A.num, k.scale(A.c) * _power_product(den, A.den))
              for k, A in terms]
     width = max((len(n) for n, _ in pairs), default=0)
-    num = [sum_of_products((n[j], lift) for n, lift in pairs if j < len(n))
-           for j in range(width)]
+    num = sums_of_products([(n[j], lift) for n, lift in pairs if j < len(n)]
+                           for j in range(width))
     return _pq_normalize(num, den, ONE)
 
 
@@ -332,15 +334,17 @@ def _minors(rows: list) -> dict:
     """{cols: det} over the k-subsets cols of the columns of the k x n Poly
     matrix `rows`, k <= n: the five 4x4 minors of `_kernel_vector`.  Each
     minor is expanded along its last row over the minors of the rows above,
-    which all minors of one size share, and is one `sum_of_products`."""
+    which all minors of one size share; the minors of one size are one
+    `sums_of_products`, so each entry and minor they read is packed once."""
     n = len(rows[0])
     level = {(j,): rows[0][j] for j in range(n)}
     for k in range(1, len(rows)):
-        row = rows[k]
-        level = {cols: sum_of_products(
-            (row[c] if (k + t) % 2 == 0 else -row[c],
-             level[cols[:t] + cols[t + 1:]]) for t, c in enumerate(cols))
-            for cols in combinations(range(n), k + 1)}
+        # the entries of the row with both signs, each negated once
+        signed = (rows[k], [-x for x in rows[k]])
+        subsets = list(combinations(range(n), k + 1))
+        level = dict(zip(subsets, sums_of_products(
+            [(signed[(k + t) % 2][c], level[cols[:t] + cols[t + 1:]])
+             for t, c in enumerate(cols)] for cols in subsets)))
     return level
 
 
@@ -390,22 +394,27 @@ def q_tower(kmax: int) -> tuple:
 def tower_columns(top: int) -> tuple:
     """The five columns W^(top-i) T_i / i!, i = top - 4..top, that is W^top
     times Q_i / i! with Q_i = F^(i) / F: as W is a unit modulo P, their
-    linear relations over Q(s, lambda) are those of the Q_i / i!."""
+    linear relations over Q(s, lambda) are those of the Q_i / i!.
+
+    Above top = 4 they extend the columns of top - 1, as
+    W^(top-i) T_i / i! = W (W^(top-1-i) T_i / i!) for i < top, so only
+    four products by W and T_top / top! are new; at top <= 4 they are
+    built from the powers of W."""
     W = w_quot()[0]
     tower = q_tower(top)
+    last = _pq_scale(tower[top], Rat(1, factorial(top)))
+    if top > 4:
+        return tuple(_pq_mul(W, col) for col in tower_columns(top - 1)[1:]
+                     ) + (last,)
     powers = [_PQ_ONE, W]
     while len(powers) < 5:
         powers.append(_pq_mul(powers[-1], W))
     cols = []
-    for i in range(top - 4, top + 1):
-        if i == top:
-            col = tower[i]
-        elif i == 0:  # T_0 = 1
-            col = powers[top]
-        else:
-            col = _pq_mul(powers[top - i], tower[i])
+    for i in range(top - 4, top):
+        # T_0 = 1
+        col = powers[top] if i == 0 else _pq_mul(powers[top - i], tower[i])
         cols.append(_pq_scale(col, Rat(1, factorial(i))))
-    return tuple(cols)
+    return tuple(cols) + (last,)
 
 
 # -- series oracles --------------------------------------------------------
@@ -580,8 +589,37 @@ def _band_vector(kind: str, offset: int, vec: list) -> DependencyVector:
     return DependencyVector(kind, offset, entries)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
+def _certified(kind: str) -> tuple:
+    """(vector, None) with the dependency vector of the given kind, or
+    (None, reason) when its build raised ArithmeticError: a refused vector
+    is kept with its reason, so every caller of one run reads the same
+    outcome and the failing certificate runs once."""
+    try:
+        return (_build_R() if kind == "R" else _build_Rhat()), None
+    except ArithmeticError as exc:
+        return None, str(exc)
+
+
 def find_R() -> DependencyVector:
+    """The dependency vector R (see `_build_R`); raises ArithmeticError
+    with the reason when it was refused."""
+    dv, reason = _certified("R")
+    if dv is None:
+        raise ArithmeticError(reason)
+    return dv
+
+
+def find_Rhat() -> DependencyVector:
+    """The dependency vector Rhat (see `_build_Rhat`); raises
+    ArithmeticError with the reason when it was refused."""
+    dv, reason = _certified("Rhat")
+    if dv is None:
+        raise ArithmeticError(reason)
+    return dv
+
+
+def _build_R() -> DependencyVector:
     """Dependency among Q_0/0!, ..., Q_4/4!: the rank-4 relation.
 
     It is read off the columns W^(4-i) T_i / i! of `tower_columns`, whose
@@ -596,8 +634,7 @@ def find_R() -> DependencyVector:
                                                KERNEL_PRIMES))
 
 
-@lru_cache(maxsize=1)
-def find_Rhat() -> DependencyVector:
+def _build_Rhat() -> DependencyVector:
     """Dependency among Q_1/1!, ..., Q_5/5! (one derivative deeper),
     derived from R rather than from minors of the Q_1..Q_5 matrix.
 
@@ -609,7 +646,7 @@ def find_Rhat() -> DependencyVector:
     Q_j/j!, and it is nonzero: c_5 = r_0 r_4, where r_4 != 0 unless
     Q_0..Q_3 are dependent, which F's order 4 rules out and which is
     checked.  On the integer entries of R,
-    j! c_j = R_0 (R_j' + j R_{j-1}) - R_0' R_j, one `sum_of_products`.
+    j! c_j = R_0 (R_j' + j R_{j-1}) - R_0' R_j, a sum of two products.
 
     Uniqueness: the kernel of Q_1..Q_5 is a line, since their 4 x 5
     phi-coefficient matrix has rank 4 by two facts already checked.  find_R
@@ -635,24 +672,23 @@ def find_Rhat() -> DependencyVector:
     if R[4].is_zero():
         raise ArithmeticError("R_4 = 0: Q_0..Q_3 are dependent")
     dR = [partial_derivative(p, "l") for p in R]
-    # j! c_j = R_0 d_j - R_0' R_j with d_j = R_j' + j R_{j-1}
+    # j! c_j = R_0 d_j - R_0' R_j with d_j = R_j' + j R_{j-1}; c_1..c_3 are
+    # one call, which packs R_0 and -R_0' once
     d = {j: dR[j] + R[j - 1].scale(j) for j in range(1, 6)}
-
-    def c(j: int) -> Poly:
-        return sum_of_products([(R[0], d[j]), (-dR[0], R[j])])
-
+    neg = -dR[0]
+    c = sums_of_products([(R[0], d[j]), (neg, R[j])] for j in range(1, 4))
     (core,), ks = _strip_primes([R[4]], KERNEL_PRIMES)
     low = tuple(map(min, zip(*core.terms)))
     H = poly_div_exact(core, Poly({low: 1})) if any(low) else core
     K = _power_product(ks, {}) * Poly({low: 1})
     try:
         M = poly_div_exact(d[4], H)
-        vec = [poly_div_exact(c(j), H) for j in range(1, 4)]
+        vec = [poly_div_exact(cj, H) for cj in c]
     except ArithmeticError as exc:
         raise ArithmeticError(
             "H, R_4 without its kernel primes, does not divide "
             "R_4' + 4 R_3 or one of c_1..c_3") from exc
-    vec += [sum_of_products([(R[0], M), (-dR[0], K)]), (R[0] * K).scale(5)]
+    vec += [sum_of_products([(R[0], M), (neg, K)]), (R[0] * K).scale(5)]
     return _band_vector("Rhat", 1, vec)
 
 
@@ -778,7 +814,9 @@ def b_recursion(L: int) -> tuple:
     of its factor: s - 1 for R, 3s + 1 for Rhat.  A nonzero remainder would
     be a counterexample and is reported as such, and so is an entry below
     the band (m > l + h).  The two routes must agree wherever both apply.
-    With L < 1 there is no b_l to derive, and the result is inconclusive.
+    With L < 1 there is no b_l to derive, and the result is inconclusive;
+    a refused dependency vector fails the report with its reason and leaves
+    the sequence empty.
     """
     t0 = time.perf_counter()
     params = {"orders": L}
@@ -786,6 +824,12 @@ def b_recursion(L: int) -> tuple:
         return BSeq("recursion", L), inconclusive(
             "b_recursion", params,
             f"orders {L} leave no b_l to derive; need orders >= 1", 0, t0)
+    try:
+        vectors = find_R(), find_Rhat()
+    except ArithmeticError as exc:
+        # a refused dependency vector leaves no recursion to run
+        return BSeq("recursion", L), failed("b_recursion", params, str(exc),
+                                            0, t0)
     s = Poly.var("s")
     b = [Poly.one(), 3 * s + 1]
     cases = 0
@@ -795,7 +839,7 @@ def b_recursion(L: int) -> tuple:
     # derivative
     routes = [(dv, {(i, k): p.scale(Rat(1, factorial(i)))
                     for (i, k), p in dv.table().items()})
-              for dv in (find_R(), find_Rhat())]
+              for dv in vectors]
 
     for l in range(0, L):
         for dv, r in routes:

@@ -17,21 +17,25 @@ parser reads that text back: polynomials are built from `Poly.var`,
 `Poly.const` and arithmetic.
 
 Everything here is immutable and pure.  Division and gcd are exact
-throughout.  A gcd is univariate, from a primitive remainder sequence on
-integer coefficient lists.  A vector in two variables is not divided by a
-gcd: `clear_and_normalize` certifies from such gcds of its univariate
-images that its entries are coprime, or raises.
+throughout.  Exact division long-divides on ints over one flat mixed-radix
+index of the dividend's exponent box, the index of `mul_poly`: the
+division in one variable that this gives is the true one when no cell
+below the divisor's lead is left and every quotient digit leaves room for
+the divisor's exponents, so that no index carried (`poly_div_exact`).  A
+gcd is univariate, from a primitive remainder sequence on integer
+coefficient lists.  A vector in two variables is not divided by a gcd:
+`clear_and_normalize` certifies from such gcds of its univariate images
+that its entries are coprime, or raises; a gcd modulo the prime 2^61 - 1
+certifies most images before the gcd over Q is needed.
 """
 
 from __future__ import annotations
 
-import heapq
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import gt, mul, sub
 
-from ._kernels_py import (PACK_PAIRS, field_struct, mul_packed, mul_poly,
-                          two_variables)
+from ._kernels_py import PACK_PAIRS, mul_packed, mul_poly, two_variables
 from .exactnum import ONE, Rat, ZERO, rat_gcd
 
 VARS = ("t", "s", "l", "f", "x", "y")
@@ -253,25 +257,41 @@ class Poly:
 
 
 def sum_of_products(pairs) -> Poly:
-    """sum A B over the pairs (A, B) of polynomials.
+    """sum A B over the pairs (A, B) of polynomials: `sums_of_products` of
+    one sum."""
+    return sums_of_products([pairs])[0]
 
-    When every coefficient is an int, the terms use at most two variables
-    and the pairs make at least `PACK_PAIRS` term products, the sum is one
-    packed int product per pair on one sheared box, decoded once
-    (`mul_packed`); otherwise it is sum(A * B), whose products clear their
-    denominators themselves."""
-    pairs = [(A, B) for A, B in pairs if A and B]
-    maps = [(A.terms, B.terms) for A, B in pairs]
-    ops = [x for pair in maps for x in pair]
-    coeffs = chain.from_iterable(map(dict.values, ops))
-    if (sum(len(a) * len(b) for a, b in maps) >= PACK_PAIRS
-            and set(map(type, coeffs)) == {int}):
-        uv = two_variables(ops)
-        if uv:
-            p = Poly.__new__(Poly)
-            p.terms = mul_packed(maps, *uv)
-            return p
-    return sum((A * B for A, B in pairs), Poly())
+
+def sums_of_products(sums) -> list:
+    """[sum A B over the pairs (A, B)] for each list of pairs of
+    polynomials in `sums`.
+
+    A sum whose coefficients are all ints and whose pairs make at least
+    `PACK_PAIRS` term products is one packed int product per pair on one
+    sheared box, decoded once (`mul_packed`); such sums go to one
+    `mul_packed` call together when their terms use at most two variables
+    in all, so an operand that several pairs share is packed once.  Every
+    other sum is sum(A * B), whose products clear their denominators
+    themselves."""
+    sums = [[(A, B) for A, B in pairs if A and B] for pairs in sums]
+    ops = {id(X): X.terms for pairs in sums for pair in pairs for X in pair}
+    ints = {k for k, terms in ops.items()
+            if set(map(type, terms.values())) == {int}}
+    big = [j for j, pairs in enumerate(sums)
+           if sum(len(A.terms) * len(B.terms) for A, B in pairs) >= PACK_PAIRS
+           and all(id(X) in ints for pair in pairs for X in pair)]
+    out = [None] * len(sums)
+    uv = None
+    if big:
+        keys = {id(X) for j in big for pair in sums[j] for X in pair}
+        uv = two_variables([ops[k] for k in keys])
+    if uv:
+        maps = [[(A.terms, B.terms) for A, B in sums[j]] for j in big]
+        for j, terms in zip(big, mul_packed(maps, *uv)):
+            out[j] = Poly.__new__(Poly)
+            out[j].terms = terms
+    return [P if P is not None else sum((A * B for A, B in pairs), Poly())
+            for P, pairs in zip(out, sums)]
 
 
 # -- calculus ---------------------------------------------------------------
@@ -326,11 +346,28 @@ def poly_div_exact(A: Poly, B: Poly) -> Poly:
     A'(x) at one integer point x proves it too.  The quotient is
     (a/b) A'/B'.
 
-    Monomials are packed into ints whose order is the graded lex order: the
-    top field holds the total degree, the next ones variables 0, 1, ...
-    The top bit of every field is a guard bit above its value, so
-    subtracting a packed monomial never borrows across fields, and a cleared
-    guard bit shows that one monomial does not divide the other."""
+    Each exponent tuple is read as one mixed-radix index over A's exponent
+    box, ext_i = max_A e_i + 1, in lex order, as in `mul_poly`; call it
+    K(e).  The long division runs on those indices from A's top cell down:
+    each nonzero cell c at or above K(lead B) gives the quotient digit
+    c / lc(B) at c - K(lead B), or raises, and subtracts that digit times B
+    at fixed index offsets.  Then A_K = Q_K B_K as polynomials in one
+    variable exactly when no cell below K(lead B) is left.  That is not yet
+    A = QB, since an index may carry into the next digit: for
+    (s l^3 + s^3)/(l + 1), whose values at the point are 402 and 6, the
+    cells reduce to zero with a quotient digit l^3.  But if every quotient
+    index leaves room for B's exponents, digit_i(Q) <= max_A e_i - max_B e_i,
+    then no sum of a quotient and a B exponent carries, so K(QB) = Q_K B_K =
+    A_K, and as K is injective on the box, QB = A.  Conversely a true
+    quotient has those digits, and the division in one variable finds it.
+    So the division is exact exactly when both checks pass.
+
+    The cells go into a flat list over the indices up to A's top when it
+    has no more than len(A)^2 cells.  A dict keyed by the same index has to
+    search its cells, about len(A) of them, for the top one at each of the
+    quotient's digits, about len(A) of them when B is small: the flat walk
+    costs no more than that.  A sparse A with a larger box takes the dict,
+    and never allocates the box."""
     if B.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if A.is_zero():
@@ -348,11 +385,10 @@ def poly_div_exact(A: Poly, B: Poly) -> Poly:
         if cb == 1 and set(map(type, p.terms.values())) <= {int}:
             return p
         return p.scale(ONE / cb)
-    # fields sized for A's total degree also hold every monomial of B, of
-    # the quotient and of the remainders, unless B's degree is higher,
-    # and then B cannot divide A
-    deg = max(map(sum, A.terms))
-    if max(map(sum, B.terms)) > deg:
+    # B's degree in each variable is at most A's, or B cannot divide A
+    tops = list(map(max, zip(*A.terms)))
+    room = list(map(sub, tops, map(max, zip(*B.terms))))
+    if min(room) < 0:
         raise ArithmeticError("inexact polynomial division")
     a, ia = _primitive_ints(A.terms)
     b, ib = _primitive_ints(B.terms)
@@ -361,50 +397,73 @@ def poly_div_exact(A: Poly, B: Poly) -> Poly:
     bx = abs(_value_at_point(ib))
     if bx and _value_at_point(ia) % bx:
         raise ArithmeticError("inexact polynomial division")
-    layout = field_struct(NVARS + 1, deg.bit_length() + 1)
-    top = 1 << (8 * layout.size // (NVARS + 1) - 1)
-    pack, from_bytes = layout.pack, int.from_bytes
-    guard = from_bytes(pack(*[top] * (NVARS + 1)), "big")
-    bterms = sorted((from_bytes(pack(sum(m), *m), "big"), c)
-                    for m, c in ib.items())
-    lmB, lcB = bterms.pop()
-    rem = {from_bytes(pack(sum(m), *m), "big"): c for m, c in ia.items()}
-    # monomials in descending order via a min-heap of negated keys
-    heap = [-k for k in rem]
-    heapq.heapify(heap)
-    quo = {}
-    while heap:
-        k = -heapq.heappop(heap)
-        c = rem.pop(k, None)
-        if c is None:
-            continue
-        d = (k | guard) - lmB
-        if d & guard != guard:
+    w = [1] * NVARS  # w[i] = ext[i+1] * ... * ext[-1], lex order
+    for i in range(NVARS - 1, 0, -1):
+        w[i - 1] = w[i] * (tops[i] + 1)
+    aitems = [(sum(map(mul, e, w)), c) for e, c in ia.items()]
+    bitems = sorted((sum(map(mul, e, w)), c) for e, c in ib.items())
+    kB, lcB = bitems.pop()
+    offsets = [(k - kB, c) for k, c in bitems]
+    quo = _long_division(aitems, kB, lcB, offsets)
+    # the quotient's digits, one variable at a time, each within its room
+    keys = [d for d, _ in quo]
+    zeros = [0] * len(keys)
+    cols = []
+    for wi, top, r in zip(w, tops, room):
+        col = [d // wi % (top + 1) for d in keys] if top else zeros
+        if col and max(col) > r:
             raise ArithmeticError("inexact polynomial division")
-        q, r = divmod(c, lcB)
+        cols.append(col)
+    q = a / b
+    qn = q.numerator
+    p = Poly.__new__(Poly)
+    p.terms = _divide_terms(dict(zip(zip(*cols), [c * qn for _, c in quo])),
+                            q.denominator)
+    return p
+
+
+def _long_division(aitems: list, kB: int, lcB: int, offsets: list) -> list:
+    """[(d, q)]: the quotient digits q at the indices d, from the top down,
+    of the cells {k: c} of `aitems` divided in one variable by lcB at kB
+    plus the cells c at kB + off of `offsets`; raises ArithmeticError when a
+    digit is not an int or a cell below kB is left (see `poly_div_exact`).
+    """
+    top = max(k for k, _ in aitems)
+    quo = []
+    if top < len(aitems) ** 2:
+        acc = [0] * (top + 1)
+        for k, c in aitems:
+            acc[k] = c
+        for k in range(top, kB - 1, -1):
+            c = acc[k]
+            if c:
+                q, r = divmod(c, lcB)
+                if r:
+                    raise ArithmeticError("inexact polynomial division")
+                quo.append((k - kB, q))
+                for off, cb in offsets:
+                    acc[k + off] -= q * cb
+        if any(acc[:kB]):
+            raise ArithmeticError("inexact polynomial division")
+        return quo
+    rem = dict(aitems)
+    get = rem.get
+    while rem:
+        k = max(rem)
+        if k < kB:
+            raise ArithmeticError("inexact polynomial division")
+        q, r = divmod(rem.pop(k), lcB)
         if r:
             raise ArithmeticError("inexact polynomial division")
-        d ^= guard
-        quo[d] = q
-        for mB, cB in bterms:
-            m = d + mB
-            prev = rem.get(m)
-            if prev is None:
-                rem[m] = -q * cB
-                heapq.heappush(heap, -m)
+        quo.append((k - kB, q))
+        for off, cb in offsets:
+            j = k + off
+            v = get(j, 0) - q * cb
+            if v:
+                rem[j] = v
             else:
-                new = prev - q * cB
-                if new:
-                    rem[m] = new
-                else:
-                    del rem[m]
-    r = a / b
-    rn, rd = r.numerator, r.denominator
-    unpack, size = layout.unpack, layout.size
-    p = Poly.__new__(Poly)
-    p.terms = _divide_terms({unpack(d.to_bytes(size, "big"))[1:]: q * rn
-                             for d, q in quo.items()}, rd)
-    return p
+                del rem[j]
+    return quo
 
 
 def rat_content(A: Poly):
@@ -511,10 +570,54 @@ def _image(A: Poly, v: int, w: int, a: int) -> list:
     return out
 
 
+# the prime of the modular pre-check of `_certify_images`, 2^61 - 1
+_PRIME = (1 << 61) - 1
+
+
+def _gcd_mod(a: list, b: list) -> list:
+    """A gcd modulo `_PRIME` of two coefficient lists of residues with no
+    trailing zeros, by Euclid's algorithm; [] when both are empty."""
+    a, b = a[:], b[:]
+    while b:
+        inv = pow(b[-1], -1, _PRIME)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a.pop() * inv % _PRIME
+            shift = len(a) - db
+            for j in range(db):
+                a[shift + j] = (a[shift + j] - f * b[j]) % _PRIME
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return a
+
+
+def _residues(image: list) -> list:
+    """An integer coefficient list modulo `_PRIME`, trailing zeros
+    dropped."""
+    out = [x % _PRIME for x in image]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _coprime_mod(first: list, rest, seen: list) -> bool:
+    """Whether the running gcd modulo `_PRIME` of the integer images
+    `first` and `rest` reaches a constant; each image read from the
+    iterator rest is appended to seen, and the reading stops there."""
+    g = _residues(first)
+    for image in rest:
+        seen.append(image)
+        g = _gcd_mod(g, _residues(image))
+        if len(g) == 1:
+            return True
+    return False
+
+
 def _certify_images(polys: list, v: int, w: int) -> None:
-    """Certify that the nonzero polys share no factor of positive degree in
-    v, from their images at w = a for a = 1, 2, ... up to a bound; raise
-    ArithmeticError if no point certifies it.
+    """Certify that the nonzero integer polys share no factor of positive
+    degree in v, from their images at w = a for a = 1, 2, ... up to a
+    bound; raise ArithmeticError if no point certifies it.
 
     Soundness: let A be the first entry.  At a point a where lc_v(A) does
     not vanish, a common factor of positive v-degree keeps its v-degree,
@@ -531,7 +634,19 @@ def _certify_images(polys: list, v: int, w: int) -> None:
     are the images (if deg_v A = 0, A(a) is a nonzero constant).  At most
     deg_w lc_v(A) plus that degree points fail, so one point past them
     certifies.  The images are built lazily, entry by entry, and a point
-    stops at the first constant running gcd."""
+    stops at the first constant running gcd.
+
+    The modular pre-check: at each point, the running gcd of the images
+    modulo the prime p = 2^61 - 1 is taken first, when p does not divide
+    the leading coefficient of A's image.  A constant one certifies the
+    point: a common factor of the images over Q is, as a primitive integer
+    polynomial g, a factor over Z of each image (Gauss's lemma), and its
+    leading coefficient divides that of A's image, so p does not divide
+    it.  Then g modulo p has the same positive degree and divides every
+    image modulo p, and their gcd modulo p is not constant.  A point the
+    pre-check does not certify goes to Euclid's algorithm over Q
+    (`_euclid_lists`) on the same images, which decides it as before; so
+    the bound above still holds."""
     A = polys[0]
     top = A.degree(v)
     bound = (max(m[w] for m in A.terms if m[v] == top)
@@ -540,8 +655,13 @@ def _certify_images(polys: list, v: int, w: int) -> None:
     for a in range(1, bound + 2):
         images = (_image(p, v, w, a) for p in polys)
         first = next(images)
-        if first[-1] and any(len(g) == 1 for g in accumulate(
-                chain([first], images), _euclid_lists)):
+        if not first[-1]:
+            continue
+        seen = [first]
+        if first[-1] % _PRIME and _coprime_mod(first, images, seen):
+            return
+        if any(len(g) == 1 for g in accumulate(chain(seen, images),
+                                               _euclid_lists)):
             return
     raise ArithmeticError(
         f"the entries share a factor in {VARS[v]}: their images at "

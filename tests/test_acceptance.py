@@ -88,7 +88,7 @@ def _clear_holonomic_caches():
     """Drop every cached holonomic build, so a timed check measures a cold
     build whatever ran before it in the same process."""
     for fn in (holonomic.p0_quot, holonomic.w_quot, holonomic.q_tower,
-               holonomic.tower_columns, holonomic.find_R, holonomic.find_Rhat):
+               holonomic.tower_columns, holonomic._certified):
         fn.cache_clear()
 
 

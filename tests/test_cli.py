@@ -273,6 +273,54 @@ def test_b_reports_carry_the_orders_asked_for(capsys, tmp_path):
             in "\n".join(lines))
 
 
+def test_a_refused_dependency_vector_is_a_report(monkeypatch, capsys,
+                                               tmp_path):
+    # R times a common factor is refused by its certificate: every report
+    # line is still printed, the reports that need R or Rhat fail with the
+    # reason, nothing is pinned for them, and the refused certificate runs
+    # once for the whole run
+    kernel = holonomic._kernel_vector
+    normalize = holonomic.clear_and_normalize
+    certified = []
+
+    def planted(cols, primes):
+        return [(holonomic.LAM + 2) * p for p in kernel(cols, primes)]
+
+    def counted(vec):
+        certified.append(len(vec))
+        return normalize(vec)
+
+    monkeypatch.setattr(holonomic, "_kernel_vector", planted)
+    monkeypatch.setattr(holonomic, "clear_and_normalize", counted)
+    fixdir = tmp_path / "fix"
+    holonomic._certified.cache_clear()
+    try:
+        rc, lines, data = _run_holonomic(["--fixtures", str(fixdir)],
+                                         capsys, tmp_path)
+    finally:
+        holonomic._certified.cache_clear()
+    assert rc == 1 and certified == [5]
+    assert len(lines) == len(data) == 13
+    reason = "the entries share a factor in l: their images at "
+    failing = [(r["check"], r["params"]) for r in data
+               if r["status"] == "fail"]
+    assert failing == [("dependency", {"kind": "R"}),
+                       ("dependency", {"kind": "Rhat"}),
+                       ("b_recursion", {"orders": 12}),
+                       ("fixture", {"name": "dependency_R"}),
+                       ("fixture", {"name": "dependency_Rhat"})]
+    assert all(r["witness"].startswith(reason) for r in data
+               if r["status"] == "fail")
+    assert not (fixdir / "dependency_R.json").exists()
+    assert not (fixdir / "dependency_Rhat.json").exists()
+    # the recursion has no sequence, so its degree and the equality of the
+    # two sources are inconclusive; the direct sequence still passes
+    assert [(r["check"], r["status"]) for r in data
+            if r["check"] in ("b_degree", "b_equality")] == [
+        ("b_degree", "pass"), ("b_degree", "inconclusive"),
+        ("b_equality", "inconclusive")]
+
+
 @pytest.mark.parametrize("argv, check, witness", [
     (["conjecture", "--i-max", "-1"], "conjecture",
      "no relation to check; need n_max >= 1 and i_max >= 0"),

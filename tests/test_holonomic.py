@@ -455,17 +455,23 @@ def test_kernel_vector_rejects_rank_deficiency():
 
 
 def test_dependency_precondition_failure_is_a_report(monkeypatch):
+    # a refused Rhat is cached with its reason, so the cache is cleared
+    # after the test as well as before each case
     R = find_R()
-    for entries, witness in (
-            ([Poly()] + R.entries[1:],
-             "R_0 = 0: F cannot be eliminated from R"),
-            (R.entries[:4] + [Poly()], "R_4 = 0: Q_0..Q_3 are dependent")):
-        find_Rhat.cache_clear()
-        monkeypatch.setattr(holonomic, "find_R",
-                            lambda: DependencyVector("R", 0, entries))
-        rep = dependency_report("Rhat")
-        assert rep.status == "fail"
-        assert rep.witness == witness
+    try:
+        for entries, witness in (
+                ([Poly()] + R.entries[1:],
+                 "R_0 = 0: F cannot be eliminated from R"),
+                (R.entries[:4] + [Poly()],
+                 "R_4 = 0: Q_0..Q_3 are dependent")):
+            holonomic._certified.cache_clear()
+            monkeypatch.setattr(holonomic, "find_R",
+                                lambda: DependencyVector("R", 0, entries))
+            rep = dependency_report("Rhat")
+            assert rep.status == "fail"
+            assert rep.witness == witness
+    finally:
+        holonomic._certified.cache_clear()
 
 
 def test_dependency_rhat_fails_when_find_R_finds_no_line(monkeypatch):
@@ -476,13 +482,11 @@ def test_dependency_rhat_fails_when_find_R_finds_no_line(monkeypatch):
         3 * phi ** 3 + 3 * phi ** 2 + 2 * phi + s,
         lam * phi ** 3 + lam * phi ** 2 + 7))
     monkeypatch.setattr(holonomic, "tower_columns", lambda top: low)
-    find_R.cache_clear()
-    find_Rhat.cache_clear()
+    holonomic._certified.cache_clear()
     try:
         rep = dependency_report("Rhat")
     finally:
-        find_R.cache_clear()
-        find_Rhat.cache_clear()
+        holonomic._certified.cache_clear()
     assert rep.status == "fail" and rep.n_cases == 0
     assert rep.witness == "all 4x4 minors vanish: kernel dimension exceeds 1"
 
@@ -515,13 +519,11 @@ def test_dependency_r_fails_on_a_planted_common_factor(monkeypatch, factor):
         return [factor * p for p in kernel(cols, primes)]
 
     monkeypatch.setattr(holonomic, "_kernel_vector", planted)
-    find_R.cache_clear()
-    find_Rhat.cache_clear()
+    holonomic._certified.cache_clear()
     try:
         rep = dependency_report("R")
     finally:
-        find_R.cache_clear()
-        find_Rhat.cache_clear()
+        holonomic._certified.cache_clear()
     assert rep.status == "fail" and rep.n_cases == 0
     assert rep.witness.startswith("the entries share a factor in ")
 
@@ -540,11 +542,11 @@ def test_find_Rhat_fails_when_H_does_not_divide(monkeypatch):
         return div(p, q)
 
     monkeypatch.setattr(holonomic, "poly_div_exact", refusing)
-    find_Rhat.cache_clear()
+    holonomic._certified.cache_clear()
     try:
         rep = dependency_report("Rhat")
     finally:
-        find_Rhat.cache_clear()
+        holonomic._certified.cache_clear()
     assert rep.status == "fail" and rep.n_cases == 0
     assert rep.witness == ("H, R_4 without its kernel primes, does not "
                            "divide R_4' + 4 R_3 or one of c_1..c_3")

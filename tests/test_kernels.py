@@ -360,7 +360,7 @@ def test_mul_packed_on_bands_under_every_shear(q, uv, slope, n1, n2, width,
     A = _band(u, v, n1, slope, width, lambda: data.draw(big_ints))
     B = _band(u, v, n2, slope, width, lambda: data.draw(big_ints))
     with mock.patch.object(_kernels_py, "SHEARS", (q,)):
-        P = _kernels_py.mul_packed([(A, B)], u, v)
+        P, = _kernels_py.mul_packed([[(A, B)]], u, v)
     assert P == naive_product(A, B)
     assert all(type(c) is int for c in P.values())
 
@@ -374,8 +374,9 @@ def test_mul_packed_on_random_maps_under_every_shear(q, uv, A, B, one_var):
     A = {_key(u, v, a, 0 if one_var else b): c for (a, b), c in A.items()}
     B = {_key(u, v, a, b): c for (a, b), c in B.items()}
     with mock.patch.object(_kernels_py, "SHEARS", (q,)):
-        assert _kernels_py.mul_packed([(A, B)], u, v) == naive_product(A, B)
-        assert _kernels_py.mul_packed([(B, A)], u, v) == naive_product(A, B)
+        want = [naive_product(A, B)]
+        assert _kernels_py.mul_packed([[(A, B)]], u, v) == want
+        assert _kernels_py.mul_packed([[(B, A)]], u, v) == want
 
 
 @pytest.mark.parametrize("q", _kernels_py.SHEARS)
@@ -390,9 +391,32 @@ def test_mul_packed_sums_under_every_shear(q, uv, pairs):
               {_key(u, v, *k): c for k, c in B.items()}) for A, B in pairs]
     A, B = pairs[0]
     with mock.patch.object(_kernels_py, "SHEARS", (q,)):
-        assert _kernels_py.mul_packed(pairs, u, v) == _sum_naive(pairs)
+        assert _kernels_py.mul_packed([pairs], u, v) == [_sum_naive(pairs)]
         negated = {k: -c for k, c in A.items()}
-        assert _kernels_py.mul_packed([(A, B), (negated, B)], u, v) == {}
+        assert _kernels_py.mul_packed([[(A, B), (negated, B)]], u,
+                                      v) == [{}]
+
+
+@pytest.mark.parametrize("q", _kernels_py.SHEARS)
+@given(variable_pairs, st.lists(int_maps_uv, min_size=1, max_size=4),
+       st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=1, max_size=4), min_size=1, max_size=4))
+@settings(max_examples=40)
+def test_mul_packed_several_sums_share_their_operands(q, uv, pool, sums):
+    # several sums drawn from one pool of operands, an operand met in
+    # several pairs and sums: each sum comes out as the naive one, and each
+    # distinct operand is packed once
+    u, v = uv
+    pool = [{_key(u, v, *k): c for k, c in X.items()} for X in pool]
+    sums = [[(pool[i % len(pool)], pool[j % len(pool)]) for i, j in pairs]
+            for pairs in sums]
+    with mock.patch.object(_kernels_py, "SHEARS", (q,)), \
+            mock.patch.object(_kernels_py, "_pack",
+                              wraps=_kernels_py._pack) as pack:
+        got = _kernels_py.mul_packed(sums, u, v)
+    assert got == [_sum_naive(pairs) for pairs in sums]
+    assert pack.call_count == len({id(X) for pairs in sums
+                                   for pair in pairs for X in pair})
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -410,7 +434,7 @@ def test_mul_packed_slot_at_the_bound(sign, terms, coeff, bits, q):
     B = {_key(1, 2, 0, c): 1 for c in range(terms)}
     assert coeff * terms == 2 ** bits - 1
     with mock.patch.object(_kernels_py, "SHEARS", (q,)):
-        P = _kernels_py.mul_packed([(A, B)], 1, 2)
+        P, = _kernels_py.mul_packed([[(A, B)]], 1, 2)
     assert P == naive_product(A, B)
     assert P[_key(1, 2, 0, terms - 1)] == sign * (2 ** bits - 1)
 
@@ -420,7 +444,8 @@ def test_mul_packed_slot_cancels():
     # cancel and must not be stored
     A = {_sl(0, 0): 1, _sl(0, 1): 1, _sl(1, 0): 1, _sl(1, 1): 1}
     B = {_sl(0, 0): 1, _sl(0, 1): -1, _sl(1, 0): 1, _sl(1, 1): -1}
-    assert _kernels_py.mul_packed([(A, B)], 1, 2) == naive_product(A, B) == {
+    P, = _kernels_py.mul_packed([[(A, B)]], 1, 2)
+    assert P == naive_product(A, B) == {
         _sl(0, 0): 1, _sl(1, 0): 2, _sl(2, 0): 1, _sl(0, 2): -1,
         _sl(1, 2): -2, _sl(2, 2): -1}
 
@@ -432,7 +457,7 @@ def test_mul_packed_picks_the_smallest_box():
     B = {_sl(a, a + 1): -a - 2 for a in range(40)}
     with mock.patch.object(_kernels_py, "_pack",
                            wraps=_kernels_py._pack) as pack:
-        P = _kernels_py.mul_packed([(A, B)], 1, 2)
+        P, = _kernels_py.mul_packed([[(A, B)]], 1, 2)
     assert P == naive_product(A, B)
     assert {call.args[3:5] for call in pack.call_args_list} == {(1, 1)}
 

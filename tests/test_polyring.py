@@ -106,16 +106,16 @@ def test_div_inexact_raises():
 
 
 def _long_division_spy(monkeypatch):
-    """A list that records each long division `poly_div_exact` starts (it
-    sizes the packed monomial fields first)."""
+    """A list that records each long division `poly_div_exact` starts (on
+    the flat exponent indices, in `_long_division`)."""
     started = []
-    field_struct = polyring.field_struct
+    long_division = polyring._long_division
 
     def spy(*args):
         started.append(args)
-        return field_struct(*args)
+        return long_division(*args)
 
-    monkeypatch.setattr(polyring, "field_struct", spy)
+    monkeypatch.setattr(polyring, "_long_division", spy)
     return started
 
 
@@ -238,10 +238,94 @@ def test_div_exact_decides_like_naive(seed):
     _agrees_with_naive(A, B)
 
 
+def test_div_exact_refuses_a_quotient_digit_past_its_room(monkeypatch):
+    # (s l^3 + s^3) / (l + 1): 6 divides 402 at the point, and on A's
+    # flat index (ext_l = 4) the long division leaves no cell below lead(B),
+    # but with the quotient digit s^2 l^3, past the room 3 - 1 for l: the
+    # index carried, and the division is refused
+    A, B = s * lam ** 3 + s ** 3, lam + 1
+    assert polyring.point_value(A) % polyring.point_value(B) == 0
+    started = _long_division_spy(monkeypatch)
+    with pytest.raises(ArithmeticError):
+        poly_div_exact(A, B)
+    assert len(started) == 1
+    assert naive_div_exact(A.terms, B.terms) is None
+
+
+def _flat(terms: dict, E: int) -> dict:
+    """{s E + l: c} over the terms s^s l^l: c."""
+    return {m[1] * E + m[2]: c for m, c in terms.items()}
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_div_exact_quotient_digits_at_the_box_edge(data):
+    # A's box has ext_l = E.  A quotient whose l-digits reach the edge,
+    # E - 1 - deg_l B, divides; a quotient taken on the flat index s E + l
+    # with one l-digit one past it leaves no remainder in one variable, but
+    # B does not divide A, and the division is refused
+    E = data.draw(st.integers(2, 6))
+    bl = data.draw(st.integers(1, E - 1))
+    room = E - 1 - bl
+    small = st.integers(-5, 5).filter(bool)
+    B = Poly({(0, data.draw(st.integers(0, 2)), bl, 0, 0, 0): 1})
+    B = B + Poly({(0, bs, b, 0, 0, 0): data.draw(small)
+                  for bs, b in data.draw(st.lists(st.tuples(
+                      st.integers(0, 2), st.integers(0, bl)), max_size=3))})
+    past = data.draw(st.booleans())
+    digits = data.draw(st.lists(st.tuples(st.integers(0, 2),
+                                          st.integers(0, room)), max_size=3))
+    digits.append((data.draw(st.integers(0, 2)), room + past))
+    Q = {(0, qs, ql, 0, 0, 0): data.draw(small) for qs, ql in digits}
+    # the product in one variable z, z^(s E + l) for s^s l^l
+    prod = {}
+    for kq, cq in _flat(Q, E).items():
+        for kb, cb in _flat(B.terms, E).items():
+            prod[kq + kb] = prod.get(kq + kb, 0) + cq * cb
+    A = Poly({(0, k // E, k % E, 0, 0, 0): c for k, c in prod.items()})
+    if A.degree("l") != E - 1 or len(B.terms) < 2:
+        return  # another box, or a monomial divisor
+    # with the point test off, the long division and its digit check decide
+    with mock.patch.object(polyring, "_value_at_point", lambda terms: 0):
+        if past:
+            with pytest.raises(ArithmeticError):
+                poly_div_exact(A, B)
+        else:
+            assert poly_div_exact(A, B) == Poly(Q)
+    if past:
+        assert naive_div_exact(A.terms, B.terms) is None
+    else:
+        assert A == B * Poly(Q)
+
+
+def test_div_exact_on_a_sparse_box_allocates_no_box():
+    # six variables, a dozen terms, and a box of about 4e16 cells: the
+    # cells go into a dict, and the division takes no more memory than
+    # its terms need (a flat list over the box could not even be made)
+    tracemalloc = pytest.importorskip("tracemalloc")
+    x, y, f = Poly.var("x"), Poly.var("y"), Poly.var("f")
+    B = t ** 300 * s ** 250 * lam ** 400 + 3 * f ** 350 * x ** 280 - y ** 390
+    Q = 5 * t ** 310 * y ** 300 + x ** 420 - 2 * s ** 260 * f ** 330 + 7
+    A = B * Q
+    cells = 1
+    for i in range(6):
+        cells *= A.degree(i) + 1
+    assert cells > 10 ** 16
+    tracemalloc.start()
+    try:
+        assert poly_div_exact(A, B) == Q
+        with pytest.raises(ArithmeticError):
+            poly_div_exact(A + s, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
 def test_div_exact_at_field_width_boundary(k):
-    # dividend of total degree 2^k - 1 (and 2^k): the widest value a packed
-    # field holds, next to its guard bit
+    # dividend of total degree 2^k - 1 (and 2^k), with one variable filling
+    # its extent of the exponent box up to the edge
     for top in (2 ** k - 1, 2 ** k):
         B = 3 * s ** (top // 2) - 2 * lam + 1
         Q = t ** (top - top // 2) + 5 * lam - 7
@@ -504,6 +588,58 @@ def test_clear_and_normalize_refuses_a_common_factor(factor):
         return
     with pytest.raises(ArithmeticError, match="share a factor"):
         clear_and_normalize(planted)
+
+
+def _euclid_spy(monkeypatch):
+    """A list that records each run of Euclid's algorithm over Q, the
+    route of `_certify_images` after the modular pre-check."""
+    calls = []
+    euclid = polyring._euclid_lists
+
+    def spy(a, b):
+        calls.append((a, b))
+        return euclid(a, b)
+
+    monkeypatch.setattr(polyring, "_euclid_lists", spy)
+    return calls
+
+
+def test_certificate_is_modular_first(monkeypatch):
+    # a coprime vector of images coprime modulo 2^61 - 1 needs no Euclid
+    # over Q at all
+    calls = _euclid_spy(monkeypatch)
+    v = [s ** 3 * lam + 2 * lam ** 2 - 1, (s + lam) ** 2 + 3, s * lam - 4]
+    assert clear_and_normalize(v) == v
+    assert calls == []
+
+
+def test_certificate_falls_back_where_the_prime_sees_a_factor(monkeypatch):
+    # s + l and s + l + p, p = 2^61 - 1, are coprime over Q but equal
+    # modulo p: the pre-check cannot certify them, and Euclid over Q does
+    p = polyring._PRIME
+    calls = _euclid_spy(monkeypatch)
+    v = [s + lam, s + lam + p]
+    assert clear_and_normalize(v) == v
+    assert calls
+    # and a common factor that the prime sees stays refused
+    with pytest.raises(ArithmeticError, match="share a factor"):
+        clear_and_normalize([(s + lam) * (s + 2), (s + lam) * (s + 3 + p)])
+
+
+def test_certificate_skips_the_pre_check_when_p_divides_the_lead(
+        monkeypatch):
+    # lc_s = p of the first entry vanishes modulo p, so modulo p its image
+    # loses its degree in s: the pre-check is skipped and Euclid over Q
+    # decides.  A coprime vector is certified; a common factor p s + 1,
+    # which is 1 modulo p, is refused, where a pre-check run anyway would
+    # have certified (s + 2, s + 3)
+    p = polyring._PRIME
+    calls = _euclid_spy(monkeypatch)
+    v = [p * s + lam, s + 1]
+    assert clear_and_normalize(v) == v
+    assert calls
+    with pytest.raises(ArithmeticError, match="share a factor"):
+        clear_and_normalize([(p * s + 1) * (s + 2), (p * s + 1) * (s + 3)])
 
 
 @given(st.integers(0, 10 ** 6))

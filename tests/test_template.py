@@ -231,8 +231,8 @@ def _clear_caches():
 
 
 def _int_maps(name: str, args: tuple) -> bool:
-    maps = ([X for pair in args[0] for X in pair] if name == "mul_packed"
-            else args[:2])
+    maps = ([X for pairs in args[0] for pair in pairs for X in pair]
+            if name == "mul_packed" else args[:2])
     return all(type(c) is int for X in maps for c in X.values())
 
 
