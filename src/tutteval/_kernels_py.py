@@ -1,7 +1,7 @@
 """The sparse multiplication kernels.
 
-`mul_poly` and `mul_trunc2` carry the products of every large verification
-run; `mul_trunc2` also multiplies the Laurent series with a formal log 2.
+`mul_poly` and `mul_trunc2` carry the products of every verification run;
+`mul_trunc2` also multiplies the Laurent series with a formal log 2.
 `mul_trunc3` is left to `Series3` products, which only the tests make: the
 one `Series3` the program makes, the relation series, is written down
 coefficient by coefficient.  Every kernel takes maps to `int`s, which
@@ -13,9 +13,9 @@ The pair loop, in `mul_poly`, multiplies term pair by term pair.  Each
 exponent tuple is read as one mixed-radix index over the product's exponent
 box, whose extent in variable i is max_A e_i + max_B e_i + 1, so a product
 key is a single integer add and no digit carries into the next.  It serves
-the products of operands too small or too sparse to pack, and the truncated
-products: `mul_trunc3`, and `mul_trunc2` on rows of mostly single terms,
-are `mul_poly`'s product cut to their caps.
+every product of two polynomials, and the truncated products: `mul_trunc3`,
+and `mul_trunc2` on rows of mostly single terms, are `mul_poly`'s product
+cut to their caps.
 The first exponent of a truncated product's key may be negative, as in a
 Laurent series; it is shifted to 0 before the product and back after it.
 
@@ -28,8 +28,9 @@ b1 + b2 <= S are multiplied, their products are summed per output row, and
 each row's L + 1 low slots are read.
 
 The sheared packer, `mul_packed`, multiplies whole two-variable polynomials
-the same way, on a sheared box (see also J. van der Hoeven and G. Lecerf,
-J. Symb. Comput. 50, 2013, on sparse products by packing).  The holonomic
+the same way, on a sheared box, for `polyring.sums_of_products` alone (see
+also J. van der Hoeven and G. Lecerf, J. Symb. Comput. 50, 2013, on sparse
+products by packing).  The holonomic
 tower's polynomials in (s, lambda) lie in a band along lambda ~ 1.4 s,
 which fills only a small part of their exponent box.  In the coordinates
 (a, m) = (e_u, e_v - q e_u) the band lies nearly flat, and the box of the
@@ -68,13 +69,9 @@ pair loop's mixed-radix index over its dividend's box.
 from itertools import chain, product
 from operator import add, mul
 
-# the least len(A) * len(B) at which `mul_poly` multiplies packed: cold
-# `verify holonomic` took the same time (least of 5 runs 0.44-0.46 s;
-# CPython 3.11, 2 cores) at every threshold from 250 to 20,000, against
-# 0.58 s with only the sums packed
-PACK_PAIRS = 2000
-# the shears q of `mul_packed`: on the same runs, q = 0 alone took 0.71 s,
-# and (0, 1) and (0, 1, 2, 3) as long as (0, 1, 2)
+# the shears q of `mul_packed`: cold `verify holonomic` took 0.44-0.46 s
+# with these (least of 5 runs; CPython 3.11, 2 cores), 0.71 s with q = 0
+# alone, and as long with (0, 1) or (0, 1, 2, 3)
 SHEARS = (0, 1, 2)
 
 
@@ -269,9 +266,7 @@ def mul_packed(sums, u, v):
 def mul_poly(A, B):
     """Untruncated product of two {exponent-tuple: coeff} maps.
 
-    A one-term operand shifts and scales the other.  Two maps in at most
-    two variables, with at least `PACK_PAIRS` term pairs, are
-    multiplied as one packed int product (`mul_packed`).  Otherwise each
+    A one-term operand shifts and scales the other.  Otherwise each
     exponent tuple is read as one mixed-radix index over the product's
     exponent box, whose extent in variable i is max_A e_i + max_B e_i + 1,
     so a product key is a single integer add and no digit carries into the
@@ -288,10 +283,6 @@ def mul_poly(A, B):
         if not c:
             return {}
         return {tuple(map(add, k, e)): c * x for k, x in B.items() if x}
-    if len(A) * len(B) >= PACK_PAIRS:
-        uv = two_variables((A, B))
-        if uv:
-            return mul_packed([[(A, B)]], *uv)[0]
     ext = [x + y + 1 for x, y in zip(map(max, zip(*A)), map(max, zip(*B)))]
     w = [1] * len(ext)  # w[i] = ext[i+1] * ... * ext[-1], lex order
     for i in range(len(ext) - 1, 0, -1):

@@ -53,7 +53,7 @@ def _fixture_report(directory: str, name: str, payload) -> Report:
 
 def _tutte_suite(args) -> list:
     return [
-        tutte.three_way_report(6, args.tamari_max),
+        tutte.three_way_report(THREE_WAY_MAX_I, args.tamari_max),
         tutte.lagrange_report(args.max_i),
     ]
 
@@ -99,8 +99,8 @@ def _hm_suite(args) -> list:
 def _holonomic_suite(args) -> list:
     reports = [
         holonomic.p0_report(),
-        holonomic.p0_series_report(),
-        holonomic.tower_oracle(args.tower, 8, 6),
+        holonomic.p0_series_report(P0_SERIES_ORDER),
+        holonomic.tower_oracle(args.tower, *TOWER_ORACLE_CAPS),
         holonomic.dependency_report("R"),
         holonomic.dependency_report("Rhat"),
     ]
@@ -191,6 +191,13 @@ def _add_common(p):
                    help="pin/compare derived values under DIR")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for the vanishing checks")
+
+
+# the caps no flag sets: the three-way tutte order, the phi' series order
+# and the tower oracle's (s, lambda) caps
+THREE_WAY_MAX_I = 6
+P0_SERIES_ORDER = 20
+TOWER_ORACLE_CAPS = (8, 6)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -48,7 +48,7 @@ from math import comb, factorial, inf, prod
 from .exactnum import ONE, Rat, ZERO, rat_gcd
 from .polyring import (Poly, clear_and_normalize, partial_derivative,
                        point_value, poly_div_exact, poly_gcd, poly_to_str,
-                       rat_content, sum_of_products, sums_of_products)
+                       rat_content, sums_of_products)
 from .report import Record, Report, failed, inconclusive, passed
 from .series import Series2
 from .tutte import phi_series
@@ -105,7 +105,7 @@ def p0_report() -> Report:
     return rep
 
 
-def p0_series_report(L: int = 20) -> Report:
+def p0_series_report(L: int) -> Report:
     """phi'(lambda) = P0(lambda, phi(lambda)) as a lambda-series oracle."""
     t0 = time.perf_counter()
     phi = phi_series(L)
@@ -159,14 +159,14 @@ def _strip_primes(num: list, caps: dict) -> tuple:
     divides every entry.  The primes are coprime, so the order does not
     matter.
 
-    If p^k divides an entry n, then p(x)^k divides n(x) at the point x of
-    `point_value`, so the point values bound k: every entry is divided once,
-    by p^k with k that bound, and k steps down only if a division fails.
-    The bound needs |p(x)| >= 2 and no nonzero entry vanishing at x; failing
-    that, p is divided out one power at a time, each round tried at the
-    point before any entry is divided.  After a division by p^k, n(x)/p(x)^k
-    is, up to sign, the value at x of the quotient's primitive part, which
-    keeps both tests valid for the next prime."""
+    Each entry is divided by p^k for k from a bound down, and k steps down
+    only if a division fails.  If p^k divides an entry n, then p(x)^k
+    divides n(x) at the point x of `point_value`, so where |p(x)| >= 2 and
+    no nonzero entry vanishes at x, the point values bound k.  Otherwise
+    the degrees do: k deg_v p <= deg_v n in a variable v of p.  After a
+    division by p^k, n(x)/p(x)^k is, up to sign, the value at x of the
+    quotient's primitive part, which keeps the point values valid for the
+    next prime."""
     vals, ks = None, {}
     for p, cap in caps.items():
         ks[p] = k = 0
@@ -177,27 +177,18 @@ def _strip_primes(num: list, caps: dict) -> tuple:
         px = point_value(p)
         if abs(px) >= 2 and all(v for n, v in zip(num, vals) if n):
             k = min(_multiplicity(v, px, cap) for v in vals if v)
-            while k:
-                pk = p ** k
-                try:
-                    num = [poly_div_exact(n, pk) if n else n for n in num]
-                except ArithmeticError:
-                    k -= 1
-                    continue
-                vals = [v // px ** k for v in vals]
-                break
         else:
-            while k < cap:
-                if vals is None:
-                    vals = [point_value(n) for n in num]
-                if px and any(v % px for v in vals):
-                    break
-                try:
-                    num = [poly_div_exact(n, p) if n else n for n in num]
-                except ArithmeticError:
-                    break
-                vals = [v // px for v in vals] if px else None
-                k += 1
+            i = min(p.vars_present())
+            k = min(cap, min(n.degree(i) for n in num if n) // p.degree(i))
+        while k:
+            pk = p ** k
+            try:
+                num = [poly_div_exact(n, pk) if n else n for n in num]
+            except ArithmeticError:
+                k -= 1
+                continue
+            vals = [v // px ** k for v in vals] if px else None
+            break
         ks[p] = k
     return num, ks
 
@@ -688,7 +679,7 @@ def _build_Rhat() -> DependencyVector:
         raise ArithmeticError(
             "H, R_4 without its kernel primes, does not divide "
             "R_4' + 4 R_3 or one of c_1..c_3") from exc
-    vec += [sum_of_products([(R[0], M), (neg, K)]), (R[0] * K).scale(5)]
+    vec += sums_of_products([[(R[0], M), (neg, K)]]) + [(R[0] * K).scale(5)]
     return _band_vector("Rhat", 1, vec)
 
 

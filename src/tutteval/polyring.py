@@ -7,7 +7,8 @@ every integral coefficient they make as an `int`, since most polynomials
 here are integral and `int` arithmetic is several times faster; an integral
 `Fraction` given from outside is still the same number, with the same
 `==`, hash and text.  A product clears both denominators first, so the
-kernels of `_kernels_py` only ever see maps to `int`s.
+kernels of `_kernels_py` only ever see maps to `int`s.  Only
+`sums_of_products` packs (`mul_packed`), a large sum of products at once.
 
 The variable set is fixed and ordered: t < s < l < f < x < y (l is the
 curvature parameter, f the algebraic auxiliary variable).  Monomials are
@@ -35,13 +36,16 @@ from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import gt, mul, sub
 
-from ._kernels_py import PACK_PAIRS, mul_packed, mul_poly, two_variables
+from ._kernels_py import mul_packed, mul_poly, two_variables
 from .exactnum import ONE, Rat, ZERO, rat_gcd
 
 VARS = ("t", "s", "l", "f", "x", "y")
 NVARS = len(VARS)
 VAR_INDEX = {name: i for i, name in enumerate(VARS)}
 _ZMONO = (0,) * NVARS
+# the least number of term products at which `sums_of_products` packs a
+# sum; `verify all`'s largest two-variable `mul_poly` call makes 1,905
+PACK_PAIRS = 2000
 
 
 def _vi(v) -> int:
@@ -118,9 +122,9 @@ class Poly:
         return Poly({_ZMONO: q} if q else {})
 
     @staticmethod
-    def var(v, exp: int = 1) -> "Poly":
+    def var(v) -> "Poly":
         i = _vi(v)
-        mono = tuple(exp if j == i else 0 for j in range(NVARS))
+        mono = tuple(1 if j == i else 0 for j in range(NVARS))
         return Poly({mono: 1})
 
     @staticmethod
@@ -256,12 +260,6 @@ class Poly:
         return poly_to_str(self)
 
 
-def sum_of_products(pairs) -> Poly:
-    """sum A B over the pairs (A, B) of polynomials: `sums_of_products` of
-    one sum."""
-    return sums_of_products([pairs])[0]
-
-
 def sums_of_products(sums) -> list:
     """[sum A B over the pairs (A, B)] for each list of pairs of
     polynomials in `sums`.
@@ -315,10 +313,10 @@ def partial_derivative(A: Poly, v) -> Poly:
 _POINT = (2, 3, 5, 7, 11, 13)
 
 
-def _value_at_point(terms: dict, point: tuple = _POINT):
-    """The value at `point` of the polynomial {mono: coefficient}."""
+def _value_at_point(terms: dict):
+    """The value at `_POINT` of the polynomial {mono: coefficient}."""
     weights = None
-    for x, col in zip(point, zip(*terms)):
+    for x, col in zip(_POINT, zip(*terms)):
         top = max(col)
         if top:
             pows = list(accumulate(repeat(x, top), mul, initial=1))
@@ -372,11 +370,9 @@ def poly_div_exact(A: Poly, B: Poly) -> Poly:
         raise ZeroDivisionError("division by the zero polynomial")
     if A.is_zero():
         return Poly()
-    if B.is_const():
-        return A.scale(ONE / B.const_value())
     if len(B.terms) == 1:
-        # a monomial divides A when its exponents are at most those of
-        # every term of A: a shift, then a scaling
+        # a monomial, a constant too, divides A when its exponents are at
+        # most those of every term of A: a shift, then a scaling
         (mb, cb), = B.terms.items()
         if any(map(gt, mb, map(min, zip(*A.terms)))):
             raise ArithmeticError("inexact polynomial division")

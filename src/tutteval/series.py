@@ -47,8 +47,6 @@ from operator import add, mul
 from .exactnum import ONE, ZERO
 from ._kernels_py import mul_trunc2, mul_trunc3
 from .polyring import Poly, _divide_terms, _int_terms, _power, _ratio
-from .report import Report, failed, passed
-import time
 
 
 # -- the recurrence core ---------------------------------------------------
@@ -272,23 +270,6 @@ class Series2(_Truncated):
         lg = {(b, c): _ratio(x, da * dv * (b + c))
               for (b, c), x in mul_trunc2(a, v, S, L).items()}
         return Series2(lg, S, L), ONE if c0 == 2 else ZERO
-
-
-def assert_degree_le(A: Series2, bound: int) -> Report:
-    """Check every stored monomial s^b l^c satisfies 2b - 2c <= bound."""
-    t0 = time.perf_counter()
-    S, L = A.caps
-    params = {"bound": bound, "s_cap": S, "lambda_cap": L}
-    worst = None
-    for (b, c) in sorted(A.coeffs):
-        if 2 * b - 2 * c > bound:
-            worst = (b, c)
-            break
-    if worst is None:
-        return passed("degree_le", params, len(A.coeffs), t0)
-    b, c = worst
-    wit = f"s^{b}*l^{c} coeff {A.coeffs[(b, c)]} has weighted degree {2*b-2*c}"
-    return failed("degree_le", params, wit, len(A.coeffs), t0)
 
 
 # -- Laurent series with a formal log 2 ------------------------------------

@@ -192,6 +192,21 @@ def test_strip_primes_matches_one_power_at_a_time(entries, caps, order):
     assert _strip_primes(num, caps) == _strip_one_power_at_a_time(num, caps)
 
 
+@pytest.mark.parametrize("num, p, k", [
+    # at the point (s, l) = (3, 5), l - 5 is 0, s - 2 is 1, and l is 5 but
+    # an entry vanishes: the point values bound no power, the degrees bound
+    # each by 3, and the last two step down from there
+    ([(lam - 5) ** 3 * s, (lam - 5) ** 3 * (lam + 2)], lam - 5, 3),
+    ([(s - 2) ** 3 * lam, (s - 2) ** 2 * (lam + s), Poly()], s - 2, 2),
+    ([lam ** 2 * (lam - 5), lam ** 3 * s], lam, 2),
+])
+def test_strip_primes_without_a_point_bound(num, p, k):
+    caps = {p: inf}
+    got = _strip_primes(num, caps)
+    assert got == _strip_one_power_at_a_time(num, caps)
+    assert got[1] == {p: k}
+
+
 def test_strip_primes_steps_down_after_a_false_positive(monkeypatch):
     # l^2 (s + 2) is 125 at the point: the values allow l^3, the division
     # by l^3 fails, and the one by l^2 is the last
@@ -679,9 +694,9 @@ def test_pq_normalize_tests_every_entry_before_dividing(monkeypatch):
     assert divided == [lam ** 2 * s, lam ** 3 + lam ** 2]
     assert pq.num == [s, lam + 1] and pq.den == {lam: 1}
     # a prime that vanishes at the point proves nothing there: the
-    # divisions decide, and the second round stops at the first entry
+    # l-degrees bound its power by 1, and each entry is divided once
     root = Poly.var("l") - 5
     divided.clear()
     pq = _pq_normalize([root * s, root * (s + 2)], {root: 2}, ONE)
-    assert divided == [root * s, root * (s + 2), s]
+    assert divided == [root * s, root * (s + 2)]
     assert pq.num == [s, s + 2] and pq.den == {root: 1}

@@ -10,9 +10,10 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tutteval import _kernels_py
+from tutteval import _kernels_py, polyring
 from tutteval._kernels_py import mul_poly, mul_trunc2, mul_trunc3
 from tutteval.exactnum import Rat
+from tutteval.polyring import Poly
 from tutteval.series import Series2
 
 coeffs = st.integers(min_value=-50, max_value=50).filter(bool)
@@ -307,10 +308,10 @@ def test_trunc2_at_the_density_switch(r, short, S, L, data):
 
 # -- the sheared Kronecker box -----------------------------------------------
 #
-# Maps in at most two variables with at least PACK_PAIRS term pairs
-# are multiplied as one packed int product (`mul_packed`), and a one-term
-# operand shifts and scales the other; every other product takes the pair
-# loop.  Each case below states which path it takes, and checks it.
+# Only `polyring.sums_of_products` packs (`mul_packed`): `mul_poly` shifts
+# and scales by a one-term operand and takes the pair loop otherwise, however
+# large its operands.  Each case below states which path it takes, and
+# checks it.
 
 
 def _poly_path(A: dict, B: dict) -> tuple:
@@ -462,23 +463,20 @@ def test_mul_packed_picks_the_smallest_box():
     assert {call.args[3:5] for call in pack.call_args_list} == {(1, 1)}
 
 
-def test_mul_poly_packs_a_large_banded_product():
-    # 60 x 40 terms along l ~ 1.4 s: at least PACK_PAIRS pairs and two
-    # variables, so packed; one term in a third variable or one term pair
-    # fewer than the threshold, and not
+def test_only_sums_of_products_packs_a_large_banded_product():
+    # 60 x 40 terms along l ~ 1.4 s: at least PACK_PAIRS pairs in two
+    # variables, which `mul_poly` multiplies by the pair loop either way
+    # round, and `sums_of_products` of the same pair by `mul_packed`
     A = _band(1, 2, 20, 1.4, 3, lambda: -(2 ** 70) + 3)
     B = _band(1, 2, 20, 1.4, 2, lambda: 2 ** 40 + 1)
-    assert len(A) * len(B) >= _kernels_py.PACK_PAIRS
-    assert _poly_path(A, B) == (naive_product(A, B), True)
-    assert _poly_path(B, A) == (naive_product(A, B), True)
-    third = {**B, (1, 0, 0, 0, 0, 0): 5}
-    assert _poly_path(A, third) == (naive_product(A, third), False)
-    k = _kernels_py.PACK_PAIRS
-    short = {_sl(i, 0): i + 1 for i in range(k // 50)}
-    long = {_sl(0, j): -j - 1 for j in range(50)}
-    assert _poly_path(short, long) == (naive_product(short, long), True)
-    shorter = dict(list(short.items())[:-1])
-    assert _poly_path(shorter, long) == (naive_product(shorter, long), False)
+    assert len(A) * len(B) >= polyring.PACK_PAIRS
+    assert _poly_path(A, B) == (naive_product(A, B), False)
+    assert _poly_path(B, A) == (naive_product(A, B), False)
+    with mock.patch.object(polyring, "mul_packed",
+                           wraps=polyring.mul_packed) as packed:
+        P, = polyring.sums_of_products([[(Poly(A), Poly(B))]])
+    assert packed.call_count == 1
+    assert P.terms == naive_product(A, B)
 
 
 @given(st.one_of(big_ints, coeffs), st.tuples(*[st.integers(0, 4)] * 6),

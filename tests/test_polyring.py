@@ -16,7 +16,7 @@ from tutteval._kernels_py import mul_poly
 from tutteval.polyring import (VARS, Poly, _euclid_lists, clear_and_normalize,
                                partial_derivative, poly_div_exact, poly_gcd,
                                poly_to_str, primitive_rat, rat_content,
-                               sum_of_products)
+                               sums_of_products)
 
 t, s, lam = Poly.var("t"), Poly.var("s"), Poly.var("l")
 
@@ -283,8 +283,11 @@ def test_div_exact_quotient_digits_at_the_box_edge(data):
         for kb, cb in _flat(B.terms, E).items():
             prod[kq + kb] = prod.get(kq + kb, 0) + cq * cb
     A = Poly({(0, k // E, k % E, 0, 0, 0): c for k, c in prod.items()})
-    if A.degree("l") != E - 1 or len(B.terms) < 2:
-        return  # another box, or a monomial divisor
+    if (A.degree("l") != E - 1 or B.degree("l") != bl
+            or len(B.terms) < 2):
+        # another box, terms of B that cancel its l^bl, which leaves the
+        # digit room + 1 within the room, or a monomial divisor
+        return
     # with the point test off, the long division and its digit check decide
     with mock.patch.object(polyring, "_value_at_point", lambda terms: 0):
         if past:
@@ -682,10 +685,11 @@ def _band_poly(n: int, width: int, draw) -> Poly:
 
 
 def _packed_sum(pairs) -> tuple:
-    """sum_of_products(pairs) and whether it multiplied packed."""
+    """The sum of the products of pairs by `sums_of_products`, and whether
+    it multiplied packed."""
     with mock.patch.object(polyring, "mul_packed",
                            wraps=polyring.mul_packed) as packed:
-        P = sum_of_products(pairs)
+        P, = sums_of_products([pairs])
     return P, packed.called
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tutteval.exactnum import ONE, Rat, ZERO
 from tutteval.polyring import Poly
-from tutteval.series import LaurentX, Series2, Series3, assert_degree_le
+from tutteval.series import LaurentX, Series2, Series3
 from test_template import _relation_series_3var, _relation_series_log
 
 
@@ -198,14 +198,6 @@ def test_laurent_log_matches_the_log_series():
     want = {k: Rat((-1) ** (k + 1) * 2 ** k, k) for k in range(1, N + 1)}
     assert lx({0: ONE, 1: Rat(2)}, {}, N).log() == lx(want, {}, N)
     assert lx({0: Rat(2), 1: Rat(4)}, {}, N).log() == lx(want, {0: ONE}, N)
-
-
-def test_degree_le_report():
-    s, lam = s2()
-    ok = assert_degree_le(s * s + lam, 4)
-    assert ok.ok
-    bad = assert_degree_le(s ** 3, 4)
-    assert not bad.ok and bad.witness is not None
 
 
 # -- LaurentX --------------------------------------------------------------

@@ -242,7 +242,7 @@ def _int_maps(name: str, args: tuple) -> bool:
 def test_reports_give_the_kernels_ints_only(argv, kernels, monkeypatch,
                                             capsys):
     # the kernels test no coefficient type: `Poly` and series products
-    # clear denominators first, and `sum_of_products` packs only ints, so
+    # clear denominators first, and `sums_of_products` packs only ints, so
     # every kernel call of a cold run gets maps to ints.  The conjecture
     # run writes its relation series down with no product at all, so there
     # the check guards against a future caller
@@ -387,6 +387,20 @@ def test_h_m_cap_guard():
     # the caps leave nothing to compare, so no power of 1 + r is read
     rep = verify_h_m(6, 2, 3, None)
     assert rep.status == "inconclusive"
+
+
+def test_h_m_fails_with_the_degree_witness(monkeypatch):
+    # h_2 and its direct reduction agree, but carry s^3, of weighted degree
+    # 6 > 2m = 4: the first such term in key order is the witness, and
+    # s^3 l, of weighted degree 4, is within the bound
+    S, L = 8, 5
+    main = Series2({(1, 0): ONE, (3, 0): Rat(-7, 2), (3, 1): Rat(5)}, S, L)
+    monkeypatch.setattr(template, "h_m_series",
+                        lambda *args: (main, Series2.zero(S, L)))
+    monkeypatch.setattr(template, "direct_reduction", lambda *args: main)
+    rep = verify_h_m(2, S, L, None)
+    assert rep.status == "fail" and rep.n_cases == 3
+    assert rep.witness == "s^3*l^0 coeff -7/2 has weighted degree 6"
 
 
 # the caps at which the closed-form 1 + r and the root are checked against
