@@ -88,12 +88,24 @@ def _hm_suite(args) -> list:
     if args.m_max < 0:
         return _no_m("hm", args.m_max)
     S, L = args.s_cap, args.lambda_cap
-    # every m reads a prefix of the same powers of 1 + r; an m above
-    # 2 S - 1, or a negative L, is inconclusive before any series is built
+    # every m reads the same series (a prefix of the powers of 1 + r); an m
+    # above 2 S - 1, or a negative L, is inconclusive before any is built
     top = min(args.m_max, 2 * S - 1)
-    pows = template.one_r_powers(top, S, L) if top >= 0 and L >= 0 else None
-    return [template.verify_h_m(m, S, L, pows)
+    inputs = template.h_m_inputs(top, S, L) if top >= 0 and L >= 0 else None
+    return [template.verify_h_m(m, S, L, inputs)
             for m in range(args.m_max + 1)]
+
+
+def _certified(find, arg):
+    """find(arg), or the ArithmeticError that refused the dependency
+    vector; arg may itself be a refusal, which is passed on.  The reason
+    of a refusal fails every report that reads the vector."""
+    if isinstance(arg, ArithmeticError):
+        return arg
+    try:
+        return find(arg)
+    except ArithmeticError as exc:
+        return exc
 
 
 def _holonomic_suite(args) -> list:
@@ -101,9 +113,17 @@ def _holonomic_suite(args) -> list:
         holonomic.p0_report(),
         holonomic.p0_series_report(P0_SERIES_ORDER),
         holonomic.tower_oracle(args.tower, *TOWER_ORACLE_CAPS),
-        holonomic.dependency_report("R"),
-        holonomic.dependency_report("Rhat"),
     ]
+    # each dependency vector and its columns are built once, here, and
+    # passed to every report that reads them; Rhat is derived from R
+    cols = holonomic.tower_columns(4)
+    R = _certified(holonomic.find_R, cols)
+    reports.append(holonomic.dependency_report("R", R, cols))
+    Rhat = _certified(holonomic.find_Rhat, R)
+    if not isinstance(Rhat, ArithmeticError):
+        # Rhat relates the columns one derivative deeper
+        cols = holonomic.tower_columns(5, cols)
+    reports.append(holonomic.dependency_report("Rhat", Rhat, cols))
     t0 = time.perf_counter()
     try:
         bd = holonomic.b_direct(args.s_cap, args.b_orders)
@@ -114,24 +134,21 @@ def _holonomic_suite(args) -> list:
         bd_rep = inconclusive("b_direct", {"s_cap": args.s_cap,
                                            "orders": args.b_orders},
                               str(exc), 0, t0)
-    br, rec_rep = holonomic.b_recursion(args.b_orders)
+    br, rec_rep = holonomic.b_recursion(args.b_orders, R, Rhat)
     reports += [rec_rep, bd.degree_report() if bd is not None else bd_rep,
                 br.degree_report()]
     if bd is not None:
         reports.append(holonomic.b_equality_report(bd, br))
     reports.append(holonomic.coprimality_report())
     if args.fixtures:
-        for name, find in (("dependency_R", holonomic.find_R),
-                           ("dependency_Rhat", holonomic.find_Rhat)):
-            t0 = time.perf_counter()
-            try:
-                entries = [poly_to_str(p) for p in find().entries]
-            except ArithmeticError as exc:
+        for name, dv in (("dependency_R", R), ("dependency_Rhat", Rhat)):
+            if isinstance(dv, ArithmeticError):
                 # a refused vector has nothing to pin or compare
-                reports.append(failed("fixture", {"name": name}, str(exc), 0,
-                                      t0))
+                reports.append(failed("fixture", {"name": name}, str(dv), 0,
+                                      time.perf_counter()))
                 continue
-            reports.append(_fixture_report(args.fixtures, name, entries))
+            reports.append(_fixture_report(
+                args.fixtures, name, [poly_to_str(p) for p in dv.entries]))
         if bd is not None:
             reports.append(_fixture_report(
                 args.fixtures, "b_sequence",

@@ -381,13 +381,12 @@ def q_tower(kmax: int) -> tuple:
     return tower + (tnext,)
 
 
-@lru_cache(maxsize=2)
-def tower_columns(top: int) -> tuple:
+def tower_columns(top: int, below: tuple | None = None) -> tuple:
     """The five columns W^(top-i) T_i / i!, i = top - 4..top, that is W^top
     times Q_i / i! with Q_i = F^(i) / F: as W is a unit modulo P, their
     linear relations over Q(s, lambda) are those of the Q_i / i!.
 
-    Above top = 4 they extend the columns of top - 1, as
+    Above top = 4 they extend `below`, the columns of top - 1, as
     W^(top-i) T_i / i! = W (W^(top-1-i) T_i / i!) for i < top, so only
     four products by W and T_top / top! are new; at top <= 4 they are
     built from the powers of W."""
@@ -395,8 +394,7 @@ def tower_columns(top: int) -> tuple:
     tower = q_tower(top)
     last = _pq_scale(tower[top], Rat(1, factorial(top)))
     if top > 4:
-        return tuple(_pq_mul(W, col) for col in tower_columns(top - 1)[1:]
-                     ) + (last,)
+        return tuple(_pq_mul(W, col) for col in below[1:]) + (last,)
     powers = [_PQ_ONE, W]
     while len(powers) < 5:
         powers.append(_pq_mul(powers[-1], W))
@@ -514,8 +512,8 @@ class DependencyVector(Record):
         polynomial in s, in one pass over the entries.
 
         A reader builds it once and keeps it only while it reads it: kept on
-        the cached vectors, both tables would outlive their readers and
-        raise the peak memory of a holonomic run."""
+        the vectors, which a holonomic run holds to its end, both tables
+        would outlive their readers and raise the peak memory of the run."""
         parts = {}
         for i in self.indices:
             for m, c in self.entry(i).terms.items():
@@ -580,54 +578,26 @@ def _band_vector(kind: str, offset: int, vec: list) -> DependencyVector:
     return DependencyVector(kind, offset, entries)
 
 
-@lru_cache(maxsize=None)
-def _certified(kind: str) -> tuple:
-    """(vector, None) with the dependency vector of the given kind, or
-    (None, reason) when its build raised ArithmeticError: a refused vector
-    is kept with its reason, so every caller of one run reads the same
-    outcome and the failing certificate runs once."""
-    try:
-        return (_build_R() if kind == "R" else _build_Rhat()), None
-    except ArithmeticError as exc:
-        return None, str(exc)
-
-
-def find_R() -> DependencyVector:
-    """The dependency vector R (see `_build_R`); raises ArithmeticError
-    with the reason when it was refused."""
-    dv, reason = _certified("R")
-    if dv is None:
-        raise ArithmeticError(reason)
-    return dv
-
-
-def find_Rhat() -> DependencyVector:
-    """The dependency vector Rhat (see `_build_Rhat`); raises
-    ArithmeticError with the reason when it was refused."""
-    dv, reason = _certified("Rhat")
-    if dv is None:
-        raise ArithmeticError(reason)
-    return dv
-
-
-def _build_R() -> DependencyVector:
+def find_R(cols: tuple | None = None) -> DependencyVector:
     """Dependency among Q_0/0!, ..., Q_4/4!: the rank-4 relation.
 
-    It is read off the columns W^(4-i) T_i / i! of `tower_columns`, whose
-    kernel is that of the Q_i/i!.  `_kernel_vector` takes the five 4x4
-    minors and raises ArithmeticError if they all vanish, i.e. if the
-    kernel is not a line.  Its components come back with no common factor,
-    since KERNEL_PRIMES holds the primes that the minors share and they are
-    stripped: certified by `clear_and_normalize`, which raises
-    ArithmeticError otherwise, so the report fails.  `_band_vector` clears
-    the vector of its content and fixes its sign by the band R_{1,0}."""
-    return _band_vector("R", 0, _kernel_vector(list(tower_columns(4)),
-                                               KERNEL_PRIMES))
+    It is read off cols, the columns W^(4-i) T_i / i! of `tower_columns(4)`
+    (built here when None), whose kernel is that of the Q_i/i!.
+    `_kernel_vector` takes the five 4x4 minors and raises ArithmeticError if
+    they all vanish, i.e. if the kernel is not a line.  Its components come
+    back with no common factor, since KERNEL_PRIMES holds the primes that
+    the minors share and they are stripped: certified by
+    `clear_and_normalize`, which raises ArithmeticError otherwise, so the
+    report fails.  `_band_vector` clears the vector of its content and fixes
+    its sign by the band R_{1,0}."""
+    cols = tower_columns(4) if cols is None else cols
+    return _band_vector("R", 0, _kernel_vector(list(cols), KERNEL_PRIMES))
 
 
-def _build_Rhat() -> DependencyVector:
+def find_Rhat(R: DependencyVector | None = None) -> DependencyVector:
     """Dependency among Q_1/1!, ..., Q_5/5! (one derivative deeper),
-    derived from R rather than from minors of the Q_1..Q_5 matrix.
+    derived from the vector R of `find_R` (built here when None) rather
+    than from minors of the Q_1..Q_5 matrix.
 
     With r_i = R_i/i!, R says sum_{i<=4} r_i F^(i) = 0.  Its lambda
     derivative is sum_{j<=5} (r_j' + r_{j-1}) F^(j) = 0 (r_{-1} = r_5 = 0);
@@ -657,7 +627,7 @@ def _build_Rhat() -> DependencyVector:
     4! c_4 / H = R_0 M - R_0' K, so only j! c_j for j <= 3 are divided.  If
     H does not divide R_4' + 4 R_3 or one of them, ArithmeticError is
     raised, and the report fails."""
-    R = find_R().entries + [Poly()]
+    R = (find_R() if R is None else R).entries + [Poly()]
     if R[0].is_zero():
         raise ArithmeticError("R_0 = 0: F cannot be eliminated from R")
     if R[4].is_zero():
@@ -683,8 +653,11 @@ def _build_Rhat() -> DependencyVector:
     return _band_vector("Rhat", 1, vec)
 
 
-def dependency_report(kind: str) -> Report:
-    """Structural checks on the dependency vector of the given kind."""
+def dependency_report(kind: str, dv, cols: tuple) -> Report:
+    """Structural checks on the dependency vector dv of the given kind, or
+    the ArithmeticError that refused it, whose reason fails the report.
+    cols are the columns of `tower_columns` that dv relates: of top 4 for
+    R, of top 5 for Rhat."""
     t0 = time.perf_counter()
     params = {"kind": kind}
     cases = 0
@@ -692,11 +665,8 @@ def dependency_report(kind: str) -> Report:
         return failed("dependency", params,
                       f"unknown kind {kind!r}: expected 'R' or 'Rhat'",
                       cases, t0)
-    try:
-        dv = find_R() if kind == "R" else find_Rhat()
-    except ArithmeticError as exc:
-        return failed("dependency", params, str(exc), cases, t0)
-    cols = tower_columns(dv.indices[-1])
+    if isinstance(dv, ArithmeticError):
+        return failed("dependency", params, str(dv), cases, t0)
     shift = dv.shift
 
     # re-expansion: sum R_i W^(top-i) T_i / i! = W^top sum R_i Q_i / i! = 0
@@ -796,8 +766,9 @@ def b_direct(S: int, L: int) -> BSeq:
     return BSeq("direct", L, out)
 
 
-def b_recursion(L: int) -> tuple:
-    """Rebuild b_0..b_L from the two dependency recursions.
+def b_recursion(L: int, R, Rhat) -> tuple:
+    """Rebuild b_0..b_L from the recursions of the two dependency vectors R
+    and Rhat of `find_R` and `find_Rhat`.
 
     At order l, the coefficient R_ik of a vector with shift h meets b_m,
     m = l + i - k, with weight C(l, k); the entries with m = l + h, its band,
@@ -806,8 +777,8 @@ def b_recursion(L: int) -> tuple:
     be a counterexample and is reported as such, and so is an entry below
     the band (m > l + h).  The two routes must agree wherever both apply.
     With L < 1 there is no b_l to derive, and the result is inconclusive;
-    a refused dependency vector fails the report with its reason and leaves
-    the sequence empty.
+    a refused dependency vector, passed as the ArithmeticError that refused
+    it, fails the report with its reason and leaves the sequence empty.
     """
     t0 = time.perf_counter()
     params = {"orders": L}
@@ -815,12 +786,11 @@ def b_recursion(L: int) -> tuple:
         return BSeq("recursion", L), inconclusive(
             "b_recursion", params,
             f"orders {L} leave no b_l to derive; need orders >= 1", 0, t0)
-    try:
-        vectors = find_R(), find_Rhat()
-    except ArithmeticError as exc:
-        # a refused dependency vector leaves no recursion to run
-        return BSeq("recursion", L), failed("b_recursion", params, str(exc),
-                                            0, t0)
+    for dv in (R, Rhat):
+        if isinstance(dv, ArithmeticError):
+            # a refused dependency vector leaves no recursion to run
+            return BSeq("recursion", L), failed("b_recursion", params,
+                                                str(dv), 0, t0)
     s = Poly.var("s")
     b = [Poly.one(), 3 * s + 1]
     cases = 0
@@ -830,7 +800,7 @@ def b_recursion(L: int) -> tuple:
     # derivative
     routes = [(dv, {(i, k): p.scale(Rat(1, factorial(i)))
                     for (i, k), p in dv.table().items()})
-              for dv in vectors]
+              for dv in (R, Rhat)]
 
     for l in range(0, L):
         for dv, r in routes:
@@ -890,10 +860,10 @@ def b_equality_report(x: BSeq, y: BSeq) -> Report:
 
 
 def coprimality_report() -> Report:
-    """gcd(s-1, 3s+1) = 1, the hypothesis joining the two recursions."""
+    """The band factors of R and Rhat (`BAND_FACTOR`, s - 1 and 3s + 1)
+    have gcd 1, the hypothesis joining the two recursions."""
     t0 = time.perf_counter()
-    s = Poly.var("s")
-    g = poly_gcd(s - 1, 3 * s + 1)
+    g = poly_gcd(BAND_FACTOR["R"], BAND_FACTOR["Rhat"])
     if g == Poly.one():
         return passed("coprimality", {}, 1, t0)
     return failed("coprimality", {}, f"gcd = {poly_to_str(g)}", 1, t0)

@@ -12,7 +12,6 @@ among valuations to exact rational arithmetic against these values.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
 from math import comb, lcm
 from operator import mul
 
@@ -75,8 +74,12 @@ def verify_q2_ode(m: int) -> Report:
     params = {"m": m}
     y = Poly.var("y")
     q2 = q2_poly(m)
-    lhs = (4 - y * y) * partial_derivative(q2, "y") \
-        - poly_div_exact(q2, y).scale(Rat(4))
+    try:
+        q2_over_y = poly_div_exact(q2, y)
+    except ArithmeticError as exc:
+        # a term of q2 without a factor y leaves no identity to compare
+        return failed("q2_ode", params, str(exc), 0, t0)
+    lhs = (4 - y * y) * partial_derivative(q2, "y") - q2_over_y.scale(Rat(4))
     rhs = y ** (m + 1)
     if m % 2 == 0:
         rhs = rhs - y.scale(comb(m, m // 2))
@@ -127,25 +130,34 @@ def log_one_plus_sqrt(N: int) -> LaurentX:
     return (1 + sqrt_1m4x2(N)).log()
 
 
-def closed_side(m: int, N: int, lg: LaurentX | None = None) -> LaurentX:
+def closed_side(m: int, N: int, lg: LaurentX | None) -> LaurentX:
     """Q1^m(1/x) + Q2^m(1/x) sqrt(1-4x^2) - [m even] C(m,m/2) log(1+sqrt(1-4x^2)),
     without the undetermined even-m constant.  The log, the same for every
-    m, is `lg` when given, which must be `log_one_plus_sqrt(N)`."""
+    m, is `lg`, which must be `log_one_plus_sqrt(N)`; odd m do not read it."""
     rt = sqrt_1m4x2(N)
     out = _poly_in_inv_x(q1_poly(m), N) + _poly_in_inv_x(q2_poly(m), N) * rt
     if m % 2 == 0:
-        if lg is None:
-            lg = log_one_plus_sqrt(N)
         out = out - lg.scale(comb(m, m // 2))
     return out
 
 
-def kappa_constant(m: int):
-    """The even-m additive constant, pinned by matching the x^0 coefficient
-    at order 2m + 8, where the summation side has none: a pair (rational
-    part, log2 part).  Zero for odd m."""
-    rhs = closed_side(m, 2 * m + 8)
-    return -rhs.coeff(0, 0), -rhs.coeff(0, 1)
+def kappa_constant(m: int) -> tuple:
+    """kappa_m, the additive constant of the series identity, as the pair
+    (rational part, log2 part): (0, 0) for odd m, and for m = 2j the closed
+    form (-C(m, j)(H_m - H_j), C(m, j)), H_n the harmonic numbers.
+
+    kappa is minus the x^0 term of `closed_side`; for odd m it has none.
+    For m = 2j, -C(m, j) log(1 + sqrt(1 - 4x^2)) gives -C(m, j) log 2, and
+    Q1(1/x) nothing.  In Q2(1/x) sqrt(1 - 4x^2), the y^(2l+2) term of Q2,
+    l < j, meets the x^(2l+2) term -2 C(2l, l)/(l + 1) of the root; by
+    (2i)!! = 2^i i! and (2j - 1)!! = (2j)!/(2^j j!) their product is
+    C(2j, j)/((2l + 1)(2l + 2)), and the sum over l < j of
+    1/(2l + 1) - 1/(2l + 2) is H_2j - H_j (Graham, Knuth, Patashnik,
+    Concrete Mathematics, 2nd ed., 1994, section 6.3)."""
+    if m % 2:
+        return ZERO, ZERO
+    c = comb(m, m // 2)
+    return sum((Rat(-c, i) for i in range(m // 2 + 1, m + 1)), ZERO), Rat(c)
 
 
 def compared_upto(m: int, N: int) -> int:
@@ -162,7 +174,8 @@ def verify_series_identity(m: int, N: int, lg: LaurentX | None) -> Report:
 
     The derivative form is constant-free, so it is checked first; the even-m
     constant is then determined by x^0 matching and the full identity is
-    re-checked with it.  The report's witness records kappa.  `lg` is
+    re-checked with it.  The matched constant must equal the closed form
+    of `kappa_constant`, and the report's witness records it.  `lg` is
     `log_one_plus_sqrt(N)`, shared by the even m of one run, or None when
     no even m of the run has a coefficient to compare.
     """
@@ -196,10 +209,12 @@ def verify_series_identity(m: int, N: int, lg: LaurentX | None) -> Report:
         return failed("series_identity", params,
                       "derivative does not match 1/(x^(m+1) sqrt(1-4x^2)) form",
                       N, t0)
-    kq, kp = -rhs.coeff(0, 0), -rhs.coeff(0, 1)  # as in `kappa_constant`
-    if m % 2 == 1 and (kq or kp):
+    kq, kp = -rhs.coeff(0, 0), -rhs.coeff(0, 1)
+    cq, cp = kappa_constant(m)
+    if (kq, kp) != (cq, cp):
         return failed("series_identity", params,
-                      f"odd m needs no constant, got {kq}+{kp}*log2", N, t0)
+                      f"x^0 matching gives kappa = {kq} + {kp}*log2, the "
+                      f"closed form {cq} + {cp}*log2", N, t0)
     full = rhs + LaurentX({(0, 0): kq, (0, 1): kp}, N)
     if not eq_upto(lhs, full):
         return failed("series_identity", params,
@@ -236,53 +251,44 @@ def _one_plus_r(S: int, L: int) -> Series2:
     return Series2(terms, S, L)
 
 
-@lru_cache(maxsize=1)
 def base_series(S: int, L: int) -> tuple:
     """The (s,lambda) series under b at caps (S, L), as the tuple
     (1 + r, root, b) with root = sqrt((1+r)^2 - 4s) and
-    b = s + (1+lambda s) root, the product by lambda s taken as a shift.
-    The last caps are cached, since h_m needs the same series for
-    every m."""
+    b = s + (1+lambda s) root, the product by lambda s taken as a shift."""
     s = Series2.var("s", S, L)
     one_r = _one_plus_r(S, L)
     root = (one_r * one_r - s.scale(4)).sqrt()
     return one_r, root, s + root + root.shift(1, 1)
 
 
-@lru_cache(maxsize=1)
-def h_m_shared(S: int, L: int) -> tuple:
-    """The logarithm in h_m at caps (S, L), which does not depend on m, as
-    the pair (series, log 2 part) of log(1 + r + root).  It equals
-    log(big) - log(1+lambda s) with big = 1 + (1+lambda s) tau + lambda s
-    + b, since big = (1+lambda s)(1 + tau + root) + s; the constant term
-    is 2, so the log 2 part is 1.  The last caps are cached, like
-    `base_series`."""
+def h_m_inputs(m_max: int, S: int, L: int) -> tuple:
+    """(pows, root, log_pair, rel): the series that h_m reads at caps
+    (S, L), built once for a run over m <= m_max.  pows are the powers
+    (1 + r)^i, i <= m_max, of which h_m reads the first m + 1, root is that
+    of `base_series`, and rel is `relation_series(2 S, L)`, which
+    `direct_reduction` reads.  log_pair is the pair (series, log 2 part) of
+    the m-independent log(1 + r + root).  It equals log(big) - log(1+lambda
+    s) with big = 1 + (1+lambda s) tau + lambda s + b, since big = (1+lambda
+    s)(1 + tau + root) + s; the constant term is 2, so the log 2 part is 1."""
     one_r, root, _ = base_series(S, L)
-    return (one_r + root).log()
-
-
-def one_r_powers(m_max: int, S: int, L: int) -> list:
-    """The powers (1 + r)^i, i <= m_max, at caps (S, L): h_m reads the
-    first m + 1, so a run over m <= m_max builds them once."""
-    one_r = base_series(S, L)[0]
     pows = [Series2.const(1, S, L)]
     for _ in range(m_max):
         pows.append(pows[-1] * one_r)
-    return pows
+    return pows, root, (one_r + root).log(), relation_series(2 * S, L)
 
 
-def h_m_series(m: int, S: int, L: int, kappa, one_r_pows):
+def h_m_series(m: int, S: int, L: int, kappa, one_r_pows, root,
+               log_pair):
     """Closed form of h_m at caps (S, L), from kappa = `kappa_constant(m)`
-    and the powers (1 + r)^i of `one_r_powers` at the same caps, i <= m at
-    least.
+    and, at the same caps, the powers (1 + r)^i, i <= m at least, the root
+    and the logarithm log_pair of `h_m_inputs`.
 
     Returns (main, log2_part) as Series2; log2_part must vanish (the formal
     log 2 contributions cancel between the combined logarithm and kappa),
     which `verify_h_m` asserts.
     """
     kq, kp = kappa
-    _, root, _ = base_series(S, L)
-    lg, l2_big = h_m_shared(S, L)
+    lg, l2_big = log_pair
     sgn = Rat(-1 if m % 2 == 0 else 1)  # (-1)^(m+1)
     main = Series2.zero(S, L)
     l2 = Series2.zero(S, L)
@@ -296,7 +302,7 @@ def h_m_series(m: int, S: int, L: int, kappa, one_r_pows):
         i = mono[5]
         term = (one_r_pows[i - 1] * root).shift((m - i) // 2)
         main = main + term.scale(c * sgn)
-    # the pinned constant rides on s^(m/2)
+    # the constant kappa rides on s^(m/2)
     top = (m // 2, 0)
     if kq or kp:
         main = main + Series2({top: kq * sgn}, S, L)
@@ -331,15 +337,13 @@ def _neg_power_diagonals(tau: list, n_max: int) -> list:
     return diag
 
 
-@lru_cache(maxsize=1)
 def relation_series(D: int, L: int) -> tuple:
     """The series behind both the candidate relations (see
     `verifier.f_table`) and the direct reduction of h_m: log(1 + t + r)
     with r = tau(lambda) + sigma, sigma = s/(1+lambda s), at caps (D, L),
     as the pair (E, g).  E = t d/dt log(1 + t + r) is a `Series3` with
     `int` coefficients, and g = log(1 + r), its t^0 slice, a `Series2` at
-    caps (D // 2, L).  The last caps are cached, since the h_m checks need
-    the same expansion for every m.
+    caps (D // 2, L).
 
     With u = 1/(1 + r), log(1 + t + r) = log(1 + r) + log(1 + t u), so
     the t^a slice, a >= 1, is (-1)^(a+1) u^a / a, and E holds a times it.
@@ -385,15 +389,15 @@ def relation_series(D: int, L: int) -> tuple:
     return Series3(out, D, L), Series2(g, D // 2, L)
 
 
-def direct_reduction(m: int, S: int, L: int) -> Series2:
-    """Template reduction of t^m log(1 + t + r), from the relation series
-    (E, g) at caps (2S, L).  The term t^a s^b lambda^c of the log, v/a
-    with v in E, moves to t^e, e = a + m; it is dropped when e is odd or
-    e + 2b > 2S, and otherwise reduced to C(e, e/2) s^(b + e/2) lambda^c.
-    Each output key sums C(e, e/2) (den/a) v on ints, den the lcm of every
-    a that can reach its s exponent, and divides once; the t^0 slice g
-    adds C(m, m/2) g when m is even."""
-    E, g = relation_series(2 * S, L)
+def direct_reduction(m: int, S: int, L: int, rel: tuple) -> Series2:
+    """Template reduction of t^m log(1 + t + r), from rel = (E, g), the
+    relation series at caps (2S, L).  The term t^a s^b lambda^c of the
+    log, v/a with v in E, moves to t^e, e = a + m; it is dropped when e is
+    odd or e + 2b > 2S, and otherwise reduced to C(e, e/2) s^(b + e/2)
+    lambda^c.  Each output key sums C(e, e/2) (den/a) v on ints, den the
+    lcm of every a that can reach its s exponent, and divides once; the
+    t^0 slice g adds C(m, m/2) g when m is even."""
+    E, g = rel
     cent = [comb(e, e // 2) for e in range(2 * S + 1)]
     # key (B, c) is reached from a = 2B - 2b - m with a = m mod 2 and b >= 0
     den = [lcm(*range(2 - m % 2, 2 * B - m + 1, 2)) for B in range(S + 1)]
@@ -413,10 +417,10 @@ def direct_reduction(m: int, S: int, L: int) -> Series2:
     return Series2(out, S, L)
 
 
-def verify_h_m(m: int, S: int, L: int, one_r_pows) -> Report:
+def verify_h_m(m: int, S: int, L: int, inputs) -> Report:
     """h_m equals the direct reduction coefficientwise and has weighted
-    degree <= 2m; the log2 component must cancel identically.  The powers
-    of 1 + r are those of `h_m_series`; they are read only when the caps
+    degree <= 2m; the log2 component must cancel identically.  inputs are
+    the series of `h_m_inputs` at caps (S, L), read only when the caps
     leave something to compare."""
     t0 = time.perf_counter()
     params = {"m": m, "s_cap": S, "lambda_cap": L}
@@ -429,11 +433,12 @@ def verify_h_m(m: int, S: int, L: int, one_r_pows) -> Report:
         return inconclusive("h_m", params, f"s cap {S} too small for m={m}",
                             0, t0)
     kappa = kappa_constant(m)
-    main, l2 = h_m_series(m, S, L, kappa, one_r_pows)
+    pows, root, log_pair, rel = inputs
+    main, l2 = h_m_series(m, S, L, kappa, pows, root, log_pair)
     if not l2.is_zero():
         return failed("h_m", params, "log2 component does not cancel",
                       len(main.coeffs), t0)
-    direct = direct_reduction(m, S, L)
+    direct = direct_reduction(m, S, L, rel)
     if main != direct:
         diff = main - direct
         key = sorted(diff.coeffs)[0]

@@ -76,9 +76,9 @@ def test_criterion_4_ode_and_series_identity():
 
 def test_criterion_5_h_m_equivalence():
     def check():
-        pows = template.one_r_powers(6, 12, 8)
+        inputs = template.h_m_inputs(6, 12, 8)
         for m in range(7):
-            rep = template.verify_h_m(m, 12, 8, pows)
+            rep = template.verify_h_m(m, 12, 8, inputs)
             assert rep.ok, rep.line()
 
     _criterion(5, "reduced series h_m, m<=6, caps (12,8)", 120, check)
@@ -87,17 +87,20 @@ def test_criterion_5_h_m_equivalence():
 def _clear_holonomic_caches():
     """Drop every cached holonomic build, so a timed check measures a cold
     build whatever ran before it in the same process."""
-    for fn in (holonomic.p0_quot, holonomic.w_quot, holonomic.q_tower,
-               holonomic.tower_columns, holonomic._certified):
+    for fn in (holonomic.p0_quot, holonomic.w_quot, holonomic.q_tower):
         fn.cache_clear()
 
 
 def test_criterion_6_dependency_structure():
     def check():
         _clear_holonomic_caches()
-        for kind in ("R", "Rhat"):
-            rep = holonomic.dependency_report(kind)
-            assert rep.ok, rep.line()
+        cols = holonomic.tower_columns(4)
+        R = holonomic.find_R(cols)
+        rep = holonomic.dependency_report("R", R, cols)
+        assert rep.ok, rep.line()
+        rep = holonomic.dependency_report("Rhat", holonomic.find_Rhat(R),
+                                          holonomic.tower_columns(5, cols))
+        assert rep.ok, rep.line()
 
     _criterion(6, "kernel band structure, both dependency vectors", 120, check)
 
@@ -106,7 +109,8 @@ def test_criterion_7_b_sequence_both_routes():
     def check():
         _clear_holonomic_caches()
         direct = holonomic.b_direct(14, 12)
-        rec, rep = holonomic.b_recursion(12)
+        R = holonomic.find_R()
+        rec, rep = holonomic.b_recursion(12, R, holonomic.find_Rhat(R))
         assert rep.ok, rep.line()
         eq = holonomic.b_equality_report(direct, rec)
         assert eq.ok, eq.line()

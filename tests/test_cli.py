@@ -293,12 +293,8 @@ def test_a_refused_dependency_vector_is_a_report(monkeypatch, capsys,
     monkeypatch.setattr(holonomic, "_kernel_vector", planted)
     monkeypatch.setattr(holonomic, "clear_and_normalize", counted)
     fixdir = tmp_path / "fix"
-    holonomic._certified.cache_clear()
-    try:
-        rc, lines, data = _run_holonomic(["--fixtures", str(fixdir)],
-                                         capsys, tmp_path)
-    finally:
-        holonomic._certified.cache_clear()
+    rc, lines, data = _run_holonomic(["--fixtures", str(fixdir)], capsys,
+                                     tmp_path)
     assert rc == 1 and certified == [5]
     assert len(lines) == len(data) == 13
     reason = "the entries share a factor in l: their images at "
@@ -319,6 +315,28 @@ def test_a_refused_dependency_vector_is_a_report(monkeypatch, capsys,
             if r["check"] in ("b_degree", "b_equality")] == [
         ("b_degree", "pass"), ("b_degree", "inconclusive"),
         ("b_equality", "inconclusive")]
+
+
+def test_holonomic_suite_builds_each_vector_and_column_set_once(
+        monkeypatch, capsys, tmp_path):
+    # `verify holonomic --fixtures DIR` builds R, Rhat and the columns of
+    # top 4 and of top 5 once each, and passes them to every report and pin
+    # that reads them; Rhat is derived from that R
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args):
+            calls.append(name if name != "tower_columns" else args[0])
+            return fn(*args)
+        monkeypatch.setattr(holonomic, name, counted)
+
+    # no cache holds these builds, so a warm tower changes no count
+    for name in ("find_R", "find_Rhat", "tower_columns"):
+        spy(name, getattr(holonomic, name))
+    rc, _, data = _run_holonomic(["--fixtures", str(tmp_path / "fix")],
+                                 capsys, tmp_path)
+    assert rc == 0 and len(data) == 13
+    assert calls == [4, "find_R", "find_Rhat", 5]
 
 
 @pytest.mark.parametrize("argv, check, witness", [
@@ -414,7 +432,7 @@ def test_small_caps_pass_only_on_a_real_comparison(suite, tmp_path, capsys):
 
 def test_hm_with_nothing_to_compare_is_inconclusive(capsys):
     # h_0 and its direct reduction both vanish at lambda cap 0
-    rep = template.verify_h_m(0, 3, 0, template.one_r_powers(0, 3, 0))
+    rep = template.verify_h_m(0, 3, 0, template.h_m_inputs(0, 3, 0))
     assert rep.status == "inconclusive" and rep.n_cases == 0
     assert rep.witness == ("h_0 and its direct reduction both vanish at "
                            "s cap 3, lambda cap 0; nothing to compare")

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tutteval import holonomic
+from tutteval.cli import _certified
 from tutteval.exactnum import ONE, Rat
-from tutteval.holonomic import (_PQ_ONE, KERNEL_PRIMES, DependencyVector,
-                                PhiQuot, _kernel_vector, _pq_dlam, _pq_eq,
-                                _pq_mul, _pq_normalize, _pq_scale, _pq_sum,
-                                _reduce_top, _strip_primes, b_direct,
+from tutteval.holonomic import (_PQ_ONE, KERNEL_PRIMES, BSeq,
+                                DependencyVector, PhiQuot, _kernel_vector,
+                                _pq_dlam, _pq_eq, _pq_mul, _pq_normalize,
+                                _pq_scale, _pq_sum, _reduce_top,
+                                _strip_primes, b_direct,
                                 b_equality_report, b_recursion,
                                 coprimality_report, dependency_report,
                                 find_R, find_Rhat, p0_quot, p0_report,
@@ -26,6 +28,13 @@ from tutteval.polyring import (Poly, partial_derivative, poly_div_exact,
 
 s, lam, phi = Poly.var("s"), Poly.var("l"), Poly.var("f")
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(scope="module")
+def vectors():
+    """R and Rhat, built once for the tests that only read them."""
+    R = find_R()
+    return R, find_Rhat(R)
 
 
 # -- the first-order derivative ---------------------------------------------
@@ -268,8 +277,10 @@ def test_tower_columns_are_w_top_times_q_over_factorial():
     # here by repeated products
     W = w_quot()[0]
     tower = q_tower(5)
+    cols = {4: tower_columns(4)}
+    cols[5] = tower_columns(5, cols[4])
     for top in (4, 5):
-        for i, col in zip(range(top - 4, top + 1), tower_columns(top)):
+        for i, col in zip(range(top - 4, top + 1), cols[top]):
             want = tower[i]
             for _ in range(top - i):
                 want = _pq_mul(want, W)
@@ -308,25 +319,21 @@ def test_tower_oracle_rejects_a_perturbed_t(monkeypatch, i):
     assert rep.status == "fail" and rep.witness == f"mismatch at i={i}"
 
 
-def test_r_re_expansion_rejects_a_perturbed_t(monkeypatch):
+def test_r_re_expansion_rejects_a_perturbed_t(monkeypatch, vectors):
     # R from the true tower, its re-expansion against columns from a tower
     # with T_2 changed
-    find_R()
+    R = vectors[0]
     bad = _perturbed_tower(2)
     monkeypatch.setattr(holonomic, "q_tower", lambda k: bad[:k + 1])
-    tower_columns.cache_clear()
-    try:
-        rep = dependency_report("R")
-    finally:
-        tower_columns.cache_clear()
+    rep = dependency_report("R", R, tower_columns(4))
     assert rep.status == "fail" and rep.witness == "re-expansion is nonzero"
 
 
 # -- dependency vectors -----------------------------------------------------
 
 
-def test_dependency_R():
-    dv = find_R()
+def test_dependency_R(vectors):
+    dv = vectors[0]
     assert dv.offset == 0 and len(dv.entries) == 5
     # the band R_{i,i-1} is a positive scalar times (s - 1)
     expected = {1: 15, 2: 96, 3: 324, 4: 486}
@@ -335,11 +342,11 @@ def test_dependency_R():
         assert table[(i, i - 1)] == (s - 1).scale(Rat(expected[i]))
     # nothing below the band
     assert all(k >= i - 1 for i, k in table)
-    assert dependency_report("R").ok
+    assert dependency_report("R", dv, tower_columns(4)).ok
 
 
-def test_dependency_Rhat():
-    dv = find_Rhat()
+def test_dependency_Rhat(vectors):
+    dv = vectors[1]
     assert dv.offset == 1 and len(dv.entries) == 5
     expected = {2: 126, 3: 612, 4: 1782, 5: 2430}
     table = dv.table()
@@ -350,12 +357,13 @@ def test_dependency_Rhat():
     for i in range(1, 6):
         assert all(2 * m[1] - 2 * m[2] <= 2 * (3 - i)
                    for m in dv.entry(i).terms)
-    assert dependency_report("Rhat").ok
+    assert dependency_report("Rhat", dv,
+                             tower_columns(5, tower_columns(4))).ok
 
 
-def test_dependency_table_rebuilds_the_entries():
+def test_dependency_table_rebuilds_the_entries(vectors):
     # the table holds exactly the nonzero R_ik = k! [lambda^k] R_i, in s
-    for dv in (find_R(), find_Rhat()):
+    for dv in vectors:
         table = dv.table()
         assert all(p and p.vars_present() <= {1} for p in table.values())
         for i in dv.indices:
@@ -364,11 +372,10 @@ def test_dependency_table_rebuilds_the_entries():
             assert back == dv.entry(i)
 
 
-def test_dependency_vectors_match_pinned_fixtures():
+def test_dependency_vectors_match_pinned_fixtures(vectors):
     # `verify holonomic --fixtures` output, pinned when both vectors still
     # came from kernel minors: an independent check of Rhat's derivation
-    for name, dv in (("dependency_R", find_R()),
-                     ("dependency_Rhat", find_Rhat())):
+    for name, dv in zip(("dependency_R", "dependency_Rhat"), vectors):
         text = json.dumps([poly_to_str(p) for p in dv.entries], indent=1,
                           sort_keys=True)
         assert text == (FIXTURES / f"{name}.json").read_text(), name
@@ -469,55 +476,45 @@ def test_kernel_vector_rejects_rank_deficiency():
         _kernel_vector([e, a, b, a, b], {})
 
 
-def test_dependency_precondition_failure_is_a_report(monkeypatch):
-    # a refused Rhat is cached with its reason, so the cache is cleared
-    # after the test as well as before each case
-    R = find_R()
-    try:
-        for entries, witness in (
-                ([Poly()] + R.entries[1:],
-                 "R_0 = 0: F cannot be eliminated from R"),
-                (R.entries[:4] + [Poly()],
-                 "R_4 = 0: Q_0..Q_3 are dependent")):
-            holonomic._certified.cache_clear()
-            monkeypatch.setattr(holonomic, "find_R",
-                                lambda: DependencyVector("R", 0, entries))
-            rep = dependency_report("Rhat")
-            assert rep.status == "fail"
-            assert rep.witness == witness
-    finally:
-        holonomic._certified.cache_clear()
+def test_dependency_precondition_failure_is_a_report(vectors):
+    # Rhat is refused with the reason, and the report on the refusal fails
+    # with it
+    R = vectors[0]
+    for entries, witness in (
+            ([Poly()] + R.entries[1:],
+             "R_0 = 0: F cannot be eliminated from R"),
+            (R.entries[:4] + [Poly()],
+             "R_4 = 0: Q_0..Q_3 are dependent")):
+        Rhat = _certified(find_Rhat, DependencyVector("R", 0, entries))
+        assert isinstance(Rhat, ArithmeticError)
+        rep = dependency_report("Rhat", Rhat, None)
+        assert rep.status == "fail"
+        assert rep.witness == witness
 
 
-def test_dependency_rhat_fails_when_find_R_finds_no_line(monkeypatch):
+def test_dependency_rhat_fails_when_find_R_finds_no_line():
     # columns of rank 3 make every 4x4 minor vanish, so find_R raises and
     # Rhat, derived from R, is a fail report with that reason
     low = tuple(pq_from_poly(p) for p in (
         Poly.one(), phi + s * lam, phi ** 3 + phi ** 2,
         3 * phi ** 3 + 3 * phi ** 2 + 2 * phi + s,
         lam * phi ** 3 + lam * phi ** 2 + 7))
-    monkeypatch.setattr(holonomic, "tower_columns", lambda top: low)
-    holonomic._certified.cache_clear()
-    try:
-        rep = dependency_report("Rhat")
-    finally:
-        holonomic._certified.cache_clear()
+    R = _certified(find_R, low)
+    rep = dependency_report("Rhat", _certified(find_Rhat, R), low)
     assert rep.status == "fail" and rep.n_cases == 0
     assert rep.witness == "all 4x4 minors vanish: kernel dimension exceeds 1"
 
 
-def test_b_recursion_fails_on_an_entry_below_the_band(monkeypatch):
+def test_b_recursion_fails_on_an_entry_below_the_band(vectors):
     # R_{3,0} below the band of R meets b_{l+3} at order l, past the b_{l+1}
     # that the order determines: the recursion reports it rather than
-    # dropping it
-    R = find_R()
-    find_Rhat()  # cached from the true R
+    # dropping it; Rhat is that of the true R
+    R, Rhat = vectors
     entries = list(R.entries)
     entries[3] = entries[3] + 1
     bad = DependencyVector("R", 0, entries)
     assert (3, 0) in bad.table() and (3, 0) not in R.table()
-    monkeypatch.setattr(holonomic, "find_R", lambda: bad)
-    _, rep = b_recursion(4)
+    _, rep = b_recursion(4, bad, Rhat)
     assert rep.status == "fail"
     assert rep.witness == ("(s - 1) route: coefficient (3,0) lies below "
                            "the band")
@@ -534,20 +531,17 @@ def test_dependency_r_fails_on_a_planted_common_factor(monkeypatch, factor):
         return [factor * p for p in kernel(cols, primes)]
 
     monkeypatch.setattr(holonomic, "_kernel_vector", planted)
-    holonomic._certified.cache_clear()
-    try:
-        rep = dependency_report("R")
-    finally:
-        holonomic._certified.cache_clear()
+    cols = tower_columns(4)
+    rep = dependency_report("R", _certified(find_R, cols), cols)
     assert rep.status == "fail" and rep.n_cases == 0
     assert rep.witness.startswith("the entries share a factor in ")
 
 
-def test_find_Rhat_fails_when_H_does_not_divide(monkeypatch):
+def test_find_Rhat_fails_when_H_does_not_divide(monkeypatch, vectors):
     # H, R_4 without its kernel primes and its monomial content, divides
     # R_4' + 4 R_3 at this tree; a division refused there leaves no other
     # route, so the Rhat report fails with the reason
-    R = find_R().entries
+    R = vectors[0].entries
     d4 = partial_derivative(R[4], "l") + R[3].scale(4)
     div = holonomic.poly_div_exact
 
@@ -557,25 +551,17 @@ def test_find_Rhat_fails_when_H_does_not_divide(monkeypatch):
         return div(p, q)
 
     monkeypatch.setattr(holonomic, "poly_div_exact", refusing)
-    holonomic._certified.cache_clear()
-    try:
-        rep = dependency_report("Rhat")
-    finally:
-        holonomic._certified.cache_clear()
+    rep = dependency_report("Rhat", _certified(find_Rhat, vectors[0]), None)
     assert rep.status == "fail" and rep.n_cases == 0
     assert rep.witness == ("H, R_4 without its kernel primes, does not "
                            "divide R_4' + 4 R_3 or one of c_1..c_3")
 
 
-def test_dependency_report_unknown_kind(monkeypatch):
-    # an unknown kind is a fail report, decided before anything is built
-    def build(*args):
-        raise AssertionError("nothing may be built for an unknown kind")
-
-    for name in ("find_R", "find_Rhat", "q_tower"):
-        monkeypatch.setattr(holonomic, name, build)
+def test_dependency_report_unknown_kind():
+    # an unknown kind is a fail report, decided before the vector or its
+    # columns are read
     for kind in ("r", "Rhat2", ""):
-        rep = dependency_report(kind)
+        rep = dependency_report(kind, None, None)
         assert rep.status == "fail" and rep.n_cases == 0
         assert rep.params == {"kind": kind}
         assert repr(kind) in rep.witness
@@ -609,6 +595,15 @@ def test_coprimality():
     assert coprimality_report().ok
 
 
+def test_coprimality_reads_the_band_factors(monkeypatch):
+    # a band factor of Rhat that shares the root s = 1 with that of R fails
+    # the report, with the gcd as the witness
+    monkeypatch.setitem(holonomic.BAND_FACTOR, "Rhat", 3 * s - 3)
+    rep = coprimality_report()
+    assert rep.status == "fail" and rep.n_cases == 1
+    assert rep.witness == "gcd = s - 1"
+
+
 # -- the b sequence ---------------------------------------------------------
 
 
@@ -640,16 +635,37 @@ def test_low_b_by_sympy():
         assert sympy.Poly(want, S).degree() <= l
 
 
-def test_b_recursion_matches_direct():
-    rec, rep = b_recursion(6)
+def test_b_degree_fails_on_a_term_above_the_bound():
+    # b_5 + s^6 breaks deg_s b_5 <= 5 after b_0..b_4 meet their bounds
+    bl = list(b_direct(8, 6).bl)
+    bl[5] = bl[5] + s ** 6
+    rep = BSeq("direct", 6, bl).degree_report()
+    assert rep.status == "fail" and rep.n_cases == 5
+    assert rep.witness == "deg b_5 = 6 > 5"
+
+
+def test_b_equality_fails_where_the_sources_disagree():
+    # b_3 + s^3 keeps the degree bound, so only the comparison of the two
+    # sources sees it, after b_0..b_2 agree
+    direct = b_direct(8, 6)
+    bl = list(direct.bl)
+    bl[3] = bl[3] + s ** 3
+    rep = b_equality_report(direct, BSeq("recursion", 6, bl))
+    assert rep.status == "fail" and rep.n_cases == 3
+    assert rep.params == {"sources": "direct/recursion", "orders": 6}
+    assert rep.witness == "sources disagree at b_3"
+
+
+def test_b_recursion_matches_direct(vectors):
+    rec, rep = b_recursion(6, *vectors)
     assert rep.ok, rep.line()
     direct = b_direct(9, 6)
     eq = b_equality_report(direct, rec)
     assert eq.ok, eq.line()
 
 
-def test_b_degree_bound():
-    rec, rep = b_recursion(8)
+def test_b_degree_bound(vectors):
+    rec, rep = b_recursion(8, *vectors)
     assert rep.ok
     for l, p in enumerate(rec.bl):
         assert p.degree("s") <= l
@@ -662,7 +678,8 @@ def test_caps_that_leave_nothing_to_compare_are_inconclusive():
         assert rep.witness == \
             f"i_max {i_max} is outside 1..{holonomic.TOWER_MAX}"
     for L in (0, -1):
-        rec, rep = b_recursion(L)
+        # no vector is read
+        rec, rep = b_recursion(L, None, None)
         assert rep.status == "inconclusive" and rep.n_cases == 0
         assert rep.witness == (f"orders {L} leave no b_l to derive; "
                                "need orders >= 1")

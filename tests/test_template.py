@@ -120,15 +120,16 @@ def test_direct_reduction_by_hand():
     # at lambda cap 0 the series is log(1 + t + s) = t + s - t^2/2 - ...;
     # below t^2 s^2 weight, t^2 times it has t^3 (odd, dies), t^2 s
     # (-> 2 s^2) and -t^4/2 (-> -C(4,2)/2 s^2 = -3 s^2)
-    assert direct_reduction(2, 2, 0) == Series2({(2, 0): -1}, 2, 0)
+    assert direct_reduction(2, 2, 0, relation_series(4, 0)) == \
+        Series2({(2, 0): -1}, 2, 0)
     # m = 0: s and -t^2/2 -> -s cancel at s cap 1
-    assert direct_reduction(0, 1, 0).is_zero()
+    assert direct_reduction(0, 1, 0, relation_series(2, 0)).is_zero()
 
 
 @pytest.mark.parametrize("m, S, L", [(0, 3, 2), (1, 4, 1), (2, 5, 3),
                                      (3, 4, 0), (4, 6, 2), (7, 6, 2)])
 def test_direct_reduction_matches_three_variable_route(m, S, L):
-    got = direct_reduction(m, S, L)
+    got = direct_reduction(m, S, L, relation_series(2 * S, L))
     assert got.caps == (S, L)
     assert not got.is_zero()
     assert got == _reduce_shifted(_relation_series_3var(2 * S, L), m, S)
@@ -142,7 +143,7 @@ def test_reduction_preserves_integrals(m, S, L, n):
     # at weighted degree 2S, is the s^n lambda^c coefficient of the
     # reduction
     f = _relation_series_3var(2 * S, L)
-    reduced = direct_reduction(m, S, L)
+    reduced = direct_reduction(m, S, L, relation_series(2 * S, L))
     for c in range(L + 1):
         p = Poly({(a + m, b, 0, 0, 0, 0): v
                   for (a, b, cc), v in f.coeffs.items()
@@ -198,11 +199,7 @@ def test_relation_series_needs_no_bivariate_inverse_and_no_product(
     monkeypatch.setattr(Series2, "inverse", spy_inverse)
     _spy_every_binding(monkeypatch, _kernels_py.mul_trunc2, calls,
                        "mul_trunc2")
-    relation_series.cache_clear()
-    try:
-        relation_series(24, 8)
-    finally:
-        relation_series.cache_clear()
+    relation_series(24, 8)
     assert calls == []
 
 
@@ -271,12 +268,8 @@ def test_relation_series_rejects_non_integer_tau(monkeypatch):
         return Series2({**tau.coeffs, (0, 2): Rat(7, 2)}, 0, L)
 
     monkeypatch.setattr(template, "tau_series", bad_tau)
-    relation_series.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="7/2"):
-            relation_series(6, 2)
-    finally:
-        relation_series.cache_clear()
+    with pytest.raises(ArithmeticError, match="7/2"):
+        relation_series(6, 2)
 
 
 def test_q_polys_low_orders():
@@ -291,6 +284,21 @@ def test_q_polys_low_orders():
 def test_q2_ode_reports():
     for m in range(13):
         assert verify_q2_ode(m).ok
+
+
+def test_q2_ode_fails_on_a_term_that_y_does_not_divide(monkeypatch,
+                                                       capsys):
+    # q2_poly(5) + 1 leaves (4/y) Q2 undefined: a fail report with the
+    # division's reason, and `verify template` prints every report
+    q2 = template.q2_poly
+    monkeypatch.setattr(template, "q2_poly",
+                        lambda m: q2(m) + 1 if m == 5 else q2(m))
+    rep = verify_q2_ode(5)
+    assert rep.status == "fail" and rep.n_cases == 0
+    assert rep.witness == "inexact polynomial division"
+    assert main(["template"]) == 1
+    assert ("[FAIL] q2_ode(m=5) cases=0"
+            in capsys.readouterr().out)
 
 
 def test_q2_is_the_polynomial_solution_by_sympy():
@@ -344,6 +352,37 @@ def test_series_identity_empty_window_is_inconclusive():
             assert rep.witness == f"kappa = {kq} + {kp}*log2"
 
 
+def test_kappa_closed_form_matches_x0_matching():
+    # at order m + 2 the identity compares x^0 alone, so each pass confirms
+    # the closed form by the matching route; odd m give (0, 0)
+    for m in range(41):
+        N = m + 2
+        rep = verify_series_identity(m, N, log_one_plus_sqrt(N))
+        assert rep.ok, rep.line()
+    assert kappa_constant(7) == (ZERO, ZERO)
+    # C(10, 5) = 252 and H_10 - H_5 = 1627/2520
+    assert kappa_constant(10) == (Rat(-1627, 10), Rat(252))
+
+
+def test_a_wrong_kappa_fails_the_series_identity_and_h_m(monkeypatch):
+    # kappa_4 + 1: the matched constant no longer meets the closed form,
+    # and h_4 differs from its direct reduction on the s^2 it rides on
+    kappa = template.kappa_constant
+
+    def shifted(m):
+        kq, kp = kappa(m)
+        return (kq + 1, kp) if m == 4 else (kq, kp)
+
+    monkeypatch.setattr(template, "kappa_constant", shifted)
+    rep = verify_series_identity(4, 30, log_one_plus_sqrt(30))
+    assert rep.status == "fail" and rep.n_cases == 30
+    assert rep.witness == ("x^0 matching gives kappa = -7/2 + 6*log2, the "
+                           "closed form -5/2 + 6*log2")
+    rep = verify_h_m(4, 12, 8, template.h_m_inputs(4, 12, 8))
+    assert rep.status == "fail" and rep.n_cases == 63
+    assert rep.witness == "mismatch at s^2 l^0: -1"
+
+
 def test_kappa_log2_part_is_central_binomial():
     # the log2 coefficient of kappa_m is C(m, m/2) for even m
     for m in range(0, 10, 2):
@@ -377,14 +416,14 @@ def test_kappa_by_sympy():
 
 
 def test_h_m_small_caps():
-    pows = template.one_r_powers(3, 8, 5)
+    inputs = template.h_m_inputs(3, 8, 5)
     for m in range(4):
-        rep = verify_h_m(m, 8, 5, pows)
+        rep = verify_h_m(m, 8, 5, inputs)
         assert rep.ok, rep.line()
 
 
 def test_h_m_cap_guard():
-    # the caps leave nothing to compare, so no power of 1 + r is read
+    # the caps leave nothing to compare, so no input series is read
     rep = verify_h_m(6, 2, 3, None)
     assert rep.status == "inconclusive"
 
@@ -398,7 +437,8 @@ def test_h_m_fails_with_the_degree_witness(monkeypatch):
     monkeypatch.setattr(template, "h_m_series",
                         lambda *args: (main, Series2.zero(S, L)))
     monkeypatch.setattr(template, "direct_reduction", lambda *args: main)
-    rep = verify_h_m(2, S, L, None)
+    # the two patched series read no input
+    rep = verify_h_m(2, S, L, (None,) * 4)
     assert rep.status == "fail" and rep.n_cases == 3
     assert rep.witness == "s^3*l^0 coeff -7/2 has weighted degree 6"
 
@@ -439,13 +479,14 @@ def test_h_m_log_matches_log_big_minus_log_one_plus_lambda_s(S, L):
     lg_big, l2_big = (1 + one_ls * tau + (one_ls - 1) + b).log()
     lg_small, l2_small = one_ls.log()
     assert not l2_small and l2_big == 1
-    lg, l2 = template.h_m_shared(S, L)
+    lg, l2 = template.h_m_inputs(0, S, L)[2]
     assert lg == lg_big - lg_small and l2 == l2_big
 
 
-def test_base_series_and_h_m_shared_operation_counts(monkeypatch):
+def test_h_m_inputs_operation_counts(monkeypatch):
     # one inverse (inside the log), one sqrt, one log and two products:
-    # (1 + r)^2 and the product inside the log
+    # (1 + r)^2 and the product inside the log; m_max = 0 asks for no power
+    # of 1 + r, and the relation series is written down with no product
     counts = {"inverse": 0, "sqrt": 0, "log": 0, "mul_trunc2": 0}
 
     def spy(name, fn):
@@ -458,26 +499,19 @@ def test_base_series_and_h_m_shared_operation_counts(monkeypatch):
         monkeypatch.setattr(Series2, name, spy(name, getattr(Series2, name)))
     monkeypatch.setattr(series, "mul_trunc2",
                         spy("mul_trunc2", series.mul_trunc2))
-    template.base_series.cache_clear()
-    template.h_m_shared.cache_clear()
-    try:
-        template.base_series(12, 8)
-        template.h_m_shared(12, 8)
-    finally:
-        template.base_series.cache_clear()
-        template.h_m_shared.cache_clear()
+    template.h_m_inputs(0, 12, 8)
     assert counts == {"inverse": 1, "sqrt": 1, "log": 1, "mul_trunc2": 2}
 
 
 def test_hm_suite_builds_the_powers_of_one_plus_r_once(monkeypatch, capsys):
     calls = []
-    build = template.one_r_powers
+    build = template.h_m_inputs
 
     def spy(m_max, S, L):
         calls.append((m_max, S, L))
         return build(m_max, S, L)
 
-    monkeypatch.setattr(template, "one_r_powers", spy)
+    monkeypatch.setattr(template, "h_m_inputs", spy)
     assert main(["hm", "--m-max", "5", "--s-cap", "6",
                  "--lambda-cap", "4"]) == 0
     assert calls == [(5, 6, 4)]
@@ -492,11 +526,22 @@ def test_hm_suite_builds_the_powers_of_one_plus_r_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_hm_suite_builds_each_series_once(monkeypatch, capsys):
+    # a cold `verify hm` builds the base series at (S, L) and the relation
+    # series at (2S, L) once each, and every m reads them
+    calls = []
+    for fn in (template.base_series, template.relation_series):
+        _spy_every_binding(monkeypatch, fn, calls, fn.__name__)
+    _clear_caches()
+    assert main(["hm"]) == 0
+    capsys.readouterr()
+    assert calls == [("base_series", (12, 8)), ("relation_series", (24, 8))]
+
+
 def test_h_m_series_reads_a_prefix_of_the_shared_powers():
-    pows = template.one_r_powers(6, 8, 5)
+    pows, root, log_pair, _ = template.h_m_inputs(6, 8, 5)
     assert len(pows) == 7 and pows[2] == pows[1] * pows[1]
     for m in range(7):
         kappa = kappa_constant(m)
-        assert template.h_m_series(m, 8, 5, kappa, pows) == \
-            template.h_m_series(m, 8, 5, kappa,
-                                template.one_r_powers(m, 8, 5))
+        assert template.h_m_series(m, 8, 5, kappa, pows, root, log_pair) == \
+            template.h_m_series(m, 8, 5, kappa, pows[:m + 1], root, log_pair)

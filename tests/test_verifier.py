@@ -36,6 +36,16 @@ def test_f_table_weighted_homogeneous():
             assert not tab.get(k, i).is_zero()
 
 
+def test_f_table_degrees_fails_on_a_term_of_the_wrong_degree():
+    # t, of weighted degree 1, in f_{3,1}, of degree 5: the entries before
+    # it in key order, (1, 0) to (3, 0), pass first
+    tab = f_table(6, 2)
+    tab.entries[(3, 1)] = tab.entries[(3, 1)] + t
+    rep = tab.degree_report()
+    assert rep.status == "fail" and rep.n_cases == 7
+    assert rep.witness == "f_{3,1} contains t^1 s^0"
+
+
 @pytest.mark.parametrize("K, I", [(6, 2), (9, 4)])
 def test_f_table_matches_three_variable_route(K, I):
     # the regrouping by (k, i) = (a + 2b - 2c, c) of the rational
