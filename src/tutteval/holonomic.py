@@ -16,7 +16,10 @@ takes no inverse modulo P, so its denominators hold only lambda and
 256 lambda - 27, those of P0.  W is a unit modulo P, so the columns
 W^(top-i) T_i/i! = W^top Q_i/i! have the linear relations of the Q_i/i!:
 the kernel and the re-expansions read those columns, and the series oracle
-checks W^i F^(i) = T_i F.
+checks W^i F^(i) = T_i F.  The kernel first multiplies every column by the
+same power of lambda / (phi - lambda s), another unit, as far as the
+columns stay polynomial: at top 4 that takes the factor E^7, E the norm of
+phi - lambda s, off its minors before they are formed.
 
 Generic fraction arithmetic over Q(s, lambda) swells badly (every operation
 triggers a bivariate gcd), so tower elements are held as PhiQuot values: a
@@ -62,6 +65,8 @@ P_DEFINING = PHI - LAM * (1 + PHI) ** 4
 SINGULAR = 256 * LAM - 27
 
 _S = Poly.var("s")
+# E = -P(lambda, lambda s) / lambda, the norm of phi - lambda s modulo P
+E_NORM = (1 + LAM * _S) ** 4 - _S
 # the primes that the kernel minors of the columns W^(top-i) T_i / i! may
 # share, each to any power; they only guide the stripping:
 # `clear_and_normalize` certifies that no common factor is left, or the
@@ -73,8 +78,10 @@ KERNEL_PRIMES = dict.fromkeys([
     # R_4 carries G
     (1 - 16 * LAM * (1 + LAM * _S) ** 2) ** 2
     - 64 * LAM ** 2 * _S * (1 + LAM * _S) ** 2,
-    # E = -P(lambda, lambda s) / lambda; the 4x4 minors carry E^7
-    (1 + LAM * _S) ** 4 - _S,
+    # the 4x4 minors of the columns of `tower_columns(4)` carry E^7, which
+    # `_strip_pi` takes off the columns before the minors are formed; E
+    # stays for the minors of columns that the strip leaves a power of E in
+    E_NORM,
 ], inf)
 
 # the closed form of phi', over the denominator l (256 l - 27)
@@ -522,27 +529,106 @@ class DependencyVector(Record):
                 for (i, k), terms in parts.items()}
 
 
+def _shift(p: Poly, ds: int, dl: int) -> Poly:
+    """p times s^ds lambda^dl, by moving its exponents."""
+    out = Poly.__new__(Poly)
+    out.terms = {(m[0], m[1] + ds, m[2] + dl) + m[3:]: c
+                 for m, c in p.terms.items()}
+    return out
+
+
+def _pi_step(num: list) -> list:
+    """The phi-coefficients of lambda c / pi modulo P, pi = phi - sigma and
+    sigma = lambda s, for the column c with the phi-coefficients num, of
+    phi-degree <= 3; raises ArithmeticError when that leaves
+    Z[s, lambda][phi].
+
+    P(lambda, sigma) = -lambda E, E = `E_NORM` = (1+sigma)^4 - s.  Horner's
+    rule at sigma divides c by pi and leaves the remainder r = c(sigma) in
+    Z[s, lambda].  If E divides r exactly (`poly_div_exact` certifies it),
+    r' = r/E, then c - r' (1+phi)^4 takes the value r - r' (1+sigma)^4 =
+    -r' s at sigma, so Horner's rule gives c - r' (1+phi)^4 = pi d - r' s
+    with d of phi-degree 3, and
+
+        pi (r' + lambda d) = lambda c + r' P
+
+    as polynomials, as P = phi - lambda (1+phi)^4.  So c' = r' + lambda d,
+    of phi-degree <= 3 with integer entries, is lambda c / pi modulo P.
+    Multiplying by sigma or lambda is a shift of exponents, so the step
+    takes no polynomial product."""
+    a = list(num) + [Poly()] * (4 - len(num))
+    # c = pi (b0 + b1 phi + b2 phi^2) + c(sigma)
+    b2 = a[3]
+    b1 = a[2] + _shift(b2, 1, 1)
+    b0 = a[1] + _shift(b1, 1, 1)
+    rq = poly_div_exact(a[0] + _shift(b0, 1, 1), E_NORM)
+    # c - rq (1+phi)^4 = pi (d0 + d1 phi + d2 phi^2 + d3 phi^3) - rq s
+    d3, r4 = -rq, rq.scale(-4)
+    d2 = a[3] + r4 + _shift(d3, 1, 1)
+    d1 = a[2] + rq.scale(-6) + _shift(d2, 1, 1)
+    d0 = a[1] + r4 + _shift(d1, 1, 1)
+    return [rq + _shift(d0, 0, 1), _shift(d1, 0, 1), _shift(d2, 0, 1),
+            _shift(d3, 0, 1)]
+
+
+def _strip_pi(nums: list) -> tuple:
+    """(nums', k): the phi-coefficient lists nums, each the numerator of a
+    column, all multiplied k times by lambda / pi modulo P (`_pi_step`),
+    for the largest k at which every step stays in Z[s, lambda][phi].
+
+    The steps stop at the first one where the step of a nonzero column
+    fails.  Zero columns stay zero and do not bound k; with no nonzero
+    column, k = 0.  The norm of pi is E, so the norm of a nonzero column, a
+    nonzero element of Z[s, lambda, 1/lambda], is divided by E and
+    multiplied by lambda^4 at each step, and the steps end.
+
+    Every column is multiplied by the same nonzero element lambda^k pi^-k
+    of the field Q(s, lambda)[phi]/P, so the kernel over Q(s, lambda) is
+    the same, and each 4x4 minor is multiplied by the norm of that element,
+    lambda^(4k) / E^k.  At top 4 each column is F^7 F^(i)/i! on each branch
+    of P, and F vanishes simply on the branch over E: k = 7 there, which
+    takes off the E^7 that the minors would carry."""
+    if not any(any(num) for num in nums):
+        return nums, 0
+    k = 0
+    while True:
+        try:
+            stepped = [_pi_step(num) if any(num) else num for num in nums]
+        except ArithmeticError:
+            return nums, k
+        nums = stepped
+        k += 1
+
+
 def _kernel_vector(cols: list, primes: dict) -> list:
     """Kernel vector of the 4x5 phi-coefficient matrix of the PhiQuot
     columns, a line when that matrix has rank 4.
 
     With N the numerator matrix, the fraction-free Cramer rule gives the
     kernel of N as the five signed 4x4 minors y_i, (-1)^i det N without
-    column i, from `_minors`.  All five vanishing means rank < 4, i.e.
-    kernel dimension > 1, and is rejected.  The value matrix has columns
-    c_i N_i / D_i, so component i is y_i D_i / c_i.
+    column i, from `_minors`.  Before the minors, `_strip_pi` multiplies
+    every column of N by the same nonzero lambda^k pi^-k modulo P, pi =
+    phi - lambda s, which leaves the kernel as it is and multiplies each
+    minor by lambda^(4k) / E^k: at top 4, k = 7 takes the factor E^7 off
+    minors of 530-666 terms before they are formed, not after.  So a
+    nonzero stripped minor is a nonzero minor of N.  All five vanishing
+    means rank < 4, i.e. kernel dimension > 1, and is rejected.  The value
+    matrix has columns c_i N_i / D_i, so component i is y_i D_i / c_i.
 
     The numerators that `_pq_normalize` leaves are content-free integer
-    polynomials, so every product in the minors runs on integers (see
-    `Poly.__mul__`), several times faster than on rationals.  The large
-    common factor of the components, powers of the primes of the column
-    denominators and of `primes`, is removed in exponent space: each minor
-    is stripped of those primes, the column denominators are added as
-    exponents, and only the powers above the least ones are multiplied
-    back.  When `primes` holds every prime the minors share, the entries
-    come back coprime: certified by `clear_and_normalize`, or the report
-    fails."""
-    N = [[col.num[r] if r < len(col.num) else Poly() for col in cols]
+    polynomials, and the stripped ones are integer too, so every product
+    in the minors runs on integers (see `Poly.__mul__`), several times
+    faster than on rationals.  The large common factor of the components,
+    powers of the primes of the column denominators and of `primes`, is
+    removed in exponent space: each minor is stripped of those primes, the
+    column denominators are added as exponents, and only the powers above
+    the least ones are multiplied back.  When `primes` holds lambda and E,
+    the factor lambda^(4k) / E^k is the same in every minor and cancels
+    there, so the vector is the one the unstripped minors give.  When
+    `primes` holds every prime the minors share, the entries come back
+    coprime: certified by `clear_and_normalize`, or the report fails."""
+    nums, _ = _strip_pi([col.num for col in cols])
+    N = [[num[r] if r < len(num) else Poly() for num in nums]
          for r in range(4)]
     m4 = _minors(N)
     ys = [m4[tuple(c for c in range(5) if c != i)] for i in range(5)]
@@ -583,13 +669,17 @@ def find_R(cols: tuple | None = None) -> DependencyVector:
 
     It is read off cols, the columns W^(4-i) T_i / i! of `tower_columns(4)`
     (built here when None), whose kernel is that of the Q_i/i!.
-    `_kernel_vector` takes the five 4x4 minors and raises ArithmeticError if
-    they all vanish, i.e. if the kernel is not a line.  Its components come
-    back with no common factor, since KERNEL_PRIMES holds the primes that
-    the minors share and they are stripped: certified by
+    `_kernel_vector` divides the columns seven times by phi - lambda s
+    (`_strip_pi`), which multiplies them all by one nonzero element and
+    each 4x4 minor by lambda^28 / E^7, takes the five minors, and raises
+    ArithmeticError if they all vanish.  A nonzero stripped minor is a
+    nonzero minor of the columns themselves, so the kernel is a line.  Its
+    components come back with no common factor, since KERNEL_PRIMES holds
+    the primes that the minors share and they are stripped: certified by
     `clear_and_normalize`, which raises ArithmeticError otherwise, so the
     report fails.  `_band_vector` clears the vector of its content and fixes
-    its sign by the band R_{1,0}."""
+    its sign by the band R_{1,0}.  The re-expansion of `dependency_report`
+    reads cols as they are, not the stripped columns."""
     cols = tower_columns(4) if cols is None else cols
     return _band_vector("R", 0, _kernel_vector(list(cols), KERNEL_PRIMES))
 

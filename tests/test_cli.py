@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, report lines, JSON emission, and the
 fixture pin/compare round trip."""
 
+import importlib
 import itertools
 import json
 import os
@@ -119,6 +120,53 @@ def test_all_matches_the_pinned_report(tmp_path, capsys):
     capsys.readouterr()
     pinned = Path(__file__).parent / "fixtures" / "verify_all.json"
     assert path.read_bytes() == pinned.read_bytes()
+
+
+# for each report family of `verify all`, by test module, the test that
+# plants a defect in the one input the family reads and asserts `fail`,
+# the exact witness and n_cases
+PLANTED_DEFECTS = {
+    "test_tutte": {
+        "tutte_three_way": "test_three_way_fails_on_a_wrong_route",
+        "phi_lagrange": "test_lagrange_fails_on_a_wrong_phi_coefficient",
+    },
+    "test_template": {
+        "q2_ode": "test_q2_ode_fails_on_a_term_that_y_does_not_divide",
+        "series_identity":
+            "test_a_wrong_kappa_fails_the_series_identity_and_h_m",
+        "h_m": "test_a_wrong_kappa_fails_the_series_identity_and_h_m",
+    },
+    "test_holonomic": {
+        "p0": "test_p0_report_rejects_a_wrong_p0",
+        "p0_series": "test_p0_series_fails_on_a_wrong_p0",
+        "tower_oracle": "test_tower_oracle_rejects_a_perturbed_t",
+        "dependency": "test_r_re_expansion_rejects_a_perturbed_t",
+        "b_recursion": "test_b_recursion_fails_on_an_entry_below_the_band",
+        "b_degree": "test_b_degree_fails_on_a_term_above_the_bound",
+        "b_equality": "test_b_equality_fails_where_the_sources_disagree",
+        "coprimality": "test_coprimality_reads_the_band_factors",
+    },
+    "test_verifier": {
+        "f_table_degrees":
+            "test_f_table_degrees_fails_on_a_term_of_the_wrong_degree",
+        "vanishing": "test_vanishing_fails_on_a_doubled_coefficient",
+        "vanishing_restriction":
+            "test_restriction_fails_on_a_doubled_coefficient",
+        "hilbert": "test_hilbert_fails_on_a_pair_with_a_common_factor",
+        "iso": "test_iso_check_sees_a_wrong_square_root",
+    },
+}
+
+
+def test_every_family_of_verify_all_has_a_planted_defect():
+    # a family added to `verify all` without a test that makes it fail, or
+    # a listed test that is gone, fails here
+    pinned = Path(__file__).parent / "fixtures" / "verify_all.json"
+    families = {rep["check"] for rep in json.loads(pinned.read_text())}
+    assert families == {f for tests in PLANTED_DEFECTS.values() for f in tests}
+    for module, tests in PLANTED_DEFECTS.items():
+        for name in tests.values():
+            assert callable(getattr(importlib.import_module(module), name))
 
 
 @pytest.mark.parametrize("argv, fixture", [

@@ -17,7 +17,8 @@ from tutteval.holonomic import (_PQ_ONE, KERNEL_PRIMES, BSeq,
                                 DependencyVector, PhiQuot, _kernel_vector,
                                 _pq_dlam, _pq_eq, _pq_mul, _pq_normalize,
                                 _pq_scale, _pq_sum, _reduce_top,
-                                _strip_primes, b_direct,
+                                _pi_step, _strip_pi, _strip_primes,
+                                b_direct,
                                 b_equality_report, b_recursion,
                                 coprimality_report, dependency_report,
                                 find_R, find_Rhat, p0_quot, p0_report,
@@ -102,6 +103,15 @@ def test_p0_report_rejects_a_wrong_p0(monkeypatch):
     monkeypatch.setattr(holonomic, "p0_quot", lambda: wrong)
     rep = p0_report()
     assert rep.status == "fail" and rep.witness.startswith("got ")
+
+
+def test_p0_series_fails_on_a_wrong_p0(monkeypatch):
+    # P0 + phi differs from phi' from lambda^1 on, as phi = lambda + ...
+    wrong = _pq_sum([(ONE, p0_quot()), (ONE, pq_from_poly(phi))])
+    monkeypatch.setattr(holonomic, "p0_quot", lambda: wrong)
+    rep = p0_series_report(20)
+    assert rep.status == "fail" and rep.n_cases == 1
+    assert rep.witness == "series mismatch"
 
 
 # -- the factored-quotient arithmetic ---------------------------------------
@@ -420,16 +430,9 @@ def _random_column(rng):
                                        rng.randrange(1, 9)))
 
 
-@given(st.integers(0, 10 ** 6), st.booleans())
-@settings(max_examples=25, deadline=None)
-def test_kernel_vector_matches_cramer(seed, unit):
-    # the shared-minor route with prime stripping and the brute-force route
-    # find the same line, with or without a unit column
-    rng = random.Random(seed)
-    cols = [_random_column(rng) for _ in range(5)]
-    if unit:
-        cols[0] = _PQ_ONE
-    primes = {s - 1: inf} if rng.randrange(2) else {}
+def _assert_kernel_vector_matches_cramer(cols: list, primes: dict) -> None:
+    """The shared-minor route with the strip of phi - lambda s and of the
+    primes finds the line that the brute-force route finds."""
     try:
         vec = _kernel_vector(cols, primes)
     except ArithmeticError:
@@ -454,6 +457,96 @@ def test_kernel_vector_matches_cramer(seed, unit):
                 acc = acc + (x * col.num[r] * poly_div_exact(
                     L, col.den_poly())).scale(col.c)
         assert acc.is_zero()
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_kernel_vector_matches_cramer(seed, unit):
+    # with or without a unit column
+    rng = random.Random(seed)
+    cols = [_random_column(rng) for _ in range(5)]
+    if unit:
+        cols[0] = _PQ_ONE
+    _assert_kernel_vector_matches_cramer(
+        cols, {s - 1: inf} if rng.randrange(2) else {})
+
+
+PI = phi - lam * s
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 2), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_kernel_vector_matches_cramer_on_columns_times_pi(seed, j, unit):
+    # every column times pi^j modulo P, pi = phi - lambda s: the strip takes
+    # off at least those j factors, and the line is still Cramer's
+    rng = random.Random(seed)
+    cols = [_random_column(rng) for _ in range(5)]
+    if unit:
+        cols[0] = _PQ_ONE
+    pj = pq_from_poly(PI ** j)
+    cols = [_pq_mul(col, pj) for col in cols]
+    assert _strip_pi([col.num for col in cols])[1] >= j
+    _assert_kernel_vector_matches_cramer(
+        cols, {s - 1: inf} if rng.randrange(2) else {})
+
+
+def test_a_pi_step_is_lambda_over_pi_modulo_p():
+    # pi c' = lambda c + (c(sigma) / E) P as polynomials, for each column of
+    # top 4 at each of its steps, with c(sigma) substituted here; the step
+    # past the last one is refused
+    E, P = holonomic.E_NORM, holonomic.P_DEFINING
+    for col in tower_columns(4):
+        num = col.num
+        while True:
+            c = _phi_value(num)
+            at_sigma = sum((n * (lam * s) ** i for i, n in enumerate(num)),
+                           Poly())
+            try:
+                new = _pi_step(num)
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError):
+                    poly_div_exact(at_sigma, E)
+                break
+            assert len(new) == 4
+            assert PI * _phi_value(new) == lam * c + poly_div_exact(
+                at_sigma, E) * P
+            num = new
+
+
+def test_strip_pi_takes_e7_off_the_top4_minors():
+    # each column of top 4 is F^7 F^(i)/i! on each branch of P, and F
+    # vanishes simply over E: column 0, F^8, allows 8 steps alone and the
+    # others 7, so the five run in lockstep to k = 7, and each minor is the
+    # unstripped one times the norm lambda^28 / E^7 of (lambda / pi)^7
+    nums = [col.num for col in tower_columns(4)]
+    stripped, k = _strip_pi(nums)
+    assert k == 7
+    assert [_strip_pi([num])[1] for num in nums] == [8, 7, 7, 7, 7]
+
+    def minors(cols):
+        return holonomic._minors(
+            [[c[r] if r < len(c) else Poly() for c in cols] for r in range(4)])
+
+    old, new = minors(nums), minors(stripped)
+    E7 = holonomic.E_NORM ** 7
+    for key, m in old.items():
+        assert new[key] * E7 == m * lam ** 28
+        assert len(new[key].terms) < len(m.terms) // 2
+
+
+def test_strip_pi_skips_zero_columns_and_ends():
+    # a zero column stays zero and does not bound k; with nothing but zero
+    # columns the strip ends at once
+    base = [pq_from_poly(p) for p in (
+        Poly.one(), phi + s, phi ** 2 - lam, phi ** 3 + 2 * lam * s)]
+    p2 = pq_from_poly(PI ** 2)
+    cols = [_pq_mul(col, p2).num for col in base]
+    alone, k = _strip_pi(cols)
+    assert k >= 2
+    stripped, k0 = _strip_pi(cols[:2] + [[]] + cols[2:])
+    assert k0 == k and stripped[2] == []
+    assert stripped[:2] + stripped[3:] == alone
+    assert _strip_pi([[], [Poly(), Poly()]]) == ([[], [Poly(), Poly()]], 0)
 
 
 def test_kernel_vector_rejects_rank_deficiency():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tutteval import tutte
 from tutteval.exactnum import Rat
 from tutteval.series import Series2
 from tutteval.tutte import (TAMARI_MAX, binary_trees, lagrange_report,
@@ -137,6 +138,39 @@ def test_three_way_needs_a_tamari_comparison():
     # one Tamari count is a real comparison: 6 coefficients plus i = 1
     rep = three_way_report(6, 1)
     assert rep.ok and rep.n_cases == 7
+
+
+@pytest.mark.parametrize("name, i, n_cases, witness", [
+    # the closed form meets the algebraic route first, at i = 1..6
+    ("tutte_coeff", 3, 2, "i=3: closed form 14, algebraic 13"),
+    # then the Tamari counts, after the six algebraic cases
+    ("tamari_interval_count", 4, 9, "i=4: Tamari count 69, closed form 68"),
+])
+def test_three_way_fails_on_a_wrong_route(monkeypatch, name, i, n_cases,
+                                          witness):
+    # one route off by one at i: the report fails there with both values
+    right = getattr(tutte, name)
+    monkeypatch.setattr(tutte, name, lambda j: right(j) + (j == i))
+    rep = three_way_report()
+    assert rep.status == "fail" and rep.n_cases == n_cases
+    assert rep.witness == witness
+
+
+def test_lagrange_fails_on_a_wrong_phi_coefficient(monkeypatch):
+    # [lambda^5] phi = C(20, 4) / 5 = 969, made 970 in the series the
+    # functional equation gives; n = 1..4 pass first
+    right = tutte.phi_series
+
+    def wrong(L):
+        phi = right(L)
+        coeffs = dict(phi.coeffs)
+        coeffs[(0, 5)] += 1
+        return Series2(coeffs, *phi.caps)
+
+    monkeypatch.setattr(tutte, "phi_series", wrong)
+    rep = lagrange_report(40)
+    assert rep.status == "fail" and rep.n_cases == 4
+    assert rep.witness == "n=5: series 970, closed form 969"
 
 
 @given(st.integers(1, 30))

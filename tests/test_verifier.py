@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from tutteval import verifier
 from tutteval.exactnum import Rat, ZERO
 from tutteval.polyring import Poly
 from tutteval.series import Series2
@@ -129,6 +130,41 @@ def test_restriction_spot_check():
     # which the check replaces
     assert restriction_spot_check(3, 2, f_table(7, 2)).ok
     assert restriction_spot_check(3, 2, f_table(5, 2)).ok
+
+
+def test_restriction_fails_on_a_doubled_coefficient():
+    # at the caps of `verify all`, t^10 doubled in f_{8,1} = t^10 - 9 t^8 s
+    # + ... changes its one integral against t^0 s^0 in dimension 5 (k = 8
+    # = n + 3) by C(10, 5) = 252; the failing dimension's report comes back,
+    # with its own count of cases, 2 for k = 8 and i = 0 before it
+    tab = f_table(9, 4)
+    f = tab.get(8, 1)
+    t10 = (10, 0, 0, 0, 0, 0)
+    bad = FTable(tab.K_max, tab.I_max,
+                 {**tab.entries, (8, 1): f + Poly({t10: f.terms[t10]})})
+    rep = restriction_spot_check(5, 4, bad)
+    assert rep.check == "vanishing_restriction"
+    assert rep.params == {"n_max": 5, "i_max": 4, "offsets": [3, 4]}
+    assert rep.status == "fail" and rep.n_cases == 2
+    assert rep.witness == "integral of t^0 s^0 f_{8,1} = 252"
+
+
+def test_hilbert_fails_on_a_pair_with_a_common_factor(monkeypatch):
+    # f_{5,0} replaced by t f_{4,0}: the pair shares f_{4,0}, so it is no
+    # regular sequence, and in degree 5 = n + 2 its multiples span one
+    # dimension less than the series predicts
+    n = 3
+    right = verifier.f_table
+
+    def shared(K, I):
+        tab = right(K, I)
+        return FTable(tab.K_max, tab.I_max,
+                      {**tab.entries, (n + 2, 0): t * tab.get(n + 1, 0)})
+
+    monkeypatch.setattr(verifier, "f_table", shared)
+    rep = hilbert_check(n)
+    assert rep.status == "fail" and rep.n_cases == 5
+    assert rep.witness == "degree 5: quotient dim 2, series predicts 1"
 
 
 def test_hilbert_coeffs():
